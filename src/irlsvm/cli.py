@@ -19,10 +19,11 @@ from .data_io import (
     DataError,
     generate_gaussian_mixture,
     load_dataset_csv,
-    load_feature_rows_csv,
+    load_features_csv,
     read_model,
     write_dataset_csv,
     write_model,
+    write_predictions_csv,
     write_trajectory_csv,
 )
 from .engine import (
@@ -102,6 +103,15 @@ def _grid(text):
     if any(v < 0 for v in values):
         raise argparse.ArgumentTypeError("grid values must be >= 0")
     return values
+
+
+def _value_names(grid) -> list[str]:
+    """Grid values as %g text with the fewest significant digits, at least 6,
+    that keep distinct values apart; 17 digits always do."""
+    digits = 6
+    while len({format(v, f".{digits}g") for v in grid}) < len(set(grid)):
+        digits += 1
+    return [format(v, f".{digits}g") for v in grid]
 
 
 def _add_risk_flags(parser):
@@ -207,16 +217,15 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     theta, _spec = read_model(args.model)
-    header, rows, features = load_feature_rows_csv(args.data)
+    header, features, _labels = load_features_csv(args.data)
     if features.shape[1] != theta.q:
         raise DataError(f"{args.data}: model expects {theta.q} features, file has {features.shape[1]}")
-    labels = predict_batch(theta, features)
-    with Path(args.out).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header + ["predicted"])
-        for row, label in zip(rows, labels):
-            writer.writerow(row + [str(int(label))])
-    print(f"wrote {len(rows)} predictions to {args.out}")
+    try:
+        labels = predict_batch(theta, features)
+    except ValueError as err:
+        raise DataError(f"{args.data}: {err}") from None
+    write_predictions_csv(args.data, header, labels, args.out)
+    print(f"wrote {len(labels)} predictions to {args.out}")
     return EXIT_OK
 
 
@@ -275,8 +284,8 @@ def _cmd_sweep(args) -> int:
                 [param, format(value, ".17g"), format(result.theta.alpha, ".17g")]
                 + [format(v, ".17g") for v in result.theta.beta]
             )
-    for value, (result, _accuracy) in zip(grid, outcomes):
-        write_trajectory_csv(result, out_dir / f"trajectory_{param}_{value:g}.csv")
+    for name, (result, _accuracy) in zip(_value_names(grid), outcomes):
+        write_trajectory_csv(result, out_dir / f"trajectory_{param}_{name}.csv")
 
     print(f"swept {param} over {len(grid)} points; wrote {summary_path} and {hyperplane_path}")
     return EXIT_OK

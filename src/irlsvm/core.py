@@ -231,9 +231,13 @@ def predict(theta: ModelParams, features: np.ndarray) -> int:
 
 
 def predict_batch(theta: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Vector of predicted labels for an n x q feature matrix."""
+    """Vector of predicted labels for an n x q feature matrix; a non-finite
+    feature raises ValueError naming its (0-based) row."""
     t = np.atleast_2d(np.asarray(features, dtype=float))
     if t.shape[1] != theta.q:
         raise ValueError(f"expected {theta.q} features, got {t.shape[1]}")
+    bad = np.nonzero(~np.isfinite(t).all(axis=1))[0]
+    if bad.size:
+        raise ValueError(f"non-finite feature in row {bad[0]}")
     scores = theta.alpha + t @ theta.beta
     return np.where(scores >= 0, 1.0, -1.0)

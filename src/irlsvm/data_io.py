@@ -10,6 +10,8 @@ files are flat "key = value" text documents with a fixed key set.
 from __future__ import annotations
 
 import csv
+import itertools
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,9 @@ from .core import Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec
 
 MODEL_FORMAT = "irlsvm-model/1"
 LABEL_COLUMN = "y"
+
+_FLOAT = "%.17g"  # the printf form of _fmt
+_BLOCK_ROWS = 1 << 14  # rows formatted per write; bounds the memory a large file needs
 
 
 class DataError(ValueError):
@@ -28,95 +33,163 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def load_dataset_csv(path) -> Dataset:
-    """Read a labeled dataset; the header must name the label column "y"."""
+def load_features_csv(path, labeled: bool = False) -> tuple[list[str], np.ndarray, np.ndarray | None]:
+    """Read a CSV with a header row: returns (header, features, labels).
+
+    Every column except the label column "y" is a feature, in header order.
+    With labeled=True the "y" column is required and must hold -1 or 1;
+    otherwise it is optional, ignored, and labels is None. Blank lines are
+    skipped.
+    """
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
             try:
-                header = next(reader)
+                header = [name.strip() for name in next(csv.reader(handle))]
             except StopIteration:
                 raise DataError(f"{path}: empty file, header required") from None
-            rows = list(reader)
+            if labeled and LABEL_COLUMN not in header:
+                raise DataError(f"{path}: missing label column '{LABEL_COLUMN}'")
+            label_idx = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
+            feature_idx = [i for i in range(len(header)) if i != label_idx]
+            if not feature_idx:
+                raise DataError(f"{path}: no feature columns")
+            values = _parse_body(handle, len(header))
     except OSError as err:
         raise DataError(f"{path}: {err.strerror}") from err
-
-    header = [name.strip() for name in header]
-    if LABEL_COLUMN not in header:
-        raise DataError(f"{path}: missing label column '{LABEL_COLUMN}'")
-    label_idx = header.index(LABEL_COLUMN)
-    feature_idx = [i for i in range(len(header)) if i != label_idx]
-    if not feature_idx:
-        raise DataError(f"{path}: no feature columns")
-    if not rows:
+    if not labeled:
+        label_idx = None  # an unlabeled read ignores a "y" column
+    if values is None or (labeled and not np.isin(values[:, label_idx], (-1.0, 1.0)).all()):
+        features, labels = _scan_rows(path, header, feature_idx, label_idx)
+    else:
+        # row-major like a row-by-row fill: BLAS sums in an order that
+        # depends on the layout, and fits must repeat bit for bit
+        features = np.ascontiguousarray(values[:, feature_idx])
+        labels = None if label_idx is None else values[:, label_idx]
+    if features.shape[0] == 0:
         raise DataError(f"{path}: no samples")
+    return header, features, labels
 
+
+def _parse_body(handle, width: int) -> np.ndarray | None:
+    """The rows after the header as an (n, width) matrix, parsed by numpy's C
+    reader; None when that reader rejects them. comments=None keeps a "#"
+    inside a cell from silently cutting the row short."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty body is reported as "no samples"
+            values = np.loadtxt(handle, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape[1] == width else None
+
+
+def _scan_rows(path: Path, header, feature_idx, label_idx) -> tuple[np.ndarray, np.ndarray | None]:
+    """Read the rows one cell at a time with Python's float, raising a
+    DataError that names the first bad row and column.
+
+    Runs only when the bulk parse fails or finds a bad label. It also returns
+    the values of the few files Python's float accepts and numpy's reader
+    does not, such as "1_000" cells, lone-CR line endings, or a non-numeric
+    "y" column that an unlabeled read ignores.
+    """
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            next(reader)
+            rows = [(r, row) for r, row in enumerate(reader, start=1) if row]
+    except OSError as err:
+        raise DataError(f"{path}: {err.strerror}") from err
     features = np.empty((len(rows), len(feature_idx)))
-    labels = np.empty(len(rows))
-    for r, row in enumerate(rows, start=1):
+    labels = None if label_idx is None else np.empty(len(rows))
+    for k, (r, row) in enumerate(rows):
         if len(row) != len(header):
             raise DataError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
         for c, i in enumerate(feature_idx):
             try:
-                features[r - 1, c] = float(row[i])
+                features[k, c] = float(row[i])
             except ValueError:
                 raise DataError(f"{path}: non-numeric cell at row {r}, column '{header[i]}'") from None
+        if label_idx is None:
+            continue
         try:
             label = float(row[label_idx])
         except ValueError:
             raise DataError(f"{path}: non-numeric label at row {r}") from None
         if label not in (-1.0, 1.0):
             raise DataError(f"{path}: label at row {r} is {row[label_idx]!r}, must be -1 or 1")
-        labels[r - 1] = label
+        labels[k] = label
+    return features, labels
+
+
+def load_dataset_csv(path) -> Dataset:
+    """Read a labeled dataset; the header must name the label column "y"."""
+    _header, features, labels = load_features_csv(path, labeled=True)
     try:
         return Dataset(features=features, labels=labels)
     except ValueError as err:
         raise DataError(f"{path}: {err}") from err
 
 
+def _write_rows(path, header, fmt: str, columns) -> None:
+    """Write the header, then row k = fmt % (column[k] for each column),
+    formatted a block of rows at a time."""
+    line = fmt + "\n"
+    columns = [np.asarray(column) for column in columns]
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = zip(*(column[start : start + _BLOCK_ROWS].tolist() for column in columns))
+            handle.write("".join(map(line.__mod__, block)))
+
+
 def write_dataset_csv(dataset: Dataset, path) -> None:
     """Write a dataset with columns x1..xq then y."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([f"x{j + 1}" for j in range(dataset.q)] + [LABEL_COLUMN])
-        for t, y in zip(dataset.features, dataset.labels):
-            writer.writerow([_fmt(v) for v in t] + [str(int(y))])
+    header = [f"x{j + 1}" for j in range(dataset.q)] + [LABEL_COLUMN]
+    _write_rows(path, header, ",".join([_FLOAT] * dataset.q + ["%d"]), [*dataset.features.T, dataset.labels])
 
 
-def load_feature_rows_csv(path) -> tuple[list[str], list[list[str]], np.ndarray]:
-    """Read a CSV for prediction: returns (header, raw rows, feature matrix).
+def _csv_records(lines):
+    """Group an iterator of lines into CSV records as csv.reader does and yield the text of
+    each non-blank record without its line ending. A record continues past a
+    line ending only inside a quoted cell, so only lines holding a quote are
+    handed to csv.reader."""
+    for line in lines:
+        if '"' in line:
+            taken = [line]
 
-    Every column except an optional "y" is treated as a feature, in header
-    order; the raw rows are returned untouched so callers can append columns.
+            def record_lines():
+                yield line
+                for more in lines:
+                    taken.append(more)
+                    yield more
+
+            next(csv.reader(record_lines()))  # pulls exactly the lines of one record
+            line = "".join(taken)
+        line = line.rstrip("\r\n")
+        if line:
+            yield line
+
+
+def write_predictions_csv(source, header: list[str], labels, path) -> None:
+    """Copy the CSV at source to path with a "predicted" column appended.
+
+    Each data record keeps its text, with an LF line ending, and gains
+    ",<label>"; labels holds one -1/1 entry per non-blank record, in order.
+    The header is written as the given cell list plus "predicted".
     """
-    path = Path(path)
-    try:
-        with path.open(newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = [name.strip() for name in next(reader)]
-            except StopIteration:
-                raise DataError(f"{path}: empty file, header required") from None
-            rows = list(reader)
-    except OSError as err:
-        raise DataError(f"{path}: {err.strerror}") from err
-    feature_idx = [i for i, name in enumerate(header) if name != LABEL_COLUMN]
-    if not feature_idx:
-        raise DataError(f"{path}: no feature columns")
-    if not rows:
-        raise DataError(f"{path}: no samples")
-    features = np.empty((len(rows), len(feature_idx)))
-    for r, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
-        for c, i in enumerate(feature_idx):
-            try:
-                features[r - 1, c] = float(row[i])
-            except ValueError:
-                raise DataError(f"{path}: non-numeric cell at row {r}, column '{header[i]}'") from None
-    return header, rows, features
+    with Path(source).open(newline="", encoding="utf-8") as src:
+        lines = src.readlines()  # read in full first: path may name the same file
+    suffixes = (",-1\n", ",1\n")
+    positive = (np.asarray(labels) > 0).tolist()
+    records = _csv_records(iter(lines))
+    next(records)  # the header record
+    with Path(path).open("w", newline="", encoding="utf-8") as out:
+        csv.writer(out, lineterminator="\n").writerow(header + ["predicted"])
+        for start in range(0, len(positive), _BLOCK_ROWS):
+            block = itertools.islice(records, _BLOCK_ROWS)
+            ends = map(suffixes.__getitem__, positive[start : start + _BLOCK_ROWS])
+            out.write("".join(map(str.__add__, block, ends)))
 
 
 def _polar_normals(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -257,12 +330,9 @@ def read_model(path) -> tuple[ModelParams, RiskSpec]:
 
 def write_trajectory_csv(result: FitResult, path) -> None:
     """One row per recorded iterate: iteration, exact_risk, smoothed_risk."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["iteration", "exact_risk", "smoothed_risk"])
-        for k, (exact, smoothed) in enumerate(zip(result.exact_risk_trajectory, result.smoothed_risk_trajectory)):
-            writer.writerow([k, _fmt(exact), _fmt(smoothed)])
+    exact, smoothed = result.exact_risk_trajectory, result.smoothed_risk_trajectory
+    header = ["iteration", "exact_risk", "smoothed_risk"]
+    _write_rows(path, header, f"%d,{_FLOAT},{_FLOAT}", [np.arange(len(exact)), exact, smoothed])
 
 
 def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

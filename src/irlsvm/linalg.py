@@ -72,20 +72,23 @@ def solve_spd(system: SymmetricSystem, policy: JitterPolicy | None = None) -> Sp
 
     If the factorization fails (A singular or numerically indefinite), a
     diagonal delta*I is added with delta = base_scale * trace(A)/(q+1),
-    retrying with delta growing tenfold, before giving up.
+    retrying with delta growing tenfold, before giving up. A non-finite A or
+    b, e.g. from an overflowing Gram matrix, fails at once.
     """
     policy = policy or DEFAULT_JITTER
     a = np.asarray(system.matrix, dtype=float)
     b = np.asarray(system.rhs, dtype=float).ravel()
     if a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
         raise ValueError("matrix and rhs dimensions disagree")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise SingularSystemError("system matrix or right-hand side is not finite")
 
     delta = policy.base_scale * np.trace(a) / a.shape[0]
     jitter = 0.0
     for attempt in range(policy.retries + 1):
         try:
-            factor = cho_factor(a + jitter * np.eye(a.shape[0]), lower=True)
-            x = cho_solve(factor, b)
+            factor = cho_factor(a + jitter * np.eye(a.shape[0]), lower=True, check_finite=False)
+            x = cho_solve(factor, b, check_finite=False)
             if np.isfinite(x).all():
                 return SpdSolution(x=x, jitter_used=jitter > 0, jitter=jitter)
         except LinAlgError:

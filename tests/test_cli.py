@@ -209,3 +209,68 @@ def test_solver_failure_maps_to_exit_4(data_csv, tmp_path, monkeypatch):
     monkeypatch.setattr(cli_module, "fit", failing_fit)
     code = main(["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data_csv), "--out", str(tmp_path / "m")])
     assert code == 4
+
+
+def test_fit_accepts_trailing_blank_line(tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text("x1,x2,y\n1,2,1\n-1,-2,-1\n\n")
+    code = main(
+        ["fit", "--loss", "squared-hinge", "--penalty", "l2", "--lambda", "0.1", "--data", str(data), "--out", str(tmp_path / "m")]
+    )
+    assert code == 0
+
+
+def test_predict_rejects_non_finite_features(data_csv, tmp_path, capsys):
+    model_path = tmp_path / "m.model"
+    assert main(["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data_csv), "--out", str(model_path)]) == 0
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x1,x2\n1,2\nnan,0\ninf,1\n")
+    out = tmp_path / "p.csv"
+    assert main(["predict", "--model", str(model_path), "--data", str(bad), "--out", str(out)]) == 3
+    assert "non-finite feature in row 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_predict_output_is_input_plus_label_column(data_csv, tmp_path):
+    model_path = tmp_path / "m.model"
+    assert main(["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data_csv), "--out", str(model_path)]) == 0
+    source = tmp_path / "in.csv"
+    source.write_bytes(b" x1 ,x2,y\r\n1,2,1\r\n\r\n\"-1\",-2 ,-1\r\n")
+    out = tmp_path / "p.csv"
+    assert main(["predict", "--model", str(model_path), "--data", str(source), "--out", str(out)]) == 0
+    theta, _ = read_model(model_path)
+    labels = [int(v) for v in predict_batch(theta, np.array([[1.0, 2.0], [-1.0, -2.0]]))]
+    assert out.read_text() == f'x1,x2,y,predicted\n1,2,1,{labels[0]}\n"-1",-2 ,-1,{labels[1]}\n'
+
+
+def test_sweep_trajectory_names_tell_close_grid_values_apart(data_csv, tmp_path):
+    out_dir = tmp_path / "sweep"
+    code = main(
+        [
+            "sweep", "--loss", "squared-hinge", "--penalty", "l2", "--lambda-grid", "0.1:1e-7:0.1000003",
+            "--iterations", "3", "--data", str(data_csv), "--out", str(out_dir),
+        ]
+    )
+    assert code == 0
+    names = sorted(p.name for p in out_dir.glob("trajectory_lambda_*.csv"))
+    assert names == [f"trajectory_lambda_{v}.csv" for v in ("0.1", "0.1000001", "0.1000002", "0.1000003")]
+
+
+def test_overflowing_system_is_solver_error(tmp_path, capsys):
+    data = tmp_path / "big.csv"
+    data.write_text("x1,x2,y\n1e200,-1e200,1\n-1e200,1e200,-1\n2e200,1e200,1\n-1e200,-3e200,-1\n")
+    code = main(
+        ["fit", "--loss", "hinge", "--penalty", "l2", "--lambda", "0.1", "--data", str(data), "--out", str(tmp_path / "m")]
+    )
+    assert code == 4
+    assert "not finite" in capsys.readouterr().err
+
+
+def test_predict_can_overwrite_its_input(data_csv, tmp_path):
+    model_path = tmp_path / "m.model"
+    assert main(["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data_csv), "--out", str(model_path)]) == 0
+    before = data_csv.read_text().splitlines()
+    assert main(["predict", "--model", str(model_path), "--data", str(data_csv), "--out", str(data_csv)]) == 0
+    after = data_csv.read_text().splitlines()
+    assert len(after) == len(before) == 61
+    assert [line.rsplit(",", 1)[0] for line in after] == before

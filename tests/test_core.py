@@ -173,3 +173,9 @@ def test_fit_result_trajectory_lengths_must_agree():
             converged=False,
             termination_reason=TerminationReason.MAX_ITERATIONS,
         )
+
+
+def test_predict_batch_rejects_non_finite_features():
+    theta = ModelParams(alpha=0.5, beta=np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match="non-finite feature in row 1"):
+        predict_batch(theta, np.array([[1.0, 2.0], [np.nan, 0.0], [np.inf, 1.0]]))

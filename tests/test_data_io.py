@@ -222,3 +222,26 @@ def test_trajectory_reader_rejects_foreign_files(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(DataError):
         read_trajectory_csv(path)
+
+
+def test_load_skips_blank_lines(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("x1,x2,y\n1,2,1\n\n-1,-2,-1\n\n")
+    ds = load_dataset_csv(path)
+    assert_array_equal(ds.features, [[1.0, 2.0], [-1.0, -2.0]])
+    assert_array_equal(ds.labels, [1.0, -1.0])
+
+
+def test_error_row_numbers_count_blank_lines(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("x1,y\n1,1\n\n2,0\n")
+    with pytest.raises(DataError, match="label at row 3 is '0'"):
+        load_dataset_csv(path)
+
+
+def test_load_rejects_blank_only_body(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("x1,y\n\n\r\n")
+    with pytest.raises(DataError, match="no samples"):
+        load_dataset_csv(path)
+

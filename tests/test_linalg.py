@@ -92,3 +92,12 @@ def test_solve_spd_reports_unrecoverable_singularity():
 def test_solve_spd_dimension_mismatch():
     with pytest.raises(ValueError):
         solve_spd(SymmetricSystem(matrix=np.eye(2), rhs=np.ones(3)))
+
+
+def test_non_finite_system_is_singular():
+    system = SymmetricSystem(matrix=np.array([[np.inf, 0.0], [0.0, 1.0]]), rhs=np.array([1.0, 1.0]))
+    with pytest.raises(SingularSystemError, match="not finite"):
+        solve_spd(system)
+    system = SymmetricSystem(matrix=np.eye(2), rhs=np.array([np.nan, 1.0]))
+    with pytest.raises(SingularSystemError, match="not finite"):
+        solve_spd(system)
