@@ -21,7 +21,7 @@ from .core import Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec
 MODEL_FORMAT = "irlsvm-model/1"
 LABEL_COLUMN = "y"
 
-_FLOAT = "%.17g"  # the printf form of _fmt
+_FLOAT = "%.17g"
 _BLOCK_ROWS = 1 << 14  # rows formatted per write; bounds the memory a large file needs
 
 
@@ -30,7 +30,7 @@ class DataError(ValueError):
 
 
 def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+    return _FLOAT % float(value)
 
 
 def load_features_csv(path, labeled: bool = False) -> tuple[list[str], np.ndarray, np.ndarray | None]:
