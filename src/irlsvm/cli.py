@@ -20,6 +20,7 @@ from .data_io import (
     generate_gaussian_mixture,
     load_dataset_csv,
     load_features_csv,
+    open_output,
     read_model,
     write_dataset_csv,
     write_model,
@@ -206,10 +207,13 @@ def _cmd_fit(args) -> int:
     write_model(result, spec, args.out)
     trajectory = _trajectory_path(args.out)
     write_trajectory_csv(result, trajectory)
+    jitter_note = (
+        f"; {result.jittered_solves} jittered solves, descent not guaranteed" if result.jittered_solves else ""
+    )
     print(
         f"fit {spec.loss.value}+{spec.penalty.value}: {result.iterations_run} iterations"
         f" ({result.termination_reason.value}), exact risk {result.exact_risk_trajectory[-1]:.6g},"
-        f" smoothed risk {result.smoothed_risk_trajectory[-1]:.6g}"
+        f" smoothed risk {result.smoothed_risk_trajectory[-1]:.6g}{jitter_note}"
     )
     print(f"wrote {args.out} and {trajectory}")
     return EXIT_OK
@@ -241,7 +245,10 @@ def _cmd_sweep(args) -> int:
     options = _options_from_args(args)
     dataset = load_dataset_csv(args.data)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise DataError(f"{out_dir}: cannot create directory: {err.strerror or err}") from err
 
     param = "lambda" if args.lambda_grid is not None else "mu"
     grid = args.lambda_grid if param == "lambda" else args.mu_grid
@@ -263,7 +270,7 @@ def _cmd_sweep(args) -> int:
 
     summary_path = out_dir / "summary.csv"
     hyperplane_path = out_dir / "hyperplanes.csv"
-    with summary_path.open("w", newline="", encoding="utf-8") as handle:
+    with open_output(summary_path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["parameter", "value", "terminal_exact_risk", "terminal_smoothed_risk", "training_accuracy"])
         for value, (result, accuracy) in zip(grid, outcomes):
@@ -276,7 +283,7 @@ def _cmd_sweep(args) -> int:
                     format(accuracy, ".17g"),
                 ]
             )
-    with hyperplane_path.open("w", newline="", encoding="utf-8") as handle:
+    with open_output(hyperplane_path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["parameter", "value", "alpha"] + [f"beta_{j + 1}" for j in range(dataset.q)])
         for value, (result, _accuracy) in zip(grid, outcomes):

@@ -9,6 +9,7 @@ files are flat "key = value" text documents with a fixed key set.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import warnings
@@ -27,6 +28,17 @@ _BLOCK_ROWS = 1 << 14  # rows formatted per write; bounds the memory a large fil
 
 class DataError(ValueError):
     """File-level problem: missing/malformed content, bad labels, bad cells."""
+
+
+@contextlib.contextmanager
+def open_output(path):
+    """Open path for writing UTF-8 text, line endings as given; an OSError
+    while opening, writing or closing it becomes a DataError naming path."""
+    try:
+        with Path(path).open("w", newline="", encoding="utf-8") as handle:
+            yield handle
+    except OSError as err:
+        raise DataError(f"{path}: cannot write: {err.strerror or err}") from err
 
 
 def _fmt(value: float) -> str:
@@ -136,7 +148,7 @@ def _write_rows(path, header, fmt: str, columns) -> None:
     formatted a block of rows at a time."""
     line = fmt + "\n"
     columns = [np.asarray(column) for column in columns]
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+    with open_output(path) as handle:
         handle.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
             block = zip(*(column[start : start + _BLOCK_ROWS].tolist() for column in columns))
@@ -184,7 +196,7 @@ def write_predictions_csv(source, header: list[str], labels, path) -> None:
     positive = (np.asarray(labels) > 0).tolist()
     records = _csv_records(iter(lines))
     next(records)  # the header record
-    with Path(path).open("w", newline="", encoding="utf-8") as out:
+    with open_output(path) as out:
         csv.writer(out, lineterminator="\n").writerow(header + ["predicted"])
         for start in range(0, len(positive), _BLOCK_ROWS):
             block = itertools.islice(records, _BLOCK_ROWS)
@@ -262,7 +274,8 @@ def write_model(result: FitResult, spec: RiskSpec, path) -> None:
         f"terminal_exact_risk = {_fmt(result.exact_risk_trajectory[-1])}",
         f"terminal_smoothed_risk = {_fmt(result.smoothed_risk_trajectory[-1])}",
     ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open_output(path) as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 _SCALAR_MODEL_KEYS = {

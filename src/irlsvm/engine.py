@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import Dataset, DesignMatrix, FitResult, Loss, ModelParams, Penalty, RiskSpec, TerminationReason, build_design_matrix, margins
 from .linalg import SingularSystemError, SymmetricSystem, solve_spd, weighted_gram, weighted_rhs
-from .losses import average_loss, hinge_state, logistic_state, majorizer_value, smoothed_loss_value, squared_hinge_state
+from .losses import LossTerms, loss_terms, majorizer_value
 from .penalties import penalty_majorizer_value, penalty_quadratic, penalty_value, smoothed_penalty_value
 
 WARM_START_RIDGE_FLOOR = 1e-3
@@ -70,62 +70,44 @@ def monitor_kind(spec: RiskSpec) -> Monitor:
     return Monitor.EXACT
 
 
-def _risk_pair(spec: RiskSpec, m: np.ndarray, beta: np.ndarray) -> tuple[float, float]:
-    exact = average_loss(spec.loss, m) + penalty_value(spec.penalty, beta, spec.lam, spec.mu)
-    smoothed = float(np.mean(smoothed_loss_value(spec.loss, m, spec.epsilon))) + smoothed_penalty_value(
-        spec.penalty, beta, spec.lam, spec.mu, spec.epsilon
-    )
+def _evaluate(spec: RiskSpec, theta: ModelParams, m: np.ndarray) -> tuple[LossTerms, float, float]:
+    """The loss terms at margins m of theta, and the exact and smoothed risks
+    from those same loss values."""
+    terms = loss_terms(spec.loss, m, spec.epsilon)
+    loss_mean = float(np.mean(terms.values))
+    smoothed_mean = loss_mean if terms.smoothed is terms.values else float(np.mean(terms.smoothed))
+    exact = loss_mean + penalty_value(spec.penalty, theta.beta, spec.lam, spec.mu)
+    smoothed = smoothed_mean + smoothed_penalty_value(spec.penalty, theta.beta, spec.lam, spec.mu, spec.epsilon)
+    return terms, exact, smoothed
+
+
+def _dataset_risks(spec: RiskSpec, theta: ModelParams, dataset: Dataset) -> tuple[float, float]:
+    m = dataset.labels * (theta.alpha + dataset.features @ theta.beta)
+    _terms, exact, smoothed = _evaluate(spec, theta, m)
     return exact, smoothed
 
 
 def risk(spec: RiskSpec, theta: ModelParams, dataset: Dataset) -> float:
     """Exact risk: average loss plus the unsmoothed penalty."""
-    m = dataset.labels * (theta.alpha + dataset.features @ theta.beta)
-    return average_loss(spec.loss, m) + penalty_value(spec.penalty, theta.beta, spec.lam, spec.mu)
+    return _dataset_risks(spec, theta, dataset)[0]
 
 
 def smoothed_risk(spec: RiskSpec, theta: ModelParams, dataset: Dataset) -> float:
     """Risk with absolute values smoothed by sqrt(u^2 + epsilon) throughout."""
-    m = dataset.labels * (theta.alpha + dataset.features @ theta.beta)
-    loss_part = float(np.mean(smoothed_loss_value(spec.loss, m, spec.epsilon)))
-    return loss_part + smoothed_penalty_value(spec.penalty, theta.beta, spec.lam, spec.mu, spec.epsilon)
+    return _dataset_risks(spec, theta, dataset)[1]
 
 
 def monitored_risk(spec: RiskSpec, theta: ModelParams, dataset: Dataset) -> float:
-    if monitor_kind(spec) is Monitor.EXACT:
-        return risk(spec, theta, dataset)
-    return smoothed_risk(spec, theta, dataset)
+    exact, smoothed = _dataset_risks(spec, theta, dataset)
+    return exact if monitor_kind(spec) is Monitor.EXACT else smoothed
 
 
-def _assemble_system(spec: RiskSpec, theta: ModelParams, design: DesignMatrix, m: np.ndarray) -> SymmetricSystem:
-    """Normal equations of the surrogate anchored at theta (margins m)."""
-    n = design.n
+def _assemble_system(spec: RiskSpec, theta: ModelParams, design: DesignMatrix, terms: LossTerms) -> SymmetricSystem:
+    """Normal equations of the surrogate anchored at theta, from its loss terms."""
     quad = penalty_quadratic(spec.penalty, theta.beta, spec.lam, spec.mu, spec.epsilon)
-    unit = np.ones(n)
-    if spec.loss is Loss.HINGE:
-        state = hinge_state(m, spec.epsilon)
-        a = weighted_gram(design, state.weights)
-        b = weighted_rhs(design, state.weights, state.targets)
-        penalty_scale = float(n)
-    elif spec.loss is Loss.LEAST_SQUARES:
-        a = design.gram.copy()
-        b = weighted_rhs(design, unit, unit)
-        penalty_scale = float(n)
-    elif spec.loss is Loss.SQUARED_HINGE:
-        state = squared_hinge_state(m)
-        a = design.gram.copy()
-        b = weighted_rhs(design, unit, state.targets)
-        penalty_scale = float(n)
-    else:
-        state = logistic_state(m)
-        a = design.gram.copy()
-        b = weighted_rhs(design, unit, state.targets + 4.0 * state.pi)
-        # the logistic surrogate carries a 1/(8n) quadratic coefficient, so
-        # clearing it scales the penalty diagonals by 8n instead of n
-        penalty_scale = 8.0 * float(n)
-    idx = np.diag_indices_from(a)
-    a[idx] += penalty_scale * quad.combined_diag
-    return SymmetricSystem(matrix=a, rhs=b)
+    a = design.gram.copy() if terms.weights is None else weighted_gram(design, terms.weights)
+    a[np.diag_indices_from(a)] += terms.penalty_scale * quad.combined_diag
+    return SymmetricSystem(matrix=a, rhs=weighted_rhs(design, terms.weights, terms.targets))
 
 
 def irls_step(spec: RiskSpec, theta: ModelParams, design: DesignMatrix) -> ModelParams:
@@ -134,20 +116,13 @@ def irls_step(spec: RiskSpec, theta: ModelParams, design: DesignMatrix) -> Model
     For the least-squares loss with 2-norm penalty the surrogate is the risk
     itself, so the step returns the closed-form solution directly.
     """
-    m = margins(design, theta)
-    system = _assemble_system(spec, theta, design, m)
-    return ModelParams.from_vector(solve_spd(system).x)
+    terms = loss_terms(spec.loss, margins(design, theta), spec.epsilon, with_values=False)
+    return ModelParams.from_vector(solve_spd(_assemble_system(spec, theta, design, terms)).x)
 
 
 def closed_form_ls_l2(design: DesignMatrix, lam: float) -> ModelParams:
     """Exact minimizer of the least-squares risk with 2-norm penalty."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    a = design.gram.copy()
-    idx = np.diag_indices_from(a)
-    a[idx] += design.n * lam * np.concatenate(([0.0], np.ones(design.q)))
-    b = weighted_rhs(design, np.ones(design.n), np.ones(design.n))
-    return ModelParams.from_vector(solve_spd(SymmetricSystem(matrix=a, rhs=b)).x)
+    return irls_step(RiskSpec(Loss.LEAST_SQUARES, Penalty.L2, lam=lam), ModelParams.zeros(design.q), design)
 
 
 def majorizer_objective(spec: RiskSpec, theta: ModelParams, anchor: ModelParams, design: DesignMatrix) -> float:
@@ -179,38 +154,28 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
     """
     options = options or FitOptions()
     design = build_design_matrix(dataset)
-
-    if spec.loss is Loss.LEAST_SQUARES and spec.penalty is Penalty.L2:
-        theta0 = _initial_theta(options, spec, design)
-        theta = closed_form_ls_l2(design, spec.lam)
-        pairs = [_risk_pair(spec, margins(design, t), t.beta) for t in (theta0, theta)]
-        return FitResult(
-            theta=theta,
-            exact_risk_trajectory=np.array([p[0] for p in pairs]),
-            smoothed_risk_trajectory=np.array([p[1] for p in pairs]),
-            iterations_run=1,
-            converged=True,
-            termination_reason=TerminationReason.CLOSED_FORM,
-        )
-
+    closed_form = spec.loss is Loss.LEAST_SQUARES and spec.penalty is Penalty.L2
     monitor = monitor_kind(spec)
     theta = _initial_theta(options, spec, design)
-    m = margins(design, theta)
-    exact, smoothed = _risk_pair(spec, m, theta.beta)
+    terms, exact, smoothed = _evaluate(spec, theta, margins(design, theta))
     exact_track = [exact]
     smoothed_track = [smoothed]
     monitored_prev = exact if monitor is Monitor.EXACT else smoothed
 
+    jittered = 0
     converged = False
     reason = TerminationReason.MAX_ITERATIONS
-    for _ in range(options.max_iterations):
+    for _ in range(1 if closed_form else options.max_iterations):
         try:
-            system = _assemble_system(spec, theta, design, m)
-            theta = ModelParams.from_vector(solve_spd(system).x)
+            system = _assemble_system(spec, theta, design, terms)
+            # drop this iterate's n-length arrays before the next margins exist
+            del terms
+            solution = solve_spd(system)
         except SingularSystemError as err:
             raise FitError(str(err), exact_track, smoothed_track) from err
-        m = margins(design, theta)
-        exact, smoothed = _risk_pair(spec, m, theta.beta)
+        jittered += solution.jitter_used
+        theta = ModelParams.from_vector(solution.x)
+        terms, exact, smoothed = _evaluate(spec, theta, margins(design, theta))
         exact_track.append(exact)
         smoothed_track.append(smoothed)
         monitored = exact if monitor is Monitor.EXACT else smoothed
@@ -223,6 +188,8 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
             break
         monitored_prev = monitored
 
+    if closed_form:
+        converged, reason = True, TerminationReason.CLOSED_FORM
     return FitResult(
         theta=theta,
         exact_risk_trajectory=np.array(exact_track),
@@ -230,4 +197,5 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
         iterations_run=len(exact_track) - 1,
         converged=converged,
         termination_reason=reason,
+        jittered_solves=jittered,
     )

@@ -47,24 +47,38 @@ class SpdSolution:
 
 
 def weighted_gram(design: DesignMatrix, weights) -> np.ndarray:
-    """Y'WY with W = diag(weights); exactly symmetric (one triangle mirrored)."""
+    """Y'WY with W = diag(weights); exactly symmetric (one triangle mirrored).
+
+    Accumulated over row blocks, so the weighted copy of the rows never
+    exceeds one block.
+    """
     w = np.asarray(weights, dtype=float).ravel()
     if w.shape[0] != design.n:
         raise ValueError(f"{design.n} rows but {w.shape[0]} weights")
-    if not np.isfinite(w).all() or (w < 0).any():
+    # min >= 0 is False when any weight is NaN
+    if not (w.min() >= 0.0 and np.isfinite(w.max())):
         raise ValueError("weights must be finite and nonnegative")
-    prod = (design.rows * w[:, None]).T @ design.rows
-    upper = np.triu(prod)
-    return upper + np.triu(prod, 1).T
+    cols = design.rows.T
+    k = cols.shape[0]
+    gram = np.zeros((k, k))
+    for block in design.row_blocks():
+        gram += (cols[:, block] * w[block]) @ cols[:, block].T
+    lower = np.tril_indices(k, -1)
+    gram[lower] = gram.T[lower]
+    return gram
 
 
 def weighted_rhs(design: DesignMatrix, weights, targets) -> np.ndarray:
-    """Y'W r for target vector r."""
-    w = np.asarray(weights, dtype=float).ravel()
+    """Y'W r for target vector r; weights None stands for W = I."""
     r = np.asarray(targets, dtype=float).ravel()
-    if w.shape[0] != design.n or r.shape[0] != design.n:
+    w = None if weights is None else np.asarray(weights, dtype=float).ravel()
+    if r.shape[0] != design.n or (w is not None and w.shape[0] != design.n):
         raise ValueError("weights and targets must have one entry per row")
-    return design.rows.T @ (w * r)
+    rhs = np.zeros(design.q + 1)
+    for block in design.row_blocks():
+        v = r[block] if w is None else w[block] * r[block]
+        rhs += v @ design.rows[block]
+    return rhs
 
 
 def solve_spd(system: SymmetricSystem, policy: JitterPolicy | None = None) -> SpdSolution:

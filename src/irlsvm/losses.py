@@ -1,7 +1,8 @@
 """Margin losses, their smoothed variants, scalar majorizers, and the
-per-iteration state each loss feeds into the reweighted normal equations.
+per-iteration terms each loss feeds into the reweighted normal equations.
 
-Every function accepts scalars or numpy arrays of margins and is pure.
+Every function accepts scalars or numpy arrays of margins and is pure;
+loss_terms takes a margin vector.
 """
 
 from __future__ import annotations
@@ -50,16 +51,20 @@ class LogisticState:
 def loss_value(kind: Loss, m):
     """Per-sample loss as a function of the margin m."""
     m = np.asarray(m, dtype=float)
-    u = 1.0 - m
     if kind is Loss.HINGE:
-        out = np.maximum(0.0, u)
+        out = np.maximum(0.0, 1.0 - m)
     elif kind is Loss.LEAST_SQUARES:
-        out = u * u
+        out = (1.0 - m) ** 2
     elif kind is Loss.SQUARED_HINGE:
-        out = np.maximum(0.0, u) ** 2
+        out = np.maximum(0.0, 1.0 - m) ** 2
     elif kind is Loss.LOGISTIC:
-        # log(1 + exp(-m)) without overflow for large |m|
-        out = np.logaddexp(0.0, -m)
+        # log(1 + exp(-m)) = max(-m, 0) + log1p(exp(-|m|)), without overflow
+        # for large |m|; out= keeps one temporary alive (a 0-d out stays 0-d)
+        out = np.abs(m, out=np.empty_like(m))
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        np.log1p(out, out=out)
+        out -= np.minimum(m, 0.0)
     else:
         raise ValueError(f"unknown loss {kind}")
     return out if out.ndim else float(out)
@@ -103,9 +108,8 @@ def squared_hinge_state(margins) -> SquaredHingeState:
     """Branch split of the squared-hinge update; the tie 1 - m = 0 takes the
     active (upsilon = 0) branch."""
     m = np.asarray(margins, dtype=float)
-    upsilon = (1.0 - m < 0.0).astype(float)
-    targets = np.where(upsilon > 0, m, 1.0)
-    return SquaredHingeState(upsilon=upsilon, targets=targets)
+    upsilon = (m > 1.0).astype(float)
+    return SquaredHingeState(upsilon=upsilon, targets=np.maximum(m, 1.0))
 
 
 _UNIT_OPEN = (np.finfo(float).tiny, 1.0 - 2.0**-53)
@@ -115,8 +119,50 @@ def logistic_state(margins) -> LogisticState:
     """Sigmoid weights of the logistic update; pi computed overflow-safely."""
     m = np.asarray(margins, dtype=float)
     # the sigmoid saturates to exact 0/1 past |m| ~ 745; keep pi strictly interior
-    pi = np.clip(expit(-m), *_UNIT_OPEN)
+    pi = np.negative(m, out=np.empty_like(m))
+    expit(pi, out=pi)
+    np.clip(pi, *_UNIT_OPEN, out=pi)
     return LogisticState(pi=pi, targets=m)
+
+
+@dataclass(frozen=True)
+class LossTerms:
+    """What one iterate takes from the loss at its margins, each computed once.
+
+    values and smoothed are the per-sample exact and smoothed losses; they
+    are one array for a loss without an absolute value, and None when only
+    the update was asked for. The surrogate's normal equations are
+    Y'WY theta = Y'W targets plus penalty_scale times the penalty diagonals,
+    with W = diag(weights), or W = I when weights is None.
+    """
+
+    values: np.ndarray | None
+    smoothed: np.ndarray | None
+    weights: np.ndarray | None
+    targets: np.ndarray
+    penalty_scale: float
+
+
+def loss_terms(kind: Loss, margins: np.ndarray, epsilon: float, with_values: bool = True) -> LossTerms:
+    """Reweighting terms at a margin vector, and with_values the exact and
+    smoothed loss values there too."""
+    m = np.asarray(margins, dtype=float)
+    n = float(m.shape[0])
+    values = loss_value(kind, m) if with_values else None
+    if kind is Loss.HINGE:
+        state = hinge_state(m, epsilon)
+        # (gamma + 1 - m)/2 = (sqrt(u^2 + eps) + u)/2 with u = 1 - m
+        smoothed = 0.5 * (state.targets - m) if with_values else None
+        return LossTerms(values, smoothed, state.weights, state.targets, n)
+    if kind is Loss.LEAST_SQUARES:
+        return LossTerms(values, values, None, np.ones_like(m), n)
+    if kind is Loss.SQUARED_HINGE:
+        return LossTerms(values, values, None, squared_hinge_state(m).targets, n)
+    # the logistic surrogate carries a 1/(8n) quadratic coefficient, so
+    # clearing it scales the penalty diagonals by 8n instead of n
+    targets = 4.0 * logistic_state(m).pi
+    targets += m
+    return LossTerms(values, values, None, targets, 8.0 * n)
 
 
 def majorizer_value(kind: Loss, m, m_ref, epsilon: float):

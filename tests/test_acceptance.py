@@ -130,7 +130,8 @@ def _oracle_agreement_case(args):
 
 def test_fit_agrees_with_independent_minimizer():
     cases = [(loss.value, pen.value, seed) for loss, pen in ALL_COMBOS for seed in (11, 12, 13)]
-    context = multiprocessing.get_context("fork")
+    # spawn, not fork: forking a process whose numpy threads are running can deadlock
+    context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
         outcomes = list(pool.map(_oracle_agreement_case, cases))
     worst_ratio = 0.0

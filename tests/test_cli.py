@@ -274,3 +274,52 @@ def test_predict_can_overwrite_its_input(data_csv, tmp_path):
     after = data_csv.read_text().splitlines()
     assert len(after) == len(before) == 61
     assert [line.rsplit(",", 1)[0] for line in after] == before
+
+
+def test_simulate_unwritable_output_is_data_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["simulate", "--n", "10", "--out", str(out)]) == 3
+    assert str(out) in capsys.readouterr().err
+
+
+def test_fit_unwritable_model_is_data_error(data_csv, tmp_path, capsys):
+    model = tmp_path / "missing" / "m.model"
+    assert main(["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data_csv), "--out", str(model)]) == 3
+    assert str(model) in capsys.readouterr().err
+
+
+def test_fit_unwritable_trajectory_is_data_error(data_csv, tmp_path, capsys):
+    trajectory = tmp_path / "m.trajectory.csv"
+    trajectory.mkdir()  # a directory where the trajectory file goes
+    code = main(["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data_csv), "--out", str(tmp_path / "m.model")])
+    assert code == 3
+    assert str(trajectory) in capsys.readouterr().err
+
+
+def test_sweep_unwritable_output_is_data_error(data_csv, tmp_path, capsys):
+    out_dir = data_csv / "sweep"  # under a regular file
+    code = main(
+        ["sweep", "--loss", "hinge", "--penalty", "l2", "--lambda-grid", "0.1", "--iterations", "2",
+         "--data", str(data_csv), "--out", str(out_dir)]
+    )
+    assert code == 3
+    assert str(out_dir) in capsys.readouterr().err
+
+
+def test_predict_unwritable_output_is_data_error(data_csv, tmp_path, capsys):
+    model_path = tmp_path / "m.model"
+    assert main(["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data_csv), "--out", str(model_path)]) == 0
+    out = tmp_path / "missing" / "p.csv"
+    assert main(["predict", "--model", str(model_path), "--data", str(data_csv), "--out", str(out)]) == 3
+    assert str(out) in capsys.readouterr().err
+
+
+def test_fit_summary_reports_jittered_solves(tmp_path, capsys):
+    data = tmp_path / "dup.csv"
+    data.write_text("x1,x2,y\n1,1,1\n2,2,1\n-1,-1,-1\n-3,-3,-1\n0.5,0.5,1\n-0.25,-0.25,-1\n")
+    argv = ["fit", "--loss", "squared-hinge", "--penalty", "l2", "--iterations", "3", "--tolerance", "0",
+            "--init", "zero", "--data", str(data), "--out", str(tmp_path / "m")]
+    assert main(argv + ["--lambda", "0"]) == 0
+    assert "3 jittered solves, descent not guaranteed" in capsys.readouterr().out
+    assert main(argv + ["--lambda", "0.1"]) == 0
+    assert "jitter" not in capsys.readouterr().out

@@ -281,3 +281,27 @@ def test_fit_options_validation():
         FitOptions(max_iterations=0)
     with pytest.raises(ValueError):
         FitOptions(risk_tolerance=-1e-3)
+
+
+@pytest.mark.parametrize("loss, pen", ALL_COMBOS, ids=COMBO_IDS)
+def test_fit_risk_trajectory_matches_direct_evaluation(loss, pen):
+    ds = make_dataset(seed=28, n=70, q=3)
+    spec = RiskSpec(loss, pen, lam=0.2, mu=0.3, epsilon=EPS)
+    for iterations in (1, 2, 3):
+        result = fit(spec, ds, FitOptions(max_iterations=iterations, risk_tolerance=0.0, init=Init.ZERO))
+        assert_allclose(result.exact_risk_trajectory[-1], risk(spec, result.theta, ds), rtol=1e-12, atol=0)
+        assert_allclose(result.smoothed_risk_trajectory[-1], smoothed_risk(spec, result.theta, ds), rtol=1e-12, atol=0)
+
+
+def test_fit_counts_jittered_solves():
+    from irlsvm import SymmetricSystem, solve_spd
+
+    t = np.array([1.0, 2.0, -1.0, -3.0, 0.5, -0.25])
+    ds = Dataset(features=np.column_stack([t, t]), labels=np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0]))
+    design = build_design_matrix(ds)
+    # with lam = 0 the squared-hinge system matrix is Y'Y, singular for a duplicated column
+    assert solve_spd(SymmetricSystem(matrix=design.gram, rhs=np.ones(3))).jitter_used
+    spec = RiskSpec(Loss.SQUARED_HINGE, Penalty.L2, lam=0.0)
+    result = fit(spec, ds, FitOptions(max_iterations=3, risk_tolerance=0.0, init=Init.ZERO))
+    assert result.jittered_solves == 3
+    assert fit(RiskSpec(Loss.SQUARED_HINGE, Penalty.L2, lam=0.1), ds, FitOptions(max_iterations=3)).jittered_solves == 0

@@ -159,3 +159,17 @@ def test_loss_is_convex_in_margin(kind):
     m2 = rng.uniform(-15, 15, 5_000)
     mid = loss_value(kind, (m1 + m2) / 2.0)
     assert (mid <= (loss_value(kind, m1) + loss_value(kind, m2)) / 2.0 + 1e-12).all()
+
+
+@pytest.mark.parametrize("wrap", [float, np.array, None], ids=["scalar", "0-d", "array"])
+def test_logistic_loss_matches_logaddexp(wrap):
+    m = np.linspace(-800.0, 800.0, 160_001)
+    if wrap is None:
+        got = loss_value(Loss.LOGISTIC, m)
+    else:
+        m = m[::97]
+        values = [loss_value(Loss.LOGISTIC, wrap(x)) for x in m]
+        assert all(type(v) is float for v in values)
+        got = np.array(values)
+    ref = np.logaddexp(0.0, -m)
+    assert (np.abs(got - ref) <= 1e-15 * (1.0 + np.abs(ref))).all()
