@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -263,10 +262,7 @@ def _cmd_sweep(args) -> int:
         accuracy = float(np.mean(predict_batch(result.theta, dataset.features) == dataset.labels))
         return result, accuracy
 
-    # grid points are independent fits over a shared read-only dataset; the
-    # output files are per-point, so concurrent execution cannot contend
-    with ThreadPoolExecutor(max_workers=min(4, len(grid))) as pool:
-        outcomes = list(pool.map(run_point, grid))
+    outcomes = [run_point(value) for value in grid]
 
     summary_path = out_dir / "summary.csv"
     hyperplane_path = out_dir / "hyperplanes.csv"

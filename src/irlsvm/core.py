@@ -46,6 +46,20 @@ DEFAULT_EPSILON = 1e-6
 _BLOCK_ROWS = 1 << 14
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """Consecutive slices of _BLOCK_ROWS (the last one fewer) covering n rows."""
+    return [slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS)]
+
+
+def _check_finite_rows(features: np.ndarray) -> None:
+    """Raise ValueError naming the first (0-based) row that holds a non-finite
+    feature; the row scan runs only once a whole-matrix check has failed."""
+    if np.isfinite(features).all():
+        return
+    bad = np.nonzero(~np.isfinite(features).all(axis=1))[0]
+    raise ValueError(f"non-finite feature in row {bad[0]}")
+
+
 def _readonly(a: np.ndarray, order: str = "K") -> np.ndarray:
     a = np.array(a, dtype=float, order=order)
     a.flags.writeable = False
@@ -72,9 +86,7 @@ class Dataset:
             raise ValueError(f"need n >= 1 samples and q >= 1 features, got n={n}, q={q}")
         if labels.shape[0] != n:
             raise ValueError(f"{n} feature rows but {labels.shape[0]} labels")
-        bad = np.nonzero(~np.isfinite(features).all(axis=1))[0]
-        if bad.size:
-            raise ValueError(f"non-finite feature in row {bad[0]}")
+        _check_finite_rows(features)
         off = np.nonzero((labels != 1.0) & (labels != -1.0))[0]
         if off.size:
             raise ValueError(f"label in row {off[0]} is {labels[off[0]]}, must be -1 or +1")
@@ -117,7 +129,7 @@ class DesignMatrix:
 
     def row_blocks(self) -> list[slice]:
         """Consecutive row slices covering the design."""
-        return [slice(start, min(start + _BLOCK_ROWS, self.n)) for start in range(0, self.n, _BLOCK_ROWS)]
+        return _row_blocks(self.n)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -245,6 +257,27 @@ def margins(design: DesignMatrix, theta: ModelParams) -> np.ndarray:
     return out
 
 
+def _margin_blocks(data: DesignMatrix | Dataset, theta: ModelParams, out: np.ndarray):
+    """Walk data in row blocks, yielding each block's slice and its margins,
+    written into the first entries of out (at least min(n, _BLOCK_ROWS) long).
+
+    data is a design matrix, or a dataset, whose margins
+    y_i * (alpha + beta.t_i) need no design built.
+    """
+    if theta.q != data.q:
+        raise ValueError(f"theta has {theta.q} features but data has {data.q}")
+    vec = theta.as_vector()
+    for block in _row_blocks(data.n):
+        m = out[: block.stop - block.start]
+        if isinstance(data, DesignMatrix):
+            np.matmul(data.rows[block], vec, out=m)
+        else:
+            np.matmul(data.features[block], theta.beta, out=m)
+            m += theta.alpha
+            m *= data.labels[block]
+        yield block, m
+
+
 def predict(theta: ModelParams, features: np.ndarray) -> int:
     """Predicted label sign(alpha + beta.t) for one feature vector.
 
@@ -264,8 +297,6 @@ def predict_batch(theta: ModelParams, features: np.ndarray) -> np.ndarray:
     t = np.atleast_2d(np.asarray(features, dtype=float))
     if t.shape[1] != theta.q:
         raise ValueError(f"expected {theta.q} features, got {t.shape[1]}")
-    bad = np.nonzero(~np.isfinite(t).all(axis=1))[0]
-    if bad.size:
-        raise ValueError(f"non-finite feature in row {bad[0]}")
+    _check_finite_rows(t)
     scores = theta.alpha + t @ theta.beta
     return np.where(scores >= 0, 1.0, -1.0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import itertools
+import math
 import warnings
 from pathlib import Path
 
@@ -51,7 +52,8 @@ def load_features_csv(path, labeled: bool = False) -> tuple[list[str], np.ndarra
     Every column except the label column "y" is a feature, in header order.
     With labeled=True the "y" column is required and must hold -1 or 1;
     otherwise it is optional, ignored, and labels is None. Blank lines are
-    skipped.
+    skipped. A non-finite feature ("nan", "inf") is a DataError naming its
+    row and column.
     """
     path = Path(path)
     try:
@@ -71,13 +73,14 @@ def load_features_csv(path, labeled: bool = False) -> tuple[list[str], np.ndarra
         raise DataError(f"{path}: {err.strerror}") from err
     if not labeled:
         label_idx = None  # an unlabeled read ignores a "y" column
-    if values is None or (labeled and not np.isin(values[:, label_idx], (-1.0, 1.0)).all()):
-        features, labels = _scan_rows(path, header, feature_idx, label_idx)
-    else:
+    features = None
+    if values is not None and (not labeled or np.isin(values[:, label_idx], (-1.0, 1.0)).all()):
         # row-major like a row-by-row fill: BLAS sums in an order that
         # depends on the layout, and fits must repeat bit for bit
         features = np.ascontiguousarray(values[:, feature_idx])
         labels = None if label_idx is None else values[:, label_idx]
+    if features is None or not np.isfinite(features).all():
+        features, labels = _scan_rows(path, header, feature_idx, label_idx)
     if features.shape[0] == 0:
         raise DataError(f"{path}: no samples")
     return header, features, labels
@@ -100,7 +103,8 @@ def _scan_rows(path: Path, header, feature_idx, label_idx) -> tuple[np.ndarray, 
     """Read the rows one cell at a time with Python's float, raising a
     DataError that names the first bad row and column.
 
-    Runs only when the bulk parse fails or finds a bad label. It also returns
+    Runs only when the bulk parse fails or finds a bad label or a non-finite
+    feature ("nan", "inf", "1e999"), which it reports by cell. It also returns
     the values of the few files Python's float accepts and numpy's reader
     does not, such as "1_000" cells, lone-CR line endings, or a non-numeric
     "y" column that an unlabeled read ignores.
@@ -122,6 +126,8 @@ def _scan_rows(path: Path, header, feature_idx, label_idx) -> tuple[np.ndarray, 
                 features[k, c] = float(row[i])
             except ValueError:
                 raise DataError(f"{path}: non-numeric cell at row {r}, column '{header[i]}'") from None
+            if not math.isfinite(features[k, c]):
+                raise DataError(f"{path}: non-finite cell at row {r}, column '{header[i]}'")
         if label_idx is None:
             continue
         try:

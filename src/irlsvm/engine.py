@@ -15,9 +15,10 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Dataset, DesignMatrix, FitResult, Loss, ModelParams, Penalty, RiskSpec, TerminationReason, build_design_matrix, margins
-from .linalg import SingularSystemError, SymmetricSystem, solve_spd, weighted_gram, weighted_rhs
-from .losses import LossTerms, loss_terms, majorizer_value
+from .core import _BLOCK_ROWS, Dataset, DesignMatrix, FitResult, Loss, ModelParams, Penalty, RiskSpec, TerminationReason
+from .core import _margin_blocks, build_design_matrix, margins
+from .linalg import SingularSystemError, SymmetricSystem, _GramBlocks, solve_spd
+from .losses import _block_terms, _penalty_scale, majorizer_value
 from .penalties import penalty_majorizer_value, penalty_quadratic, penalty_value, smoothed_penalty_value
 
 WARM_START_RIDGE_FLOOR = 1e-3
@@ -70,44 +71,60 @@ def monitor_kind(spec: RiskSpec) -> Monitor:
     return Monitor.EXACT
 
 
-def _evaluate(spec: RiskSpec, theta: ModelParams, m: np.ndarray) -> tuple[LossTerms, float, float]:
-    """The loss terms at margins m of theta, and the exact and smoothed risks
-    from those same loss values."""
-    terms = loss_terms(spec.loss, m, spec.epsilon)
-    loss_mean = float(np.mean(terms.values))
-    smoothed_mean = loss_mean if terms.smoothed is terms.values else float(np.mean(terms.smoothed))
-    exact = loss_mean + penalty_value(spec.penalty, theta.beta, spec.lam, spec.mu)
-    smoothed = smoothed_mean + smoothed_penalty_value(spec.penalty, theta.beta, spec.lam, spec.mu, spec.epsilon)
-    return terms, exact, smoothed
+def _pass(
+    spec: RiskSpec, theta: ModelParams, data: DesignMatrix | Dataset, update: bool = True
+) -> tuple[float, float, SymmetricSystem | None]:
+    """One pass over the row blocks of data at theta: the exact and smoothed
+    risks there and, with update, the normal equations of the surrogate
+    anchored there (else None). data is the design matrix, or for the risks
+    alone the dataset.
 
+    Every block's margins and loss terms go through the same block-sized
+    buffers, so the pass allocates no n-length array.
+    """
+    buffers = np.empty((5, min(data.n, _BLOCK_ROWS)))
+    gram = None
+    rhs = np.zeros(data.q + 1)
+    loss_sum = smoothed_sum = 0.0
+    for block, m in _margin_blocks(data, theta, buffers[0]):
+        scratch = buffers[1:, : m.shape[0]]
+        block_loss, block_smoothed, weights, targets = _block_terms(spec.loss, m, spec.epsilon, scratch, update)
+        loss_sum += block_loss
+        smoothed_sum += block_smoothed
+        if not update:
+            continue
+        rows = data.rows[block]
+        if weights is not None:
+            if gram is None:
+                gram = _GramBlocks(data.q + 1, buffers.shape[1])
+            gram.add(rows.T, weights)
+            targets *= weights
+        rhs += targets @ rows
 
-def _dataset_risks(spec: RiskSpec, theta: ModelParams, dataset: Dataset) -> tuple[float, float]:
-    m = dataset.labels * (theta.alpha + dataset.features @ theta.beta)
-    _terms, exact, smoothed = _evaluate(spec, theta, m)
-    return exact, smoothed
+    n = data.n
+    exact = loss_sum / n + penalty_value(spec.penalty, theta.beta, spec.lam, spec.mu)
+    smoothed = smoothed_sum / n + smoothed_penalty_value(spec.penalty, theta.beta, spec.lam, spec.mu, spec.epsilon)
+    if not update:
+        return exact, smoothed, None
+    a = data.gram.copy() if gram is None else gram.result()
+    quad = penalty_quadratic(spec.penalty, theta.beta, spec.lam, spec.mu, spec.epsilon)
+    a[np.diag_indices_from(a)] += _penalty_scale(spec.loss) * n * quad.combined_diag
+    return exact, smoothed, SymmetricSystem(matrix=a, rhs=rhs)
 
 
 def risk(spec: RiskSpec, theta: ModelParams, dataset: Dataset) -> float:
     """Exact risk: average loss plus the unsmoothed penalty."""
-    return _dataset_risks(spec, theta, dataset)[0]
+    return _pass(spec, theta, dataset, update=False)[0]
 
 
 def smoothed_risk(spec: RiskSpec, theta: ModelParams, dataset: Dataset) -> float:
     """Risk with absolute values smoothed by sqrt(u^2 + epsilon) throughout."""
-    return _dataset_risks(spec, theta, dataset)[1]
+    return _pass(spec, theta, dataset, update=False)[1]
 
 
 def monitored_risk(spec: RiskSpec, theta: ModelParams, dataset: Dataset) -> float:
-    exact, smoothed = _dataset_risks(spec, theta, dataset)
+    exact, smoothed, _ = _pass(spec, theta, dataset, update=False)
     return exact if monitor_kind(spec) is Monitor.EXACT else smoothed
-
-
-def _assemble_system(spec: RiskSpec, theta: ModelParams, design: DesignMatrix, terms: LossTerms) -> SymmetricSystem:
-    """Normal equations of the surrogate anchored at theta, from its loss terms."""
-    quad = penalty_quadratic(spec.penalty, theta.beta, spec.lam, spec.mu, spec.epsilon)
-    a = design.gram.copy() if terms.weights is None else weighted_gram(design, terms.weights)
-    a[np.diag_indices_from(a)] += terms.penalty_scale * quad.combined_diag
-    return SymmetricSystem(matrix=a, rhs=weighted_rhs(design, terms.weights, terms.targets))
 
 
 def irls_step(spec: RiskSpec, theta: ModelParams, design: DesignMatrix) -> ModelParams:
@@ -116,8 +133,7 @@ def irls_step(spec: RiskSpec, theta: ModelParams, design: DesignMatrix) -> Model
     For the least-squares loss with 2-norm penalty the surrogate is the risk
     itself, so the step returns the closed-form solution directly.
     """
-    terms = loss_terms(spec.loss, margins(design, theta), spec.epsilon, with_values=False)
-    return ModelParams.from_vector(solve_spd(_assemble_system(spec, theta, design, terms)).x)
+    return ModelParams.from_vector(solve_spd(_pass(spec, theta, design)[2]).x)
 
 
 def closed_form_ls_l2(design: DesignMatrix, lam: float) -> ModelParams:
@@ -157,7 +173,8 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
     closed_form = spec.loss is Loss.LEAST_SQUARES and spec.penalty is Penalty.L2
     monitor = monitor_kind(spec)
     theta = _initial_theta(options, spec, design)
-    terms, exact, smoothed = _evaluate(spec, theta, margins(design, theta))
+    steps = 1 if closed_form else options.max_iterations
+    exact, smoothed, system = _pass(spec, theta, design)
     exact_track = [exact]
     smoothed_track = [smoothed]
     monitored_prev = exact if monitor is Monitor.EXACT else smoothed
@@ -165,17 +182,15 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
     jittered = 0
     converged = False
     reason = TerminationReason.MAX_ITERATIONS
-    for _ in range(1 if closed_form else options.max_iterations):
+    for step in range(steps):
         try:
-            system = _assemble_system(spec, theta, design, terms)
-            # drop this iterate's n-length arrays before the next margins exist
-            del terms
             solution = solve_spd(system)
         except SingularSystemError as err:
             raise FitError(str(err), exact_track, smoothed_track) from err
         jittered += solution.jitter_used
         theta = ModelParams.from_vector(solution.x)
-        terms, exact, smoothed = _evaluate(spec, theta, margins(design, theta))
+        # the last allowed update needs no system after it
+        exact, smoothed, system = _pass(spec, theta, design, update=step + 1 < steps)
         exact_track.append(exact)
         smoothed_track.append(smoothed)
         monitored = exact if monitor is Monitor.EXACT else smoothed

@@ -46,6 +46,29 @@ class SpdSolution:
     jitter: float
 
 
+class _GramBlocks:
+    """Y'WY accumulated one row block at a time through one reused weighted
+    copy of a block; each block's weights are checked as they come."""
+
+    def __init__(self, k: int, block_rows: int):
+        self.gram = np.zeros((k, k))
+        self._work = np.empty((k, block_rows))
+
+    def add(self, cols: np.ndarray, weights: np.ndarray) -> None:
+        """Add the block whose (q+1) x b columns are cols, weighted by weights."""
+        # min >= 0 is False when any weight is NaN
+        if not (weights.min() >= 0.0 and np.isfinite(weights.max())):
+            raise ValueError("weights must be finite and nonnegative")
+        weighted = np.multiply(cols, weights, out=self._work[:, : weights.shape[0]])
+        self.gram += weighted @ cols.T
+
+    def result(self) -> np.ndarray:
+        """The sum so far, made exactly symmetric by mirroring one triangle."""
+        lower = np.tril_indices(self.gram.shape[0], -1)
+        self.gram[lower] = self.gram.T[lower]
+        return self.gram
+
+
 def weighted_gram(design: DesignMatrix, weights) -> np.ndarray:
     """Y'WY with W = diag(weights); exactly symmetric (one triangle mirrored).
 
@@ -55,17 +78,12 @@ def weighted_gram(design: DesignMatrix, weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float).ravel()
     if w.shape[0] != design.n:
         raise ValueError(f"{design.n} rows but {w.shape[0]} weights")
-    # min >= 0 is False when any weight is NaN
-    if not (w.min() >= 0.0 and np.isfinite(w.max())):
-        raise ValueError("weights must be finite and nonnegative")
+    blocks = design.row_blocks()
+    gram = _GramBlocks(design.q + 1, blocks[0].stop)
     cols = design.rows.T
-    k = cols.shape[0]
-    gram = np.zeros((k, k))
-    for block in design.row_blocks():
-        gram += (cols[:, block] * w[block]) @ cols[:, block].T
-    lower = np.tril_indices(k, -1)
-    gram[lower] = gram.T[lower]
-    return gram
+    for block in blocks:
+        gram.add(cols[:, block], w[block])
+    return gram.result()
 
 
 def weighted_rhs(design: DesignMatrix, weights, targets) -> np.ndarray:

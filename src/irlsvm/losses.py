@@ -1,8 +1,10 @@
 """Margin losses, their smoothed variants, scalar majorizers, and the
 per-iteration terms each loss feeds into the reweighted normal equations.
 
-Every function accepts scalars or numpy arrays of margins and is pure;
-loss_terms takes a margin vector.
+Every public function accepts scalars or numpy arrays of margins and is
+pure. Each formula is written once, in a private function that fills a
+given array; the public functions apply it to a whole margin vector and
+the engine's blocked pass to one row block at a time (_block_terms).
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .core import Loss
 
@@ -48,25 +49,107 @@ class LogisticState:
     targets: np.ndarray
 
 
-def loss_value(kind: Loss, m):
-    """Per-sample loss as a function of the margin m."""
-    m = np.asarray(m, dtype=float)
+def _loss_into(kind: Loss, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per-sample loss at margins m, written into out."""
     if kind is Loss.HINGE:
-        out = np.maximum(0.0, 1.0 - m)
+        np.subtract(1.0, m, out=out)
+        np.maximum(out, 0.0, out=out)
     elif kind is Loss.LEAST_SQUARES:
-        out = (1.0 - m) ** 2
+        np.subtract(1.0, m, out=out)
+        np.square(out, out=out)
     elif kind is Loss.SQUARED_HINGE:
-        out = np.maximum(0.0, 1.0 - m) ** 2
+        np.subtract(1.0, m, out=out)
+        np.maximum(out, 0.0, out=out)
+        np.square(out, out=out)
     elif kind is Loss.LOGISTIC:
         # log(1 + exp(-m)) = max(-m, 0) + log1p(exp(-|m|)), without overflow
-        # for large |m|; out= keeps one temporary alive (a 0-d out stays 0-d)
-        out = np.abs(m, out=np.empty_like(m))
+        # for large |m|
+        np.abs(m, out=out)
         np.negative(out, out=out)
         np.exp(out, out=out)
         np.log1p(out, out=out)
         out -= np.minimum(m, 0.0)
     else:
         raise ValueError(f"unknown loss {kind}")
+    return out
+
+
+def _hinge_gamma(m: np.ndarray, epsilon: float, out: np.ndarray) -> np.ndarray:
+    """gamma = sqrt((1 - m)^2 + eps), the smoothed |1 - m|, written into out."""
+    np.subtract(1.0, m, out=out)
+    np.multiply(out, out, out=out)
+    out += epsilon
+    return np.sqrt(out, out=out)
+
+
+def _smoothed_hinge_into(m: np.ndarray, gamma: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Smoothed hinge (gamma + 1 - m)/2, i.e. max(0, u) = (|u| + u)/2 with
+    u = 1 - m and |u| smoothed to gamma, written into out (which may be gamma)."""
+    np.add(gamma, 1.0, out=out)
+    out -= m
+    out *= 0.5
+    return out
+
+
+_UNIT_OPEN = (np.finfo(float).tiny, 1.0 - 2.0**-53)
+
+
+def _logistic_pi(m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sigmoid pi = 1/(1 + exp(m)), kept strictly inside (0, 1), written into out."""
+    # past m ~ 709 exp overflows to inf and pi to 0, which the clip lifts
+    with np.errstate(over="ignore"):
+        np.exp(m, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    return np.clip(out, *_UNIT_OPEN, out=out)
+
+
+def _reweight(kind: Loss, m: np.ndarray, gamma: np.ndarray | None, weights, targets: np.ndarray):
+    """Weights and targets of the update at margins m, written into weights
+    and targets; returns the weights, or None for W = I. gamma must hold
+    _hinge_gamma at m for the hinge and is unused otherwise."""
+    if kind is Loss.HINGE:
+        np.divide(0.25, gamma, out=weights)
+        np.add(gamma, 1.0, out=targets)
+        return weights
+    if kind is Loss.LEAST_SQUARES:
+        targets.fill(1.0)
+    elif kind is Loss.SQUARED_HINGE:
+        np.maximum(m, 1.0, out=targets)
+    else:
+        # m + 4 pi: the logistic surrogate's curvature bound is 1/4
+        np.multiply(_logistic_pi(m, targets), 4.0, out=targets)
+        targets += m
+    return None
+
+
+def _penalty_scale(kind: Loss) -> float:
+    """Factor of n on the penalty diagonals in the normal equations: the
+    logistic surrogate carries a 1/(8n) quadratic coefficient, so clearing
+    it scales them by 8n; the other losses' by n."""
+    return 8.0 if kind is Loss.LOGISTIC else 1.0
+
+
+def _block_terms(kind: Loss, m: np.ndarray, epsilon: float, scratch, update: bool):
+    """One row block's share of a pass at its margins m: (sum of the exact
+    losses, sum of the smoothed losses, weights, targets). With update False
+    weights and targets are None; otherwise weights is None for W = I.
+    scratch holds four arrays of m's shape, which the results occupy."""
+    values, gamma, weights, targets = scratch
+    loss_sum = float(_loss_into(kind, m, values).sum())
+    smoothed_sum = loss_sum
+    if kind is Loss.HINGE:
+        _hinge_gamma(m, epsilon, gamma)
+        smoothed_sum = float(_smoothed_hinge_into(m, gamma, values).sum())
+    if not update:
+        return loss_sum, smoothed_sum, None, None
+    return loss_sum, smoothed_sum, _reweight(kind, m, gamma, weights, targets), targets
+
+
+def loss_value(kind: Loss, m):
+    """Per-sample loss as a function of the margin m."""
+    m = np.asarray(m, dtype=float)
+    out = _loss_into(kind, m, np.empty_like(m))  # a 0-d out stays 0-d
     return out if out.ndim else float(out)
 
 
@@ -81,8 +164,7 @@ def smoothed_loss_value(kind: Loss, m, epsilon: float):
     if kind is not Loss.HINGE:
         return loss_value(kind, m)
     m = np.asarray(m, dtype=float)
-    u = 1.0 - m
-    out = 0.5 * (np.sqrt(u * u + epsilon) + u)
+    out = _smoothed_hinge_into(m, _hinge_gamma(m, epsilon, np.empty_like(m)), np.empty_like(m))
     return out if out.ndim else float(out)
 
 
@@ -99,70 +181,24 @@ def hinge_state(margins, epsilon: float) -> HingeState:
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
     m = np.asarray(margins, dtype=float)
-    u = 1.0 - m
-    gamma = np.sqrt(u * u + epsilon)
-    return HingeState(gamma=gamma, weights=0.25 / gamma, targets=gamma + 1.0)
+    gamma, weights, targets = (np.empty_like(m) for _ in range(3))
+    _reweight(Loss.HINGE, m, _hinge_gamma(m, epsilon, gamma), weights, targets)
+    return HingeState(gamma=gamma, weights=weights, targets=targets)
 
 
 def squared_hinge_state(margins) -> SquaredHingeState:
     """Branch split of the squared-hinge update; the tie 1 - m = 0 takes the
     active (upsilon = 0) branch."""
     m = np.asarray(margins, dtype=float)
-    upsilon = (m > 1.0).astype(float)
-    return SquaredHingeState(upsilon=upsilon, targets=np.maximum(m, 1.0))
-
-
-_UNIT_OPEN = (np.finfo(float).tiny, 1.0 - 2.0**-53)
+    targets = np.empty_like(m)
+    _reweight(Loss.SQUARED_HINGE, m, None, None, targets)
+    return SquaredHingeState(upsilon=(m > 1.0).astype(float), targets=targets)
 
 
 def logistic_state(margins) -> LogisticState:
     """Sigmoid weights of the logistic update; pi computed overflow-safely."""
     m = np.asarray(margins, dtype=float)
-    # the sigmoid saturates to exact 0/1 past |m| ~ 745; keep pi strictly interior
-    pi = np.negative(m, out=np.empty_like(m))
-    expit(pi, out=pi)
-    np.clip(pi, *_UNIT_OPEN, out=pi)
-    return LogisticState(pi=pi, targets=m)
-
-
-@dataclass(frozen=True)
-class LossTerms:
-    """What one iterate takes from the loss at its margins, each computed once.
-
-    values and smoothed are the per-sample exact and smoothed losses; they
-    are one array for a loss without an absolute value, and None when only
-    the update was asked for. The surrogate's normal equations are
-    Y'WY theta = Y'W targets plus penalty_scale times the penalty diagonals,
-    with W = diag(weights), or W = I when weights is None.
-    """
-
-    values: np.ndarray | None
-    smoothed: np.ndarray | None
-    weights: np.ndarray | None
-    targets: np.ndarray
-    penalty_scale: float
-
-
-def loss_terms(kind: Loss, margins: np.ndarray, epsilon: float, with_values: bool = True) -> LossTerms:
-    """Reweighting terms at a margin vector, and with_values the exact and
-    smoothed loss values there too."""
-    m = np.asarray(margins, dtype=float)
-    n = float(m.shape[0])
-    values = loss_value(kind, m) if with_values else None
-    if kind is Loss.HINGE:
-        state = hinge_state(m, epsilon)
-        # (gamma + 1 - m)/2 = (sqrt(u^2 + eps) + u)/2 with u = 1 - m
-        smoothed = 0.5 * (state.targets - m) if with_values else None
-        return LossTerms(values, smoothed, state.weights, state.targets, n)
-    if kind is Loss.LEAST_SQUARES:
-        return LossTerms(values, values, None, np.ones_like(m), n)
-    if kind is Loss.SQUARED_HINGE:
-        return LossTerms(values, values, None, squared_hinge_state(m).targets, n)
-    # the logistic surrogate carries a 1/(8n) quadratic coefficient, so
-    # clearing it scales the penalty diagonals by 8n instead of n
-    targets = 4.0 * logistic_state(m).pi
-    targets += m
-    return LossTerms(values, values, None, targets, 8.0 * n)
+    return LogisticState(pi=_logistic_pi(m, np.empty_like(m)), targets=m)
 
 
 def majorizer_value(kind: Loss, m, m_ref, epsilon: float):
@@ -179,7 +215,7 @@ def majorizer_value(kind: Loss, m, m_ref, epsilon: float):
     u = 1.0 - m
     v = 1.0 - m_ref
     if kind is Loss.HINGE:
-        gamma = np.sqrt(v * v + epsilon)
+        gamma = _hinge_gamma(m_ref, epsilon, np.empty_like(m_ref))
         # ((u + gamma)^2 + eps) / (4 gamma): the anchor constant eps/(4 gamma)
         # makes the surrogate exactly tangent to the smoothed hinge
         out = ((u + gamma) ** 2 + epsilon) / (4.0 * gamma)
@@ -190,7 +226,7 @@ def majorizer_value(kind: Loss, m, m_ref, epsilon: float):
     elif kind is Loss.LOGISTIC:
         # curvature bound 1/4 on the logistic second derivative
         d = m - m_ref
-        out = loss_value(Loss.LOGISTIC, m_ref) - expit(-m_ref) * d + d * d / 8.0
+        out = loss_value(Loss.LOGISTIC, m_ref) - _logistic_pi(m_ref, np.empty_like(m_ref)) * d + d * d / 8.0
     else:
         raise ValueError(f"unknown loss {kind}")
     return out if out.ndim else float(out)

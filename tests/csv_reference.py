@@ -1,7 +1,9 @@
 """Row-by-row CSV reading and the predict writer as they were before the bulk
 numpy path: every cell goes through csv.reader and Python's float. Kept as
 the reference the bulk implementation must agree with, apart from blank
-lines, which these versions reject as rows of 0 cells.
+lines, which these versions reject as rows of 0 cells. Both readers report a
+non-finite feature cell by its record number and column, as the bulk reader
+does.
 """
 
 import csv
@@ -47,6 +49,8 @@ def load_dataset_csv(path) -> Dataset:
                 features[r - 1, c] = float(row[i])
             except ValueError:
                 raise DataError(f"{path}: non-numeric cell at row {r}, column '{header[i]}'") from None
+            if not np.isfinite(features[r - 1, c]):
+                raise DataError(f"{path}: non-finite cell at row {r}, column '{header[i]}'")
         try:
             label = float(row[label_idx])
         except ValueError:
@@ -86,6 +90,8 @@ def load_feature_rows_csv(path) -> tuple[list[str], list[list[str]], np.ndarray]
                 features[r - 1, c] = float(row[i])
             except ValueError:
                 raise DataError(f"{path}: non-numeric cell at row {r}, column '{header[i]}'") from None
+            if not np.isfinite(features[r - 1, c]):
+                raise DataError(f"{path}: non-finite cell at row {r}, column '{header[i]}'")
     return header, rows, features
 
 

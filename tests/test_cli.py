@@ -227,7 +227,7 @@ def test_predict_rejects_non_finite_features(data_csv, tmp_path, capsys):
     bad.write_text("x1,x2\n1,2\nnan,0\ninf,1\n")
     out = tmp_path / "p.csv"
     assert main(["predict", "--model", str(model_path), "--data", str(bad), "--out", str(out)]) == 3
-    assert "non-finite feature in row 1" in capsys.readouterr().err
+    assert "non-finite cell at row 2, column 'x1'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -323,3 +323,11 @@ def test_fit_summary_reports_jittered_solves(tmp_path, capsys):
     assert "3 jittered solves, descent not guaranteed" in capsys.readouterr().out
     assert main(argv + ["--lambda", "0.1"]) == 0
     assert "jitter" not in capsys.readouterr().out
+
+
+def test_fit_reports_non_finite_cell_by_record_number(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("x1,y\n1,1\nnan,-1\n")
+    code = main(["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data), "--out", str(tmp_path / "m")])
+    assert code == 3
+    assert "non-finite cell at row 2, column 'x1'" in capsys.readouterr().err

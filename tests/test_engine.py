@@ -25,7 +25,15 @@ from irlsvm import (
     smoothed_risk,
     subgradient_minimize,
 )
-from irlsvm.losses import average_loss
+from irlsvm.losses import (
+    average_loss,
+    hinge_state,
+    logistic_state,
+    loss_value,
+    smoothed_loss_value,
+    squared_hinge_state,
+)
+from irlsvm.penalties import penalty_quadratic, penalty_value, smoothed_penalty_value
 
 from helpers import ALL_COMBOS, COMBO_IDS, ITERATIVE_COMBOS, ITERATIVE_IDS, make_dataset, two_sample_dataset
 
@@ -305,3 +313,80 @@ def test_fit_counts_jittered_solves():
     result = fit(spec, ds, FitOptions(max_iterations=3, risk_tolerance=0.0, init=Init.ZERO))
     assert result.jittered_solves == 3
     assert fit(RiskSpec(Loss.SQUARED_HINGE, Penalty.L2, lam=0.1), ds, FitOptions(max_iterations=3)).jittered_solves == 0
+
+
+BLOCK_ROWS = 1 << 14  # rows per block of the engine's blocked pass
+
+
+@pytest.fixture(scope="module", params=[BLOCK_ROWS, 2 * BLOCK_ROWS + 123], ids=["one-block", "three-blocks"])
+def blocked(request):
+    return make_dataset(seed=29, n=request.param, q=3)
+
+
+@pytest.mark.parametrize("loss, pen", ALL_COMBOS, ids=COMBO_IDS)
+def test_fit_risks_match_direct_evaluation_across_blocks(blocked, loss, pen):
+    spec = RiskSpec(loss, pen, lam=0.2, mu=0.3, epsilon=EPS)
+    result = fit(spec, blocked, FitOptions(max_iterations=3, risk_tolerance=0.0, init=Init.ZERO))
+    assert_allclose(result.exact_risk_trajectory[-1], risk(spec, result.theta, blocked), rtol=1e-12, atol=0)
+    assert_allclose(result.smoothed_risk_trajectory[-1], smoothed_risk(spec, result.theta, blocked), rtol=1e-12, atol=0)
+    beta = result.theta.beta
+    m = blocked.labels * (result.theta.alpha + blocked.features @ beta)
+    dense_exact = np.mean(loss_value(loss, m)) + penalty_value(pen, beta, spec.lam, spec.mu)
+    dense_smoothed = np.mean(smoothed_loss_value(loss, m, EPS)) + smoothed_penalty_value(pen, beta, spec.lam, spec.mu, EPS)
+    assert_allclose(risk(spec, result.theta, blocked), dense_exact, rtol=1e-12, atol=0)
+    assert_allclose(smoothed_risk(spec, result.theta, blocked), dense_smoothed, rtol=1e-12, atol=0)
+
+
+def _dense_system(spec, theta, dataset):
+    """Normal equations of the surrogate anchored at theta from whole-vector
+    loss states and dense products over the full design."""
+    y = dataset.labels[:, None] * np.column_stack([np.ones(dataset.n), dataset.features])
+    m = dataset.labels * (theta.alpha + dataset.features @ theta.beta)
+    weights, scale = None, dataset.n
+    if spec.loss is Loss.HINGE:
+        state = hinge_state(m, spec.epsilon)
+        weights, targets = state.weights, state.targets
+    elif spec.loss is Loss.LEAST_SQUARES:
+        targets = np.ones(dataset.n)
+    elif spec.loss is Loss.SQUARED_HINGE:
+        targets = squared_hinge_state(m).targets
+    else:
+        targets = m + 4.0 * logistic_state(m).pi
+        scale = 8 * dataset.n
+    weighted = y if weights is None else weights[:, None] * y
+    matrix = y.T @ weighted
+    matrix[np.diag_indices_from(matrix)] += scale * penalty_quadratic(
+        spec.penalty, theta.beta, spec.lam, spec.mu, spec.epsilon
+    ).combined_diag
+    return matrix, weighted.T @ targets
+
+
+@pytest.mark.parametrize("loss, pen", ALL_COMBOS, ids=COMBO_IDS)
+def test_update_system_matches_dense_reference_across_blocks(blocked, loss, pen, monkeypatch):
+    import irlsvm.engine as engine_module
+
+    systems = []
+    original = engine_module.solve_spd
+
+    def recording_solve(system, policy=None):
+        systems.append(system)
+        return original(system, policy)
+
+    monkeypatch.setattr(engine_module, "solve_spd", recording_solve)
+    spec = RiskSpec(loss, pen, lam=0.2, mu=0.3, epsilon=EPS)
+    theta = ModelParams(alpha=0.3, beta=[0.5, -0.4, 0.2])
+    irls_step(spec, theta, build_design_matrix(blocked))
+    matrix, rhs = _dense_system(spec, theta, blocked)
+    assert_allclose(systems[0].matrix, matrix, rtol=1e-12, atol=0)
+    assert_allclose(systems[0].rhs, rhs, rtol=1e-12, atol=0)
+
+
+def test_weighted_gram_and_rhs_match_dense_products_across_blocks(blocked):
+    from irlsvm import weighted_gram, weighted_rhs
+
+    design = build_design_matrix(blocked)
+    rng = np.random.default_rng(30)
+    weights, targets = rng.uniform(0.1, 2.0, blocked.n), rng.normal(size=blocked.n)
+    y = np.asarray(design.rows)
+    assert_allclose(weighted_gram(design, weights), y.T @ (weights[:, None] * y), rtol=1e-12, atol=0)
+    assert_allclose(weighted_rhs(design, weights, targets), y.T @ (weights * targets), rtol=1e-12, atol=0)
