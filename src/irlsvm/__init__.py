@@ -4,20 +4,21 @@ Each update minimizes a convex quadratic surrogate of the penalized risk, so
 the monitored risk decreases at every iteration. All 12 combinations of the
 hinge / least-squares / squared-hinge / logistic losses with 2-norm / 1-norm /
 elastic-net penalties are supported.
+
+The names below are the public API that README documents; the building
+blocks behind them live in the submodules.
 """
 
 from .core import (
-    DEFAULT_EPSILON,
     Dataset,
-    DesignMatrix,
     FitResult,
     Loss,
     ModelParams,
+    Monitor,
     Penalty,
     RiskSpec,
     TerminationReason,
-    build_design_matrix,
-    margins,
+    monitor_kind,
     predict,
     predict_batch,
 )
@@ -31,102 +32,38 @@ from .data_io import (
     write_model,
     write_trajectory_csv,
 )
-from .engine import (
-    FitError,
-    FitOptions,
-    Init,
-    Monitor,
-    closed_form_ls_l2,
-    fit,
-    irls_step,
-    majorizer_objective,
-    monitor_kind,
-    monitored_risk,
-    risk,
-    smoothed_risk,
-)
-from .linalg import JitterPolicy, SingularSystemError, SymmetricSystem, solve_spd, weighted_gram, weighted_rhs
-from .losses import (
-    HingeState,
-    LogisticState,
-    SquaredHingeState,
-    average_loss,
-    hinge_state,
-    logistic_state,
-    loss_value,
-    majorizer_value,
-    smoothed_loss_value,
-    squared_hinge_state,
-)
-from .oracle import Objective, OracleOptions, finite_diff_gradient, subgradient_minimize
-from .penalties import (
-    PenaltyQuadratic,
-    omega_diagonal,
-    penalty_majorizer_value,
-    penalty_quadratic,
-    penalty_value,
-    smoothed_penalty_value,
-)
+from .engine import FitError, FitOptions, Init, fit, monitored_risk, risk, smoothed_risk
+from .oracle import OracleOptions, finite_diff_gradient, subgradient_minimize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_EPSILON",
     "DataError",
     "Dataset",
-    "DesignMatrix",
     "FitError",
     "FitOptions",
     "FitResult",
-    "HingeState",
     "Init",
-    "JitterPolicy",
-    "LogisticState",
     "Loss",
     "ModelParams",
     "Monitor",
-    "Objective",
     "OracleOptions",
     "Penalty",
-    "PenaltyQuadratic",
     "RiskSpec",
-    "SingularSystemError",
-    "SquaredHingeState",
-    "SymmetricSystem",
     "TerminationReason",
-    "average_loss",
-    "build_design_matrix",
-    "closed_form_ls_l2",
     "finite_diff_gradient",
     "fit",
     "generate_gaussian_mixture",
-    "hinge_state",
-    "irls_step",
     "load_dataset_csv",
-    "logistic_state",
-    "loss_value",
-    "majorizer_objective",
-    "majorizer_value",
-    "margins",
     "monitor_kind",
     "monitored_risk",
-    "omega_diagonal",
-    "penalty_majorizer_value",
-    "penalty_quadratic",
-    "penalty_value",
     "predict",
     "predict_batch",
     "read_model",
     "read_trajectory_csv",
     "risk",
-    "smoothed_loss_value",
-    "smoothed_penalty_value",
     "smoothed_risk",
-    "solve_spd",
-    "squared_hinge_state",
     "subgradient_minimize",
-    "weighted_gram",
-    "weighted_rhs",
     "write_dataset_csv",
     "write_model",
     "write_trajectory_csv",

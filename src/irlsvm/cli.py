@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .core import Loss, Penalty, RiskSpec, build_design_matrix, predict_batch
+from .core import Loss, ModelParams, Monitor, Penalty, RiskSpec, build_design_matrix, monitor_kind, predict_batch
 from .data_io import (
     DataError,
     generate_gaussian_mixture,
@@ -26,16 +27,7 @@ from .data_io import (
     write_predictions_csv,
     write_trajectory_csv,
 )
-from .engine import (
-    FitError,
-    FitOptions,
-    Init,
-    fit,
-    irls_step,
-    majorizer_objective,
-    monitor_kind,
-    monitored_risk,
-)
+from .engine import FitError, FitOptions, Init, fit, majorizer_objective
 from .linalg import SingularSystemError
 
 EXIT_OK = 0
@@ -52,38 +44,14 @@ DEFAULT_SIM_N = 10_000
 DEFAULT_SEED = 2017
 
 
-def _nonneg(flag):
-    def convert(text):
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{flag} must be a number") from None
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"{flag} must be >= 0")
-        return value
-
-    return convert
-
-
-def _positive(flag):
-    def convert(text):
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{flag} must be a number") from None
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"{flag} must be > 0")
-        return value
-
-    return convert
-
-
 def _grid(text):
     """Inclusive start:step:end grid; a bare number is a single-point grid."""
     try:
         parts = [float(p) for p in text.split(":")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"grid {text!r} is not numeric") from None
+    if not all(math.isfinite(p) for p in parts):
+        raise argparse.ArgumentTypeError(f"grid {text!r} is not finite")
     if len(parts) == 1:
         values = parts
     elif len(parts) == 3:
@@ -117,16 +85,16 @@ def _value_names(grid) -> list[str]:
 def _add_risk_flags(parser):
     parser.add_argument("--loss", required=True, choices=[l.value for l in Loss])
     parser.add_argument("--penalty", required=True, choices=[p.value for p in Penalty])
-    parser.add_argument("--lambda", dest="lam", type=_nonneg("lambda"), default=0.0, help="2-norm penalty constant")
-    parser.add_argument("--mu", type=_nonneg("mu"), default=0.0, help="1-norm penalty constant")
-    parser.add_argument("--epsilon", type=_positive("epsilon"), default=1e-6, help="smoothing constant")
+    parser.add_argument("--lambda", dest="lam", type=float, default=0.0, help="2-norm penalty constant")
+    parser.add_argument("--mu", type=float, default=0.0, help="1-norm penalty constant")
+    parser.add_argument("--epsilon", type=float, default=1e-6, help="smoothing constant")
 
 
 def _add_fit_flags(parser):
     parser.add_argument("--iterations", type=int, default=50, help="maximum update count (default 50)")
     parser.add_argument(
         "--tolerance",
-        type=_nonneg("tolerance"),
+        type=float,
         default=1e-8,
         help="relative monitored-risk change that stops early; 0 runs all iterations",
     )
@@ -169,7 +137,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     grid_group.add_argument("--mu-grid", dest="mu_grid", type=_grid, help="start:step:end, inclusive")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
-    p_check = sub.add_parser("check", help="verify the descent invariants of one combination on a dataset")
+    p_check = sub.add_parser("check", help="fit one combination and verify the descent invariants of its iterates")
     _add_risk_flags(p_check)
     _add_fit_flags(p_check)
     p_check.add_argument("--data", required=True)
@@ -189,8 +157,6 @@ def _spec_from_args(args) -> RiskSpec:
 
 
 def _options_from_args(args) -> FitOptions:
-    if args.iterations < 1:
-        raise ValueError("iterations must be >= 1")
     return FitOptions(max_iterations=args.iterations, risk_tolerance=args.tolerance, init=Init(args.init))
 
 
@@ -201,8 +167,9 @@ def _trajectory_path(model_path) -> Path:
 
 def _cmd_fit(args) -> int:
     spec = _spec_from_args(args)
+    options = _options_from_args(args)
     dataset = load_dataset_csv(args.data)
-    result = fit(spec, dataset, _options_from_args(args))
+    result = fit(spec, dataset, options)
     write_model(result, spec, args.out)
     trajectory = _trajectory_path(args.out)
     write_trajectory_csv(result, trajectory)
@@ -298,29 +265,21 @@ def _cmd_check(args) -> int:
     spec = _spec_from_args(args)
     options = _options_from_args(args)
     dataset = load_dataset_csv(args.data)
+    result = fit(spec, dataset, options)
     design = build_design_matrix(dataset)
-
-    from .engine import _initial_theta  # same starting point fit would use
-
-    theta = _initial_theta(options, spec, design)
     monitor = monitor_kind(spec)
+    track = result.exact_risk_trajectory if monitor is Monitor.EXACT else result.smoothed_risk_trajectory
+    worst_descent = float(np.max(np.diff(track) / (1.0 + np.abs(track[:-1]))))
 
-    worst_descent = -np.inf
+    # each recorded update against the surrogate anchored at the iterate before it
     worst_anchor = 0.0
     worst_surrogate = -np.inf
-    risk_prev = monitored_risk(spec, theta, dataset)
-    for _ in range(options.max_iterations):
-        anchor_value = majorizer_objective(spec, theta, theta, design)
-        gap = abs(anchor_value - risk_prev) / (1.0 + abs(risk_prev))
-        worst_anchor = max(worst_anchor, gap)
-
-        theta_next = irls_step(spec, theta, design)
-        surrogate_drop = majorizer_objective(spec, theta_next, theta, design) - anchor_value
+    iterates = [ModelParams.from_vector(row) for row in result.theta_trajectory]
+    for anchor, update, anchor_risk in zip(iterates, iterates[1:], track):
+        anchor_value = majorizer_objective(spec, anchor, anchor, design)
+        worst_anchor = max(worst_anchor, abs(anchor_value - anchor_risk) / (1.0 + abs(anchor_risk)))
+        surrogate_drop = majorizer_objective(spec, update, anchor, design) - anchor_value
         worst_surrogate = max(worst_surrogate, surrogate_drop / (1.0 + abs(anchor_value)))
-
-        risk_next = monitored_risk(spec, theta_next, dataset)
-        worst_descent = max(worst_descent, (risk_next - risk_prev) / (1.0 + abs(risk_prev)))
-        theta, risk_prev = theta_next, risk_next
 
     checks = [
         (f"monotone {monitor.value}-risk descent", worst_descent <= DESCENT_SLACK, worst_descent),

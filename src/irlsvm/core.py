@@ -7,6 +7,7 @@ safe to share across threads. The operations here are pure functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -42,7 +43,7 @@ DEFAULT_EPSILON = 1e-6
 # Rows per block of a blocked pass over the design: few enough that a block's
 # temporaries stay in cache, many enough that the Python loop over blocks
 # costs little (at n = 10^6, q = 2 a block is 1/61 of the design and its
-# weighted copy in weighted_gram 384 KiB).
+# weighted copy in the Gram accumulation 384 KiB).
 _BLOCK_ROWS = 1 << 14
 
 
@@ -127,10 +128,6 @@ class DesignMatrix:
     def q(self) -> int:
         return self.rows.shape[1] - 1
 
-    def row_blocks(self) -> list[slice]:
-        """Consecutive row slices covering the design."""
-        return _row_blocks(self.n)
-
     @cached_property
     def gram(self) -> np.ndarray:
         """Unit-weight Gram matrix Y'Y, cached (it is iteration-independent);
@@ -189,12 +186,12 @@ class RiskSpec:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be > 0")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lambda must be >= 0 and finite")
+        if not 0 <= self.mu < math.inf:
+            raise ValueError("mu must be >= 0 and finite")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be > 0 and finite")
         lam, mu = float(self.lam), float(self.mu)
         if self.penalty is Penalty.L2:
             mu = 0.0
@@ -205,18 +202,33 @@ class RiskSpec:
         object.__setattr__(self, "epsilon", float(self.epsilon))
 
 
+class Monitor(Enum):
+    EXACT = "exact"
+    SMOOTHED = "smoothed"
+
+
+def monitor_kind(spec: RiskSpec) -> Monitor:
+    """Which risk the descent guarantee (and the stopping rule) applies to."""
+    if spec.loss is Loss.HINGE or spec.penalty in (Penalty.L1, Penalty.ELASTIC_NET):
+        return Monitor.SMOOTHED
+    return Monitor.EXACT
+
+
 @dataclass(frozen=True)
 class FitResult:
-    """Output of a fit: final parameters plus both risk trajectories.
+    """Output of a fit: final parameters plus the iterates and both risk
+    trajectories.
 
     Trajectories have one entry per recorded iterate including the initial
-    point, so their length is iterations_run + 1. jittered_solves counts the
-    updates whose system needed a ridge jitter to factor: such an update no
-    longer minimizes its surrogate, so the descent guarantee does not cover
-    it.
+    point, so their length is iterations_run + 1; theta_trajectory holds
+    those iterates as (alpha, beta) rows, the initial point in row 0 and
+    theta in the last row. jittered_solves counts the updates whose system
+    needed a ridge jitter to factor: such an update no longer minimizes its
+    surrogate, so the descent guarantee does not cover it.
     """
 
     theta: ModelParams
+    theta_trajectory: np.ndarray
     exact_risk_trajectory: np.ndarray
     smoothed_risk_trajectory: np.ndarray
     iterations_run: int
@@ -225,12 +237,15 @@ class FitResult:
     jittered_solves: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "theta_trajectory", _readonly(self.theta_trajectory))
         object.__setattr__(self, "exact_risk_trajectory", _readonly(self.exact_risk_trajectory))
         object.__setattr__(self, "smoothed_risk_trajectory", _readonly(self.smoothed_risk_trajectory))
         if len(self.exact_risk_trajectory) != self.iterations_run + 1:
             raise ValueError("trajectory length must be iterations_run + 1")
         if len(self.smoothed_risk_trajectory) != len(self.exact_risk_trajectory):
             raise ValueError("trajectories must have identical length")
+        if self.theta_trajectory.shape != (self.iterations_run + 1, self.theta.q + 1):
+            raise ValueError("theta_trajectory must be (iterations_run + 1) x (q + 1)")
 
 
 def build_design_matrix(dataset: Dataset) -> DesignMatrix:
@@ -252,7 +267,7 @@ def margins(design: DesignMatrix, theta: ModelParams) -> np.ndarray:
         raise ValueError(f"theta has {theta.q} features but design has {design.q}")
     vec = theta.as_vector()
     out = np.empty(design.n)
-    for block in design.row_blocks():
+    for block in _row_blocks(design.n):
         np.matmul(design.rows[block], vec, out=out[block])
     return out
 

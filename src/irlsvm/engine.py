@@ -10,23 +10,19 @@ penalty term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .core import _BLOCK_ROWS, Dataset, DesignMatrix, FitResult, Loss, ModelParams, Penalty, RiskSpec, TerminationReason
-from .core import _margin_blocks, build_design_matrix, margins
+from .core import _BLOCK_ROWS, Dataset, DesignMatrix, FitResult, Loss, ModelParams, Monitor, Penalty, RiskSpec
+from .core import TerminationReason, _margin_blocks, build_design_matrix, margins, monitor_kind
 from .linalg import SingularSystemError, SymmetricSystem, _GramBlocks, solve_spd
 from .losses import _block_terms, _penalty_scale, majorizer_value
 from .penalties import penalty_majorizer_value, penalty_quadratic, penalty_value, smoothed_penalty_value
 
 WARM_START_RIDGE_FLOOR = 1e-3
-
-
-class Monitor(Enum):
-    EXACT = "exact"
-    SMOOTHED = "smoothed"
 
 
 class Init(Enum):
@@ -51,8 +47,8 @@ class FitOptions:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.risk_tolerance < 0:
-            raise ValueError("risk_tolerance must be >= 0")
+        if not 0 <= self.risk_tolerance < math.inf:
+            raise ValueError("risk_tolerance must be >= 0 and finite")
 
 
 class FitError(RuntimeError):
@@ -62,13 +58,6 @@ class FitError(RuntimeError):
         super().__init__(message)
         self.exact_trajectory = np.asarray(exact_trajectory)
         self.smoothed_trajectory = np.asarray(smoothed_trajectory)
-
-
-def monitor_kind(spec: RiskSpec) -> Monitor:
-    """Which risk the descent guarantee (and the stopping rule) applies to."""
-    if spec.loss is Loss.HINGE or spec.penalty in (Penalty.L1, Penalty.ELASTIC_NET):
-        return Monitor.SMOOTHED
-    return Monitor.EXACT
 
 
 def _pass(
@@ -107,8 +96,8 @@ def _pass(
     if not update:
         return exact, smoothed, None
     a = data.gram.copy() if gram is None else gram.result()
-    quad = penalty_quadratic(spec.penalty, theta.beta, spec.lam, spec.mu, spec.epsilon)
-    a[np.diag_indices_from(a)] += _penalty_scale(spec.loss) * n * quad.combined_diag
+    diag = penalty_quadratic(spec.penalty, theta.beta, spec.lam, spec.mu, spec.epsilon)
+    a[np.diag_indices_from(a)] += _penalty_scale(spec.loss) * n * diag
     return exact, smoothed, SymmetricSystem(matrix=a, rhs=rhs)
 
 
@@ -163,7 +152,7 @@ def _initial_theta(options: FitOptions, spec: RiskSpec, design: DesignMatrix) ->
 def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> FitResult:
     """Minimize the risk by repeated surrogate minimization.
 
-    Records the exact and smoothed risk at every iterate (initial point
+    Records every iterate and its exact and smoothed risk (initial point
     included). Stops on max_iterations or when the monitored risk changes by
     at most risk_tolerance * (1 + |previous|). The least-squares/2-norm
     combination is solved in one closed-form step.
@@ -175,6 +164,7 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
     theta = _initial_theta(options, spec, design)
     steps = 1 if closed_form else options.max_iterations
     exact, smoothed, system = _pass(spec, theta, design)
+    theta_track = [theta.as_vector()]
     exact_track = [exact]
     smoothed_track = [smoothed]
     monitored_prev = exact if monitor is Monitor.EXACT else smoothed
@@ -189,6 +179,7 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
             raise FitError(str(err), exact_track, smoothed_track) from err
         jittered += solution.jitter_used
         theta = ModelParams.from_vector(solution.x)
+        theta_track.append(solution.x)
         # the last allowed update needs no system after it
         exact, smoothed, system = _pass(spec, theta, design, update=step + 1 < steps)
         exact_track.append(exact)
@@ -207,6 +198,7 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
         converged, reason = True, TerminationReason.CLOSED_FORM
     return FitResult(
         theta=theta,
+        theta_trajectory=np.array(theta_track),
         exact_risk_trajectory=np.array(exact_track),
         smoothed_risk_trajectory=np.array(smoothed_track),
         iterations_run=len(exact_track) - 1,

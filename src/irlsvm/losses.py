@@ -9,44 +9,9 @@ the engine's blocked pass to one row block at a time (_block_terms).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Loss
-
-
-@dataclass(frozen=True)
-class HingeState:
-    """Reweighting state of the hinge loss at the current iterate.
-
-    gamma_i = sqrt((1 - m_i)^2 + eps) bounds denominators away from zero;
-    weights_i = 1/(4 gamma_i); targets_i = gamma_i + 1.
-    """
-
-    gamma: np.ndarray
-    weights: np.ndarray
-    targets: np.ndarray
-
-
-@dataclass(frozen=True)
-class SquaredHingeState:
-    """Branch indicators and targets of the squared-hinge update.
-
-    upsilon_i is 1 when sample i is strictly beyond the margin (1 - m_i < 0),
-    else 0; targets_i is 1 on the active branch and m_i on the inactive one.
-    """
-
-    upsilon: np.ndarray
-    targets: np.ndarray
-
-
-@dataclass(frozen=True)
-class LogisticState:
-    """Sigmoid weights pi_i = 1/(1 + exp(m_i)) and the current margins."""
-
-    pi: np.ndarray
-    targets: np.ndarray
 
 
 def _loss_into(kind: Loss, m: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -166,39 +131,6 @@ def smoothed_loss_value(kind: Loss, m, epsilon: float):
     m = np.asarray(m, dtype=float)
     out = _smoothed_hinge_into(m, _hinge_gamma(m, epsilon, np.empty_like(m)), np.empty_like(m))
     return out if out.ndim else float(out)
-
-
-def average_loss(kind: Loss, margins) -> float:
-    """Arithmetic mean of loss_value over the sample."""
-    margins = np.asarray(margins, dtype=float)
-    if margins.size == 0:
-        raise ValueError("empty margin vector")
-    return float(np.mean(loss_value(kind, margins)))
-
-
-def hinge_state(margins, epsilon: float) -> HingeState:
-    """Weights and targets of the hinge reweighting at the given margins."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
-    m = np.asarray(margins, dtype=float)
-    gamma, weights, targets = (np.empty_like(m) for _ in range(3))
-    _reweight(Loss.HINGE, m, _hinge_gamma(m, epsilon, gamma), weights, targets)
-    return HingeState(gamma=gamma, weights=weights, targets=targets)
-
-
-def squared_hinge_state(margins) -> SquaredHingeState:
-    """Branch split of the squared-hinge update; the tie 1 - m = 0 takes the
-    active (upsilon = 0) branch."""
-    m = np.asarray(margins, dtype=float)
-    targets = np.empty_like(m)
-    _reweight(Loss.SQUARED_HINGE, m, None, None, targets)
-    return SquaredHingeState(upsilon=(m > 1.0).astype(float), targets=targets)
-
-
-def logistic_state(margins) -> LogisticState:
-    """Sigmoid weights of the logistic update; pi computed overflow-safely."""
-    m = np.asarray(margins, dtype=float)
-    return LogisticState(pi=_logistic_pi(m, np.empty_like(m)), targets=m)
 
 
 def majorizer_value(kind: Loss, m, m_ref, epsilon: float):

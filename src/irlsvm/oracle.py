@@ -8,18 +8,12 @@ the test suite).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
 from scipy.special import expit
 
-from .core import Dataset, Loss, ModelParams, Penalty, RiskSpec
-
-
-class Objective(Enum):
-    EXACT_RISK = "exact"
-    SMOOTHED_RISK = "smoothed"
+from .core import Dataset, Loss, ModelParams, Monitor, Penalty, RiskSpec, monitor_kind
 
 
 @dataclass(frozen=True)
@@ -27,29 +21,19 @@ class OracleOptions:
     """Subgradient-descent controls.
 
     Step k uses initial_step / sqrt(k+1). objective=None selects the risk the
-    engine's descent guarantee monitors for the given combination. seed is
-    kept for randomized restarts; the default zero-init path never draws from
-    it, so runs are deterministic either way.
+    engine's descent guarantee monitors for the given combination
+    (monitor_kind).
     """
 
     iterations: int = 200_000
     initial_step: float = 1.0
-    seed: int = 0
-    objective: Objective | None = None
+    objective: Monitor | None = None
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.initial_step <= 0:
             raise ValueError("initial_step must be > 0")
-
-
-def _pick_objective(spec: RiskSpec, options: OracleOptions) -> Objective:
-    if options.objective is not None:
-        return options.objective
-    if spec.loss is Loss.HINGE or spec.penalty in (Penalty.L1, Penalty.ELASTIC_NET):
-        return Objective.SMOOTHED_RISK
-    return Objective.EXACT_RISK
 
 
 def _margin_path(kind: Loss, smoothed: bool, epsilon: float):
@@ -126,7 +110,7 @@ def subgradient_minimize(spec: RiskSpec, dataset: Dataset, options: OracleOption
     """Best-so-far iterate of subgradient descent on the selected risk, with
     the diminishing step schedule a0/sqrt(k+1), started from zero."""
     options = options or OracleOptions()
-    smoothed = _pick_objective(spec, options) is Objective.SMOOTHED_RISK
+    smoothed = (options.objective or monitor_kind(spec)) is Monitor.SMOOTHED
     loss_path = _margin_path(spec.loss, smoothed, spec.epsilon)
     penalty_path = _penalty_path(spec.penalty, spec.lam, spec.mu, smoothed, spec.epsilon)
 

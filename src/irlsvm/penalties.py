@@ -4,29 +4,9 @@ used by the 1-norm surrogate, and the per-iteration quadratic penalty terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Penalty
-
-
-@dataclass(frozen=True)
-class PenaltyQuadratic:
-    """Diagonal quadratic penalty contributions for one update.
-
-    ibar_diag is lam * (0, 1, ..., 1); omega_diag is (mu/2) * the
-    reciprocal-magnitude diagonal. Both have a zero first entry (the
-    intercept is never penalized) and are stored unscaled by n or by any
-    loss-specific constant; the engine applies those.
-    """
-
-    ibar_diag: np.ndarray
-    omega_diag: np.ndarray
-
-    @property
-    def combined_diag(self) -> np.ndarray:
-        return self.ibar_diag + self.omega_diag
 
 
 def penalty_value(kind: Penalty, beta, lam: float, mu: float) -> float:
@@ -66,21 +46,23 @@ def omega_diagonal(beta_ref, epsilon: float) -> np.ndarray:
     return out
 
 
-def penalty_quadratic(kind: Penalty, beta_ref, lam: float, mu: float, epsilon: float) -> PenaltyQuadratic:
-    """Quadratic penalty diagonals anchored at beta_ref.
+def penalty_quadratic(kind: Penalty, beta_ref, lam: float, mu: float, epsilon: float) -> np.ndarray:
+    """Diagonal of the quadratic penalty surrogate anchored at beta_ref:
+    lam * (0, 1, ..., 1) for the 2-norm part plus (mu/2) * the
+    reciprocal-magnitude diagonal for the 1-norm part.
 
-    Constant terms of the surrogate are dropped here (they do not move the
-    argmin); penalty_majorizer_value keeps them for verification.
+    The first entry is 0 (the intercept is never penalized). The diagonal
+    is unscaled by n or by any loss-specific constant; the engine applies
+    those. Constant terms of the surrogate are dropped here (they do not
+    move the argmin); penalty_majorizer_value keeps them for verification.
     """
     v = np.asarray(beta_ref, dtype=float).ravel()
-    zeros = np.zeros(v.shape[0] + 1)
-    ibar = zeros.copy()
-    omega = zeros
+    diag = np.zeros(v.shape[0] + 1)
     if kind in (Penalty.L2, Penalty.ELASTIC_NET):
-        ibar[1:] = lam
+        diag[1:] = lam
     if kind in (Penalty.L1, Penalty.ELASTIC_NET):
-        omega = 0.5 * mu * omega_diagonal(v, epsilon)
-    return PenaltyQuadratic(ibar_diag=ibar, omega_diag=omega)
+        diag += 0.5 * mu * omega_diagonal(v, epsilon)
+    return diag
 
 
 def penalty_majorizer_value(kind: Penalty, beta, beta_ref, lam: float, mu: float, epsilon: float) -> float:

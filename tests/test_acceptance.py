@@ -21,8 +21,6 @@ from irlsvm import (
     OracleOptions,
     Penalty,
     RiskSpec,
-    closed_form_ls_l2,
-    build_design_matrix,
     finite_diff_gradient,
     fit,
     generate_gaussian_mixture,
@@ -33,6 +31,8 @@ from irlsvm import (
     smoothed_risk,
     subgradient_minimize,
 )
+from irlsvm.core import build_design_matrix
+from irlsvm.engine import closed_form_ls_l2
 from irlsvm.losses import loss_value, majorizer_value, smoothed_loss_value
 from irlsvm.penalties import penalty_majorizer_value, penalty_value, smoothed_penalty_value
 

@@ -1,20 +1,14 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
-from irlsvm import (
-    ModelParams,
-    SingularSystemError,
-    load_dataset_csv,
-    predict_batch,
-    read_model,
-    read_trajectory_csv,
-    write_dataset_csv,
-)
+from irlsvm import load_dataset_csv, predict_batch, read_model, read_trajectory_csv, write_dataset_csv
 from irlsvm.cli import main, parse_args
+from irlsvm.linalg import SingularSystemError
 
-from helpers import make_dataset
+from helpers import ITERATIVE_COMBOS, ITERATIVE_IDS, make_dataset
 
 
 @pytest.fixture
@@ -37,6 +31,32 @@ def test_negative_lambda_is_usage_error(capsys):
     code = main(["fit", "--loss", "hinge", "--penalty", "l2", "--lambda", "-1", "--data", "d.csv", "--out", "m"])
     assert code == 2
     assert "lambda must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--penalty", "l2", "--lambda", "nan"],
+        ["--penalty", "l2", "--lambda", "inf"],
+        ["--penalty", "l1", "--mu", "nan"],
+        ["--penalty", "l2", "--epsilon", "inf"],
+        ["--penalty", "l2", "--tolerance", "nan"],
+    ],
+    ids=["lambda-nan", "lambda-inf", "mu-nan", "epsilon-inf", "tolerance-nan"],
+)
+def test_non_finite_fit_flag_is_usage_error(data_csv, tmp_path, capsys, flags):
+    model = tmp_path / "m.model"
+    code = main(["fit", "--loss", "hinge", *flags, "--data", str(data_csv), "--out", str(model)])
+    assert code == 2
+    assert "must be" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_non_finite_grid_is_usage_error(data_csv, tmp_path):
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep", "--loss", "hinge", "--penalty", "l2", "--lambda-grid", "nan"]
+    assert main(argv + ["--data", str(data_csv), "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
 
 
 def test_unknown_loss_is_usage_error():
@@ -188,13 +208,24 @@ def test_check_passes_on_valid_combination(data_csv, capsys):
     assert out.count("[PASS]") == 3 and "[FAIL]" not in out
 
 
+@pytest.mark.parametrize("loss, pen", ITERATIVE_COMBOS, ids=ITERATIVE_IDS)
+def test_check_passes_on_every_iterative_combination(data_csv, capsys, loss, pen):
+    argv = ["check", "--loss", loss.value, "--penalty", pen.value, "--lambda", "0.1", "--mu", "0.1"]
+    assert main(argv + ["--data", str(data_csv)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("[PASS]") == 3 and "[FAIL]" not in out
+
+
 def test_check_flags_descent_violation(data_csv, monkeypatch, capsys):
-    import irlsvm.cli as cli_module
+    import irlsvm.engine as engine_module
 
-    def broken_step(spec, theta, design):
-        return ModelParams(alpha=theta.alpha + 1.0, beta=np.asarray(theta.beta) + 1.0)
+    original = engine_module.solve_spd
 
-    monkeypatch.setattr(cli_module, "irls_step", broken_step)
+    def broken_solve(system):
+        solution = original(system)
+        return dataclasses.replace(solution, x=solution.x + 1.0)
+
+    monkeypatch.setattr(engine_module, "solve_spd", broken_solve)
     code = main(["check", "--loss", "hinge", "--penalty", "l2", "--lambda", "0.1", "--data", str(data_csv)])
     assert code == 5
     assert "[FAIL]" in capsys.readouterr().out

@@ -2,19 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from irlsvm import (
-    Dataset,
-    FitResult,
-    Loss,
-    ModelParams,
-    Penalty,
-    RiskSpec,
-    TerminationReason,
-    build_design_matrix,
-    margins,
-    predict,
-    predict_batch,
-)
+from irlsvm import Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec, TerminationReason, predict, predict_batch
+from irlsvm.core import build_design_matrix, margins
 
 from helpers import make_dataset
 
@@ -145,12 +134,15 @@ def test_risk_spec_ignores_irrelevant_constant(penalty, lam, mu, want_lam, want_
 
 
 def test_risk_spec_validation():
-    with pytest.raises(ValueError, match="lambda"):
-        RiskSpec(Loss.HINGE, Penalty.L2, lam=-1.0)
-    with pytest.raises(ValueError, match="mu"):
-        RiskSpec(Loss.HINGE, Penalty.L1, mu=-0.1)
-    with pytest.raises(ValueError, match="epsilon"):
-        RiskSpec(Loss.HINGE, Penalty.L2, epsilon=0.0)
+    for lam in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="lambda"):
+            RiskSpec(Loss.HINGE, Penalty.L2, lam=lam)
+    for mu in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="mu"):
+            RiskSpec(Loss.HINGE, Penalty.L1, mu=mu)
+    for epsilon in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="epsilon"):
+            RiskSpec(Loss.HINGE, Penalty.L2, epsilon=epsilon)
 
 
 def test_fit_result_trajectory_lengths_must_agree():
@@ -158,6 +150,7 @@ def test_fit_result_trajectory_lengths_must_agree():
     with pytest.raises(ValueError):
         FitResult(
             theta=theta,
+            theta_trajectory=np.zeros((2, 2)),
             exact_risk_trajectory=np.array([1.0, 0.5]),
             smoothed_risk_trajectory=np.array([1.0]),
             iterations_run=1,
@@ -167,12 +160,24 @@ def test_fit_result_trajectory_lengths_must_agree():
     with pytest.raises(ValueError):
         FitResult(
             theta=theta,
+            theta_trajectory=np.zeros((3, 2)),
             exact_risk_trajectory=np.array([1.0, 0.5]),
             smoothed_risk_trajectory=np.array([1.0, 0.5]),
             iterations_run=2,
             converged=False,
             termination_reason=TerminationReason.MAX_ITERATIONS,
         )
+    for rows, cols in ((1, 2), (2, 3)):  # one row per iterate, one column per parameter
+        with pytest.raises(ValueError, match="theta_trajectory"):
+            FitResult(
+                theta=theta,
+                theta_trajectory=np.zeros((rows, cols)),
+                exact_risk_trajectory=np.array([1.0, 0.5]),
+                smoothed_risk_trajectory=np.array([1.0, 0.5]),
+                iterations_run=1,
+                converged=False,
+                termination_reason=TerminationReason.MAX_ITERATIONS,
+            )
 
 
 def test_predict_batch_rejects_non_finite_features():

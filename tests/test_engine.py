@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import expit
 
 from irlsvm import (
     Dataset,
@@ -14,25 +15,16 @@ from irlsvm import (
     Penalty,
     RiskSpec,
     TerminationReason,
-    build_design_matrix,
-    closed_form_ls_l2,
     fit,
-    irls_step,
-    majorizer_objective,
     monitor_kind,
     monitored_risk,
     risk,
     smoothed_risk,
     subgradient_minimize,
 )
-from irlsvm.losses import (
-    average_loss,
-    hinge_state,
-    logistic_state,
-    loss_value,
-    smoothed_loss_value,
-    squared_hinge_state,
-)
+from irlsvm.core import build_design_matrix
+from irlsvm.engine import closed_form_ls_l2, irls_step, majorizer_objective
+from irlsvm.losses import loss_value, smoothed_loss_value
 from irlsvm.penalties import penalty_quadratic, penalty_value, smoothed_penalty_value
 
 from helpers import ALL_COMBOS, COMBO_IDS, ITERATIVE_COMBOS, ITERATIVE_IDS, make_dataset, two_sample_dataset
@@ -70,6 +62,15 @@ def test_irls_step_hand_solved_cases(two_design):
 
     theta = irls_step(RiskSpec(Loss.LOGISTIC, Penalty.L2, lam=0.0), ModelParams.zeros(1), two_design)
     assert_allclose(theta.as_vector(), [0.0, 2.0], atol=1e-12)
+
+
+def test_logistic_step_is_overflow_safe_at_extreme_margins():
+    # margins +800 and -800: exp(800) overflows, so pi must come out as 0 and 1
+    # (clipped just inside), giving targets 800 and -796 and no NaN
+    ds = Dataset(features=np.array([[1.0], [-1.0]]), labels=np.array([1.0, 1.0]))
+    spec = RiskSpec(Loss.LOGISTIC, Penalty.L2, lam=0.0)
+    theta = irls_step(spec, ModelParams(alpha=0.0, beta=[800.0]), build_design_matrix(ds))
+    assert_allclose(theta.as_vector(), [2.0, 798.0], rtol=1e-12)
 
 
 def test_closed_form_examples(two_design):
@@ -116,7 +117,7 @@ def test_penalty_part_of_risk_ignores_intercept():
         for alpha in (-2.0, 0.0, 3.5):
             theta = ModelParams(alpha=alpha, beta=beta)
             m = ds.labels * (alpha + ds.features @ beta)
-            parts.append(risk(spec, theta, ds) - average_loss(loss, m))
+            parts.append(risk(spec, theta, ds) - np.mean(loss_value(loss, m)))
         assert_allclose(parts, parts[0], rtol=0, atol=1e-15)
 
 
@@ -166,6 +167,27 @@ def test_fit_stops_on_risk_tolerance():
     assert result.converged
     assert result.termination_reason is TerminationReason.RISK_TOLERANCE
     assert result.iterations_run < 500
+    assert result.theta_trajectory.shape == (result.iterations_run + 1, 3)
+
+
+@pytest.mark.parametrize("init", [Init.ZERO, Init.WARM_START_LS_L2], ids=["zero", "warm"])
+def test_fit_records_theta_trajectory(init):
+    ds = make_dataset(seed=30, n=50, q=3)
+    spec = RiskSpec(Loss.HINGE, Penalty.ELASTIC_NET, lam=0.1, mu=0.2, epsilon=EPS)
+    result = fit(spec, ds, FitOptions(max_iterations=7, risk_tolerance=0.0, init=init))
+    trajectory = result.theta_trajectory
+    assert trajectory.shape == (result.iterations_run + 1, ds.q + 1) == (8, 4)
+    start = ModelParams.zeros(ds.q) if init is Init.ZERO else closed_form_ls_l2(build_design_matrix(ds), 0.1)
+    assert_array_equal(trajectory[0], start.as_vector())
+    assert_array_equal(trajectory[-1], result.theta.as_vector())
+    # row k is the iterate whose risks the trajectories record at k
+    for k in (0, 3, 7):
+        theta = ModelParams.from_vector(trajectory[k])
+        assert_allclose(result.exact_risk_trajectory[k], risk(spec, theta, ds), rtol=1e-12, atol=0)
+        assert_allclose(result.smoothed_risk_trajectory[k], smoothed_risk(spec, theta, ds), rtol=1e-12, atol=0)
+    assert not trajectory.flags.writeable
+    with pytest.raises(ValueError):
+        trajectory[0, 0] = 1.0
 
 
 def test_fit_explicit_init_dimension_mismatch(two):
@@ -270,11 +292,11 @@ def test_fit_error_carries_partial_trajectory(two, monkeypatch):
     calls = {"count": 0}
     original = engine_module.solve_spd
 
-    def failing_solve(system, policy=None):
+    def failing_solve(system):
         calls["count"] += 1
         if calls["count"] >= 3:
             raise SingularSystemError("injected failure")
-        return original(system, policy)
+        return original(system)
 
     monkeypatch.setattr(engine_module, "solve_spd", failing_solve)
     spec = RiskSpec(Loss.HINGE, Penalty.L2, lam=0.1)
@@ -287,8 +309,9 @@ def test_fit_error_carries_partial_trajectory(two, monkeypatch):
 def test_fit_options_validation():
     with pytest.raises(ValueError):
         FitOptions(max_iterations=0)
-    with pytest.raises(ValueError):
-        FitOptions(risk_tolerance=-1e-3)
+    for tolerance in (-1e-3, np.nan, np.inf):
+        with pytest.raises(ValueError, match="risk_tolerance"):
+            FitOptions(risk_tolerance=tolerance)
 
 
 @pytest.mark.parametrize("loss, pen", ALL_COMBOS, ids=COMBO_IDS)
@@ -302,7 +325,7 @@ def test_fit_risk_trajectory_matches_direct_evaluation(loss, pen):
 
 
 def test_fit_counts_jittered_solves():
-    from irlsvm import SymmetricSystem, solve_spd
+    from irlsvm.linalg import SymmetricSystem, solve_spd
 
     t = np.array([1.0, 2.0, -1.0, -3.0, 0.5, -0.25])
     ds = Dataset(features=np.column_stack([t, t]), labels=np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0]))
@@ -338,26 +361,27 @@ def test_fit_risks_match_direct_evaluation_across_blocks(blocked, loss, pen):
 
 
 def _dense_system(spec, theta, dataset):
-    """Normal equations of the surrogate anchored at theta from whole-vector
-    loss states and dense products over the full design."""
+    """Normal equations of the surrogate anchored at theta from the paper's
+    weights and targets, written out here, and dense products over the full
+    design."""
     y = dataset.labels[:, None] * np.column_stack([np.ones(dataset.n), dataset.features])
     m = dataset.labels * (theta.alpha + dataset.features @ theta.beta)
     weights, scale = None, dataset.n
     if spec.loss is Loss.HINGE:
-        state = hinge_state(m, spec.epsilon)
-        weights, targets = state.weights, state.targets
+        gamma = np.sqrt((1.0 - m) ** 2 + spec.epsilon)
+        weights, targets = 1.0 / (4.0 * gamma), gamma + 1.0
     elif spec.loss is Loss.LEAST_SQUARES:
         targets = np.ones(dataset.n)
     elif spec.loss is Loss.SQUARED_HINGE:
-        targets = squared_hinge_state(m).targets
+        targets = np.where(m > 1.0, m, 1.0)
     else:
-        targets = m + 4.0 * logistic_state(m).pi
+        targets = m + 4.0 * expit(-m)
         scale = 8 * dataset.n
     weighted = y if weights is None else weights[:, None] * y
     matrix = y.T @ weighted
     matrix[np.diag_indices_from(matrix)] += scale * penalty_quadratic(
         spec.penalty, theta.beta, spec.lam, spec.mu, spec.epsilon
-    ).combined_diag
+    )
     return matrix, weighted.T @ targets
 
 
@@ -368,9 +392,9 @@ def test_update_system_matches_dense_reference_across_blocks(blocked, loss, pen,
     systems = []
     original = engine_module.solve_spd
 
-    def recording_solve(system, policy=None):
+    def recording_solve(system):
         systems.append(system)
-        return original(system, policy)
+        return original(system)
 
     monkeypatch.setattr(engine_module, "solve_spd", recording_solve)
     spec = RiskSpec(loss, pen, lam=0.2, mu=0.3, epsilon=EPS)
@@ -379,14 +403,3 @@ def test_update_system_matches_dense_reference_across_blocks(blocked, loss, pen,
     matrix, rhs = _dense_system(spec, theta, blocked)
     assert_allclose(systems[0].matrix, matrix, rtol=1e-12, atol=0)
     assert_allclose(systems[0].rhs, rhs, rtol=1e-12, atol=0)
-
-
-def test_weighted_gram_and_rhs_match_dense_products_across_blocks(blocked):
-    from irlsvm import weighted_gram, weighted_rhs
-
-    design = build_design_matrix(blocked)
-    rng = np.random.default_rng(30)
-    weights, targets = rng.uniform(0.1, 2.0, blocked.n), rng.normal(size=blocked.n)
-    y = np.asarray(design.rows)
-    assert_allclose(weighted_gram(design, weights), y.T @ (weights[:, None] * y), rtol=1e-12, atol=0)
-    assert_allclose(weighted_rhs(design, weights, targets), y.T @ (weights * targets), rtol=1e-12, atol=0)

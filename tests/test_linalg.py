@@ -2,9 +2,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from irlsvm import Dataset, SingularSystemError, SymmetricSystem, build_design_matrix, solve_spd, weighted_gram, weighted_rhs
+from irlsvm import Dataset
+from irlsvm.core import build_design_matrix
+from irlsvm.linalg import SingularSystemError, SymmetricSystem, _GramBlocks, solve_spd
 
 from helpers import make_dataset, two_sample_dataset
+
+
+def _one_block_gram(design, weights):
+    """Y'WY of the whole design accumulated as one block."""
+    gram = _GramBlocks(design.q + 1, design.n)
+    gram.add(design.rows.T, np.asarray(weights, dtype=float))
+    return gram.result()
 
 
 @pytest.fixture
@@ -13,41 +22,33 @@ def two_sample_design():
 
 
 def test_weighted_gram_examples(two_sample_design):
-    assert_array_equal(weighted_gram(two_sample_design, np.ones(2)), [[2.0, 0.0], [0.0, 2.0]])
-    assert_array_equal(weighted_gram(two_sample_design, np.zeros(2)), np.zeros((2, 2)))
+    assert_array_equal(_one_block_gram(two_sample_design, np.ones(2)), [[2.0, 0.0], [0.0, 2.0]])
+    assert_array_equal(_one_block_gram(two_sample_design, np.zeros(2)), np.zeros((2, 2)))
 
     ds = Dataset(features=np.array([[2.0, -1.0]]), labels=np.array([-1.0]))
     design = build_design_matrix(ds)
     row = design.rows[0]
-    assert_allclose(weighted_gram(design, np.array([0.7])), 0.7 * np.outer(row, row), rtol=1e-15)
+    assert_allclose(_one_block_gram(design, np.array([0.7])), 0.7 * np.outer(row, row), rtol=1e-15)
 
 
 def test_weighted_gram_exactly_symmetric():
     design = build_design_matrix(make_dataset(seed=8, n=67, q=5))
     rng = np.random.default_rng(8)
-    gram = weighted_gram(design, rng.uniform(0, 3, design.n))
+    gram = _one_block_gram(design, rng.uniform(0, 3, design.n))
     assert_array_equal(gram, gram.T)
 
 
 def test_unit_weights_give_plain_gram():
     design = build_design_matrix(make_dataset(seed=9, n=31, q=4))
     plain = design.rows.T @ design.rows
-    assert_allclose(weighted_gram(design, np.ones(design.n)), plain, rtol=1e-14, atol=0)
+    assert_allclose(_one_block_gram(design, np.ones(design.n)), plain, rtol=1e-14, atol=0)
 
 
 def test_weighted_gram_validation(two_sample_design):
-    with pytest.raises(ValueError):
-        weighted_gram(two_sample_design, np.ones(3))
-    with pytest.raises(ValueError):
-        weighted_gram(two_sample_design, np.array([1.0, -1.0]))
-
-
-def test_weighted_rhs_examples(two_sample_design):
-    assert_array_equal(weighted_rhs(two_sample_design, np.ones(2), np.ones(2)), [0.0, 2.0])
-    assert_array_equal(weighted_rhs(two_sample_design, np.ones(2), np.zeros(2)), [0.0, 0.0])
-    assert_array_equal(weighted_rhs(two_sample_design, np.zeros(2), np.ones(2)), [0.0, 0.0])
-    with pytest.raises(ValueError):
-        weighted_rhs(two_sample_design, np.ones(2), np.ones(3))
+    cols = two_sample_design.rows.T
+    for bad in ([1.0, -1.0], [1.0, np.nan], [np.inf, 1.0]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            _GramBlocks(2, 2).add(cols, np.array(bad))
 
 
 def test_solve_spd_identity_and_diagonal():

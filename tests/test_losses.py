@@ -3,18 +3,31 @@ import pytest
 from numpy.testing import assert_allclose
 
 from irlsvm import Loss
-from irlsvm.losses import (
-    average_loss,
-    hinge_state,
-    logistic_state,
-    loss_value,
-    majorizer_value,
-    smoothed_loss_value,
-    squared_hinge_state,
-)
+from irlsvm.losses import _hinge_gamma, _logistic_pi, _reweight, loss_value, majorizer_value, smoothed_loss_value
 
 EPS = 1e-6
 TINY = 1e-300  # stands in for the eps -> 0 limit
+
+
+def _hinge_reweighting(m, epsilon):
+    """gamma, weights and targets of the hinge update at margins m."""
+    m = np.asarray(m, dtype=float)
+    gamma, weights, targets = (np.empty_like(m) for _ in range(3))
+    _reweight(Loss.HINGE, m, _hinge_gamma(m, epsilon, gamma), weights, targets)
+    return gamma, weights, targets
+
+
+def _targets(kind, m):
+    """Targets of an unweighted (W = I) update at margins m."""
+    m = np.asarray(m, dtype=float)
+    targets = np.empty_like(m)
+    assert _reweight(kind, m, None, None, targets) is None
+    return targets
+
+
+def _pi(m):
+    m = np.asarray(m, dtype=float)
+    return _logistic_pi(m, np.empty_like(m))
 
 
 def test_loss_value_examples():
@@ -59,53 +72,43 @@ def test_smoothing_gap_bound():
     assert (gap <= np.sqrt(EPS) / 2 + 1e-15).all()
 
 
-def test_average_loss():
-    assert average_loss(Loss.HINGE, np.zeros(5)) == 1.0
-    assert average_loss(Loss.HINGE, np.ones(7)) == 0.0
-    assert_allclose(average_loss(Loss.LOGISTIC, np.zeros(2)), np.log(2.0), rtol=1e-15)
-    with pytest.raises(ValueError):
-        average_loss(Loss.HINGE, np.array([]))
+def test_hinge_reweighting_examples():
+    gamma, weights, targets = _hinge_reweighting([0.0], EPS)
+    assert_allclose(gamma[0], 1.000000499999875, rtol=1e-15)
+    assert_allclose(weights[0], 0.24999987500009375, rtol=1e-15)
+    assert_allclose(targets[0], 2.000000499999875, rtol=1e-15)
+
+    gamma, weights, targets = _hinge_reweighting([1.0], EPS)
+    assert_allclose(gamma[0], 1e-3, rtol=1e-12)
+    assert_allclose(weights[0], 250.0, rtol=1e-12)
+    assert_allclose(targets[0], 1.001, rtol=1e-12)
+
+    gamma, weights, targets = _hinge_reweighting([2.0], TINY)
+    assert_allclose([gamma[0], weights[0], targets[0]], [1.0, 0.25, 2.0], rtol=1e-15)
 
 
-def test_hinge_state_examples():
-    state = hinge_state(np.array([0.0]), EPS)
-    assert_allclose(state.gamma[0], 1.000000499999875, rtol=1e-15)
-    assert_allclose(state.weights[0], 0.24999987500009375, rtol=1e-15)
-    assert_allclose(state.targets[0], 2.000000499999875, rtol=1e-15)
-
-    state = hinge_state(np.array([1.0]), EPS)
-    assert_allclose(state.gamma[0], 1e-3, rtol=1e-12)
-    assert_allclose(state.weights[0], 250.0, rtol=1e-12)
-    assert_allclose(state.targets[0], 1.001, rtol=1e-12)
-
-    state = hinge_state(np.array([2.0]), TINY)
-    assert_allclose([state.gamma[0], state.weights[0], state.targets[0]], [1.0, 0.25, 2.0], rtol=1e-15)
-
-
-def test_hinge_state_weight_identity():
+def test_hinge_reweighting_weight_identity():
     rng = np.random.default_rng(1)
-    state = hinge_state(rng.uniform(-10, 10, 1000), EPS)
-    assert (state.gamma >= np.sqrt(EPS)).all()
-    assert_allclose(state.weights * 4.0 * state.gamma, 1.0, rtol=1e-15)
+    gamma, weights, _ = _hinge_reweighting(rng.uniform(-10, 10, 1000), EPS)
+    assert (gamma >= np.sqrt(EPS)).all()
+    assert_allclose(weights * 4.0 * gamma, 1.0, rtol=1e-15)
 
 
-def test_squared_hinge_state():
-    state = squared_hinge_state(np.array([2.0, 0.5, 1.0]))
-    assert list(state.upsilon) == [1.0, 0.0, 0.0]
-    assert list(state.targets) == [2.0, 1.0, 1.0]
-    # targets recombine as (1 - upsilon) + upsilon * m
+def test_squared_hinge_targets():
+    assert list(_targets(Loss.SQUARED_HINGE, [2.0, 0.5, 1.0])) == [2.0, 1.0, 1.0]
+    # targets are m beyond the margin (upsilon = 1) and 1 on the active branch, ties included
     m = np.linspace(-3, 3, 13)
-    state = squared_hinge_state(m)
-    assert_allclose(state.targets, (1.0 - state.upsilon) + state.upsilon * m, rtol=0, atol=0)
+    upsilon = (m > 1.0).astype(float)
+    assert_allclose(_targets(Loss.SQUARED_HINGE, m), (1.0 - upsilon) + upsilon * m, rtol=0, atol=0)
+    assert list(_targets(Loss.LEAST_SQUARES, [2.0, -1.0])) == [1.0, 1.0]
 
 
-def test_logistic_state():
+def test_logistic_pi_and_targets():
     m = np.array([0.0, np.log(3.0), -np.log(3.0)])
-    state = logistic_state(m)
-    assert_allclose(state.pi, [0.5, 0.25, 0.75], rtol=1e-14)
-    assert_allclose(state.targets, m, rtol=0, atol=0)
-    big = logistic_state(np.array([-800.0, 800.0]))
-    assert (big.pi > 0).all() and (big.pi < 1).all()
+    assert_allclose(_pi(m), [0.5, 0.25, 0.75], rtol=1e-14)
+    assert_allclose(_targets(Loss.LOGISTIC, m), m + 4.0 * np.array([0.5, 0.25, 0.75]), rtol=1e-14)
+    big = _pi(np.array([-800.0, 800.0]))
+    assert (big > 0).all() and (big < 1).all()
 
 
 def test_majorizer_examples():
@@ -148,7 +151,7 @@ def test_hinge_majorizer_limit_matches_plain_hinge():
 
 def test_logistic_curvature_bound():
     m = np.linspace(-50, 50, 10_001)
-    pi = logistic_state(m).pi
+    pi = _pi(m)
     assert (pi * (1.0 - pi) <= 0.25).all()
 
 

@@ -6,7 +6,7 @@ from irlsvm import (
     FitOptions,
     Loss,
     ModelParams,
-    Objective,
+    Monitor,
     OracleOptions,
     Penalty,
     RiskSpec,
@@ -71,7 +71,7 @@ def test_objective_override_selects_exact_risk():
     ds = make_dataset(seed=33, n=50, q=2)
     spec = RiskSpec(Loss.SQUARED_HINGE, Penalty.L1, mu=0.2)
     smoothed = subgradient_minimize(spec, ds, OracleOptions(iterations=5_000))
-    exact = subgradient_minimize(spec, ds, OracleOptions(iterations=5_000, objective=Objective.EXACT_RISK))
+    exact = subgradient_minimize(spec, ds, OracleOptions(iterations=5_000, objective=Monitor.EXACT))
     # distinct objectives produce distinct minimizers
     assert not np.allclose(smoothed.as_vector(), exact.as_vector(), atol=0)
 

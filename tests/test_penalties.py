@@ -44,23 +44,15 @@ def test_omega_diagonal_bound():
 
 
 def test_penalty_quadratic_examples():
-    quad = penalty_quadratic(Penalty.L2, [1.0, 2.0], 0.4, 0.9, EPS)
-    assert_array_equal(quad.ibar_diag, [0.0, 0.4, 0.4])
-    assert_array_equal(quad.omega_diag, [0.0, 0.0, 0.0])
-
-    quad = penalty_quadratic(Penalty.L1, [0.0], 0.4, 0.2, EPS)
-    assert_array_equal(quad.ibar_diag, [0.0, 0.0])
-    assert_allclose(quad.omega_diag, [0.0, 100.0], rtol=1e-12)
-
-    quad = penalty_quadratic(Penalty.ELASTIC_NET, [3.0], 1.0, 2.0, TINY)
-    assert_array_equal(quad.ibar_diag, [0.0, 1.0])
-    assert_allclose(quad.omega_diag, [0.0, 1.0 / 3.0], rtol=1e-15)
+    assert_array_equal(penalty_quadratic(Penalty.L2, [1.0, 2.0], 0.4, 0.9, EPS), [0.0, 0.4, 0.4])
+    assert_allclose(penalty_quadratic(Penalty.L1, [0.0], 0.4, 0.2, EPS), [0.0, 100.0], rtol=1e-12)
+    # lam plus (mu/2)/|v| in the eps -> 0 limit
+    assert_allclose(penalty_quadratic(Penalty.ELASTIC_NET, [3.0], 1.0, 2.0, TINY), [0.0, 1.0 + 1.0 / 3.0], rtol=1e-15)
 
 
 def test_penalty_quadratic_never_touches_intercept():
-    quad = penalty_quadratic(Penalty.ELASTIC_NET, np.array([1.0, -2.0, 0.5]), 0.3, 0.7, EPS)
-    assert quad.ibar_diag[0] == 0.0 and quad.omega_diag[0] == 0.0
-    assert quad.combined_diag[0] == 0.0
+    for kind in Penalty:
+        assert penalty_quadratic(kind, np.array([1.0, -2.0, 0.5]), 0.3, 0.7, EPS)[0] == 0.0
 
 
 def test_penalty_majorizer_tangency_and_domination():
