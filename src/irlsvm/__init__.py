@@ -33,7 +33,7 @@ from .data_io import (
     write_trajectory_csv,
 )
 from .engine import FitError, FitOptions, Init, fit, monitored_risk, risk, smoothed_risk
-from .oracle import OracleOptions, finite_diff_gradient, subgradient_minimize
+from .oracle import finite_diff_gradient, reference_minimize
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,6 @@ __all__ = [
     "Loss",
     "ModelParams",
     "Monitor",
-    "OracleOptions",
     "Penalty",
     "RiskSpec",
     "TerminationReason",
@@ -61,9 +60,9 @@ __all__ = [
     "predict_batch",
     "read_model",
     "read_trajectory_csv",
+    "reference_minimize",
     "risk",
     "smoothed_risk",
-    "subgradient_minimize",
     "write_dataset_csv",
     "write_model",
     "write_trajectory_csv",

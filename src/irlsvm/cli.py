@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Loss, ModelParams, Monitor, Penalty, RiskSpec, build_design_matrix, monitor_kind, predict_batch
+from .core import Loss, ModelParams, Penalty, RiskSpec, build_design_matrix, monitor_kind, predict_batch
 from .data_io import (
     DataError,
     generate_gaussian_mixture,
@@ -43,6 +43,9 @@ SURROGATE_SLACK = 1e-12
 DEFAULT_SIM_N = 10_000
 DEFAULT_SEED = 2017
 
+# each grid point is one fit; a longer grid is taken for a mistyped step
+MAX_GRID_POINTS = 10_000
+
 
 def _grid(text):
     """Inclusive start:step:end grid; a bare number is a single-point grid."""
@@ -65,6 +68,8 @@ def _grid(text):
             rounded = round(count)
             if rounded < 0 or abs(count - rounded) > 1e-9 * max(1.0, abs(count)):
                 raise argparse.ArgumentTypeError(f"grid end {end} is not start + k*step")
+            if rounded + 1 > MAX_GRID_POINTS:
+                raise argparse.ArgumentTypeError(f"grid has {rounded + 1} points, more than {MAX_GRID_POINTS}")
             values = [start + i * step for i in range(rounded + 1)]
     else:
         raise argparse.ArgumentTypeError("grid must be start:step:end")
@@ -268,7 +273,8 @@ def _cmd_check(args) -> int:
     result = fit(spec, dataset, options)
     design = build_design_matrix(dataset)
     monitor = monitor_kind(spec)
-    track = result.exact_risk_trajectory if monitor is Monitor.EXACT else result.smoothed_risk_trajectory
+    # the smoothed risk is the monitored risk (see engine.fit)
+    track = result.smoothed_risk_trajectory
     worst_descent = float(np.max(np.diff(track) / (1.0 + np.abs(track[:-1]))))
 
     # each recorded update against the surrogate anchored at the iterate before it

@@ -246,11 +246,11 @@ def generate_gaussian_mixture(n: int, mean_neg=(-1.0, -1.0), mean_pos=(1.0, 1.0)
     coordinate).
     """
     if n < 2 or n % 2:
-        raise DataError(f"n must be a positive even integer, got {n}")
+        raise ValueError(f"n must be a positive even integer, got {n}")
     mean_neg = np.asarray(mean_neg, dtype=float).ravel()
     mean_pos = np.asarray(mean_pos, dtype=float).ravel()
     if mean_neg.shape != mean_pos.shape:
-        raise DataError("class means must have equal length")
+        raise ValueError("class means must have equal length")
     q = mean_neg.shape[0]
     rng = np.random.Generator(np.random.PCG64(seed))
     noise = _polar_normals(rng, n * q).reshape(n, q)

@@ -16,8 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import _BLOCK_ROWS, Dataset, DesignMatrix, FitResult, Loss, ModelParams, Monitor, Penalty, RiskSpec
-from .core import TerminationReason, _margin_blocks, build_design_matrix, margins, monitor_kind
+from .core import _BLOCK_ROWS, Dataset, DesignMatrix, FitResult, Loss, ModelParams, Penalty, RiskSpec
+from .core import TerminationReason, _margin_blocks, build_design_matrix, margins
 from .linalg import SingularSystemError, SymmetricSystem, _GramBlocks, solve_spd
 from .losses import _block_terms, _penalty_scale, majorizer_value
 from .penalties import penalty_majorizer_value, penalty_quadratic, penalty_value, smoothed_penalty_value
@@ -112,8 +112,9 @@ def smoothed_risk(spec: RiskSpec, theta: ModelParams, dataset: Dataset) -> float
 
 
 def monitored_risk(spec: RiskSpec, theta: ModelParams, dataset: Dataset) -> float:
-    exact, smoothed, _ = _pass(spec, theta, dataset, update=False)
-    return exact if monitor_kind(spec) is Monitor.EXACT else smoothed
+    """The risk the descent guarantee covers (monitor_kind). It is always the
+    smoothed risk: where the exact risk is monitored, the two are the same."""
+    return smoothed_risk(spec, theta, dataset)
 
 
 def irls_step(spec: RiskSpec, theta: ModelParams, design: DesignMatrix) -> ModelParams:
@@ -154,20 +155,22 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
 
     Records every iterate and its exact and smoothed risk (initial point
     included). Stops on max_iterations or when the monitored risk changes by
-    at most risk_tolerance * (1 + |previous|). The least-squares/2-norm
-    combination is solved in one closed-form step.
+    at most risk_tolerance * (1 + |previous|). The monitored risk is read as
+    the smoothed risk: for the combinations whose monitor is the exact risk
+    the loss and penalty contain no absolute value, so their exact and
+    smoothed risks are the same sums and equal bit for bit. The
+    least-squares/2-norm combination is solved in one closed-form step.
     """
     options = options or FitOptions()
     design = build_design_matrix(dataset)
     closed_form = spec.loss is Loss.LEAST_SQUARES and spec.penalty is Penalty.L2
-    monitor = monitor_kind(spec)
     theta = _initial_theta(options, spec, design)
     steps = 1 if closed_form else options.max_iterations
     exact, smoothed, system = _pass(spec, theta, design)
     theta_track = [theta.as_vector()]
     exact_track = [exact]
     smoothed_track = [smoothed]
-    monitored_prev = exact if monitor is Monitor.EXACT else smoothed
+    monitored_prev = smoothed
 
     jittered = 0
     converged = False
@@ -184,15 +187,14 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
         exact, smoothed, system = _pass(spec, theta, design, update=step + 1 < steps)
         exact_track.append(exact)
         smoothed_track.append(smoothed)
-        monitored = exact if monitor is Monitor.EXACT else smoothed
         # tolerance 0 disables early stopping entirely (fixed-count protocol)
-        if options.risk_tolerance > 0 and abs(monitored - monitored_prev) <= options.risk_tolerance * (
+        if options.risk_tolerance > 0 and abs(smoothed - monitored_prev) <= options.risk_tolerance * (
             1.0 + abs(monitored_prev)
         ):
             converged = True
             reason = TerminationReason.RISK_TOLERANCE
             break
-        monitored_prev = monitored
+        monitored_prev = smoothed
 
     if closed_form:
         converged, reason = True, TerminationReason.CLOSED_FORM

@@ -6,9 +6,6 @@ The benchmark throughout is the seeded two-Gaussian simulation: n = 10000,
 spherical unit-variance classes centered at (-1, -1) and (1, 1).
 """
 
-from concurrent.futures import ProcessPoolExecutor
-import multiprocessing
-
 import numpy as np
 import pytest
 
@@ -18,7 +15,6 @@ from irlsvm import (
     Loss,
     ModelParams,
     Monitor,
-    OracleOptions,
     Penalty,
     RiskSpec,
     finite_diff_gradient,
@@ -27,9 +23,9 @@ from irlsvm import (
     monitor_kind,
     monitored_risk,
     predict_batch,
+    reference_minimize,
     risk,
     smoothed_risk,
-    subgradient_minimize,
 )
 from irlsvm.core import build_design_matrix
 from irlsvm.engine import closed_form_ls_l2
@@ -114,30 +110,19 @@ def test_exact_risk_observed_to_descend_without_guarantee(sweep_fits):
     print(f"[PASS] observed exact descent for hinge+l1 and least-squares+l1: worst rise {worst:.3e} (observational)")
 
 
-def _oracle_agreement_case(args):
-    loss_name, pen_name, seed = args
-    dataset = generate_gaussian_mixture(200, seed=seed)
-    spec = RiskSpec(Loss(loss_name), Penalty(pen_name), lam=0.1, mu=0.1, epsilon=EPS)
-    result = fit(spec, dataset, FitOptions(max_iterations=5000, risk_tolerance=1e-10))
-    step = 0.2 if spec.loss is Loss.HINGE else 0.5
-    reference = subgradient_minimize(spec, dataset, OracleOptions(iterations=200_000, initial_step=step))
-    fit_objective = monitored_risk(spec, result.theta, dataset)
-    oracle_objective = monitored_risk(spec, reference, dataset)
-    gap = abs(oracle_objective - fit_objective) / (1.0 + abs(fit_objective))
-    tolerance = 1e-4 if spec.loss is Loss.HINGE else 1e-6
-    return loss_name, pen_name, seed, gap, tolerance
-
-
 def test_fit_agrees_with_independent_minimizer():
-    cases = [(loss.value, pen.value, seed) for loss, pen in ALL_COMBOS for seed in (11, 12, 13)]
-    # spawn, not fork: forking a process whose numpy threads are running can deadlock
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
-        outcomes = list(pool.map(_oracle_agreement_case, cases))
     worst_ratio = 0.0
-    for loss_name, pen_name, seed, gap, tolerance in outcomes:
-        assert gap <= tolerance, f"{loss_name}+{pen_name} seed {seed}: gap {gap:.3e} > {tolerance:.0e}"
-        worst_ratio = max(worst_ratio, gap / tolerance)
+    tolerance = 1e-8
+    for loss, pen in ALL_COMBOS:
+        for seed in (11, 12, 13):
+            dataset = generate_gaussian_mixture(200, seed=seed)
+            spec = RiskSpec(loss, pen, lam=0.1, mu=0.1, epsilon=EPS)
+            result = fit(spec, dataset, FitOptions(max_iterations=5000, risk_tolerance=1e-10))
+            fit_objective = monitored_risk(spec, result.theta, dataset)
+            oracle_objective = monitored_risk(spec, reference_minimize(spec, dataset), dataset)
+            gap = abs(oracle_objective - fit_objective) / (1.0 + abs(fit_objective))
+            assert gap <= tolerance, f"{loss.value}+{pen.value} seed {seed}: gap {gap:.3e} > {tolerance:.0e}"
+            worst_ratio = max(worst_ratio, gap / tolerance)
     print(f"[PASS] two independent solvers agree on all 12 combinations x 3 seeds: worst gap/tolerance {worst_ratio:.3e}")
 
 

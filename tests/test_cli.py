@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from irlsvm import load_dataset_csv, predict_batch, read_model, read_trajectory_csv, write_dataset_csv
-from irlsvm.cli import main, parse_args
+from irlsvm.cli import MAX_GRID_POINTS, _grid, main, parse_args
 from irlsvm.linalg import SingularSystemError
 
 from helpers import ITERATIVE_COMBOS, ITERATIVE_IDS, make_dataset
@@ -82,6 +83,20 @@ def test_grid_rejects_misaligned_end():
     assert code == 2
 
 
+def test_grid_point_count_is_capped_before_the_grid_is_built():
+    assert len(_grid(f"0:1:{MAX_GRID_POINTS - 1}")) == MAX_GRID_POINTS
+    with pytest.raises(argparse.ArgumentTypeError, match="1000001 points"):
+        _grid("0:1e-6:1")
+
+
+def test_overlong_grid_is_usage_error(data_csv, tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep", "--loss", "hinge", "--penalty", "l2", "--lambda-grid", "0:1e-9:1"]
+    assert main(argv + ["--data", str(data_csv), "--out", str(out_dir)]) == 2
+    assert f"more than {MAX_GRID_POINTS}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_sweep_requires_exactly_one_grid(data_csv, tmp_path):
     assert main(["sweep", "--loss", "hinge", "--penalty", "l2", "--data", str(data_csv), "--out", str(tmp_path)]) == 2
     code = main(
@@ -150,8 +165,12 @@ def test_simulate_writes_balanced_dataset(tmp_path):
     assert int((ds.labels == 1).sum()) == 25
 
 
-def test_simulate_rejects_odd_n(tmp_path):
-    assert main(["simulate", "--n", "7", "--out", str(tmp_path / "x.csv")]) == 3
+@pytest.mark.parametrize("n", ["7", "0", "-4"])
+def test_simulate_bad_n_is_usage_error(tmp_path, capsys, n):
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--n", n, "--out", str(out)]) == 2
+    assert f"positive even integer, got {n}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_artifacts(data_csv, tmp_path):

@@ -112,10 +112,12 @@ def test_generator_class_means_near_targets():
 
 
 def test_generator_rejects_odd_n():
-    with pytest.raises(DataError):
+    with pytest.raises(ValueError, match="positive even integer, got 7"):
         generate_gaussian_mixture(7, seed=0)
-    with pytest.raises(DataError):
+    with pytest.raises(ValueError, match="positive even integer, got 0"):
         generate_gaussian_mixture(0, seed=0)
+    with pytest.raises(ValueError, match="equal length"):
+        generate_gaussian_mixture(4, mean_neg=(0.0,), mean_pos=(1.0, 1.0))
 
 
 def test_generator_custom_means():

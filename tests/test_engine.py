@@ -11,16 +11,15 @@ from irlsvm import (
     Loss,
     ModelParams,
     Monitor,
-    OracleOptions,
     Penalty,
     RiskSpec,
     TerminationReason,
     fit,
     monitor_kind,
     monitored_risk,
+    reference_minimize,
     risk,
     smoothed_risk,
-    subgradient_minimize,
 )
 from irlsvm.core import build_design_matrix
 from irlsvm.engine import closed_form_ls_l2, irls_step, majorizer_objective
@@ -30,6 +29,8 @@ from irlsvm.penalties import penalty_quadratic, penalty_value, smoothed_penalty_
 from helpers import ALL_COMBOS, COMBO_IDS, ITERATIVE_COMBOS, ITERATIVE_IDS, make_dataset, two_sample_dataset
 
 EPS = 1e-6
+EXACT_MONITOR_COMBOS = [c for c in ALL_COMBOS if monitor_kind(RiskSpec(*c)) is Monitor.EXACT]
+EXACT_MONITOR_IDS = [f"{loss.value}+{pen.value}" for loss, pen in EXACT_MONITOR_COMBOS]
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +149,17 @@ def test_fit_monitored_risk_never_increases(loss, pen):
         assert (diffs <= 1e-10 * (1.0 + np.abs(track[:-1]))).all()
 
 
+@pytest.mark.parametrize("loss, pen", EXACT_MONITOR_COMBOS, ids=EXACT_MONITOR_IDS)
+def test_exact_monitor_risk_is_the_smoothed_risk(loss, pen):
+    # why fit, check and reference_minimize may read the smoothed risk as the
+    # monitored one for every combination
+    ds = make_dataset(seed=3, n=50, q=3)
+    spec = RiskSpec(loss, pen, lam=0.15, epsilon=EPS)
+    result = fit(spec, ds, FitOptions(max_iterations=30, risk_tolerance=0.0, init=Init.ZERO))
+    assert result.exact_risk_trajectory.tobytes() == result.smoothed_risk_trajectory.tobytes()
+    assert monitored_risk(spec, result.theta, ds) == risk(spec, result.theta, ds)
+
+
 def test_fit_trajectories_include_initial_point(two):
     start = ModelParams(alpha=0.5, beta=[-0.25])
     spec = RiskSpec(Loss.SQUARED_HINGE, Penalty.L2, lam=0.1)
@@ -217,8 +229,8 @@ def test_fit_hinge_l1_two_sample_matches_oracle(two):
     spec = RiskSpec(Loss.HINGE, Penalty.L1, mu=0.1, epsilon=EPS)
     result = fit(spec, two, FitOptions(max_iterations=5000, risk_tolerance=1e-12))
     assert (np.diff(result.smoothed_risk_trajectory) <= 1e-12).all()
-    reference = subgradient_minimize(spec, two, OracleOptions(iterations=50_000, initial_step=0.2))
-    assert abs(result.smoothed_risk_trajectory[-1] - smoothed_risk(spec, reference, two)) <= 1e-4
+    reference = reference_minimize(spec, two)
+    assert abs(result.smoothed_risk_trajectory[-1] - smoothed_risk(spec, reference, two)) <= 1e-8
 
 
 @pytest.mark.parametrize("loss, pen", ALL_COMBOS, ids=COMBO_IDS)
