@@ -131,8 +131,10 @@ class DesignMatrix:
     @cached_property
     def gram(self) -> np.ndarray:
         """Unit-weight Gram matrix Y'Y, cached (it is iteration-independent);
-        exactly symmetric."""
-        g = self.rows.T @ self.rows
+        exactly symmetric. An overflow shows as a non-finite entry, which
+        solve_spd rejects."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = self.rows.T @ self.rows
         g.flags.writeable = False
         return g
 

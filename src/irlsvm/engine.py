@@ -88,7 +88,9 @@ def _pass(
                 gram = _GramBlocks(data.q + 1, buffers.shape[1])
             gram.add(rows.T, weights)
             targets *= weights
-        rhs += targets @ rows
+        # an overflow shows as a non-finite rhs, which solve_spd rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs += targets @ rows
 
     n = data.n
     exact = loss_sum / n + penalty_value(spec.penalty, theta.beta, spec.lam, spec.mu)

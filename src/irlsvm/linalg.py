@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 # Ridge fallback for singular systems: delta = JITTER_SCALE * mean(diag),
 # multiplied by JITTER_GROWTH after each of JITTER_RETRIES failed retries.
@@ -50,14 +49,29 @@ class _GramBlocks:
         # min >= 0 is False when any weight is NaN
         if not (weights.min() >= 0.0 and np.isfinite(weights.max())):
             raise ValueError("weights must be finite and nonnegative")
-        weighted = np.multiply(cols, weights, out=self._work[:, : weights.shape[0]])
-        self.gram += weighted @ cols.T
+        # an overflow shows as a non-finite Gram, which solve_spd rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            weighted = np.multiply(cols, weights, out=self._work[:, : weights.shape[0]])
+            self.gram += weighted @ cols.T
 
     def result(self) -> np.ndarray:
         """The sum so far, made exactly symmetric by mirroring one triangle."""
         lower = np.tril_indices(self.gram.shape[0], -1)
         self.gram[lower] = self.gram.T[lower]
         return self.gram
+
+
+def _cholesky_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with (L L') x = b: forward substitution on L, then back substitution
+    on L'."""
+    k = b.shape[0]
+    y = np.empty(k)
+    for i in range(k):
+        y[i] = (b[i] - lower[i, :i] @ y[:i]) / lower[i, i]
+    x = np.empty(k)
+    for i in reversed(range(k)):
+        x[i] = (y[i] - lower[i + 1 :, i] @ x[i + 1 :]) / lower[i, i]
+    return x
 
 
 def solve_spd(system: SymmetricSystem) -> SpdSolution:
@@ -79,12 +93,15 @@ def solve_spd(system: SymmetricSystem) -> SpdSolution:
     jitter = 0.0
     for attempt in range(JITTER_RETRIES + 1):
         try:
-            factor = cho_factor(a + jitter * np.eye(a.shape[0]), lower=True, check_finite=False)
-            x = cho_solve(factor, b, check_finite=False)
+            lower = np.linalg.cholesky(a + jitter * np.eye(a.shape[0]) if jitter else a)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            # a solution that overflows is retried with more jitter, like a failed factorization
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = _cholesky_solve(lower, b)
             if np.isfinite(x).all():
                 return SpdSolution(x=x, jitter_used=jitter > 0, jitter=jitter)
-        except LinAlgError:
-            pass
         jitter = delta * JITTER_GROWTH**attempt
     smallest = float(np.linalg.eigvalsh(a)[0])
     raise SingularSystemError(

@@ -1,6 +1,9 @@
 import argparse
 import csv
 import dataclasses
+import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -314,6 +317,54 @@ def test_overflowing_system_is_solver_error(tmp_path, capsys):
     )
     assert code == 4
     assert "not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["fit", "check"])
+def test_overflowing_system_prints_only_the_solver_error(tmp_path, verb):
+    data = tmp_path / "big.csv"
+    data.write_text("x1,x2,y\n1e200,-1e200,1\n-1e200,1e200,-1\n2e200,1e200,1\n-1e200,-3e200,-1\n")
+    argv = [verb, "--loss", "hinge", "--penalty", "l2", "--lambda", "0.1", "--data", str(data)]
+    argv += ["--out", str(tmp_path / "m")] if verb == "fit" else []
+    proc = subprocess.run([sys.executable, "-m", "irlsvm", *argv], capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert proc.stderr == "solver error: system matrix or right-hand side is not finite\n"
+
+
+# every verb through cli.main in a fresh interpreter in which importing scipy fails
+_NO_SCIPY_RUN = """
+import json, sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+import irlsvm, irlsvm.cli
+
+work = sys.argv[1]
+data, model = f"{work}/d.csv", f"{work}/m.model"
+runs = [
+    ["simulate", "--n", "2000", "--out", data],
+    ["fit", "--loss", "logistic", "--penalty", "l2", "--lambda", "0.1", "--data", data, "--out", model],
+    ["sweep", "--loss", "hinge", "--penalty", "l1", "--mu-grid", "0.1:0.1:0.2", "--data", data, "--out", f"{work}/s"],
+    ["predict", "--model", model, "--data", data, "--out", f"{work}/p.csv"],
+    ["check", "--loss", "squared-hinge", "--penalty", "elastic", "--lambda", "0.1", "--mu", "0.1", "--data", data],
+]
+codes = {argv[0]: irlsvm.cli.main(argv) for argv in runs}
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")}))
+"""
+
+
+def test_every_verb_runs_with_scipy_imports_blocked(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == {"simulate": 0, "fit": 0, "sweep": 0, "predict": 0, "check": 0}, proc.stdout
+    assert report["scipy"] == []
 
 
 def test_predict_can_overwrite_its_input(data_csv, tmp_path):

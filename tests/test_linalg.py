@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -61,6 +63,21 @@ def test_solve_spd_identity_and_diagonal():
     assert_allclose(sol.x, [1.0, 2.0], rtol=1e-15)
 
 
+def test_solve_spd_matches_scipy_cho_solve():
+    from scipy.linalg import cho_factor, cho_solve  # the reference only; the package needs no scipy
+
+    rng = np.random.default_rng(12)
+    for k in range(1, 61):
+        m = rng.normal(size=(3 * k, k))
+        a = m.T @ m / (3 * k) + np.eye(k)
+        b = rng.normal(size=k)
+        sol = solve_spd(SymmetricSystem(matrix=a, rhs=b))
+        assert not sol.jitter_used
+        expected = cho_solve(cho_factor(a, lower=True), b)
+        # a component near 0 is held to 1e-12 of the solution's scale, not of itself
+        assert_allclose(sol.x, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
 def test_solve_spd_jitter_rescues_singular_system():
     sol = solve_spd(SymmetricSystem(matrix=np.diag([1.0, 0.0]), rhs=np.array([1.0, 0.0])))
     assert sol.jitter_used and sol.jitter > 0
@@ -88,6 +105,15 @@ def test_solve_spd_reports_unrecoverable_singularity():
     system = SymmetricSystem(matrix=np.array([[0.0, 1.0], [1.0, 0.0]]), rhs=np.array([1.0, 1.0]))
     with pytest.raises(SingularSystemError, match="pivot"):
         solve_spd(system)
+
+
+def test_solve_spd_overflowing_solution_is_singular_without_a_warning():
+    # the factor exists, but x = 1e10 / 1e-300 is beyond float range at every jitter
+    system = SymmetricSystem(matrix=np.array([[1e-300]]), rhs=np.array([1e10]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystemError, match="pivot"):
+            solve_spd(system)
 
 
 def test_solve_spd_dimension_mismatch():
