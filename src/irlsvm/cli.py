@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .core import Loss, ModelParams, Penalty, RiskSpec, build_design_matrix, monitor_kind, predict_batch
+from .core import Loss, Penalty, RiskSpec, build_design_matrix, monitor_kind, predict_batch
 from .data_io import (
     DataError,
     generate_gaussian_mixture,
@@ -27,7 +28,7 @@ from .data_io import (
     write_predictions_csv,
     write_trajectory_csv,
 )
-from .engine import FitError, FitOptions, Init, fit, majorizer_objective
+from .engine import FitError, FitOptions, Init, _surrogate_values, fit
 from .linalg import SingularSystemError
 
 EXIT_OK = 0
@@ -107,6 +108,13 @@ def _add_fit_flags(parser):
 
 
 def parse_args(argv=None) -> argparse.Namespace:
+    return _parser().parse_args(argv)
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    more than parsing one command line."""
     parser = argparse.ArgumentParser(
         prog="irlsvm",
         description="Train linear SVMs with reweighted-least-squares updates derived from quadratic surrogates.",
@@ -148,7 +156,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     p_check.add_argument("--data", required=True)
     p_check.set_defaults(handler=_cmd_check)
 
-    return parser.parse_args(argv)
+    return parser
 
 
 def _spec_from_args(args) -> RiskSpec:
@@ -271,21 +279,16 @@ def _cmd_check(args) -> int:
     options = _options_from_args(args)
     dataset = load_dataset_csv(args.data)
     result = fit(spec, dataset, options)
-    design = build_design_matrix(dataset)
     monitor = monitor_kind(spec)
     # the smoothed risk is the monitored risk (see engine.fit)
     track = result.smoothed_risk_trajectory
     worst_descent = float(np.max(np.diff(track) / (1.0 + np.abs(track[:-1]))))
 
     # each recorded update against the surrogate anchored at the iterate before it
-    worst_anchor = 0.0
-    worst_surrogate = -np.inf
-    iterates = [ModelParams.from_vector(row) for row in result.theta_trajectory]
-    for anchor, update, anchor_risk in zip(iterates, iterates[1:], track):
-        anchor_value = majorizer_objective(spec, anchor, anchor, design)
-        worst_anchor = max(worst_anchor, abs(anchor_value - anchor_risk) / (1.0 + abs(anchor_risk)))
-        surrogate_drop = majorizer_objective(spec, update, anchor, design) - anchor_value
-        worst_surrogate = max(worst_surrogate, surrogate_drop / (1.0 + abs(anchor_value)))
+    at, after = _surrogate_values(spec, result.theta_trajectory, build_design_matrix(dataset))
+    anchor_risk = track[:-1]
+    worst_anchor = float(np.max(np.abs(at - anchor_risk) / (1.0 + np.abs(anchor_risk))))
+    worst_surrogate = float(np.max((after - at) / (1.0 + np.abs(at))))
 
     checks = [
         (f"monotone {monitor.value}-risk descent", worst_descent <= DESCENT_SLACK, worst_descent),

@@ -138,6 +138,15 @@ class DesignMatrix:
         g.flags.writeable = False
         return g
 
+    @cached_property
+    def column_sums(self) -> np.ndarray:
+        """Column sums 1'Y, cached like gram; an overflow shows as a non-finite
+        entry, which solve_spd rejects."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = self.rows.sum(axis=0)
+        s.flags.writeable = False
+        return s
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -261,17 +270,6 @@ def build_design_matrix(dataset: Dataset) -> DesignMatrix:
     np.multiply(dataset.features.T, dataset.labels, out=cols[1:])
     cols.flags.writeable = False
     return DesignMatrix(rows=cols.T)
-
-
-def margins(design: DesignMatrix, theta: ModelParams) -> np.ndarray:
-    """Margins m_i = y_i * (alpha + beta.t_i), i.e. the entries of Y @ theta."""
-    if theta.q != design.q:
-        raise ValueError(f"theta has {theta.q} features but design has {design.q}")
-    vec = theta.as_vector()
-    out = np.empty(design.n)
-    for block in _row_blocks(design.n):
-        np.matmul(design.rows[block], vec, out=out[block])
-    return out
 
 
 def _margin_blocks(data: DesignMatrix | Dataset, theta: ModelParams, out: np.ndarray):

@@ -17,10 +17,10 @@ from enum import Enum
 import numpy as np
 
 from .core import _BLOCK_ROWS, Dataset, DesignMatrix, FitResult, Loss, ModelParams, Penalty, RiskSpec
-from .core import TerminationReason, _margin_blocks, build_design_matrix, margins
+from .core import TerminationReason, _margin_blocks, _row_blocks, build_design_matrix
 from .linalg import SingularSystemError, SymmetricSystem, _GramBlocks, solve_spd
-from .losses import _block_terms, _penalty_scale, majorizer_value
-from .penalties import penalty_majorizer_value, penalty_quadratic, penalty_value, smoothed_penalty_value
+from .losses import _block_terms, _penalty_scale, _rhs_offset, majorizer_value
+from .penalties import _penalty_terms, penalty_majorizer_value
 
 WARM_START_RIDGE_FLOOR = 1e-3
 
@@ -60,8 +60,18 @@ class FitError(RuntimeError):
         self.smoothed_trajectory = np.asarray(smoothed_trajectory)
 
 
+def _pass_buffers(data: DesignMatrix | Dataset, update: bool) -> np.ndarray:
+    """Block buffers of a pass over data: the margins, three loss-term rows
+    and, for an update, the q+1 rows of a weighted block."""
+    return np.empty((4 + (data.q + 1 if update else 0), min(data.n, _BLOCK_ROWS)))
+
+
 def _pass(
-    spec: RiskSpec, theta: ModelParams, data: DesignMatrix | Dataset, update: bool = True
+    spec: RiskSpec,
+    theta: ModelParams,
+    data: DesignMatrix | Dataset,
+    update: bool = True,
+    buffers: np.ndarray | None = None,
 ) -> tuple[float, float, SymmetricSystem | None]:
     """One pass over the row blocks of data at theta: the exact and smoothed
     risks there and, with update, the normal equations of the surrogate
@@ -69,15 +79,18 @@ def _pass(
     alone the dataset.
 
     Every block's margins and loss terms go through the same block-sized
-    buffers, so the pass allocates no n-length array.
+    buffers (_pass_buffers; fit hands every pass the same ones, so a fit
+    allocates them once), so the pass allocates no n-length array.
     """
-    buffers = np.empty((5, min(data.n, _BLOCK_ROWS)))
+    k = data.q + 1
+    if buffers is None:
+        buffers = _pass_buffers(data, update)
     gram = None
-    rhs = np.zeros(data.q + 1)
+    rhs = np.zeros(k)
     loss_sum = smoothed_sum = 0.0
     for block, m in _margin_blocks(data, theta, buffers[0]):
-        scratch = buffers[1:, : m.shape[0]]
-        block_loss, block_smoothed, weights, targets = _block_terms(spec.loss, m, spec.epsilon, scratch, update)
+        scratch = buffers[1:4, : m.shape[0]]
+        block_loss, block_smoothed, weights, rhs_weights = _block_terms(spec.loss, m, spec.epsilon, scratch, update)
         loss_sum += block_loss
         smoothed_sum += block_smoothed
         if not update:
@@ -85,22 +98,66 @@ def _pass(
         rows = data.rows[block]
         if weights is not None:
             if gram is None:
-                gram = _GramBlocks(data.q + 1, buffers.shape[1])
+                gram = _GramBlocks(buffers[4:])
             gram.add(rows.T, weights)
-            targets *= weights
-        # an overflow shows as a non-finite rhs, which solve_spd rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            rhs += targets @ rows
+        if rhs_weights is not None:
+            # an overflow shows as a non-finite rhs, which solve_spd rejects
+            with np.errstate(over="ignore", invalid="ignore"):
+                rhs += rhs_weights @ rows
 
     n = data.n
-    exact = loss_sum / n + penalty_value(spec.penalty, theta.beta, spec.lam, spec.mu)
-    smoothed = smoothed_sum / n + smoothed_penalty_value(spec.penalty, theta.beta, spec.lam, spec.mu, spec.epsilon)
+    penalty, smoothed_penalty, diag = _penalty_terms(spec.penalty, theta.beta, spec.lam, spec.mu, spec.epsilon)
+    exact = loss_sum / n + penalty
+    smoothed = smoothed_sum / n + smoothed_penalty
     if not update:
         return exact, smoothed, None
+    offset = _rhs_offset(spec.loss, data, theta)
+    if offset is not None:
+        rhs += offset
     a = data.gram.copy() if gram is None else gram.result()
-    diag = penalty_quadratic(spec.penalty, theta.beta, spec.lam, spec.mu, spec.epsilon)
-    a[np.diag_indices_from(a)] += _penalty_scale(spec.loss) * n * diag
+    # the diagonal entries of beta, through a strided view of the C-ordered matrix
+    a.reshape(-1)[k + 1 :: k + 1] += _penalty_scale(spec.loss) * n * diag
     return exact, smoothed, SymmetricSystem(matrix=a, rhs=rhs)
+
+
+def _surrogate_values(spec: RiskSpec, iterates: np.ndarray, design: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Full surrogate objectives (constants included) along consecutive
+    iterates, the rows of iterates, in one blocked pass over the design.
+
+    Returns (at, after): at[t] is the surrogate anchored at iterates[t]
+    evaluated there, which equals the monitored risk, and after[t] the same
+    surrogate at iterates[t + 1]. Each row block computes the margins of
+    every iterate once, into one of two block-sized rows that take turns
+    holding the anchor, and sums majorizer_value over the pair;
+    penalty_majorizer_value adds the penalty parts. No update rule is
+    involved, so the values check the update independently.
+    """
+    iterates = np.asarray(iterates, dtype=float)
+    if iterates.ndim != 2 or iterates.shape[1] != design.q + 1:
+        raise ValueError(f"iterates must be rows of {design.q + 1} parameters")
+    count = iterates.shape[0]
+    pair = np.empty((2, min(design.n, _BLOCK_ROWS)))
+    loss_at = np.zeros(count - 1)
+    loss_after = np.zeros(count - 1)
+    for block in _row_blocks(design.n):
+        rows = design.rows[block]
+        m = pair[:, : rows.shape[0]]
+        np.matmul(rows, iterates[0], out=m[0])
+        for t in range(count - 1):
+            anchor, update = t % 2, 1 - t % 2
+            np.matmul(rows, iterates[t + 1], out=m[update])
+            sums = majorizer_value(spec.loss, m, m[anchor], spec.epsilon).sum(axis=1)
+            loss_at[t] += sums[anchor]
+            loss_after[t] += sums[update]
+
+    def penalty_part(beta, beta_ref):
+        return penalty_majorizer_value(spec.penalty, beta, beta_ref, spec.lam, spec.mu, spec.epsilon)
+
+    n = design.n
+    betas = iterates[:, 1:]
+    at = [loss_at[t] / n + penalty_part(betas[t], betas[t]) for t in range(count - 1)]
+    after = [loss_after[t] / n + penalty_part(betas[t + 1], betas[t]) for t in range(count - 1)]
+    return np.array(at), np.array(after)
 
 
 def risk(spec: RiskSpec, theta: ModelParams, dataset: Dataset) -> float:
@@ -133,15 +190,6 @@ def closed_form_ls_l2(design: DesignMatrix, lam: float) -> ModelParams:
     return irls_step(RiskSpec(Loss.LEAST_SQUARES, Penalty.L2, lam=lam), ModelParams.zeros(design.q), design)
 
 
-def majorizer_objective(spec: RiskSpec, theta: ModelParams, anchor: ModelParams, design: DesignMatrix) -> float:
-    """Full surrogate objective (constants included) at theta, anchored at
-    anchor; equals the monitored risk when theta == anchor."""
-    m = margins(design, theta)
-    m_ref = margins(design, anchor)
-    loss_part = float(np.mean(majorizer_value(spec.loss, m, m_ref, spec.epsilon)))
-    return loss_part + penalty_majorizer_value(spec.penalty, theta.beta, anchor.beta, spec.lam, spec.mu, spec.epsilon)
-
-
 def _initial_theta(options: FitOptions, spec: RiskSpec, design: DesignMatrix) -> ModelParams:
     if isinstance(options.init, ModelParams):
         if options.init.q != design.q:
@@ -168,7 +216,8 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
     closed_form = spec.loss is Loss.LEAST_SQUARES and spec.penalty is Penalty.L2
     theta = _initial_theta(options, spec, design)
     steps = 1 if closed_form else options.max_iterations
-    exact, smoothed, system = _pass(spec, theta, design)
+    buffers = _pass_buffers(design, update=True)
+    exact, smoothed, system = _pass(spec, theta, design, buffers=buffers)
     theta_track = [theta.as_vector()]
     exact_track = [exact]
     smoothed_track = [smoothed]
@@ -186,7 +235,7 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
         theta = ModelParams.from_vector(solution.x)
         theta_track.append(solution.x)
         # the last allowed update needs no system after it
-        exact, smoothed, system = _pass(spec, theta, design, update=step + 1 < steps)
+        exact, smoothed, system = _pass(spec, theta, design, update=step + 1 < steps, buffers=buffers)
         exact_track.append(exact)
         smoothed_track.append(smoothed)
         # tolerance 0 disables early stopping entirely (fixed-count protocol)

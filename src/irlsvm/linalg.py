@@ -1,7 +1,10 @@
 """Blocked weighted Gram accumulation and symmetric positive-definite solves.
 
 Every update in the engine solves a system of the form
-(Y'WY + diagonal) theta = Y'W r; this module owns that plumbing.
+(Y'WY + diagonal) theta = Y'W r; this module owns that plumbing. A solve
+factors the matrix with numpy's Cholesky and substitutes forward and back on
+the factor with two whole-array LAPACK solves, so its Python cost does not
+grow with the number of features, and the package needs no scipy.
 """
 
 from __future__ import annotations
@@ -38,11 +41,13 @@ class SpdSolution:
 
 class _GramBlocks:
     """Y'WY accumulated one row block at a time through one reused weighted
-    copy of a block; each block's weights are checked as they come."""
+    copy of a block, in work (k x at least the block's rows, which the
+    caller may reuse across Grams); each block's weights are checked as
+    they come."""
 
-    def __init__(self, k: int, block_rows: int):
-        self.gram = np.zeros((k, k))
-        self._work = np.empty((k, block_rows))
+    def __init__(self, work: np.ndarray):
+        self.gram = np.zeros((work.shape[0], work.shape[0]))
+        self._work = work
 
     def add(self, cols: np.ndarray, weights: np.ndarray) -> None:
         """Add the block whose (q+1) x b columns are cols, weighted by weights."""
@@ -55,27 +60,27 @@ class _GramBlocks:
             self.gram += weighted @ cols.T
 
     def result(self) -> np.ndarray:
-        """The sum so far, made exactly symmetric by mirroring one triangle."""
-        lower = np.tril_indices(self.gram.shape[0], -1)
-        self.gram[lower] = self.gram.T[lower]
+        """The sum so far, made exactly symmetric as the mean of it and its
+        transpose (floating-point addition commutes)."""
+        self.gram += self.gram.T
+        self.gram *= 0.5
         return self.gram
 
 
-def _cholesky_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with (L L') x = b: forward substitution on L, then back substitution
-    on L'."""
-    k = b.shape[0]
-    y = np.empty(k)
-    for i in range(k):
-        y[i] = (b[i] - lower[i, :i] @ y[:i]) / lower[i, i]
-    x = np.empty(k)
-    for i in reversed(range(k)):
-        x[i] = (y[i] - lower[i + 1 :, i] @ x[i + 1 :]) / lower[i, i]
-    return x
+def _forward_substitution(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """y with L y = b for a lower-triangular L, by one LAPACK solve.
+
+    Reversing the rows and columns turns L into an upper triangle, whose LU
+    factorization is the triangle itself (no pivot, zero multipliers), so the
+    solve is a plain substitution, as the solve with L' for the second half
+    of a Cholesky solve is.
+    """
+    return np.linalg.solve(lower[::-1, ::-1], b[::-1])[::-1]
 
 
 def solve_spd(system: SymmetricSystem) -> SpdSolution:
-    """Solve A x = b by Cholesky factorization, with a ridge-jitter fallback.
+    """Solve A x = b by Cholesky factorization A = L L' and the two triangular
+    solves on L and L', with a ridge-jitter fallback.
 
     If the factorization fails (A singular or numerically indefinite), a
     diagonal delta*I is added with delta = JITTER_SCALE * trace(A)/(q+1),
@@ -89,20 +94,18 @@ def solve_spd(system: SymmetricSystem) -> SpdSolution:
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise SingularSystemError("system matrix or right-hand side is not finite")
 
-    delta = JITTER_SCALE * np.trace(a) / a.shape[0]
     jitter = 0.0
     for attempt in range(JITTER_RETRIES + 1):
+        # a solution that overflows is retried with more jitter, like a failed factorization
         try:
             lower = np.linalg.cholesky(a + jitter * np.eye(a.shape[0]) if jitter else a)
+            x = np.linalg.solve(lower.T, _forward_substitution(lower, b))
         except np.linalg.LinAlgError:
             pass
         else:
-            # a solution that overflows is retried with more jitter, like a failed factorization
-            with np.errstate(over="ignore", invalid="ignore"):
-                x = _cholesky_solve(lower, b)
             if np.isfinite(x).all():
                 return SpdSolution(x=x, jitter_used=jitter > 0, jitter=jitter)
-        jitter = delta * JITTER_GROWTH**attempt
+        jitter = JITTER_SCALE * np.trace(a) / a.shape[0] * JITTER_GROWTH**attempt
     smallest = float(np.linalg.eigvalsh(a)[0])
     raise SingularSystemError(
         f"system is singular after {JITTER_RETRIES} jitter retries (smallest pivot {smallest:.3e})"

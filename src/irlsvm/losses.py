@@ -2,9 +2,10 @@
 per-iteration terms each loss feeds into the reweighted normal equations.
 
 Every public function accepts scalars or numpy arrays of margins and is
-pure. Each formula is written once, in a private function that fills a
-given array; the public functions apply it to a whole margin vector and
-the engine's blocked pass to one row block at a time (_block_terms).
+pure. The loss, smoothing and sigmoid formulas live in private functions
+that fill a given array; the public functions apply them to whole margin
+vectors, and _block_terms to one row block of the engine's pass at a time,
+in the order its update's algebra needs them.
 """
 
 from __future__ import annotations
@@ -39,21 +40,11 @@ def _loss_into(kind: Loss, m: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hinge_gamma(m: np.ndarray, epsilon: float, out: np.ndarray) -> np.ndarray:
-    """gamma = sqrt((1 - m)^2 + eps), the smoothed |1 - m|, written into out."""
-    np.subtract(1.0, m, out=out)
-    np.multiply(out, out, out=out)
+def _hinge_gamma(u: np.ndarray, epsilon: float, out: np.ndarray) -> np.ndarray:
+    """gamma = sqrt(u^2 + eps), the smoothed |u| at u = 1 - m, written into out."""
+    np.multiply(u, u, out=out)
     out += epsilon
     return np.sqrt(out, out=out)
-
-
-def _smoothed_hinge_into(m: np.ndarray, gamma: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Smoothed hinge (gamma + 1 - m)/2, i.e. max(0, u) = (|u| + u)/2 with
-    u = 1 - m and |u| smoothed to gamma, written into out (which may be gamma)."""
-    np.add(gamma, 1.0, out=out)
-    out -= m
-    out *= 0.5
-    return out
 
 
 _UNIT_OPEN = (np.finfo(float).tiny, 1.0 - 2.0**-53)
@@ -69,25 +60,6 @@ def _logistic_pi(m: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.clip(out, *_UNIT_OPEN, out=out)
 
 
-def _reweight(kind: Loss, m: np.ndarray, gamma: np.ndarray | None, weights, targets: np.ndarray):
-    """Weights and targets of the update at margins m, written into weights
-    and targets; returns the weights, or None for W = I. gamma must hold
-    _hinge_gamma at m for the hinge and is unused otherwise."""
-    if kind is Loss.HINGE:
-        np.divide(0.25, gamma, out=weights)
-        np.add(gamma, 1.0, out=targets)
-        return weights
-    if kind is Loss.LEAST_SQUARES:
-        targets.fill(1.0)
-    elif kind is Loss.SQUARED_HINGE:
-        np.maximum(m, 1.0, out=targets)
-    else:
-        # m + 4 pi: the logistic surrogate's curvature bound is 1/4
-        np.multiply(_logistic_pi(m, targets), 4.0, out=targets)
-        targets += m
-    return None
-
-
 def _penalty_scale(kind: Loss) -> float:
     """Factor of n on the penalty diagonals in the normal equations: the
     logistic surrogate carries a 1/(8n) quadratic coefficient, so clearing
@@ -97,18 +69,55 @@ def _penalty_scale(kind: Loss) -> float:
 
 def _block_terms(kind: Loss, m: np.ndarray, epsilon: float, scratch, update: bool):
     """One row block's share of a pass at its margins m: (sum of the exact
-    losses, sum of the smoothed losses, weights, targets). With update False
-    weights and targets are None; otherwise weights is None for W = I.
-    scratch holds four arrays of m's shape, which the results occupy."""
-    values, gamma, weights, targets = scratch
-    loss_sum = float(_loss_into(kind, m, values).sum())
-    smoothed_sum = loss_sum
+    losses, sum of the smoothed losses, weights, rhs weights).
+
+    The update's normal equations (Y'WY + diagonal) theta = Y'W r gain
+    Y_b' diag(weights) Y_b on the left (Y_b'Y_b when weights is None) and
+    rhs_weights' Y_b on the right (nothing when None); _rhs_offset is the
+    part of the right side no block contributes. Each loss's rule follows
+    the algebra of its weights w and targets r:
+    - hinge: w = 1/(4 gamma) and r = gamma + 1, so W r = w + 1/4: the
+      right side is w'Y + 1'Y/4;
+    - least squares: W = I and r = 1: the right side is 1'Y;
+    - squared hinge: W = I and r = max(m, 1);
+    - logistic: W = I and r = m + 4 pi (the curvature bound is 1/4): the
+      right side is Y'Y theta + 4 pi'Y.
+    With update False, weights and rhs weights are None. scratch holds three
+    arrays of m's shape, which the results occupy.
+    """
+    values, gamma, work = scratch
     if kind is Loss.HINGE:
-        _hinge_gamma(m, epsilon, gamma)
-        smoothed_sum = float(_smoothed_hinge_into(m, gamma, values).sum())
-    if not update:
-        return loss_sum, smoothed_sum, None, None
-    return loss_sum, smoothed_sum, _reweight(kind, m, gamma, weights, targets), targets
+        u = np.subtract(1.0, m, out=values)
+        _hinge_gamma(u, epsilon, gamma)
+        # the smoothed hinge is (gamma + u)/2: max(0, u) = (|u| + u)/2 with |u| smoothed to gamma
+        smoothed_sum = 0.5 * float(np.add(gamma, u, out=work).sum())
+        loss_sum = float(np.maximum(u, 0.0, out=u).sum())
+        if not update:
+            return loss_sum, smoothed_sum, None, None
+        weights = np.divide(0.25, gamma, out=work)
+        return loss_sum, smoothed_sum, weights, weights
+    loss_sum = float(_loss_into(kind, m, values).sum())
+    if not update or kind is Loss.LEAST_SQUARES:
+        return loss_sum, loss_sum, None, None
+    if kind is Loss.SQUARED_HINGE:
+        return loss_sum, loss_sum, None, np.maximum(m, 1.0, out=work)
+    pi = _logistic_pi(m, work)
+    pi *= 4.0
+    return loss_sum, loss_sum, None, pi
+
+
+def _rhs_offset(kind: Loss, design, theta) -> np.ndarray | None:
+    """The part of the update's right side that no row block contributes
+    (see _block_terms) for the surrogate anchored at theta, or None."""
+    if kind is Loss.HINGE:
+        return 0.25 * design.column_sums
+    if kind is Loss.LEAST_SQUARES:
+        return design.column_sums
+    if kind is Loss.LOGISTIC:
+        # an overflow shows as a non-finite right side, which solve_spd rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            return design.gram @ theta.as_vector()
+    return None
 
 
 def loss_value(kind: Loss, m):
@@ -128,8 +137,8 @@ def smoothed_loss_value(kind: Loss, m, epsilon: float):
         raise ValueError("epsilon must be > 0")
     if kind is not Loss.HINGE:
         return loss_value(kind, m)
-    m = np.asarray(m, dtype=float)
-    out = _smoothed_hinge_into(m, _hinge_gamma(m, epsilon, np.empty_like(m)), np.empty_like(m))
+    u = 1.0 - np.asarray(m, dtype=float)
+    out = (_hinge_gamma(u, epsilon, np.empty_like(u)) + u) * 0.5
     return out if out.ndim else float(out)
 
 
@@ -144,21 +153,32 @@ def majorizer_value(kind: Loss, m, m_ref, epsilon: float):
         raise ValueError("epsilon must be > 0")
     m = np.asarray(m, dtype=float)
     m_ref = np.asarray(m_ref, dtype=float)
-    u = 1.0 - m
-    v = 1.0 - m_ref
+    # in place from u = 1 - m, so the only temporaries are of m's and m_ref's shapes
+    out = np.subtract(1.0, m, out=np.empty(np.broadcast_shapes(m.shape, m_ref.shape)))
     if kind is Loss.HINGE:
-        gamma = _hinge_gamma(m_ref, epsilon, np.empty_like(m_ref))
+        gamma = np.subtract(1.0, m_ref, out=np.empty_like(m_ref))
+        _hinge_gamma(gamma, epsilon, gamma)
         # ((u + gamma)^2 + eps) / (4 gamma): the anchor constant eps/(4 gamma)
         # makes the surrogate exactly tangent to the smoothed hinge
-        out = ((u + gamma) ** 2 + epsilon) / (4.0 * gamma)
+        out += gamma
+        np.square(out, out=out)
+        out += epsilon
+        gamma *= 4.0
+        out /= gamma
     elif kind is Loss.LEAST_SQUARES:
-        out = u * u
+        np.square(out, out=out)
     elif kind is Loss.SQUARED_HINGE:
-        out = np.where(v >= 0.0, u * u, (u - v) ** 2)
+        # u^2 where v = 1 - m_ref >= 0, else (u - v)^2
+        out -= np.minimum(1.0 - m_ref, 0.0)
+        np.square(out, out=out)
     elif kind is Loss.LOGISTIC:
         # curvature bound 1/4 on the logistic second derivative
-        d = m - m_ref
-        out = loss_value(Loss.LOGISTIC, m_ref) - _logistic_pi(m_ref, np.empty_like(m_ref)) * d + d * d / 8.0
+        d = np.subtract(m, m_ref, out=out)
+        curvature = d * d
+        curvature /= 8.0
+        np.multiply(d, _logistic_pi(m_ref, np.empty_like(m_ref)), out=out)
+        np.subtract(loss_value(Loss.LOGISTIC, m_ref), out, out=out)
+        out += curvature
     else:
         raise ValueError(f"unknown loss {kind}")
     return out if out.ndim else float(out)

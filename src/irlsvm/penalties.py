@@ -35,6 +35,26 @@ def smoothed_penalty_value(kind: Penalty, beta, lam: float, mu: float, epsilon: 
     return value
 
 
+def _penalty_terms(kind: Penalty, beta: np.ndarray, lam: float, mu: float, epsilon: float):
+    """The engine's once-per-pass penalty terms at beta: (penalty_value,
+    smoothed_penalty_value, penalty_quadratic without its intercept entry),
+    the last two from one sqrt. The diagonal is a scalar when it does not
+    vary over beta's entries."""
+    exact = smoothed = 0.0
+    diag = 0.0
+    if kind in (Penalty.L2, Penalty.ELASTIC_NET):
+        ridge = lam * float(beta @ beta)
+        exact += ridge
+        smoothed += ridge
+        diag = lam
+    if kind in (Penalty.L1, Penalty.ELASTIC_NET):
+        root = np.sqrt(beta * beta + epsilon)
+        exact += mu * float(np.abs(beta).sum())
+        smoothed += mu * float(root.sum())
+        diag = diag + 0.5 * mu / root
+    return exact, smoothed, diag
+
+
 def omega_diagonal(beta_ref, epsilon: float) -> np.ndarray:
     """Length-(q+1) diagonal (0, 1/sqrt(v_1^2+eps), ..., 1/sqrt(v_q^2+eps))."""
     if epsilon <= 0:

@@ -3,9 +3,16 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from irlsvm import Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec, TerminationReason, predict, predict_batch
-from irlsvm.core import build_design_matrix, margins
+from irlsvm.core import _BLOCK_ROWS, _margin_blocks, build_design_matrix
 
 from helpers import make_dataset
+
+
+def margins(data, theta):
+    """Margins y_i * (alpha + beta.t_i) stitched from the blocked pass's walk
+    over data, a design matrix or a dataset."""
+    buffer = np.empty(min(data.n, _BLOCK_ROWS))
+    return np.concatenate([m.copy() for _block, m in _margin_blocks(data, theta, buffer)])
 
 
 def test_design_matrix_rows():
@@ -53,24 +60,36 @@ def test_margins_examples(two_sample):
     assert_array_equal(margins(design, ModelParams.zeros(1)), [0.0, 0.0])
     assert_array_equal(margins(design, ModelParams(alpha=0.0, beta=[1.0])), [1.0, 1.0])
 
+    assert_array_equal(margins(two_sample, ModelParams(alpha=0.0, beta=[1.0])), [1.0, 1.0])
+
     ds = Dataset(features=np.array([[3.0]]), labels=np.array([-1.0]))
     assert margins(build_design_matrix(ds), ModelParams(alpha=1.0, beta=[2.0]))[0] == -7.0
+    assert margins(ds, ModelParams(alpha=1.0, beta=[2.0]))[0] == -7.0
 
 
-def test_margins_match_per_row_evaluation():
-    ds = make_dataset(seed=11, n=60, q=4)
+def _assert_margins_match_per_row_evaluation(ds):
     design = build_design_matrix(ds)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        theta = ModelParams(alpha=rng.normal(), beta=rng.normal(size=4))
+        theta = ModelParams(alpha=rng.normal(), beta=rng.normal(size=ds.q))
         direct = ds.labels * (theta.alpha + ds.features @ theta.beta)
         assert_allclose(margins(design, theta), direct, rtol=1e-12, atol=1e-12)
+        assert_allclose(margins(ds, theta), direct, rtol=1e-12, atol=1e-12)
+
+
+def test_margins_match_per_row_evaluation():
+    _assert_margins_match_per_row_evaluation(make_dataset(seed=11, n=60, q=4))
+
+
+def test_margins_match_per_row_evaluation_across_blocks():
+    # two full blocks and a partial one
+    _assert_margins_match_per_row_evaluation(make_dataset(seed=11, n=2 * _BLOCK_ROWS + 123, q=4))
 
 
 def test_margins_dimension_mismatch(two_sample):
-    design = build_design_matrix(two_sample)
-    with pytest.raises(ValueError):
-        margins(design, ModelParams(alpha=0.0, beta=[1.0, 2.0]))
+    for data in (two_sample, build_design_matrix(two_sample)):
+        with pytest.raises(ValueError):
+            margins(data, ModelParams(alpha=0.0, beta=[1.0, 2.0]))
 
 
 def test_predict_examples():

@@ -22,9 +22,9 @@ from irlsvm import (
     smoothed_risk,
 )
 from irlsvm.core import build_design_matrix
-from irlsvm.engine import closed_form_ls_l2, irls_step, majorizer_objective
-from irlsvm.losses import loss_value, smoothed_loss_value
-from irlsvm.penalties import penalty_quadratic, penalty_value, smoothed_penalty_value
+from irlsvm.engine import _surrogate_values, closed_form_ls_l2, irls_step
+from irlsvm.losses import loss_value, majorizer_value, smoothed_loss_value
+from irlsvm.penalties import penalty_majorizer_value, penalty_quadratic, penalty_value, smoothed_penalty_value
 
 from helpers import ALL_COMBOS, COMBO_IDS, ITERATIVE_COMBOS, ITERATIVE_IDS, make_dataset, two_sample_dataset
 
@@ -233,6 +233,12 @@ def test_fit_hinge_l1_two_sample_matches_oracle(two):
     assert abs(result.smoothed_risk_trajectory[-1] - smoothed_risk(spec, reference, two)) <= 1e-8
 
 
+def majorizer_objective(spec, theta, anchor, design):
+    """The surrogate anchored at anchor, at theta, from the verifier's pass
+    over the two iterates (anchor, theta)."""
+    return _surrogate_values(spec, np.stack([anchor.as_vector(), theta.as_vector()]), design)[1][0]
+
+
 @pytest.mark.parametrize("loss, pen", ALL_COMBOS, ids=COMBO_IDS)
 def test_surrogate_touches_monitored_risk_at_anchor(loss, pen):
     ds = make_dataset(seed=24, n=40, q=3)
@@ -415,3 +421,30 @@ def test_update_system_matches_dense_reference_across_blocks(blocked, loss, pen,
     matrix, rhs = _dense_system(spec, theta, blocked)
     assert_allclose(systems[0].matrix, matrix, rtol=1e-12, atol=0)
     assert_allclose(systems[0].rhs, rhs, rtol=1e-12, atol=0)
+
+
+def _dense_surrogate_values(spec, iterates, dataset):
+    """(at, after) of the verifier's pass, one pair of consecutive iterates
+    at a time over whole margin vectors."""
+
+    def surrogate(theta, anchor):
+        m = dataset.labels * (theta[0] + dataset.features @ theta[1:])
+        m_ref = dataset.labels * (anchor[0] + dataset.features @ anchor[1:])
+        loss_part = np.mean(majorizer_value(spec.loss, m, m_ref, spec.epsilon))
+        return loss_part + penalty_majorizer_value(spec.penalty, theta[1:], anchor[1:], spec.lam, spec.mu, spec.epsilon)
+
+    pairs = list(zip(iterates, iterates[1:]))
+    return np.array([surrogate(a, a) for a, _ in pairs]), np.array([surrogate(t, a) for a, t in pairs])
+
+
+@pytest.mark.parametrize("loss, pen", ITERATIVE_COMBOS, ids=ITERATIVE_IDS)
+def test_surrogate_values_match_dense_reference_across_blocks(blocked, loss, pen):
+    spec = RiskSpec(loss, pen, lam=0.2, mu=0.3, epsilon=EPS)
+    result = fit(spec, blocked, FitOptions(max_iterations=3, risk_tolerance=0.0, init=Init.ZERO))
+    at, after = _surrogate_values(spec, result.theta_trajectory, build_design_matrix(blocked))
+    dense_at, dense_after = _dense_surrogate_values(spec, result.theta_trajectory, blocked)
+    assert at.shape == after.shape == (3,)
+    assert_allclose(at, dense_at, rtol=1e-12, atol=0)
+    assert_allclose(after, dense_after, rtol=1e-12, atol=0)
+    # the surrogate at the anchor is the monitored risk there
+    assert_allclose(at, result.smoothed_risk_trajectory[:-1], rtol=1e-12, atol=0)

@@ -13,7 +13,7 @@ from helpers import make_dataset, two_sample_dataset
 
 def _one_block_gram(design, weights):
     """Y'WY of the whole design accumulated as one block."""
-    gram = _GramBlocks(design.q + 1, design.n)
+    gram = _GramBlocks(np.empty((design.q + 1, design.n)))
     gram.add(design.rows.T, np.asarray(weights, dtype=float))
     return gram.result()
 
@@ -50,7 +50,7 @@ def test_weighted_gram_validation(two_sample_design):
     cols = two_sample_design.rows.T
     for bad in ([1.0, -1.0], [1.0, np.nan], [np.inf, 1.0]):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            _GramBlocks(2, 2).add(cols, np.array(bad))
+            _GramBlocks(np.empty((2, 2))).add(cols, np.array(bad))
 
 
 def test_solve_spd_identity_and_diagonal():
@@ -76,6 +76,22 @@ def test_solve_spd_matches_scipy_cho_solve():
         expected = cho_solve(cho_factor(a, lower=True), b)
         # a component near 0 is held to 1e-12 of the solution's scale, not of itself
         assert_allclose(sol.x, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+def test_jittered_solve_matches_scipy_cho_solve_of_the_ridged_matrix():
+    from scipy.linalg import cho_factor, cho_solve  # the reference only; the package needs no scipy
+
+    rng = np.random.default_rng(13)
+    for k in (2, 3, 8, 51):
+        m = rng.normal(size=(3 * k, k))
+        a = m.T @ m / (3 * k) + np.eye(k)
+        zero = rng.integers(k)
+        a[zero, :] = a[:, zero] = 0.0  # a zero pivot: the first factorization fails
+        b = rng.normal(size=k)
+        sol = solve_spd(SymmetricSystem(matrix=a, rhs=b))
+        assert sol.jitter_used and sol.jitter > 0
+        expected = cho_solve(cho_factor(a + sol.jitter * np.eye(k), lower=True), b)
+        assert_allclose(sol.x, expected, rtol=1e-12, atol=0)
 
 
 def test_solve_spd_jitter_rescues_singular_system():

@@ -3,26 +3,40 @@ import pytest
 from numpy.testing import assert_allclose
 
 from irlsvm import Loss
-from irlsvm.losses import _hinge_gamma, _logistic_pi, _reweight, loss_value, majorizer_value, smoothed_loss_value
+from irlsvm.losses import _block_terms, _logistic_pi, loss_value, majorizer_value, smoothed_loss_value
 
 EPS = 1e-6
 TINY = 1e-300  # stands in for the eps -> 0 limit
 
 
-def _hinge_reweighting(m, epsilon):
-    """gamma, weights and targets of the hinge update at margins m."""
+def _update_terms(kind, m, epsilon=EPS):
+    """gamma (the hinge's; the scratch row it occupies otherwise), weights and
+    rhs weights of the update's block rule at margins m."""
     m = np.asarray(m, dtype=float)
-    gamma, weights, targets = (np.empty_like(m) for _ in range(3))
-    _reweight(Loss.HINGE, m, _hinge_gamma(m, epsilon, gamma), weights, targets)
-    return gamma, weights, targets
+    scratch = np.empty((3,) + m.shape)
+    _loss, _smoothed, weights, rhs_weights = _block_terms(kind, m, epsilon, scratch, True)
+    return scratch[1], weights, rhs_weights
+
+
+def _hinge_reweighting(m, epsilon):
+    """gamma, weights and targets of the hinge update at margins m; the block
+    rule weights the right side by w r = w + 1/4, which gives the targets r."""
+    gamma, weights, rhs_weights = _update_terms(Loss.HINGE, m, epsilon)
+    assert rhs_weights is weights
+    return gamma, weights, (rhs_weights + 0.25) / weights
 
 
 def _targets(kind, m):
-    """Targets of an unweighted (W = I) update at margins m."""
+    """Targets of an unweighted (W = I) update at margins m: the block rule's
+    rhs weights plus the part of Y'r that _rhs_offset adds once per pass,
+    1'Y (r = 1) for least squares and Y'Y theta (r = m) for the logistic."""
     m = np.asarray(m, dtype=float)
-    targets = np.empty_like(m)
-    assert _reweight(kind, m, None, None, targets) is None
-    return targets
+    _gamma, weights, rhs_weights = _update_terms(kind, m)
+    assert weights is None
+    if kind is Loss.LEAST_SQUARES:
+        assert rhs_weights is None
+        return np.ones_like(m)
+    return m + rhs_weights if kind is Loss.LOGISTIC else rhs_weights
 
 
 def _pi(m):

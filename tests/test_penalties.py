@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from irlsvm import Penalty
 from irlsvm.penalties import (
+    _penalty_terms,
     omega_diagonal,
     penalty_majorizer_value,
     penalty_quadratic,
@@ -48,6 +49,16 @@ def test_penalty_quadratic_examples():
     assert_allclose(penalty_quadratic(Penalty.L1, [0.0], 0.4, 0.2, EPS), [0.0, 100.0], rtol=1e-12)
     # lam plus (mu/2)/|v| in the eps -> 0 limit
     assert_allclose(penalty_quadratic(Penalty.ELASTIC_NET, [3.0], 1.0, 2.0, TINY), [0.0, 1.0 + 1.0 / 3.0], rtol=1e-15)
+
+
+@pytest.mark.parametrize("kind", list(Penalty), ids=[k.value for k in Penalty])
+def test_penalty_terms_match_the_leaf_functions(kind):
+    rng = np.random.default_rng(4)
+    for beta in (rng.normal(size=5), np.zeros(3), np.array([1e-4, -2e3])):
+        exact, smoothed, diag = _penalty_terms(kind, beta, 0.3, 0.7, EPS)
+        assert exact == penalty_value(kind, beta, 0.3, 0.7)
+        assert smoothed == smoothed_penalty_value(kind, beta, 0.3, 0.7, EPS)
+        assert_allclose(np.broadcast_to(diag, beta.shape), penalty_quadratic(kind, beta, 0.3, 0.7, EPS)[1:], rtol=1e-15)
 
 
 def test_penalty_quadratic_never_touches_intercept():
