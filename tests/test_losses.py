@@ -10,8 +10,8 @@ TINY = 1e-300  # stands in for the eps -> 0 limit
 
 
 def _update_terms(kind, m, epsilon=EPS):
-    """gamma (the hinge's; the scratch row it occupies otherwise), weights and
-    rhs weights of the update's block rule at margins m."""
+    """The block rule's scratch row holding the hinge's gamma, its weights and
+    its rhs weights for an update at margins m."""
     m = np.asarray(m, dtype=float)
     scratch = np.empty((3,) + m.shape)
     _loss, _smoothed, weights, rhs_weights = _block_terms(kind, m, epsilon, scratch, True)
