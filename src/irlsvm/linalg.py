@@ -61,9 +61,12 @@ class _GramBlocks:
 
     def result(self) -> np.ndarray:
         """The sum so far, made exactly symmetric as the mean of it and its
-        transpose (floating-point addition commutes)."""
-        self.gram += self.gram.T
+        transpose (floating-point addition commutes), halved first so that
+        the sum cannot overflow."""
         self.gram *= 0.5
+        # +inf against -inf gives NaN, which solve_spd rejects
+        with np.errstate(invalid="ignore"):
+            self.gram += self.gram.T
         return self.gram
 
 

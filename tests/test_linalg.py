@@ -40,6 +40,16 @@ def test_weighted_gram_exactly_symmetric():
     assert_array_equal(gram, gram.T)
 
 
+def test_weighted_gram_near_the_float_limit_stays_finite():
+    # each entry is 1.69e308: a symmetrising sum before halving would overflow
+    cols = np.full((2, 1), 1.3e154)
+    gram = _GramBlocks(np.empty((2, 1)))
+    gram.add(cols, np.ones(1))
+    result = gram.result()
+    assert np.isfinite(result).all()
+    assert_array_equal(result, result.T)
+
+
 def test_unit_weights_give_plain_gram():
     design = build_design_matrix(make_dataset(seed=9, n=31, q=4))
     plain = design.rows.T @ design.rows
