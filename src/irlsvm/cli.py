@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 solver error,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import math
 import sys
@@ -17,11 +16,12 @@ import numpy as np
 
 from .core import Loss, Penalty, RiskSpec, build_design_matrix, monitor_kind, predict_batch
 from .data_io import (
+    _FLOAT,
     DataError,
+    _write_rows,
     generate_gaussian_mixture,
     load_dataset_csv,
     load_features_csv,
-    open_output,
     read_model,
     write_dataset_csv,
     write_model,
@@ -237,37 +237,29 @@ def _cmd_sweep(args) -> int:
         mu = value if param == "mu" else spec_base.mu
         return RiskSpec(loss=spec_base.loss, penalty=spec_base.penalty, lam=lam, mu=mu, epsilon=spec_base.epsilon)
 
-    def run_point(value: float):
-        result = fit(spec_for(value), dataset, options)
-        accuracy = float(np.mean(predict_batch(result.theta, dataset.features) == dataset.labels))
-        return result, accuracy
-
-    outcomes = [run_point(value) for value in grid]
+    results = [fit(spec_for(value), dataset, options) for value in grid]
+    accuracies = [float(np.mean(predict_batch(r.theta, dataset.features) == dataset.labels)) for r in results]
 
     summary_path = out_dir / "summary.csv"
     hyperplane_path = out_dir / "hyperplanes.csv"
-    with open_output(summary_path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["parameter", "value", "terminal_exact_risk", "terminal_smoothed_risk", "training_accuracy"])
-        for value, (result, accuracy) in zip(grid, outcomes):
-            writer.writerow(
-                [
-                    param,
-                    format(value, ".17g"),
-                    format(result.exact_risk_trajectory[-1], ".17g"),
-                    format(result.smoothed_risk_trajectory[-1], ".17g"),
-                    format(accuracy, ".17g"),
-                ]
-            )
-    with open_output(hyperplane_path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["parameter", "value", "alpha"] + [f"beta_{j + 1}" for j in range(dataset.q)])
-        for value, (result, _accuracy) in zip(grid, outcomes):
-            writer.writerow(
-                [param, format(value, ".17g"), format(result.theta.alpha, ".17g")]
-                + [format(v, ".17g") for v in result.theta.beta]
-            )
-    for name, (result, _accuracy) in zip(_value_names(grid), outcomes):
+    _write_rows(
+        summary_path,
+        ["parameter", "value", "terminal_exact_risk", "terminal_smoothed_risk", "training_accuracy"],
+        ",".join([param] + [_FLOAT] * 4),
+        [
+            grid,
+            [r.exact_risk_trajectory[-1] for r in results],
+            [r.smoothed_risk_trajectory[-1] for r in results],
+            accuracies,
+        ],
+    )
+    _write_rows(
+        hyperplane_path,
+        ["parameter", "value", "alpha"] + [f"beta_{j + 1}" for j in range(dataset.q)],
+        ",".join([param] + [_FLOAT] * (dataset.q + 2)),
+        [grid, [r.theta.alpha for r in results], *np.array([r.theta.beta for r in results]).T],
+    )
+    for name, result in zip(_value_names(grid), results):
         write_trajectory_csv(result, out_dir / f"trajectory_{param}_{name}.csv")
 
     print(f"swept {param} over {len(grid)} points; wrote {summary_path} and {hyperplane_path}")

@@ -337,13 +337,14 @@ def read_model(path) -> tuple[ModelParams, RiskSpec]:
         except ValueError:
             raise DataError(f"{path}: value for '{key}' is not numeric") from None
 
+    lam, mu, epsilon, alpha = (as_float(key) for key in ("lambda", "mu", "epsilon", "alpha"))
+    beta = np.array([as_float(k) for k in expected])
+    # an unknown name or an out-of-range value is a bad file, not a bad command line
     try:
-        loss = Loss(entries["loss"])
-        penalty = Penalty(entries["penalty"])
+        spec = RiskSpec(Loss(entries["loss"]), Penalty(entries["penalty"]), lam=lam, mu=mu, epsilon=epsilon)
+        theta = ModelParams(alpha=alpha, beta=beta)
     except ValueError as err:
         raise DataError(f"{path}: {err}") from None
-    spec = RiskSpec(loss=loss, penalty=penalty, lam=as_float("lambda"), mu=as_float("mu"), epsilon=as_float("epsilon"))
-    theta = ModelParams(alpha=as_float("alpha"), beta=np.array([as_float(k) for k in expected]))
     return theta, spec
 
 
@@ -356,20 +357,7 @@ def write_trajectory_csv(result: FitResult, path) -> None:
 
 def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read back a trajectory file: (iterations, exact risks, smoothed risks)."""
-    path = Path(path)
-    try:
-        with path.open(newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != ["iteration", "exact_risk", "smoothed_risk"]:
-                raise DataError(f"{path}: unexpected trajectory header {header}")
-            rows = list(reader)
-    except OSError as err:
-        raise DataError(f"{path}: {err.strerror}") from err
-    if not rows:
-        raise DataError(f"{path}: no rows")
-    try:
-        data = np.array([[float(cell) for cell in row] for row in rows])
-    except ValueError as err:
-        raise DataError(f"{path}: {err}") from None
-    return data[:, 0].astype(int), data[:, 1], data[:, 2]
+    header, values, _labels = load_features_csv(path)
+    if header != ["iteration", "exact_risk", "smoothed_risk"]:
+        raise DataError(f"{path}: unexpected trajectory header {header}")
+    return values[:, 0].astype(int), values[:, 1], values[:, 2]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import _BLOCK_ROWS, Dataset, DesignMatrix, FitResult, Loss, ModelParams, Penalty, RiskSpec
 from .core import TerminationReason, _margin_blocks, _row_blocks, build_design_matrix
-from .linalg import SingularSystemError, SymmetricSystem, _GramBlocks, solve_spd
+from .linalg import SingularSystemError, _GramBlocks, solve_spd
 from .losses import _block_terms, _penalty_scale, _rhs_offset, majorizer_value
 from .penalties import _penalty_terms, penalty_majorizer_value
 
@@ -72,11 +72,11 @@ def _pass(
     data: DesignMatrix | Dataset,
     update: bool = True,
     buffers: np.ndarray | None = None,
-) -> tuple[float, float, SymmetricSystem | None]:
+) -> tuple[float, float, np.ndarray | None, np.ndarray | None]:
     """One pass over the row blocks of data at theta: the exact and smoothed
-    risks there and, with update, the normal equations of the surrogate
-    anchored there (else None). data is the design matrix, or for the risks
-    alone the dataset.
+    risks there and, with update, the matrix and right-hand side of the
+    normal equations of the surrogate anchored there (else None and None).
+    data is the design matrix, or for the risks alone the dataset.
 
     Every block's margins and loss terms go through the same block-sized
     buffers (_pass_buffers; fit hands every pass the same ones, so a fit
@@ -106,18 +106,18 @@ def _pass(
                 rhs += rhs_weights @ rows
 
     n = data.n
-    penalty, smoothed_penalty, diag = _penalty_terms(spec.penalty, theta.beta, spec.lam, spec.mu, spec.epsilon)
+    penalty, smoothed_penalty, diag = _penalty_terms(theta.beta, spec.lam, spec.mu, spec.epsilon)
     exact = loss_sum / n + penalty
     smoothed = smoothed_sum / n + smoothed_penalty
     if not update:
-        return exact, smoothed, None
+        return exact, smoothed, None, None
     offset = _rhs_offset(spec.loss, data, theta)
     if offset is not None:
         rhs += offset
     a = data.gram.copy() if gram is None else gram.result()
     # the diagonal entries of beta, through a strided view of the C-ordered matrix
     a.reshape(-1)[k + 1 :: k + 1] += _penalty_scale(spec.loss) * n * diag
-    return exact, smoothed, SymmetricSystem(matrix=a, rhs=rhs)
+    return exact, smoothed, a, rhs
 
 
 def _surrogate_values(spec: RiskSpec, iterates: np.ndarray, design: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +151,7 @@ def _surrogate_values(spec: RiskSpec, iterates: np.ndarray, design: DesignMatrix
             loss_after[t] += sums[update]
 
     def penalty_part(beta, beta_ref):
-        return penalty_majorizer_value(spec.penalty, beta, beta_ref, spec.lam, spec.mu, spec.epsilon)
+        return penalty_majorizer_value(beta, beta_ref, spec.lam, spec.mu, spec.epsilon)
 
     n = design.n
     betas = iterates[:, 1:]
@@ -182,7 +182,7 @@ def irls_step(spec: RiskSpec, theta: ModelParams, design: DesignMatrix) -> Model
     For the least-squares loss with 2-norm penalty the surrogate is the risk
     itself, so the step returns the closed-form solution directly.
     """
-    return ModelParams.from_vector(solve_spd(_pass(spec, theta, design)[2]).x)
+    return ModelParams.from_vector(solve_spd(*_pass(spec, theta, design)[2:]).x)
 
 
 def closed_form_ls_l2(design: DesignMatrix, lam: float) -> ModelParams:
@@ -217,7 +217,7 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
     theta = _initial_theta(options, spec, design)
     steps = 1 if closed_form else options.max_iterations
     buffers = _pass_buffers(design, update=True)
-    exact, smoothed, system = _pass(spec, theta, design, buffers=buffers)
+    exact, smoothed, *system = _pass(spec, theta, design, buffers=buffers)
     theta_track = [theta.as_vector()]
     exact_track = [exact]
     smoothed_track = [smoothed]
@@ -228,14 +228,14 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
     reason = TerminationReason.MAX_ITERATIONS
     for step in range(steps):
         try:
-            solution = solve_spd(system)
+            solution = solve_spd(*system)
         except SingularSystemError as err:
             raise FitError(str(err), exact_track, smoothed_track) from err
         jittered += solution.jitter_used
         theta = ModelParams.from_vector(solution.x)
         theta_track.append(solution.x)
         # the last allowed update needs no system after it
-        exact, smoothed, system = _pass(spec, theta, design, update=step + 1 < steps, buffers=buffers)
+        exact, smoothed, *system = _pass(spec, theta, design, update=step + 1 < steps, buffers=buffers)
         exact_track.append(exact)
         smoothed_track.append(smoothed)
         # tolerance 0 disables early stopping entirely (fixed-count protocol)

@@ -25,14 +25,6 @@ class SingularSystemError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SymmetricSystem:
-    """A symmetric (q+1)x(q+1) matrix with its right-hand side."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-
-@dataclass(frozen=True)
 class SpdSolution:
     x: np.ndarray
     jitter_used: bool
@@ -81,17 +73,18 @@ def _forward_substitution(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(lower[::-1, ::-1], b[::-1])[::-1]
 
 
-def solve_spd(system: SymmetricSystem) -> SpdSolution:
-    """Solve A x = b by Cholesky factorization A = L L' and the two triangular
-    solves on L and L', with a ridge-jitter fallback.
+def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> SpdSolution:
+    """Solve A x = b, for the symmetric matrix A and the right-hand side b, by
+    Cholesky factorization A = L L' and the two triangular solves on L and
+    L', with a ridge-jitter fallback.
 
     If the factorization fails (A singular or numerically indefinite), a
     diagonal delta*I is added with delta = JITTER_SCALE * trace(A)/(q+1),
     retrying with delta growing tenfold, before giving up. A non-finite A or
     b, e.g. from an overflowing Gram matrix, fails at once.
     """
-    a = np.asarray(system.matrix, dtype=float)
-    b = np.asarray(system.rhs, dtype=float).ravel()
+    a = np.asarray(matrix, dtype=float)
+    b = np.asarray(rhs, dtype=float).ravel()
     if a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
         raise ValueError("matrix and rhs dimensions disagree")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):

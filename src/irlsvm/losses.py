@@ -10,6 +10,8 @@ in the order its update's algebra needs them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import Loss
@@ -133,8 +135,8 @@ def smoothed_loss_value(kind: Loss, m, epsilon: float):
     Only the hinge contains an absolute value (max(0,u) = |u|/2 + u/2); the
     other losses are returned unchanged.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be > 0 and finite")
     if kind is not Loss.HINGE:
         return loss_value(kind, m)
     u = 1.0 - np.asarray(m, dtype=float)
@@ -149,8 +151,8 @@ def majorizer_value(kind: Loss, m, m_ref, epsilon: float):
     (for the hinge, both statements hold against the smoothed loss with the
     same epsilon; as epsilon -> 0 they hold against the plain hinge).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be > 0 and finite")
     m = np.asarray(m, dtype=float)
     m_ref = np.asarray(m_ref, dtype=float)
     # in place from u = 1 - m, so the only temporaries are of m's and m_ref's shapes

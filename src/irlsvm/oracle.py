@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Dataset, Loss, ModelParams, Penalty, RiskSpec
+from .core import Dataset, Loss, ModelParams, RiskSpec
 
 # L-BFGS-B stopping rule: no stop on a small relative decrease (ftol), a
 # projected-gradient stop far below the agreement tolerances the tests set,
@@ -57,18 +57,18 @@ def _margin_path(kind: Loss, epsilon: float):
     return path
 
 
-def _penalty_path(kind: Penalty, lam: float, mu: float, epsilon: float):
-    """Fused (smoothed penalty value, gradient w.r.t. beta) evaluator."""
-    with_l2 = kind in (Penalty.L2, Penalty.ELASTIC_NET)
-    with_l1 = kind in (Penalty.L1, Penalty.ELASTIC_NET)
+def _penalty_path(lam: float, mu: float, epsilon: float):
+    """Fused (smoothed penalty value, gradient w.r.t. beta) evaluator of
+    lam * beta.beta + mu * sum sqrt(beta_j^2 + epsilon); a part whose
+    constant is 0 is left out."""
 
     def path(beta):
         value = 0.0
         grad = np.zeros_like(beta)
-        if with_l2:
+        if lam:
             value += lam * float(beta @ beta)
             grad += 2.0 * lam * beta
-        if with_l1:
+        if mu:
             s = np.sqrt(beta * beta + epsilon)
             value += mu * float(s.sum())
             grad += mu * (beta / s)
@@ -90,7 +90,7 @@ def reference_minimize(spec: RiskSpec, dataset: Dataset) -> ModelParams:
     from scipy.optimize import minimize
 
     loss_path = _margin_path(spec.loss, spec.epsilon)
-    penalty_path = _penalty_path(spec.penalty, spec.lam, spec.mu, spec.epsilon)
+    penalty_path = _penalty_path(spec.lam, spec.mu, spec.epsilon)
     y = dataset.labels
     rows = np.hstack([y[:, None], y[:, None] * dataset.features])
     inv_n = 1.0 / dataset.n

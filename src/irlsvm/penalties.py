@@ -1,53 +1,67 @@
 """Penalty evaluation (exact and smoothed), the reciprocal-magnitude diagonal
 used by the 1-norm surrogate, and the per-iteration quadratic penalty terms.
+
+A penalty is lam * beta.beta + mu * sum |beta_j|: the constants alone say
+which parts it has. A part whose constant is 0 is not evaluated, so it
+contributes exactly +0.0 even where its sums would overflow.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core import Penalty
+
+# RiskSpec's rules for the constants, which NaN fails
+def _check_constants(lam: float, mu: float) -> None:
+    if not (0 <= lam < math.inf and 0 <= mu < math.inf):
+        raise ValueError("penalty constants must be >= 0 and finite")
 
 
-def penalty_value(kind: Penalty, beta, lam: float, mu: float) -> float:
-    """lam * beta.beta, mu * sum |beta_j|, or their sum for the elastic net."""
-    if lam < 0 or mu < 0:
-        raise ValueError("penalty constants must be >= 0")
+def _check_epsilon(epsilon: float) -> None:
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be > 0 and finite")
+
+
+def penalty_value(beta, lam: float, mu: float) -> float:
+    """lam * beta.beta + mu * sum |beta_j|."""
+    _check_constants(lam, mu)
     beta = np.asarray(beta, dtype=float).ravel()
     value = 0.0
-    if kind in (Penalty.L2, Penalty.ELASTIC_NET):
+    if lam:
         value += lam * float(beta @ beta)
-    if kind in (Penalty.L1, Penalty.ELASTIC_NET):
+    if mu:
         value += mu * float(np.abs(beta).sum())
     return value
 
 
-def smoothed_penalty_value(kind: Penalty, beta, lam: float, mu: float, epsilon: float) -> float:
+def smoothed_penalty_value(beta, lam: float, mu: float, epsilon: float) -> float:
     """Penalty with each |beta_j| replaced by sqrt(beta_j^2 + epsilon)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    _check_constants(lam, mu)
+    _check_epsilon(epsilon)
     beta = np.asarray(beta, dtype=float).ravel()
     value = 0.0
-    if kind in (Penalty.L2, Penalty.ELASTIC_NET):
+    if lam:
         value += lam * float(beta @ beta)
-    if kind in (Penalty.L1, Penalty.ELASTIC_NET):
+    if mu:
         value += mu * float(np.sqrt(beta * beta + epsilon).sum())
     return value
 
 
-def _penalty_terms(kind: Penalty, beta: np.ndarray, lam: float, mu: float, epsilon: float):
+def _penalty_terms(beta: np.ndarray, lam: float, mu: float, epsilon: float):
     """The engine's once-per-pass penalty terms at beta: (penalty_value,
     smoothed_penalty_value, penalty_quadratic without its intercept entry),
-    the last two from one sqrt. The diagonal is a scalar when it does not
-    vary over beta's entries."""
+    the last two from one sqrt. The diagonal is a scalar when there is no
+    1-norm part."""
     exact = smoothed = 0.0
     diag = 0.0
-    if kind in (Penalty.L2, Penalty.ELASTIC_NET):
+    if lam:
         ridge = lam * float(beta @ beta)
         exact += ridge
         smoothed += ridge
         diag = lam
-    if kind in (Penalty.L1, Penalty.ELASTIC_NET):
+    if mu:
         root = np.sqrt(beta * beta + epsilon)
         exact += mu * float(np.abs(beta).sum())
         smoothed += mu * float(root.sum())
@@ -57,8 +71,7 @@ def _penalty_terms(kind: Penalty, beta: np.ndarray, lam: float, mu: float, epsil
 
 def omega_diagonal(beta_ref, epsilon: float) -> np.ndarray:
     """Length-(q+1) diagonal (0, 1/sqrt(v_1^2+eps), ..., 1/sqrt(v_q^2+eps))."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    _check_epsilon(epsilon)
     v = np.asarray(beta_ref, dtype=float).ravel()
     out = np.empty(v.shape[0] + 1)
     out[0] = 0.0
@@ -66,7 +79,7 @@ def omega_diagonal(beta_ref, epsilon: float) -> np.ndarray:
     return out
 
 
-def penalty_quadratic(kind: Penalty, beta_ref, lam: float, mu: float, epsilon: float) -> np.ndarray:
+def penalty_quadratic(beta_ref, lam: float, mu: float, epsilon: float) -> np.ndarray:
     """Diagonal of the quadratic penalty surrogate anchored at beta_ref:
     lam * (0, 1, ..., 1) for the 2-norm part plus (mu/2) * the
     reciprocal-magnitude diagonal for the 1-norm part.
@@ -76,16 +89,18 @@ def penalty_quadratic(kind: Penalty, beta_ref, lam: float, mu: float, epsilon: f
     those. Constant terms of the surrogate are dropped here (they do not
     move the argmin); penalty_majorizer_value keeps them for verification.
     """
+    _check_constants(lam, mu)
+    _check_epsilon(epsilon)
     v = np.asarray(beta_ref, dtype=float).ravel()
     diag = np.zeros(v.shape[0] + 1)
-    if kind in (Penalty.L2, Penalty.ELASTIC_NET):
+    if lam:
         diag[1:] = lam
-    if kind in (Penalty.L1, Penalty.ELASTIC_NET):
+    if mu:
         diag += 0.5 * mu * omega_diagonal(v, epsilon)
     return diag
 
 
-def penalty_majorizer_value(kind: Penalty, beta, beta_ref, lam: float, mu: float, epsilon: float) -> float:
+def penalty_majorizer_value(beta, beta_ref, lam: float, mu: float, epsilon: float) -> float:
     """Full surrogate penalty value (constants included) anchored at beta_ref.
 
     Per coordinate the 1-norm part is (mu/2)(beta_j^2 + v_j^2 + 2 eps) /
@@ -93,16 +108,16 @@ def penalty_majorizer_value(kind: Penalty, beta, beta_ref, lam: float, mu: float
     beta_j^2 + eps; it touches the smoothed penalty at beta = beta_ref and
     dominates it everywhere. The 2-norm part majorizes itself.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    _check_constants(lam, mu)
+    _check_epsilon(epsilon)
     beta = np.asarray(beta, dtype=float).ravel()
     v = np.asarray(beta_ref, dtype=float).ravel()
     if beta.shape != v.shape:
         raise ValueError("beta and beta_ref must have equal length")
     value = 0.0
-    if kind in (Penalty.L2, Penalty.ELASTIC_NET):
+    if lam:
         value += lam * float(beta @ beta)
-    if kind in (Penalty.L1, Penalty.ELASTIC_NET):
+    if mu:
         g = np.sqrt(v * v + epsilon)
         value += 0.5 * mu * float(((beta * beta + v * v + 2.0 * epsilon) / g).sum())
     return value

@@ -160,10 +160,10 @@ def test_majorization_tangency_and_domination():
     pen_tangency = 0.0
     pen_deficit = -np.inf
     for b, vr in zip(beta, v):
-        at_anchor = penalty_majorizer_value(Penalty.L1, [vr], [vr], 0.0, 1.0, EPS)
-        pen_tangency = max(pen_tangency, abs(at_anchor - smoothed_penalty_value(Penalty.L1, [vr], 0.0, 1.0, EPS)))
-        above = penalty_majorizer_value(Penalty.L1, [b], [vr], 0.0, 1.0, EPS)
-        pen_deficit = max(pen_deficit, smoothed_penalty_value(Penalty.L1, [b], 0.0, 1.0, EPS) - above)
+        at_anchor = penalty_majorizer_value([vr], [vr], 0.0, 1.0, EPS)
+        pen_tangency = max(pen_tangency, abs(at_anchor - smoothed_penalty_value([vr], 0.0, 1.0, EPS)))
+        above = penalty_majorizer_value([b], [vr], 0.0, 1.0, EPS)
+        pen_deficit = max(pen_deficit, smoothed_penalty_value([b], 0.0, 1.0, EPS) - above)
     assert pen_tangency <= 1e-12
     assert pen_deficit <= 1e-12
     print(

@@ -160,6 +160,23 @@ def test_predict_feature_count_mismatch(data_csv, tmp_path):
     assert main(["predict", "--model", str(model_path), "--data", str(bad), "--out", str(tmp_path / "p.csv")]) == 3
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("lambda", "nan"), ("alpha", "inf"), ("epsilon", "-1")],
+    ids=["lambda-nan", "alpha-inf", "epsilon-negative"],
+)
+def test_predict_out_of_range_model_value_is_data_error(data_csv, tmp_path, capsys, key, value):
+    model_path = tmp_path / "m.model"
+    assert main(["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data_csv), "--out", str(model_path)]) == 0
+    lines = model_path.read_text().splitlines()
+    lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line for line in lines]
+    model_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "p.csv"
+    assert main(["predict", "--model", str(model_path), "--data", str(data_csv), "--out", str(out)]) == 3
+    assert str(model_path) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_writes_balanced_dataset(tmp_path):
     out = tmp_path / "sim.csv"
     assert main(["simulate", "--n", "50", "--seed", "3", "--out", str(out)]) == 0
@@ -243,8 +260,8 @@ def test_check_flags_descent_violation(data_csv, monkeypatch, capsys):
 
     original = engine_module.solve_spd
 
-    def broken_solve(system):
-        solution = original(system)
+    def broken_solve(matrix, rhs):
+        solution = original(matrix, rhs)
         return dataclasses.replace(solution, x=solution.x + 1.0)
 
     monkeypatch.setattr(engine_module, "solve_spd", broken_solve)

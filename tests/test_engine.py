@@ -310,11 +310,11 @@ def test_fit_error_carries_partial_trajectory(two, monkeypatch):
     calls = {"count": 0}
     original = engine_module.solve_spd
 
-    def failing_solve(system):
+    def failing_solve(matrix, rhs):
         calls["count"] += 1
         if calls["count"] >= 3:
             raise SingularSystemError("injected failure")
-        return original(system)
+        return original(matrix, rhs)
 
     monkeypatch.setattr(engine_module, "solve_spd", failing_solve)
     spec = RiskSpec(Loss.HINGE, Penalty.L2, lam=0.1)
@@ -342,14 +342,27 @@ def test_fit_risk_trajectory_matches_direct_evaluation(loss, pen):
         assert_allclose(result.smoothed_risk_trajectory[-1], smoothed_risk(spec, result.theta, ds), rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("loss", [Loss.HINGE, Loss.SQUARED_HINGE, Loss.LOGISTIC], ids=lambda k: k.value)
+def test_a_penalty_is_its_constants(loss):
+    # least squares is left out: its 2-norm fit is the closed form, not the iteration
+    ds = make_dataset(seed=30, n=50, q=3)
+    options = FitOptions(max_iterations=8, risk_tolerance=0.0)
+    for kind, lam, mu in ((Penalty.L2, 0.2, 0.0), (Penalty.L1, 0.0, 0.3)):
+        elastic = fit(RiskSpec(loss, Penalty.ELASTIC_NET, lam=lam, mu=mu, epsilon=EPS), ds, options)
+        single = fit(RiskSpec(loss, kind, lam=0.2, mu=0.3, epsilon=EPS), ds, options)
+        assert_array_equal(elastic.theta_trajectory, single.theta_trajectory)
+        assert_array_equal(elastic.exact_risk_trajectory, single.exact_risk_trajectory)
+        assert_array_equal(elastic.smoothed_risk_trajectory, single.smoothed_risk_trajectory)
+
+
 def test_fit_counts_jittered_solves():
-    from irlsvm.linalg import SymmetricSystem, solve_spd
+    from irlsvm.linalg import solve_spd
 
     t = np.array([1.0, 2.0, -1.0, -3.0, 0.5, -0.25])
     ds = Dataset(features=np.column_stack([t, t]), labels=np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0]))
     design = build_design_matrix(ds)
     # with lam = 0 the squared-hinge system matrix is Y'Y, singular for a duplicated column
-    assert solve_spd(SymmetricSystem(matrix=design.gram, rhs=np.ones(3))).jitter_used
+    assert solve_spd(design.gram, np.ones(3)).jitter_used
     spec = RiskSpec(Loss.SQUARED_HINGE, Penalty.L2, lam=0.0)
     result = fit(spec, ds, FitOptions(max_iterations=3, risk_tolerance=0.0, init=Init.ZERO))
     assert result.jittered_solves == 3
@@ -372,8 +385,8 @@ def test_fit_risks_match_direct_evaluation_across_blocks(blocked, loss, pen):
     assert_allclose(result.smoothed_risk_trajectory[-1], smoothed_risk(spec, result.theta, blocked), rtol=1e-12, atol=0)
     beta = result.theta.beta
     m = blocked.labels * (result.theta.alpha + blocked.features @ beta)
-    dense_exact = np.mean(loss_value(loss, m)) + penalty_value(pen, beta, spec.lam, spec.mu)
-    dense_smoothed = np.mean(smoothed_loss_value(loss, m, EPS)) + smoothed_penalty_value(pen, beta, spec.lam, spec.mu, EPS)
+    dense_exact = np.mean(loss_value(loss, m)) + penalty_value(beta, spec.lam, spec.mu)
+    dense_smoothed = np.mean(smoothed_loss_value(loss, m, EPS)) + smoothed_penalty_value(beta, spec.lam, spec.mu, EPS)
     assert_allclose(risk(spec, result.theta, blocked), dense_exact, rtol=1e-12, atol=0)
     assert_allclose(smoothed_risk(spec, result.theta, blocked), dense_smoothed, rtol=1e-12, atol=0)
 
@@ -397,9 +410,7 @@ def _dense_system(spec, theta, dataset):
         scale = 8 * dataset.n
     weighted = y if weights is None else weights[:, None] * y
     matrix = y.T @ weighted
-    matrix[np.diag_indices_from(matrix)] += scale * penalty_quadratic(
-        spec.penalty, theta.beta, spec.lam, spec.mu, spec.epsilon
-    )
+    matrix[np.diag_indices_from(matrix)] += scale * penalty_quadratic(theta.beta, spec.lam, spec.mu, spec.epsilon)
     return matrix, weighted.T @ targets
 
 
@@ -410,17 +421,17 @@ def test_update_system_matches_dense_reference_across_blocks(blocked, loss, pen,
     systems = []
     original = engine_module.solve_spd
 
-    def recording_solve(system):
-        systems.append(system)
-        return original(system)
+    def recording_solve(matrix, rhs):
+        systems.append((matrix, rhs))
+        return original(matrix, rhs)
 
     monkeypatch.setattr(engine_module, "solve_spd", recording_solve)
     spec = RiskSpec(loss, pen, lam=0.2, mu=0.3, epsilon=EPS)
     theta = ModelParams(alpha=0.3, beta=[0.5, -0.4, 0.2])
     irls_step(spec, theta, build_design_matrix(blocked))
     matrix, rhs = _dense_system(spec, theta, blocked)
-    assert_allclose(systems[0].matrix, matrix, rtol=1e-12, atol=0)
-    assert_allclose(systems[0].rhs, rhs, rtol=1e-12, atol=0)
+    assert_allclose(systems[0][0], matrix, rtol=1e-12, atol=0)
+    assert_allclose(systems[0][1], rhs, rtol=1e-12, atol=0)
 
 
 def _dense_surrogate_values(spec, iterates, dataset):
@@ -431,7 +442,7 @@ def _dense_surrogate_values(spec, iterates, dataset):
         m = dataset.labels * (theta[0] + dataset.features @ theta[1:])
         m_ref = dataset.labels * (anchor[0] + dataset.features @ anchor[1:])
         loss_part = np.mean(majorizer_value(spec.loss, m, m_ref, spec.epsilon))
-        return loss_part + penalty_majorizer_value(spec.penalty, theta[1:], anchor[1:], spec.lam, spec.mu, spec.epsilon)
+        return loss_part + penalty_majorizer_value(theta[1:], anchor[1:], spec.lam, spec.mu, spec.epsilon)
 
     pairs = list(zip(iterates, iterates[1:]))
     return np.array([surrogate(a, a) for a, _ in pairs]), np.array([surrogate(t, a) for a, t in pairs])

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from irlsvm import Dataset
 from irlsvm.core import build_design_matrix
-from irlsvm.linalg import SingularSystemError, SymmetricSystem, _GramBlocks, solve_spd
+from irlsvm.linalg import SingularSystemError, _GramBlocks, solve_spd
 
 from helpers import make_dataset, two_sample_dataset
 
@@ -65,11 +65,11 @@ def test_weighted_gram_validation(two_sample_design):
 
 def test_solve_spd_identity_and_diagonal():
     b = np.array([3.0, -4.0])
-    sol = solve_spd(SymmetricSystem(matrix=np.eye(2), rhs=b))
+    sol = solve_spd(np.eye(2), b)
     assert_array_equal(sol.x, b)
     assert not sol.jitter_used
 
-    sol = solve_spd(SymmetricSystem(matrix=np.diag([2.0, 4.0]), rhs=np.array([2.0, 8.0])))
+    sol = solve_spd(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
     assert_allclose(sol.x, [1.0, 2.0], rtol=1e-15)
 
 
@@ -81,7 +81,7 @@ def test_solve_spd_matches_scipy_cho_solve():
         m = rng.normal(size=(3 * k, k))
         a = m.T @ m / (3 * k) + np.eye(k)
         b = rng.normal(size=k)
-        sol = solve_spd(SymmetricSystem(matrix=a, rhs=b))
+        sol = solve_spd(a, b)
         assert not sol.jitter_used
         expected = cho_solve(cho_factor(a, lower=True), b)
         # a component near 0 is held to 1e-12 of the solution's scale, not of itself
@@ -98,14 +98,14 @@ def test_jittered_solve_matches_scipy_cho_solve_of_the_ridged_matrix():
         zero = rng.integers(k)
         a[zero, :] = a[:, zero] = 0.0  # a zero pivot: the first factorization fails
         b = rng.normal(size=k)
-        sol = solve_spd(SymmetricSystem(matrix=a, rhs=b))
+        sol = solve_spd(a, b)
         assert sol.jitter_used and sol.jitter > 0
         expected = cho_solve(cho_factor(a + sol.jitter * np.eye(k), lower=True), b)
         assert_allclose(sol.x, expected, rtol=1e-12, atol=0)
 
 
 def test_solve_spd_jitter_rescues_singular_system():
-    sol = solve_spd(SymmetricSystem(matrix=np.diag([1.0, 0.0]), rhs=np.array([1.0, 0.0])))
+    sol = solve_spd(np.diag([1.0, 0.0]), np.array([1.0, 0.0]))
     assert sol.jitter_used and sol.jitter > 0
     assert_allclose(sol.x[0], 1.0, rtol=1e-6)
     assert abs(sol.x[1]) <= 1e-3
@@ -122,35 +122,31 @@ def test_solve_spd_residual_bound_on_conditioned_instances():
         a = (a + a.T) / 2.0
         x_true = rng.normal(size=dim)
         b = a @ x_true
-        x = solve_spd(SymmetricSystem(matrix=a, rhs=b)).x
+        x = solve_spd(a, b).x
         assert np.abs(a @ x - b).max() <= 1e-8 * (1.0 + np.abs(b).max())
 
 
 def test_solve_spd_reports_unrecoverable_singularity():
     # indefinite with zero trace: the jitter scale is zero, so retries cannot help
-    system = SymmetricSystem(matrix=np.array([[0.0, 1.0], [1.0, 0.0]]), rhs=np.array([1.0, 1.0]))
     with pytest.raises(SingularSystemError, match="pivot"):
-        solve_spd(system)
+        solve_spd(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 1.0]))
 
 
 def test_solve_spd_overflowing_solution_is_singular_without_a_warning():
     # the factor exists, but x = 1e10 / 1e-300 is beyond float range at every jitter
-    system = SymmetricSystem(matrix=np.array([[1e-300]]), rhs=np.array([1e10]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularSystemError, match="pivot"):
-            solve_spd(system)
+            solve_spd(np.array([[1e-300]]), np.array([1e10]))
 
 
 def test_solve_spd_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve_spd(SymmetricSystem(matrix=np.eye(2), rhs=np.ones(3)))
+        solve_spd(np.eye(2), np.ones(3))
 
 
 def test_non_finite_system_is_singular():
-    system = SymmetricSystem(matrix=np.array([[np.inf, 0.0], [0.0, 1.0]]), rhs=np.array([1.0, 1.0]))
     with pytest.raises(SingularSystemError, match="not finite"):
-        solve_spd(system)
-    system = SymmetricSystem(matrix=np.eye(2), rhs=np.array([np.nan, 1.0]))
+        solve_spd(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
     with pytest.raises(SingularSystemError, match="not finite"):
-        solve_spd(system)
+        solve_spd(np.eye(2), np.array([np.nan, 1.0]))

@@ -83,12 +83,13 @@ def test_fused_margin_path_matches_leaf_functions(kind):
 @pytest.mark.parametrize("kind", list(Penalty), ids=[k.value for k in Penalty])
 def test_fused_penalty_path_matches_leaf_functions(kind):
     rng = np.random.default_rng(35)
-    lam, mu = 0.4, 0.7
-    path = _penalty_path(kind, lam, mu, EPS)
+    # the kind's normalisation picks the parts: L2 drops mu, L1 drops lam
+    spec = RiskSpec(Loss.HINGE, kind, lam=0.4, mu=0.7, epsilon=EPS)
+    path = _penalty_path(spec.lam, spec.mu, EPS)
     for _ in range(50):
         beta = rng.uniform(-5, 5, 3)
         value, grad = path(beta)
-        assert_allclose(value, smoothed_penalty_value(kind, beta, lam, mu, EPS), rtol=1e-14)
+        assert_allclose(value, smoothed_penalty_value(beta, spec.lam, spec.mu, EPS), rtol=1e-14)
         fd = finite_diff_gradient(lambda b: path(b)[0], beta, h=1e-7)
         assert_allclose(grad, fd, rtol=1e-5, atol=1e-6)
 
