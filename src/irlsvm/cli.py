@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Loss, Penalty, RiskSpec, build_design_matrix, monitor_kind, predict_batch
+from .core import Loss, ModelParams, Penalty, RiskSpec, build_design_matrix, monitor_kind, predict_batch
 from .data_io import (
     _FLOAT,
     DataError,
@@ -28,7 +28,7 @@ from .data_io import (
     write_predictions_csv,
     write_trajectory_csv,
 )
-from .engine import FitError, FitOptions, Init, _surrogate_values, fit
+from .engine import FitError, FitOptions, Init, _surrogate_values, fit, monitored_risk
 from .linalg import SingularSystemError
 
 EXIT_OK = 0
@@ -173,6 +173,12 @@ def _options_from_args(args) -> FitOptions:
     return FitOptions(max_iterations=args.iterations, risk_tolerance=args.tolerance, init=Init(args.init))
 
 
+def _extrapolated(result) -> np.ndarray:
+    """Which recorded updates started from an extrapolated point: those whose
+    anchor is not the iterate before them (engine.fit)."""
+    return (result.anchor_trajectory != result.theta_trajectory[:-1]).any(axis=1)
+
+
 def _trajectory_path(model_path) -> Path:
     p = Path(model_path)
     return p.with_name(p.stem + ".trajectory.csv")
@@ -189,10 +195,12 @@ def _cmd_fit(args) -> int:
     jitter_note = (
         f"; {result.jittered_solves} jittered solves, descent not guaranteed" if result.jittered_solves else ""
     )
+    extrapolated = int(_extrapolated(result).sum())
+    extrapolated_note = f"; {extrapolated} updates from extrapolated points" if extrapolated else ""
     print(
         f"fit {spec.loss.value}+{spec.penalty.value}: {result.iterations_run} iterations"
         f" ({result.termination_reason.value}), exact risk {result.exact_risk_trajectory[-1]:.6g},"
-        f" smoothed risk {result.smoothed_risk_trajectory[-1]:.6g}{jitter_note}"
+        f" smoothed risk {result.smoothed_risk_trajectory[-1]:.6g}{jitter_note}{extrapolated_note}"
     )
     print(f"wrote {args.out} and {trajectory}")
     return EXIT_OK
@@ -222,15 +230,17 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     spec_base = _spec_from_args(args)
     options = _options_from_args(args)
+    param = "lambda" if args.lambda_grid is not None else "mu"
+    grid = args.lambda_grid if param == "lambda" else args.mu_grid
+    # RiskSpec sets the constant a penalty does not use to 0, so its grid would repeat one fit
+    if param == {Penalty.L2: "mu", Penalty.L1: "lambda"}.get(spec_base.penalty):
+        raise ValueError(f"--{param}-grid sweeps {param}, which penalty {spec_base.penalty.value} does not use")
     dataset = load_dataset_csv(args.data)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise DataError(f"{out_dir}: cannot create directory: {err.strerror or err}") from err
-
-    param = "lambda" if args.lambda_grid is not None else "mu"
-    grid = args.lambda_grid if param == "lambda" else args.mu_grid
 
     def spec_for(value: float) -> RiskSpec:
         lam = value if param == "lambda" else spec_base.lam
@@ -276,9 +286,13 @@ def _cmd_check(args) -> int:
     track = result.smoothed_risk_trajectory
     worst_descent = float(np.max(np.diff(track) / (1.0 + np.abs(track[:-1]))))
 
-    # each recorded update against the surrogate anchored at the iterate before it
-    at, after = _surrogate_values(spec, result.theta_trajectory, build_design_matrix(dataset))
-    anchor_risk = track[:-1]
+    # each recorded update against the surrogate anchored at its own anchor:
+    # the iterate before it, whose risk is recorded, or an extrapolated point
+    anchors = result.anchor_trajectory
+    at, after = _surrogate_values(spec, anchors, result.theta_trajectory[1:], build_design_matrix(dataset))
+    anchor_risk = track[:-1].copy()
+    for t in np.flatnonzero(_extrapolated(result)):
+        anchor_risk[t] = monitored_risk(spec, ModelParams.from_vector(anchors[t]), dataset)
     worst_anchor = float(np.max(np.abs(at - anchor_risk) / (1.0 + np.abs(anchor_risk))))
     worst_surrogate = float(np.max((after - at) / (1.0 + np.abs(at))))
 

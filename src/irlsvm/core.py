@@ -233,13 +233,17 @@ class FitResult:
     Trajectories have one entry per recorded iterate including the initial
     point, so their length is iterations_run + 1; theta_trajectory holds
     those iterates as (alpha, beta) rows, the initial point in row 0 and
-    theta in the last row. jittered_solves counts the updates whose system
-    needed a ridge jitter to factor: such an update no longer minimizes its
-    surrogate, so the descent guarantee does not cover it.
+    theta in the last row. Every later iterate is the image of one update,
+    the minimizer of the surrogate anchored at row t of anchor_trajectory
+    (iterations_run rows): the iterate before it, or the extrapolated point
+    of an accelerated fit (engine.fit). jittered_solves counts the updates
+    whose system needed a ridge jitter to factor: such an update no longer
+    minimizes its surrogate, so the descent guarantee does not cover it.
     """
 
     theta: ModelParams
     theta_trajectory: np.ndarray
+    anchor_trajectory: np.ndarray
     exact_risk_trajectory: np.ndarray
     smoothed_risk_trajectory: np.ndarray
     iterations_run: int
@@ -249,6 +253,7 @@ class FitResult:
 
     def __post_init__(self):
         object.__setattr__(self, "theta_trajectory", _readonly(self.theta_trajectory))
+        object.__setattr__(self, "anchor_trajectory", _readonly(self.anchor_trajectory))
         object.__setattr__(self, "exact_risk_trajectory", _readonly(self.exact_risk_trajectory))
         object.__setattr__(self, "smoothed_risk_trajectory", _readonly(self.smoothed_risk_trajectory))
         if len(self.exact_risk_trajectory) != self.iterations_run + 1:
@@ -257,6 +262,8 @@ class FitResult:
             raise ValueError("trajectories must have identical length")
         if self.theta_trajectory.shape != (self.iterations_run + 1, self.theta.q + 1):
             raise ValueError("theta_trajectory must be (iterations_run + 1) x (q + 1)")
+        if self.anchor_trajectory.shape != (self.iterations_run, self.theta.q + 1):
+            raise ValueError("anchor_trajectory must be iterations_run x (q + 1)")
 
 
 def build_design_matrix(dataset: Dataset) -> DesignMatrix:

@@ -5,7 +5,9 @@ Each update minimizes a convex quadratic surrogate of the risk anchored at
 the current iterate, so the monitored risk never increases: the exact risk
 for the squared-hinge and logistic losses under the 2-norm penalty, and the
 smoothed risk for every combination involving the hinge loss or a 1-norm
-penalty term.
+penalty term. A fit with a risk tolerance also extrapolates (SQUAREM) from
+two updates and keeps the update from the extrapolated point only if it
+does not raise the smoothed risk.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ class FitOptions:
     init may be Init.ZERO, Init.WARM_START_LS_L2 (a single ridge solve with
     constant max(lambda, 1e-3)), or an explicit ModelParams starting point.
     risk_tolerance stops the loop on a small relative change of the monitored
-    risk; set it to 0 to run exactly max_iterations steps.
+    risk, and above 0 the loop takes extrapolated (SQUAREM) steps as well
+    (see fit); set it to 0 to run exactly max_iterations plain updates.
+    max_iterations counts recorded updates.
     """
 
     max_iterations: int = 50
@@ -120,43 +124,51 @@ def _pass(
     return exact, smoothed, a, rhs
 
 
-def _surrogate_values(spec: RiskSpec, iterates: np.ndarray, design: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Full surrogate objectives (constants included) along consecutive
-    iterates, the rows of iterates, in one blocked pass over the design.
+def _surrogate_values(
+    spec: RiskSpec, anchors: np.ndarray, images: np.ndarray, design: DesignMatrix
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full surrogate objectives (constants included) of a run of updates,
+    the one anchored at row t of anchors having row t of images as its
+    image, in one blocked pass over the design.
 
-    Returns (at, after): at[t] is the surrogate anchored at iterates[t]
-    evaluated there, which equals the monitored risk, and after[t] the same
-    surrogate at iterates[t + 1]. Each row block computes the margins of
-    every iterate once, into one of two block-sized rows that take turns
-    holding the anchor, and sums majorizer_value over the pair;
-    penalty_majorizer_value adds the penalty parts. No update rule is
-    involved, so the values check the update independently.
+    Returns (at, after): at[t] is the surrogate anchored at anchors[t]
+    evaluated there, which equals the monitored risk there, and after[t] the
+    same surrogate at images[t]. Each row block computes the margins of
+    every point once, into one of two block-sized rows: an anchor equal to
+    the image before it (a plain update) takes that image's row, and any
+    other anchor is computed into the other row. majorizer_value is summed
+    over the pair, and penalty_majorizer_value adds the penalty parts. No
+    update rule is involved, so the values check the updates independently.
     """
-    iterates = np.asarray(iterates, dtype=float)
-    if iterates.ndim != 2 or iterates.shape[1] != design.q + 1:
-        raise ValueError(f"iterates must be rows of {design.q + 1} parameters")
-    count = iterates.shape[0]
+    anchors = np.asarray(anchors, dtype=float)
+    images = np.asarray(images, dtype=float)
+    if anchors.ndim != 2 or anchors.shape[1] != design.q + 1 or images.shape != anchors.shape:
+        raise ValueError(f"anchors and images must be equally many rows of {design.q + 1} parameters")
+    count = anchors.shape[0]
+    chained = [t > 0 and np.array_equal(anchors[t], images[t - 1]) for t in range(count)]
     pair = np.empty((2, min(design.n, _BLOCK_ROWS)))
-    loss_at = np.zeros(count - 1)
-    loss_after = np.zeros(count - 1)
+    loss_at = np.zeros(count)
+    loss_after = np.zeros(count)
     for block in _row_blocks(design.n):
         rows = design.rows[block]
         m = pair[:, : rows.shape[0]]
-        np.matmul(rows, iterates[0], out=m[0])
-        for t in range(count - 1):
-            anchor, update = t % 2, 1 - t % 2
-            np.matmul(rows, iterates[t + 1], out=m[update])
+        image = 1
+        for t in range(count):
+            anchor = image if chained[t] else 1 - image
+            if not chained[t]:
+                np.matmul(rows, anchors[t], out=m[anchor])
+            image = 1 - anchor
+            np.matmul(rows, images[t], out=m[image])
             sums = majorizer_value(spec.loss, m, m[anchor], spec.epsilon).sum(axis=1)
             loss_at[t] += sums[anchor]
-            loss_after[t] += sums[update]
+            loss_after[t] += sums[image]
 
     def penalty_part(beta, beta_ref):
         return penalty_majorizer_value(beta, beta_ref, spec.lam, spec.mu, spec.epsilon)
 
     n = design.n
-    betas = iterates[:, 1:]
-    at = [loss_at[t] / n + penalty_part(betas[t], betas[t]) for t in range(count - 1)]
-    after = [loss_after[t] / n + penalty_part(betas[t + 1], betas[t]) for t in range(count - 1)]
+    at = [loss_at[t] / n + penalty_part(anchors[t, 1:], anchors[t, 1:]) for t in range(count)]
+    after = [loss_after[t] / n + penalty_part(images[t, 1:], anchors[t, 1:]) for t in range(count)]
     return np.array(at), np.array(after)
 
 
@@ -200,16 +212,53 @@ def _initial_theta(options: FitOptions, spec: RiskSpec, design: DesignMatrix) ->
     return closed_form_ls_l2(design, max(spec.lam, WARM_START_RIDGE_FLOOR))
 
 
+def _extrapolated_update(spec, design, cycle, risk_bound, buffers, update):
+    """SQUAREM's step (Varadhan & Roland 2008, scheme S3) from a cycle of
+    three iterates x0, x1, x2, each of the two later ones the update of the
+    one before: the update anchored at x' = x0 - 2 a r + a^2 v, with
+    r = x1 - x0, v = x2 - x1 - r and a = min(-|r|/|v|, -1), so that a = -1
+    gives x' = x2.
+
+    Returns (x', the solution at x', the pass at its image), or None when
+    x' is not finite, its pass or solve fails, or the image's smoothed risk
+    is not finite or above risk_bound. The image's pass builds its system
+    when update is set.
+    """
+    x0, x1, x2 = cycle
+    r = x1 - x0
+    v = x2 - x1 - r
+    # a step that overflows or fails is discarded, so its floating-point flags say nothing
+    with np.errstate(all="ignore"):
+        try:
+            a = min(-np.linalg.norm(r) / np.linalg.norm(v), -1.0)
+            anchor = ModelParams.from_vector(x0 - 2.0 * a * r + a * a * v)
+            solution = solve_spd(*_pass(spec, anchor, design, buffers=buffers)[2:])
+            image = _pass(spec, ModelParams.from_vector(solution.x), design, update=update, buffers=buffers)
+        except (ValueError, SingularSystemError):
+            return None
+    return (anchor.as_vector(), solution, image) if image[1] <= risk_bound else None
+
+
 def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> FitResult:
     """Minimize the risk by repeated surrogate minimization.
 
     Records every iterate and its exact and smoothed risk (initial point
-    included). Stops on max_iterations or when the monitored risk changes by
-    at most risk_tolerance * (1 + |previous|). The monitored risk is read as
-    the smoothed risk: for the combinations whose monitor is the exact risk
-    the loss and penalty contain no absolute value, so their exact and
-    smoothed risks are the same sums and equal bit for bit. The
+    included), and the anchor of each update. Stops on max_iterations
+    recorded updates or when the monitored risk changes by at most
+    risk_tolerance * (1 + |previous|). The monitored risk is read as the
+    smoothed risk: for the combinations whose monitor is the exact risk the
+    loss and penalty contain no absolute value, so their exact and smoothed
+    risks are the same sums and equal bit for bit. The
     least-squares/2-norm combination is solved in one closed-form step.
+
+    With risk_tolerance > 0 the updates run in safeguarded SQUAREM cycles:
+    two updates from x0, then one from the extrapolated point x'
+    (_extrapolated_update). Its image is recorded only if its smoothed risk
+    is not above the one before it; otherwise, or if x' fails, the next
+    cycle starts from the last recorded iterate. So every recorded iterate
+    is the image of one update, and no extrapolation raises the recorded
+    smoothed risk. Fewer than three updates left run as plain updates. With
+    risk_tolerance 0 every update is anchored at the iterate before it.
     """
     options = options or FitOptions()
     design = build_design_matrix(dataset)
@@ -219,42 +268,52 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
     buffers = _pass_buffers(design, update=True)
     exact, smoothed, *system = _pass(spec, theta, design, buffers=buffers)
     theta_track = [theta.as_vector()]
+    anchor_track = []
     exact_track = [exact]
     smoothed_track = [smoothed]
-    monitored_prev = smoothed
 
     jittered = 0
+    plain_run = 0  # updates since the last extrapolation was tried
     converged = False
     reason = TerminationReason.MAX_ITERATIONS
-    for step in range(steps):
-        try:
-            solution = solve_spd(*system)
-        except SingularSystemError as err:
-            raise FitError(str(err), exact_track, smoothed_track) from err
-        jittered += solution.jitter_used
-        theta = ModelParams.from_vector(solution.x)
-        theta_track.append(solution.x)
+    while len(anchor_track) < steps:
         # the last allowed update needs no system after it
-        exact, smoothed, *system = _pass(spec, theta, design, update=step + 1 < steps, buffers=buffers)
+        update = len(anchor_track) + 1 < steps
+        step = None
+        # after two plain updates a cycle tries the extrapolated point; tolerance 0
+        # (the fixed-count protocol) takes plain updates only
+        if options.risk_tolerance > 0 and plain_run == 2:
+            plain_run = 0
+            step = _extrapolated_update(spec, design, theta_track[-3:], smoothed_track[-1], buffers, update)
+        if step is None:
+            try:
+                solution = solve_spd(*system)
+            except SingularSystemError as err:
+                raise FitError(str(err), exact_track, smoothed_track) from err
+            step = (theta_track[-1], solution, _pass(spec, ModelParams.from_vector(solution.x), design, update, buffers))
+            plain_run += 1
+        anchor, solution, (exact, smoothed, *system) = step
+        jittered += solution.jitter_used
+        anchor_track.append(anchor)
+        theta_track.append(solution.x)
         exact_track.append(exact)
         smoothed_track.append(smoothed)
         # tolerance 0 disables early stopping entirely (fixed-count protocol)
-        if options.risk_tolerance > 0 and abs(smoothed - monitored_prev) <= options.risk_tolerance * (
-            1.0 + abs(monitored_prev)
-        ):
+        previous = smoothed_track[-2]
+        if options.risk_tolerance > 0 and abs(smoothed - previous) <= options.risk_tolerance * (1.0 + abs(previous)):
             converged = True
             reason = TerminationReason.RISK_TOLERANCE
             break
-        monitored_prev = smoothed
 
     if closed_form:
         converged, reason = True, TerminationReason.CLOSED_FORM
     return FitResult(
-        theta=theta,
+        theta=ModelParams.from_vector(theta_track[-1]),
         theta_trajectory=np.array(theta_track),
+        anchor_trajectory=np.array(anchor_track),
         exact_risk_trajectory=np.array(exact_track),
         smoothed_risk_trajectory=np.array(smoothed_track),
-        iterations_run=len(exact_track) - 1,
+        iterations_run=len(anchor_track),
         converged=converged,
         termination_reason=reason,
         jittered_solves=jittered,

@@ -8,7 +8,22 @@ import sys
 import numpy as np
 import pytest
 
-from irlsvm import load_dataset_csv, predict_batch, read_model, read_trajectory_csv, write_dataset_csv
+from irlsvm import (
+    FitOptions,
+    Init,
+    Loss,
+    ModelParams,
+    Penalty,
+    RiskSpec,
+    fit,
+    generate_gaussian_mixture,
+    load_dataset_csv,
+    predict_batch,
+    read_model,
+    read_trajectory_csv,
+    smoothed_risk,
+    write_dataset_csv,
+)
 from irlsvm.cli import MAX_GRID_POINTS, _grid, main, parse_args
 from irlsvm.linalg import SingularSystemError
 
@@ -117,6 +132,16 @@ def test_missing_data_file_is_data_error(tmp_path):
         ["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(tmp_path / "none.csv"), "--out", str(tmp_path / "m")]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("penalty, grid", [("l2", "--mu-grid"), ("l1", "--lambda-grid")])
+def test_sweep_over_a_constant_the_penalty_discards_is_usage_error(data_csv, tmp_path, capsys, penalty, grid):
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep", "--loss", "hinge", "--penalty", penalty, grid, "0:0.5:1"]
+    assert main(argv + ["--data", str(data_csv), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert grid in err and f"penalty {penalty}" in err
+    assert not out_dir.exists()
 
 
 def test_fit_writes_model_and_trajectory(data_csv, tmp_path):
@@ -268,6 +293,48 @@ def test_check_flags_descent_violation(data_csv, monkeypatch, capsys):
     code = main(["check", "--loss", "hinge", "--penalty", "l2", "--lambda", "0.1", "--data", str(data_csv)])
     assert code == 5
     assert "[FAIL]" in capsys.readouterr().out
+
+
+def test_check_flags_a_bad_update_from_an_extrapolated_point(tmp_path, monkeypatch, capsys):
+    import irlsvm.engine as engine_module
+
+    data = tmp_path / "gm.csv"
+    dataset = generate_gaussian_mixture(200, seed=32)
+    write_dataset_csv(dataset, data)
+    spec = RiskSpec(Loss.SQUARED_HINGE, Penalty.L2, lam=0.1)
+    result = fit(spec, dataset, FitOptions(init=Init.ZERO))
+    # the third update starts from an extrapolated point well below the second iterate's
+    # risk, so the surrogate anchored there is that far below its value at the second iterate
+    anchor = result.anchor_trajectory[2]
+    assert (anchor != result.theta_trajectory[2]).any()
+    assert smoothed_risk(spec, ModelParams.from_vector(anchor), dataset) < result.smoothed_risk_trajectory[2] - 1e-3
+
+    solutions = []
+    original = engine_module.solve_spd
+
+    def stale_extrapolated_solve(matrix, rhs):
+        # the third solve, at the extrapolated point, returns the second iterate again
+        solutions.append(solutions[1] if len(solutions) == 2 else original(matrix, rhs))
+        return solutions[-1]
+
+    monkeypatch.setattr(engine_module, "solve_spd", stale_extrapolated_solve)
+    argv = ["check", "--loss", "squared-hinge", "--penalty", "l2", "--lambda", "0.1", "--init", "zero"]
+    assert main(argv + ["--data", str(data)]) == 5
+    out = capsys.readouterr().out
+    assert "[PASS] monotone exact-risk descent" in out
+    assert "[PASS] surrogate touches risk at anchor" in out
+    assert "[FAIL] update does not raise the surrogate" in out
+
+
+def test_fit_summary_counts_updates_from_extrapolated_points(data_csv, tmp_path, capsys):
+    argv = ["fit", "--loss", "hinge", "--penalty", "l2", "--lambda", "0.1", "--data", str(data_csv)]
+    assert main(argv + ["--out", str(tmp_path / "a.model")]) == 0
+    result = fit(RiskSpec(Loss.HINGE, Penalty.L2, lam=0.1), load_dataset_csv(data_csv))
+    count = int((result.anchor_trajectory != result.theta_trajectory[:-1]).any(axis=1).sum())
+    assert count > 0
+    assert capsys.readouterr().out.splitlines()[0].endswith(f"; {count} updates from extrapolated points")
+    assert main(argv + ["--tolerance", "0", "--out", str(tmp_path / "b.model")]) == 0
+    assert "extrapolated" not in capsys.readouterr().out
 
 
 def test_solver_failure_maps_to_exit_4(data_csv, tmp_path, monkeypatch):

@@ -170,6 +170,7 @@ def test_fit_result_trajectory_lengths_must_agree():
         FitResult(
             theta=theta,
             theta_trajectory=np.zeros((2, 2)),
+            anchor_trajectory=np.zeros((1, 2)),
             exact_risk_trajectory=np.array([1.0, 0.5]),
             smoothed_risk_trajectory=np.array([1.0]),
             iterations_run=1,
@@ -180,6 +181,7 @@ def test_fit_result_trajectory_lengths_must_agree():
         FitResult(
             theta=theta,
             theta_trajectory=np.zeros((3, 2)),
+            anchor_trajectory=np.zeros((2, 2)),
             exact_risk_trajectory=np.array([1.0, 0.5]),
             smoothed_risk_trajectory=np.array([1.0, 0.5]),
             iterations_run=2,
@@ -191,6 +193,19 @@ def test_fit_result_trajectory_lengths_must_agree():
             FitResult(
                 theta=theta,
                 theta_trajectory=np.zeros((rows, cols)),
+                anchor_trajectory=np.zeros((1, 2)),
+                exact_risk_trajectory=np.array([1.0, 0.5]),
+                smoothed_risk_trajectory=np.array([1.0, 0.5]),
+                iterations_run=1,
+                converged=False,
+                termination_reason=TerminationReason.MAX_ITERATIONS,
+            )
+    for rows, cols in ((2, 2), (1, 3)):  # one anchor per update, one column per parameter
+        with pytest.raises(ValueError, match="anchor_trajectory"):
+            FitResult(
+                theta=theta,
+                theta_trajectory=np.zeros((2, 2)),
+                anchor_trajectory=np.zeros((rows, cols)),
                 exact_risk_trajectory=np.array([1.0, 0.5]),
                 smoothed_risk_trajectory=np.array([1.0, 0.5]),
                 iterations_run=1,

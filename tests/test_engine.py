@@ -15,14 +15,16 @@ from irlsvm import (
     RiskSpec,
     TerminationReason,
     fit,
+    generate_gaussian_mixture,
     monitor_kind,
     monitored_risk,
     reference_minimize,
     risk,
     smoothed_risk,
 )
+from irlsvm.cli import DESCENT_SLACK, _extrapolated
 from irlsvm.core import build_design_matrix
-from irlsvm.engine import _surrogate_values, closed_form_ls_l2, irls_step
+from irlsvm.engine import WARM_START_RIDGE_FLOOR, _surrogate_values, closed_form_ls_l2, irls_step
 from irlsvm.losses import loss_value, majorizer_value, smoothed_loss_value
 from irlsvm.penalties import penalty_majorizer_value, penalty_quadratic, penalty_value, smoothed_penalty_value
 
@@ -236,7 +238,7 @@ def test_fit_hinge_l1_two_sample_matches_oracle(two):
 def majorizer_objective(spec, theta, anchor, design):
     """The surrogate anchored at anchor, at theta, from the verifier's pass
     over the two iterates (anchor, theta)."""
-    return _surrogate_values(spec, np.stack([anchor.as_vector(), theta.as_vector()]), design)[1][0]
+    return _surrogate_values(spec, anchor.as_vector()[None], theta.as_vector()[None], design)[1][0]
 
 
 @pytest.mark.parametrize("loss, pen", ALL_COMBOS, ids=COMBO_IDS)
@@ -434,9 +436,9 @@ def test_update_system_matches_dense_reference_across_blocks(blocked, loss, pen,
     assert_allclose(systems[0][1], rhs, rtol=1e-12, atol=0)
 
 
-def _dense_surrogate_values(spec, iterates, dataset):
-    """(at, after) of the verifier's pass, one pair of consecutive iterates
-    at a time over whole margin vectors."""
+def _dense_surrogate_values(spec, anchors, images, dataset):
+    """(at, after) of the verifier's pass, one (anchor, image) pair at a time
+    over whole margin vectors."""
 
     def surrogate(theta, anchor):
         m = dataset.labels * (theta[0] + dataset.features @ theta[1:])
@@ -444,18 +446,125 @@ def _dense_surrogate_values(spec, iterates, dataset):
         loss_part = np.mean(majorizer_value(spec.loss, m, m_ref, spec.epsilon))
         return loss_part + penalty_majorizer_value(theta[1:], anchor[1:], spec.lam, spec.mu, spec.epsilon)
 
-    pairs = list(zip(iterates, iterates[1:]))
+    pairs = list(zip(anchors, images))
     return np.array([surrogate(a, a) for a, _ in pairs]), np.array([surrogate(t, a) for a, t in pairs])
 
 
+@pytest.mark.parametrize("tolerance", [0.0, 1e-12], ids=["plain", "accelerated"])
 @pytest.mark.parametrize("loss, pen", ITERATIVE_COMBOS, ids=ITERATIVE_IDS)
-def test_surrogate_values_match_dense_reference_across_blocks(blocked, loss, pen):
+def test_surrogate_values_match_dense_reference_across_blocks(blocked, loss, pen, tolerance):
     spec = RiskSpec(loss, pen, lam=0.2, mu=0.3, epsilon=EPS)
-    result = fit(spec, blocked, FitOptions(max_iterations=3, risk_tolerance=0.0, init=Init.ZERO))
-    at, after = _surrogate_values(spec, result.theta_trajectory, build_design_matrix(blocked))
-    dense_at, dense_after = _dense_surrogate_values(spec, result.theta_trajectory, blocked)
-    assert at.shape == after.shape == (3,)
+    result = fit(spec, blocked, FitOptions(max_iterations=6, risk_tolerance=tolerance, init=Init.ZERO))
+    anchors, images = result.anchor_trajectory, result.theta_trajectory[1:]
+    at, after = _surrogate_values(spec, anchors, images, build_design_matrix(blocked))
+    dense_at, dense_after = _dense_surrogate_values(spec, anchors, images, blocked)
+    assert at.shape == after.shape == (result.iterations_run,)
     assert_allclose(at, dense_at, rtol=1e-12, atol=0)
     assert_allclose(after, dense_after, rtol=1e-12, atol=0)
     # the surrogate at the anchor is the monitored risk there
-    assert_allclose(at, result.smoothed_risk_trajectory[:-1], rtol=1e-12, atol=0)
+    anchor_risks = [smoothed_risk(spec, ModelParams.from_vector(a), blocked) for a in anchors]
+    assert_allclose(at, anchor_risks, rtol=1e-12, atol=0)
+
+
+@pytest.fixture(scope="module")
+def three_blocks():
+    return make_dataset(seed=31, n=2 * BLOCK_ROWS + 123, q=3)
+
+
+@pytest.mark.parametrize("init", [Init.ZERO, Init.WARM_START_LS_L2], ids=["zero", "warm"])
+@pytest.mark.parametrize("loss, pen", ALL_COMBOS, ids=COMBO_IDS)
+def test_tolerance_zero_fit_is_a_plain_update_chain(three_blocks, loss, pen, init):
+    spec = RiskSpec(loss, pen, lam=0.2, mu=0.3, epsilon=EPS)
+    design = build_design_matrix(three_blocks)
+    result = fit(spec, three_blocks, FitOptions(max_iterations=4, risk_tolerance=0.0, init=init))
+    closed_form = (loss, pen) == (Loss.LEAST_SQUARES, Penalty.L2)
+    assert result.iterations_run == (1 if closed_form else 4)
+    theta = ModelParams.zeros(3) if init is Init.ZERO else closed_form_ls_l2(design, max(spec.lam, WARM_START_RIDGE_FLOOR))
+    chain = [theta.as_vector()]
+    for _ in range(result.iterations_run):
+        theta = irls_step(spec, theta, design)
+        chain.append(theta.as_vector())
+    assert result.theta_trajectory.tobytes() == np.array(chain).tobytes()
+    assert result.anchor_trajectory.tobytes() == np.array(chain[:-1]).tobytes()
+
+
+@pytest.mark.parametrize("loss, pen", ITERATIVE_COMBOS, ids=ITERATIVE_IDS)
+def test_accelerated_fit_records_update_images_with_falling_risks(loss, pen):
+    ds = generate_gaussian_mixture(200, seed=32)
+    design = build_design_matrix(ds)
+    spec = RiskSpec(loss, pen, lam=0.1, mu=0.1, epsilon=EPS)
+    result = fit(spec, ds, FitOptions(max_iterations=200, risk_tolerance=1e-12, init=Init.ZERO))
+    extrapolated = _extrapolated(result)
+    assert extrapolated.any()
+    for anchor, image in zip(result.anchor_trajectory, result.theta_trajectory[1:]):
+        assert irls_step(spec, ModelParams.from_vector(anchor), design).as_vector().tobytes() == image.tobytes()
+    track = result.smoothed_risk_trajectory
+    rise = np.diff(track)
+    # an image of an extrapolated point is kept only if its risk is not above the iterate before it
+    assert (rise[extrapolated] <= 0.0).all()
+    assert (rise <= DESCENT_SLACK * (1.0 + np.abs(track[:-1]))).all()
+    for k in (1, result.iterations_run):
+        theta = ModelParams.from_vector(result.theta_trajectory[k])
+        assert_allclose(track[k], smoothed_risk(spec, theta, ds), rtol=1e-12, atol=0)
+
+
+def test_hinge_fit_on_the_benchmark_data_stops_on_the_risk_tolerance():
+    # the plain updates ran into the 50-iterate cap here
+    data = generate_gaussian_mixture(10_000, seed=2017)
+    result = fit(RiskSpec(Loss.HINGE, Penalty.L2, lam=0.1), data)
+    assert result.termination_reason is TerminationReason.RISK_TOLERANCE
+    assert result.iterations_run < FitOptions().max_iterations
+    assert _extrapolated(result).any()
+
+
+def test_fit_takes_the_plain_update_when_the_extrapolated_solve_is_singular(monkeypatch):
+    import irlsvm.engine as engine_module
+
+    ds = make_dataset(seed=33, n=200, q=3)
+    spec = RiskSpec(Loss.HINGE, Penalty.L2, lam=0.1, epsilon=EPS)
+    options = FitOptions(max_iterations=40, risk_tolerance=1e-12, init=Init.ZERO)
+    assert _extrapolated(fit(spec, ds, options)).any()
+    plain = fit(spec, ds, FitOptions(max_iterations=40, risk_tolerance=0.0, init=Init.ZERO))
+
+    calls = {"count": 0}
+    original = engine_module.solve_spd
+
+    def singular_extrapolated_solve(matrix, rhs):
+        # a cycle solves the two plain updates, then the one at the extrapolated point
+        calls["count"] += 1
+        return original(np.zeros_like(matrix) if calls["count"] % 3 == 0 else matrix, rhs)
+
+    monkeypatch.setattr(engine_module, "solve_spd", singular_extrapolated_solve)
+    result = fit(spec, ds, options)
+    assert calls["count"] >= 3
+    assert not _extrapolated(result).any()
+    rows = result.iterations_run + 1
+    assert result.theta_trajectory.tobytes() == plain.theta_trajectory[:rows].tobytes()
+    assert result.smoothed_risk_trajectory.tobytes() == plain.smoothed_risk_trajectory[:rows].tobytes()
+
+
+def test_failing_plain_update_of_an_accelerated_fit_raises_fit_error(monkeypatch):
+    import irlsvm.engine as engine_module
+    from irlsvm.linalg import SingularSystemError
+
+    ds = make_dataset(seed=33, n=200, q=3)
+    spec = RiskSpec(Loss.HINGE, Penalty.L2, lam=0.1, epsilon=EPS)
+    options = FitOptions(max_iterations=40, risk_tolerance=1e-12, init=Init.ZERO)
+    full = fit(spec, ds, options)
+    # the third solve is the update at the extrapolated point, whose image is kept
+    assert _extrapolated(full)[2]
+
+    calls = {"count": 0}
+    original = engine_module.solve_spd
+
+    def failing_fourth_solve(matrix, rhs):
+        calls["count"] += 1
+        if calls["count"] == 4:
+            raise SingularSystemError("injected failure")
+        return original(matrix, rhs)
+
+    monkeypatch.setattr(engine_module, "solve_spd", failing_fourth_solve)
+    with pytest.raises(FitError, match="injected failure") as info:
+        fit(spec, ds, options)
+    assert info.value.exact_trajectory.tobytes() == full.exact_risk_trajectory[:4].tobytes()
+    assert info.value.smoothed_trajectory.tobytes() == full.smoothed_risk_trajectory[:4].tobytes()
