@@ -290,7 +290,8 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
                 solution = solve_spd(*system)
             except SingularSystemError as err:
                 raise FitError(str(err), exact_track, smoothed_track) from err
-            step = (theta_track[-1], solution, _pass(spec, ModelParams.from_vector(solution.x), design, update, buffers))
+            image = _pass(spec, ModelParams.from_vector(solution.x), design, update, buffers)
+            step = (theta_track[-1], solution, image)
             plain_run += 1
         anchor, solution, (exact, smoothed, *system) = step
         jittered += solution.jitter_used

@@ -479,7 +479,8 @@ def test_tolerance_zero_fit_is_a_plain_update_chain(three_blocks, loss, pen, ini
     result = fit(spec, three_blocks, FitOptions(max_iterations=4, risk_tolerance=0.0, init=init))
     closed_form = (loss, pen) == (Loss.LEAST_SQUARES, Penalty.L2)
     assert result.iterations_run == (1 if closed_form else 4)
-    theta = ModelParams.zeros(3) if init is Init.ZERO else closed_form_ls_l2(design, max(spec.lam, WARM_START_RIDGE_FLOOR))
+    warm = closed_form_ls_l2(design, max(spec.lam, WARM_START_RIDGE_FLOOR))
+    theta = ModelParams.zeros(3) if init is Init.ZERO else warm
     chain = [theta.as_vector()]
     for _ in range(result.iterations_run):
         theta = irls_step(spec, theta, design)

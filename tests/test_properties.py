@@ -95,7 +95,8 @@ def test_surrogate_touches_risk_and_update_lowers_it(data, spec):
     result = _fit_or_none(spec, data, FitOptions(max_iterations=10, risk_tolerance=0.0, init=Init.ZERO))
     if result is None:
         return
-    at, after = _surrogate_values(spec, result.anchor_trajectory, result.theta_trajectory[1:], build_design_matrix(data))
+    images = result.theta_trajectory[1:]
+    at, after = _surrogate_values(spec, result.anchor_trajectory, images, build_design_matrix(data))
     for at_anchor, at_update, anchor_risk in zip(at, after, result.smoothed_risk_trajectory):
         assert abs(at_anchor - anchor_risk) <= ANCHOR_SLACK * (1.0 + abs(anchor_risk))
         if result.jittered_solves == 0:
