@@ -32,7 +32,7 @@ from .data_io import (
     write_model,
     write_trajectory_csv,
 )
-from .engine import FitError, FitOptions, Init, fit, monitored_risk, risk, smoothed_risk
+from .engine import FitError, FitOptions, Init, fit, risk, smoothed_risk
 from .oracle import finite_diff_gradient, reference_minimize
 
 __version__ = "0.1.0"
@@ -55,7 +55,6 @@ __all__ = [
     "generate_gaussian_mixture",
     "load_dataset_csv",
     "monitor_kind",
-    "monitored_risk",
     "predict",
     "predict_batch",
     "read_model",

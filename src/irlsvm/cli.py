@@ -28,7 +28,7 @@ from .data_io import (
     write_predictions_csv,
     write_trajectory_csv,
 )
-from .engine import FitError, FitOptions, Init, _surrogate_values, fit, monitored_risk
+from .engine import FitError, FitOptions, Init, _pass, _surrogate_values, fit
 from .linalg import SingularSystemError
 
 EXIT_OK = 0
@@ -289,10 +289,11 @@ def _cmd_check(args) -> int:
     # each recorded update against the surrogate anchored at its own anchor:
     # the iterate before it, whose risk is recorded, or an extrapolated point
     anchors = result.anchor_trajectory
-    at, after = _surrogate_values(spec, anchors, result.theta_trajectory[1:], build_design_matrix(dataset))
+    design = build_design_matrix(dataset)
+    at, after = _surrogate_values(spec, anchors, result.theta_trajectory[1:], design)
     anchor_risk = track[:-1].copy()
     for t in np.flatnonzero(_extrapolated(result)):
-        anchor_risk[t] = monitored_risk(spec, ModelParams.from_vector(anchors[t]), dataset)
+        anchor_risk[t] = _pass(spec, ModelParams.from_vector(anchors[t]), design, update=False)[1]
     worst_anchor = float(np.max(np.abs(at - anchor_risk) / (1.0 + np.abs(anchor_risk))))
     worst_surrogate = float(np.max((after - at) / (1.0 + np.abs(at))))
 

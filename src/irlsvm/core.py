@@ -61,8 +61,8 @@ def _check_finite_rows(features: np.ndarray) -> None:
     raise ValueError(f"non-finite feature in row {bad[0]}")
 
 
-def _readonly(a: np.ndarray, order: str = "K") -> np.ndarray:
-    a = np.array(a, dtype=float, order=order)
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
 
@@ -108,17 +108,10 @@ class DesignMatrix:
     """n x (q+1) matrix with rows y_i * (1, t_i); margins are rows @ theta.
 
     rows is stored column-major, so each block of rows is q+1 contiguous
-    column pieces. A read-only column-major float array is kept as given;
-    any other is copied.
+    column pieces.
     """
 
     rows: np.ndarray
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
-        if rows.flags.writeable or not rows.flags.f_contiguous:
-            rows = _readonly(rows, order="F")
-        self.rows = rows
 
     @property
     def n(self) -> int:
@@ -279,38 +272,23 @@ def build_design_matrix(dataset: Dataset) -> DesignMatrix:
     return DesignMatrix(rows=cols.T)
 
 
-def _margin_blocks(data: DesignMatrix | Dataset, theta: ModelParams, out: np.ndarray):
-    """Walk data in row blocks, yielding each block's slice and its margins,
-    written into the first entries of out (at least min(n, _BLOCK_ROWS) long).
-
-    data is a design matrix, or a dataset, whose margins
-    y_i * (alpha + beta.t_i) need no design built.
-    """
-    if theta.q != data.q:
-        raise ValueError(f"theta has {theta.q} features but data has {data.q}")
+def _margin_blocks(design: DesignMatrix, theta: ModelParams, out: np.ndarray):
+    """Walk the design in row blocks, yielding each block's slice and its
+    margins, written into the first entries of out (at least
+    min(n, _BLOCK_ROWS) long)."""
+    if theta.q != design.q:
+        raise ValueError(f"theta has {theta.q} features but data has {design.q}")
     vec = theta.as_vector()
-    for block in _row_blocks(data.n):
+    for block in _row_blocks(design.n):
         m = out[: block.stop - block.start]
-        if isinstance(data, DesignMatrix):
-            np.matmul(data.rows[block], vec, out=m)
-        else:
-            np.matmul(data.features[block], theta.beta, out=m)
-            m += theta.alpha
-            m *= data.labels[block]
+        np.matmul(design.rows[block], vec, out=m)
         yield block, m
 
 
 def predict(theta: ModelParams, features: np.ndarray) -> int:
-    """Predicted label sign(alpha + beta.t) for one feature vector.
-
-    A decision value of exactly 0 returns +1 (fixed tie convention).
-    """
-    t = np.asarray(features, dtype=float).ravel()
-    if t.shape[0] != theta.q:
-        raise ValueError(f"expected {theta.q} features, got {t.shape[0]}")
-    if not np.isfinite(t).all():
-        raise ValueError("non-finite feature")
-    return 1 if theta.alpha + theta.beta @ t >= 0 else -1
+    """Predicted label sign(alpha + beta.t) for one feature vector, by
+    predict_batch's rule: a decision value of exactly 0 returns +1."""
+    return int(predict_batch(theta, np.reshape(features, (1, -1)))[0])
 
 
 def predict_batch(theta: ModelParams, features: np.ndarray) -> np.ndarray:

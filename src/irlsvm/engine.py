@@ -64,42 +64,42 @@ class FitError(RuntimeError):
         self.smoothed_trajectory = np.asarray(smoothed_trajectory)
 
 
-def _pass_buffers(data: DesignMatrix | Dataset, update: bool) -> np.ndarray:
-    """Block buffers of a pass over data: the margins, three loss-term rows
-    and, for an update, the q+1 rows of a weighted block."""
-    return np.empty((4 + (data.q + 1 if update else 0), min(data.n, _BLOCK_ROWS)))
+def _pass_buffers(design: DesignMatrix, update: bool) -> np.ndarray:
+    """Block buffers of a pass over the design: the margins, three loss-term
+    rows and, for an update, the q+1 rows of a weighted block."""
+    return np.empty((4 + (design.q + 1 if update else 0), min(design.n, _BLOCK_ROWS)))
 
 
 def _pass(
     spec: RiskSpec,
     theta: ModelParams,
-    data: DesignMatrix | Dataset,
+    design: DesignMatrix,
     update: bool = True,
     buffers: np.ndarray | None = None,
 ) -> tuple[float, float, np.ndarray | None, np.ndarray | None]:
-    """One pass over the row blocks of data at theta: the exact and smoothed
-    risks there and, with update, the matrix and right-hand side of the
-    normal equations of the surrogate anchored there (else None and None).
-    data is the design matrix, or for the risks alone the dataset.
+    """One pass over the row blocks of the design at theta: the exact and
+    smoothed risks there and, with update, the matrix and right-hand side of
+    the normal equations of the surrogate anchored there (else None and
+    None).
 
     Every block's margins and loss terms go through the same block-sized
     buffers (_pass_buffers; fit hands every pass the same ones, so a fit
     allocates them once), so the pass allocates no n-length array.
     """
-    k = data.q + 1
+    k = design.q + 1
     if buffers is None:
-        buffers = _pass_buffers(data, update)
+        buffers = _pass_buffers(design, update)
     gram = None
     rhs = np.zeros(k)
     loss_sum = smoothed_sum = 0.0
-    for block, m in _margin_blocks(data, theta, buffers[0]):
+    for block, m in _margin_blocks(design, theta, buffers[0]):
         scratch = buffers[1:4, : m.shape[0]]
         block_loss, block_smoothed, weights, rhs_weights = _block_terms(spec.loss, m, spec.epsilon, scratch, update)
         loss_sum += block_loss
         smoothed_sum += block_smoothed
         if not update:
             continue
-        rows = data.rows[block]
+        rows = design.rows[block]
         if weights is not None:
             if gram is None:
                 gram = _GramBlocks(buffers[4:])
@@ -109,16 +109,16 @@ def _pass(
             with np.errstate(over="ignore", invalid="ignore"):
                 rhs += rhs_weights @ rows
 
-    n = data.n
+    n = design.n
     penalty, smoothed_penalty, diag = _penalty_terms(theta.beta, spec.lam, spec.mu, spec.epsilon)
     exact = loss_sum / n + penalty
     smoothed = smoothed_sum / n + smoothed_penalty
     if not update:
         return exact, smoothed, None, None
-    offset = _rhs_offset(spec.loss, data, theta)
+    offset = _rhs_offset(spec.loss, design, theta)
     if offset is not None:
         rhs += offset
-    a = data.gram.copy() if gram is None else gram.result()
+    a = design.gram.copy() if gram is None else gram.result()
     # the diagonal entries of beta, through a strided view of the C-ordered matrix
     a.reshape(-1)[k + 1 :: k + 1] += _penalty_scale(spec.loss) * n * diag
     return exact, smoothed, a, rhs
@@ -173,19 +173,15 @@ def _surrogate_values(
 
 
 def risk(spec: RiskSpec, theta: ModelParams, dataset: Dataset) -> float:
-    """Exact risk: average loss plus the unsmoothed penalty."""
-    return _pass(spec, theta, dataset, update=False)[0]
+    """Exact risk: average loss plus the unsmoothed penalty, by fit's pass over
+    the n x (q+1) design (built per call), so bit for bit the risk fit records."""
+    return _pass(spec, theta, build_design_matrix(dataset), update=False)[0]
 
 
 def smoothed_risk(spec: RiskSpec, theta: ModelParams, dataset: Dataset) -> float:
-    """Risk with absolute values smoothed by sqrt(u^2 + epsilon) throughout."""
-    return _pass(spec, theta, dataset, update=False)[1]
-
-
-def monitored_risk(spec: RiskSpec, theta: ModelParams, dataset: Dataset) -> float:
-    """The risk the descent guarantee covers (monitor_kind). It is always the
-    smoothed risk: where the exact risk is monitored, the two are the same."""
-    return smoothed_risk(spec, theta, dataset)
+    """Risk with absolute values smoothed by sqrt(u^2 + epsilon), evaluated as
+    risk is. The descent guarantee covers it; under an exact monitor it equals risk."""
+    return _pass(spec, theta, build_design_matrix(dataset), update=False)[1]
 
 
 def irls_step(spec: RiskSpec, theta: ModelParams, design: DesignMatrix) -> ModelParams:

@@ -1,5 +1,5 @@
-"""Margin losses, their smoothed variants, scalar majorizers, and the
-per-iteration terms each loss feeds into the reweighted normal equations.
+"""Margin losses, scalar majorizers, and the per-iteration terms (smoothed
+losses included) each loss feeds into the reweighted normal equations.
 
 Every public function accepts scalars or numpy arrays of margins and is
 pure. The loss, smoothing and sigmoid formulas live in private functions
@@ -126,21 +126,6 @@ def loss_value(kind: Loss, m):
     """Per-sample loss as a function of the margin m."""
     m = np.asarray(m, dtype=float)
     out = _loss_into(kind, m, np.empty_like(m))  # a 0-d out stays 0-d
-    return out if out.ndim else float(out)
-
-
-def smoothed_loss_value(kind: Loss, m, epsilon: float):
-    """Loss with every absolute value replaced by sqrt(u^2 + epsilon).
-
-    Only the hinge contains an absolute value (max(0,u) = |u|/2 + u/2); the
-    other losses are returned unchanged.
-    """
-    if not 0 < epsilon < math.inf:
-        raise ValueError("epsilon must be > 0 and finite")
-    if kind is not Loss.HINGE:
-        return loss_value(kind, m)
-    u = 1.0 - np.asarray(m, dtype=float)
-    out = (_hinge_gamma(u, epsilon, np.empty_like(u)) + u) * 0.5
     return out if out.ndim else float(out)
 
 

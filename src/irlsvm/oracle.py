@@ -1,8 +1,8 @@
 """Independent reference minimizer and derivative checks, used only for
 verification. The minimizer shares no solver code with the engine; the
-objective it minimizes is the smoothed risk the leaf loss/penalty functions
-define (the fused evaluators below exist for speed and are pinned to those
-functions by the test suite).
+objective it minimizes is the smoothed risk the leaf functions of
+tests/risk_reference.py define (the fused evaluators below exist for speed
+and are pinned to those functions by the test suite).
 """
 
 from __future__ import annotations

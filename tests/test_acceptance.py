@@ -21,7 +21,6 @@ from irlsvm import (
     fit,
     generate_gaussian_mixture,
     monitor_kind,
-    monitored_risk,
     predict_batch,
     reference_minimize,
     risk,
@@ -29,10 +28,11 @@ from irlsvm import (
 )
 from irlsvm.core import build_design_matrix
 from irlsvm.engine import closed_form_ls_l2
-from irlsvm.losses import loss_value, majorizer_value, smoothed_loss_value
-from irlsvm.penalties import penalty_majorizer_value, penalty_value, smoothed_penalty_value
+from irlsvm.losses import loss_value, majorizer_value
+from irlsvm.penalties import penalty_majorizer_value
 
 from helpers import ALL_COMBOS, ITERATIVE_COMBOS, two_sample_dataset
+from risk_reference import smoothed_loss_value, smoothed_penalty_value
 
 GRID = [0.0, 0.1, 0.2, 0.3, 0.4]
 SIM_SEED = 2017
@@ -118,8 +118,8 @@ def test_fit_agrees_with_independent_minimizer():
             dataset = generate_gaussian_mixture(200, seed=seed)
             spec = RiskSpec(loss, pen, lam=0.1, mu=0.1, epsilon=EPS)
             result = fit(spec, dataset, FitOptions(max_iterations=5000, risk_tolerance=1e-10))
-            fit_objective = monitored_risk(spec, result.theta, dataset)
-            oracle_objective = monitored_risk(spec, reference_minimize(spec, dataset), dataset)
+            fit_objective = smoothed_risk(spec, result.theta, dataset)
+            oracle_objective = smoothed_risk(spec, reference_minimize(spec, dataset), dataset)
             gap = abs(oracle_objective - fit_objective) / (1.0 + abs(fit_objective))
             assert gap <= tolerance, f"{loss.value}+{pen.value} seed {seed}: gap {gap:.3e} > {tolerance:.0e}"
             worst_ratio = max(worst_ratio, gap / tolerance)
@@ -248,7 +248,7 @@ def test_converged_iterates_are_stationary():
             result = fit(spec, dataset, FitOptions(max_iterations=20_000, risk_tolerance=1e-13))
 
             def objective(vec):
-                return monitored_risk(spec, ModelParams.from_vector(vec), dataset)
+                return smoothed_risk(spec, ModelParams.from_vector(vec), dataset)
 
             gradient = finite_diff_gradient(objective, result.theta.as_vector())
             worst = max(worst, float(np.abs(gradient).max()))

@@ -8,11 +8,11 @@ from irlsvm.core import _BLOCK_ROWS, _margin_blocks, build_design_matrix
 from helpers import make_dataset
 
 
-def margins(data, theta):
+def margins(design, theta):
     """Margins y_i * (alpha + beta.t_i) stitched from the blocked pass's walk
-    over data, a design matrix or a dataset."""
-    buffer = np.empty(min(data.n, _BLOCK_ROWS))
-    return np.concatenate([m.copy() for _block, m in _margin_blocks(data, theta, buffer)])
+    over the design."""
+    buffer = np.empty(min(design.n, _BLOCK_ROWS))
+    return np.concatenate([m.copy() for _block, m in _margin_blocks(design, theta, buffer)])
 
 
 def test_design_matrix_rows():
@@ -60,11 +60,8 @@ def test_margins_examples(two_sample):
     assert_array_equal(margins(design, ModelParams.zeros(1)), [0.0, 0.0])
     assert_array_equal(margins(design, ModelParams(alpha=0.0, beta=[1.0])), [1.0, 1.0])
 
-    assert_array_equal(margins(two_sample, ModelParams(alpha=0.0, beta=[1.0])), [1.0, 1.0])
-
     ds = Dataset(features=np.array([[3.0]]), labels=np.array([-1.0]))
     assert margins(build_design_matrix(ds), ModelParams(alpha=1.0, beta=[2.0]))[0] == -7.0
-    assert margins(ds, ModelParams(alpha=1.0, beta=[2.0]))[0] == -7.0
 
 
 def _assert_margins_match_per_row_evaluation(ds):
@@ -74,7 +71,6 @@ def _assert_margins_match_per_row_evaluation(ds):
         theta = ModelParams(alpha=rng.normal(), beta=rng.normal(size=ds.q))
         direct = ds.labels * (theta.alpha + ds.features @ theta.beta)
         assert_allclose(margins(design, theta), direct, rtol=1e-12, atol=1e-12)
-        assert_allclose(margins(ds, theta), direct, rtol=1e-12, atol=1e-12)
 
 
 def test_margins_match_per_row_evaluation():
@@ -87,9 +83,8 @@ def test_margins_match_per_row_evaluation_across_blocks():
 
 
 def test_margins_dimension_mismatch(two_sample):
-    for data in (two_sample, build_design_matrix(two_sample)):
-        with pytest.raises(ValueError):
-            margins(data, ModelParams(alpha=0.0, beta=[1.0, 2.0]))
+    with pytest.raises(ValueError):
+        margins(build_design_matrix(two_sample), ModelParams(alpha=0.0, beta=[1.0, 2.0]))
 
 
 def test_predict_examples():

@@ -17,7 +17,6 @@ from irlsvm import (
     fit,
     generate_gaussian_mixture,
     monitor_kind,
-    monitored_risk,
     reference_minimize,
     risk,
     smoothed_risk,
@@ -25,10 +24,11 @@ from irlsvm import (
 from irlsvm.cli import DESCENT_SLACK, _extrapolated
 from irlsvm.core import build_design_matrix
 from irlsvm.engine import WARM_START_RIDGE_FLOOR, _surrogate_values, closed_form_ls_l2, irls_step
-from irlsvm.losses import loss_value, majorizer_value, smoothed_loss_value
-from irlsvm.penalties import penalty_majorizer_value, penalty_quadratic, penalty_value, smoothed_penalty_value
+from irlsvm.losses import loss_value, majorizer_value
+from irlsvm.penalties import penalty_majorizer_value
 
 from helpers import ALL_COMBOS, COMBO_IDS, ITERATIVE_COMBOS, ITERATIVE_IDS, make_dataset, two_sample_dataset
+from risk_reference import penalty_quadratic, penalty_value, smoothed_loss_value, smoothed_penalty_value
 
 EPS = 1e-6
 EXACT_MONITOR_COMBOS = [c for c in ALL_COMBOS if monitor_kind(RiskSpec(*c)) is Monitor.EXACT]
@@ -119,7 +119,7 @@ def test_penalty_part_of_risk_ignores_intercept():
         parts = []
         for alpha in (-2.0, 0.0, 3.5):
             theta = ModelParams(alpha=alpha, beta=beta)
-            m = ds.labels * (alpha + ds.features @ beta)
+            m = build_design_matrix(ds).rows @ theta.as_vector()
             parts.append(risk(spec, theta, ds) - np.mean(loss_value(loss, m)))
         assert_allclose(parts, parts[0], rtol=0, atol=1e-15)
 
@@ -159,7 +159,7 @@ def test_exact_monitor_risk_is_the_smoothed_risk(loss, pen):
     spec = RiskSpec(loss, pen, lam=0.15, epsilon=EPS)
     result = fit(spec, ds, FitOptions(max_iterations=30, risk_tolerance=0.0, init=Init.ZERO))
     assert result.exact_risk_trajectory.tobytes() == result.smoothed_risk_trajectory.tobytes()
-    assert monitored_risk(spec, result.theta, ds) == risk(spec, result.theta, ds)
+    assert smoothed_risk(spec, result.theta, ds) == risk(spec, result.theta, ds)
 
 
 def test_fit_trajectories_include_initial_point(two):
@@ -250,7 +250,7 @@ def test_surrogate_touches_monitored_risk_at_anchor(loss, pen):
     for _ in range(10):
         theta = ModelParams(alpha=rng.normal(), beta=rng.normal(size=3))
         anchor = majorizer_objective(spec, theta, theta, design)
-        reference = monitored_risk(spec, theta, ds)
+        reference = smoothed_risk(spec, theta, ds)
         assert abs(anchor - reference) <= 1e-10 * (1.0 + abs(reference))
 
 
@@ -281,7 +281,7 @@ def test_terminal_risk_monotone_in_penalty_constants(loss, pen):
         mu = value if pen in (Penalty.L1, Penalty.ELASTIC_NET) else 0.0
         spec = RiskSpec(loss, pen, lam=lam, mu=mu, epsilon=EPS)
         result = fit(spec, ds, FitOptions(max_iterations=2000, risk_tolerance=1e-12))
-        terminal.append(monitored_risk(spec, result.theta, ds))
+        terminal.append(smoothed_risk(spec, result.theta, ds))
     assert (np.diff(terminal) >= -1e-8).all()
 
 
@@ -300,7 +300,7 @@ def test_fixed_point_is_stationary():
                 break
             theta = nxt
         grad = finite_diff_gradient(
-            lambda vec: monitored_risk(spec, ModelParams.from_vector(vec), ds), theta.as_vector()
+            lambda vec: smoothed_risk(spec, ModelParams.from_vector(vec), ds), theta.as_vector()
         )
         assert np.abs(grad).max() <= 1e-6 * (1.0 + ds.n)
 
@@ -334,14 +334,21 @@ def test_fit_options_validation():
             FitOptions(risk_tolerance=tolerance)
 
 
+def _assert_recorded_risks_are_direct_evaluations(spec, ds):
+    """Every risk a fit records equals risk() and smoothed_risk() at its
+    iterate bit for bit, in plain (tolerance 0) and extrapolating (default
+    tolerance) fits of five updates."""
+    for tolerance in (0.0, FitOptions().risk_tolerance):
+        result = fit(spec, ds, FitOptions(max_iterations=5, risk_tolerance=tolerance, init=Init.ZERO))
+        thetas = [ModelParams.from_vector(row) for row in result.theta_trajectory]
+        assert_array_equal(result.exact_risk_trajectory, [risk(spec, theta, ds) for theta in thetas])
+        assert_array_equal(result.smoothed_risk_trajectory, [smoothed_risk(spec, theta, ds) for theta in thetas])
+
+
 @pytest.mark.parametrize("loss, pen", ALL_COMBOS, ids=COMBO_IDS)
 def test_fit_risk_trajectory_matches_direct_evaluation(loss, pen):
-    ds = make_dataset(seed=28, n=70, q=3)
     spec = RiskSpec(loss, pen, lam=0.2, mu=0.3, epsilon=EPS)
-    for iterations in (1, 2, 3):
-        result = fit(spec, ds, FitOptions(max_iterations=iterations, risk_tolerance=0.0, init=Init.ZERO))
-        assert_allclose(result.exact_risk_trajectory[-1], risk(spec, result.theta, ds), rtol=1e-12, atol=0)
-        assert_allclose(result.smoothed_risk_trajectory[-1], smoothed_risk(spec, result.theta, ds), rtol=1e-12, atol=0)
+    _assert_recorded_risks_are_direct_evaluations(spec, make_dataset(seed=28, n=70, q=3))
 
 
 @pytest.mark.parametrize("loss", [Loss.HINGE, Loss.SQUARED_HINGE, Loss.LOGISTIC], ids=lambda k: k.value)
@@ -382,9 +389,8 @@ def blocked(request):
 @pytest.mark.parametrize("loss, pen", ALL_COMBOS, ids=COMBO_IDS)
 def test_fit_risks_match_direct_evaluation_across_blocks(blocked, loss, pen):
     spec = RiskSpec(loss, pen, lam=0.2, mu=0.3, epsilon=EPS)
+    _assert_recorded_risks_are_direct_evaluations(spec, blocked)
     result = fit(spec, blocked, FitOptions(max_iterations=3, risk_tolerance=0.0, init=Init.ZERO))
-    assert_allclose(result.exact_risk_trajectory[-1], risk(spec, result.theta, blocked), rtol=1e-12, atol=0)
-    assert_allclose(result.smoothed_risk_trajectory[-1], smoothed_risk(spec, result.theta, blocked), rtol=1e-12, atol=0)
     beta = result.theta.beta
     m = blocked.labels * (result.theta.alpha + blocked.features @ beta)
     dense_exact = np.mean(loss_value(loss, m)) + penalty_value(beta, spec.lam, spec.mu)

@@ -14,15 +14,13 @@ from irlsvm import (
     finite_diff_gradient,
     fit,
     generate_gaussian_mixture,
-    monitored_risk,
     reference_minimize,
     smoothed_risk,
 )
-from irlsvm.losses import smoothed_loss_value
 from irlsvm.oracle import _margin_path, _penalty_path
-from irlsvm.penalties import smoothed_penalty_value
 
 from helpers import make_dataset, two_sample_dataset
+from risk_reference import smoothed_loss_value, smoothed_penalty_value
 
 EPS = 1e-6
 
@@ -44,8 +42,8 @@ def test_agreement_with_fit_on_smooth_convex_problem():
     spec = RiskSpec(Loss.LOGISTIC, Penalty.L2, lam=0.1)
     result = fit(spec, ds, FitOptions(max_iterations=2000, risk_tolerance=1e-12))
     theta = reference_minimize(spec, ds)
-    fit_obj = monitored_risk(spec, result.theta, ds)
-    oracle_obj = monitored_risk(spec, theta, ds)
+    fit_obj = smoothed_risk(spec, result.theta, ds)
+    oracle_obj = smoothed_risk(spec, theta, ds)
     assert abs(oracle_obj - fit_obj) <= 1e-10 * (1.0 + abs(fit_obj))
 
 
