@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 solver error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -242,12 +243,8 @@ def _cmd_sweep(args) -> int:
     except OSError as err:
         raise DataError(f"{out_dir}: cannot create directory: {err.strerror or err}") from err
 
-    def spec_for(value: float) -> RiskSpec:
-        lam = value if param == "lambda" else spec_base.lam
-        mu = value if param == "mu" else spec_base.mu
-        return RiskSpec(loss=spec_base.loss, penalty=spec_base.penalty, lam=lam, mu=mu, epsilon=spec_base.epsilon)
-
-    results = [fit(spec_for(value), dataset, options) for value in grid]
+    field = "lam" if param == "lambda" else "mu"
+    results = [fit(dataclasses.replace(spec_base, **{field: value}), dataset, options) for value in grid]
     accuracies = [float(np.mean(predict_batch(r.theta, dataset.features) == dataset.labels)) for r in results]
 
     summary_path = out_dir / "summary.csv"

@@ -40,18 +40,6 @@ class TerminationReason(Enum):
 
 DEFAULT_EPSILON = 1e-6
 
-# Rows per block of a blocked pass over the design: few enough that a block's
-# temporaries stay in cache, many enough that the Python loop over blocks
-# costs little (at n = 10^6, q = 2 a block is 1/61 of the design and its
-# weighted copy in the Gram accumulation 384 KiB).
-_BLOCK_ROWS = 1 << 14
-
-
-def _row_blocks(n: int) -> list[slice]:
-    """Consecutive slices of _BLOCK_ROWS (the last one fewer) covering n rows."""
-    return [slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS)]
-
-
 def _check_finite_rows(features: np.ndarray) -> None:
     """Raise ValueError naming the first (0-based) row that holds a non-finite
     feature; the row scan runs only once a whole-matrix check has failed."""
@@ -240,7 +228,6 @@ class FitResult:
     exact_risk_trajectory: np.ndarray
     smoothed_risk_trajectory: np.ndarray
     iterations_run: int
-    converged: bool
     termination_reason: TerminationReason
     jittered_solves: int = 0
 
@@ -270,19 +257,6 @@ def build_design_matrix(dataset: Dataset) -> DesignMatrix:
     np.multiply(dataset.features.T, dataset.labels, out=cols[1:])
     cols.flags.writeable = False
     return DesignMatrix(rows=cols.T)
-
-
-def _margin_blocks(design: DesignMatrix, theta: ModelParams, out: np.ndarray):
-    """Walk the design in row blocks, yielding each block's slice and its
-    margins, written into the first entries of out (at least
-    min(n, _BLOCK_ROWS) long)."""
-    if theta.q != design.q:
-        raise ValueError(f"theta has {theta.q} features but data has {design.q}")
-    vec = theta.as_vector()
-    for block in _row_blocks(design.n):
-        m = out[: block.stop - block.start]
-        np.matmul(design.rows[block], vec, out=m)
-        yield block, m
 
 
 def predict(theta: ModelParams, features: np.ndarray) -> int:

@@ -24,7 +24,7 @@ MODEL_FORMAT = "irlsvm-model/1"
 LABEL_COLUMN = "y"
 
 _FLOAT = "%.17g"
-_BLOCK_ROWS = 1 << 14  # rows formatted per write; bounds the memory a large file needs
+_WRITE_ROWS = 1 << 14  # rows formatted per write; bounds the memory a large file needs
 
 
 class DataError(ValueError):
@@ -156,8 +156,8 @@ def _write_rows(path, header, fmt: str, columns) -> None:
     columns = [np.asarray(column) for column in columns]
     with open_output(path) as handle:
         handle.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = zip(*(column[start : start + _BLOCK_ROWS].tolist() for column in columns))
+        for start in range(0, len(columns[0]), _WRITE_ROWS):
+            block = zip(*(column[start : start + _WRITE_ROWS].tolist() for column in columns))
             handle.write("".join(map(line.__mod__, block)))
 
 
@@ -204,9 +204,9 @@ def write_predictions_csv(source, header: list[str], labels, path) -> None:
     next(records)  # the header record
     with open_output(path) as out:
         csv.writer(out, lineterminator="\n").writerow(header + ["predicted"])
-        for start in range(0, len(positive), _BLOCK_ROWS):
-            block = itertools.islice(records, _BLOCK_ROWS)
-            ends = map(suffixes.__getitem__, positive[start : start + _BLOCK_ROWS])
+        for start in range(0, len(positive), _WRITE_ROWS):
+            block = itertools.islice(records, _WRITE_ROWS)
+            ends = map(suffixes.__getitem__, positive[start : start + _WRITE_ROWS])
             out.write("".join(map(str.__add__, block, ends)))
 
 

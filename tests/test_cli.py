@@ -326,6 +326,30 @@ def test_check_flags_a_bad_update_from_an_extrapolated_point(tmp_path, monkeypat
     assert "[FAIL] update does not raise the surrogate" in out
 
 
+def test_check_flags_a_recorded_risk_off_the_surrogate_at_its_anchor(data_csv, monkeypatch, capsys):
+    import irlsvm.engine as engine_module
+
+    passes = []
+    original = engine_module._pass
+
+    def raised_third_pass(*args, **kwargs):
+        # the third pass records the second update's image, the plain anchor of the third
+        # update: check must compare that anchor with the risk fit recorded there
+        exact, smoothed, *system = original(*args, **kwargs)
+        passes.append(smoothed)
+        if len(passes) == 3:
+            smoothed *= 1.0 + 1e-6
+        return exact, smoothed, *system
+
+    monkeypatch.setattr(engine_module, "_pass", raised_third_pass)
+    argv = ["check", "--loss", "hinge", "--penalty", "l2", "--lambda", "0.1", "--init", "zero", "--tolerance", "0"]
+    assert main(argv + ["--data", str(data_csv)]) == 5
+    out = capsys.readouterr().out
+    assert "[PASS] monotone smoothed-risk descent" in out
+    assert "[FAIL] surrogate touches risk at anchor" in out
+    assert "[PASS] update does not raise the surrogate" in out
+
+
 def test_fit_summary_counts_updates_from_extrapolated_points(data_csv, tmp_path, capsys):
     argv = ["fit", "--loss", "hinge", "--penalty", "l2", "--lambda", "0.1", "--data", str(data_csv)]
     assert main(argv + ["--out", str(tmp_path / "a.model")]) == 0

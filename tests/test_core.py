@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from irlsvm import Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec, TerminationReason, predict, predict_batch
-from irlsvm.core import _BLOCK_ROWS, _margin_blocks, build_design_matrix
+from irlsvm import Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec, TerminationReason, predict, predict_batch, risk
+from irlsvm.core import build_design_matrix
+from irlsvm.engine import _BLOCK_ROWS
 
 from helpers import make_dataset
 
-
-def margins(design, theta):
-    """Margins y_i * (alpha + beta.t_i) stitched from the blocked pass's walk
-    over the design."""
-    buffer = np.empty(min(design.n, _BLOCK_ROWS))
-    return np.concatenate([m.copy() for _block, m in _margin_blocks(design, theta, buffer)])
+# unpenalised least squares: the risk is the mean of (1 - m)^2 over the margins
+# m = y * (alpha + beta.t) of the blocked pass
+LS = RiskSpec(Loss.LEAST_SQUARES, Penalty.L2, lam=0.0)
 
 
 def test_design_matrix_rows():
@@ -56,21 +54,21 @@ def test_dataset_arrays_are_readonly():
 
 
 def test_margins_examples(two_sample):
-    design = build_design_matrix(two_sample)
-    assert_array_equal(margins(design, ModelParams.zeros(1)), [0.0, 0.0])
-    assert_array_equal(margins(design, ModelParams(alpha=0.0, beta=[1.0])), [1.0, 1.0])
+    # margins 0, 0 and 1, 1
+    assert risk(LS, ModelParams.zeros(1), two_sample) == 1.0
+    assert risk(LS, ModelParams(alpha=0.0, beta=[1.0]), two_sample) == 0.0
 
+    # margin -7
     ds = Dataset(features=np.array([[3.0]]), labels=np.array([-1.0]))
-    assert margins(build_design_matrix(ds), ModelParams(alpha=1.0, beta=[2.0]))[0] == -7.0
+    assert risk(LS, ModelParams(alpha=1.0, beta=[2.0]), ds) == 64.0
 
 
 def _assert_margins_match_per_row_evaluation(ds):
-    design = build_design_matrix(ds)
     rng = np.random.default_rng(0)
     for _ in range(20):
         theta = ModelParams(alpha=rng.normal(), beta=rng.normal(size=ds.q))
         direct = ds.labels * (theta.alpha + ds.features @ theta.beta)
-        assert_allclose(margins(design, theta), direct, rtol=1e-12, atol=1e-12)
+        assert_allclose(risk(LS, theta, ds), np.mean((1.0 - direct) ** 2), rtol=1e-12, atol=0)
 
 
 def test_margins_match_per_row_evaluation():
@@ -83,8 +81,8 @@ def test_margins_match_per_row_evaluation_across_blocks():
 
 
 def test_margins_dimension_mismatch(two_sample):
-    with pytest.raises(ValueError):
-        margins(build_design_matrix(two_sample), ModelParams(alpha=0.0, beta=[1.0, 2.0]))
+    with pytest.raises(ValueError, match="theta has 2 features but data has 1"):
+        risk(LS, ModelParams(alpha=0.0, beta=[1.0, 2.0]), two_sample)
 
 
 def test_predict_examples():
@@ -101,7 +99,7 @@ def test_predict_matches_margin_sign():
     for _ in range(200):
         t = rng.normal(size=3)
         ds = Dataset(features=t[None, :], labels=np.array([1.0]))
-        m = margins(build_design_matrix(ds), theta)[0]
+        m = (build_design_matrix(ds).rows @ theta.as_vector())[0]
         assert (predict(theta, t) == 1) == (m >= 0)
 
 
@@ -169,7 +167,6 @@ def test_fit_result_trajectory_lengths_must_agree():
             exact_risk_trajectory=np.array([1.0, 0.5]),
             smoothed_risk_trajectory=np.array([1.0]),
             iterations_run=1,
-            converged=True,
             termination_reason=TerminationReason.RISK_TOLERANCE,
         )
     with pytest.raises(ValueError):
@@ -180,7 +177,6 @@ def test_fit_result_trajectory_lengths_must_agree():
             exact_risk_trajectory=np.array([1.0, 0.5]),
             smoothed_risk_trajectory=np.array([1.0, 0.5]),
             iterations_run=2,
-            converged=False,
             termination_reason=TerminationReason.MAX_ITERATIONS,
         )
     for rows, cols in ((1, 2), (2, 3)):  # one row per iterate, one column per parameter
@@ -192,7 +188,6 @@ def test_fit_result_trajectory_lengths_must_agree():
                 exact_risk_trajectory=np.array([1.0, 0.5]),
                 smoothed_risk_trajectory=np.array([1.0, 0.5]),
                 iterations_run=1,
-                converged=False,
                 termination_reason=TerminationReason.MAX_ITERATIONS,
             )
     for rows, cols in ((2, 2), (1, 3)):  # one anchor per update, one column per parameter
@@ -204,7 +199,6 @@ def test_fit_result_trajectory_lengths_must_agree():
                 exact_risk_trajectory=np.array([1.0, 0.5]),
                 smoothed_risk_trajectory=np.array([1.0, 0.5]),
                 iterations_run=1,
-                converged=False,
                 termination_reason=TerminationReason.MAX_ITERATIONS,
             )
 

@@ -23,7 +23,7 @@ from irlsvm import (
 )
 from irlsvm.cli import DESCENT_SLACK, _extrapolated
 from irlsvm.core import build_design_matrix
-from irlsvm.engine import WARM_START_RIDGE_FLOOR, _surrogate_values, closed_form_ls_l2, irls_step
+from irlsvm.engine import _BLOCK_ROWS, WARM_START_RIDGE_FLOOR, _surrogate_values, closed_form_ls_l2, irls_step
 from irlsvm.losses import loss_value, majorizer_value
 from irlsvm.penalties import penalty_majorizer_value
 
@@ -128,7 +128,6 @@ def test_fit_ls_l2_is_single_closed_form_step(two):
     spec = RiskSpec(Loss.LEAST_SQUARES, Penalty.L2, lam=0.5)
     result = fit(spec, two)
     assert result.iterations_run == 1
-    assert result.converged
     assert result.termination_reason is TerminationReason.CLOSED_FORM
     assert len(result.exact_risk_trajectory) == 2
     direct = closed_form_ls_l2(build_design_matrix(two), 0.5)
@@ -170,7 +169,6 @@ def test_fit_trajectories_include_initial_point(two):
     assert_allclose(result.smoothed_risk_trajectory[0], smoothed_risk(spec, start, two), rtol=1e-14)
     assert result.iterations_run == 5
     assert len(result.exact_risk_trajectory) == 6
-    assert not result.converged
     assert result.termination_reason is TerminationReason.MAX_ITERATIONS
 
 
@@ -178,7 +176,6 @@ def test_fit_stops_on_risk_tolerance():
     ds = make_dataset(seed=23, n=60, q=2)
     spec = RiskSpec(Loss.LOGISTIC, Penalty.L2, lam=0.2)
     result = fit(spec, ds, FitOptions(max_iterations=500, risk_tolerance=1e-9))
-    assert result.converged
     assert result.termination_reason is TerminationReason.RISK_TOLERANCE
     assert result.iterations_run < 500
     assert result.theta_trajectory.shape == (result.iterations_run + 1, 3)
@@ -378,10 +375,7 @@ def test_fit_counts_jittered_solves():
     assert fit(RiskSpec(Loss.SQUARED_HINGE, Penalty.L2, lam=0.1), ds, FitOptions(max_iterations=3)).jittered_solves == 0
 
 
-BLOCK_ROWS = 1 << 14  # rows per block of the engine's blocked pass
-
-
-@pytest.fixture(scope="module", params=[BLOCK_ROWS, 2 * BLOCK_ROWS + 123], ids=["one-block", "three-blocks"])
+@pytest.fixture(scope="module", params=[_BLOCK_ROWS, 2 * _BLOCK_ROWS + 123], ids=["one-block", "three-blocks"])
 def blocked(request):
     return make_dataset(seed=29, n=request.param, q=3)
 
@@ -474,7 +468,7 @@ def test_surrogate_values_match_dense_reference_across_blocks(blocked, loss, pen
 
 @pytest.fixture(scope="module")
 def three_blocks():
-    return make_dataset(seed=31, n=2 * BLOCK_ROWS + 123, q=3)
+    return make_dataset(seed=31, n=2 * _BLOCK_ROWS + 123, q=3)
 
 
 @pytest.mark.parametrize("init", [Init.ZERO, Init.WARM_START_LS_L2], ids=["zero", "warm"])
