@@ -51,9 +51,9 @@ def load_features_csv(path, labeled: bool = False) -> tuple[list[str], np.ndarra
 
     Every column except the label column "y" is a feature, in header order.
     With labeled=True the "y" column is required and must hold -1 or 1;
-    otherwise it is optional, ignored, and labels is None. Blank lines are
-    skipped. A non-finite feature ("nan", "inf") is a DataError naming its
-    row and column.
+    otherwise it is optional, ignored, and labels is None. A header naming
+    "y" twice is a DataError. Blank lines are skipped. A non-finite feature
+    ("nan", "inf") is a DataError naming its row and column.
     """
     path = Path(path)
     try:
@@ -62,6 +62,8 @@ def load_features_csv(path, labeled: bool = False) -> tuple[list[str], np.ndarra
                 header = [name.strip() for name in next(csv.reader(handle))]
             except StopIteration:
                 raise DataError(f"{path}: empty file, header required") from None
+            if header.count(LABEL_COLUMN) > 1:
+                raise DataError(f"{path}: label column '{LABEL_COLUMN}' appears more than once")
             if labeled and LABEL_COLUMN not in header:
                 raise DataError(f"{path}: missing label column '{LABEL_COLUMN}'")
             label_idx = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None

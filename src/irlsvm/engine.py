@@ -28,6 +28,11 @@ from .penalties import _penalty_terms, penalty_majorizer_value
 
 WARM_START_RIDGE_FLOOR = 1e-3
 
+# check's gates: the largest relative violation each tolerates (_violations)
+DESCENT_SLACK = 1e-10
+ANCHOR_SLACK = 1e-10
+SURROGATE_SLACK = 1e-12
+
 # Rows per block of a pass over the design: few enough that a block's
 # temporaries stay in cache, many enough that the Python loop over blocks
 # costs little (at n = 10^6, q = 2 a block is 1/61 of the design and its
@@ -80,26 +85,25 @@ def _pass_buffers(design: DesignMatrix, update: bool) -> np.ndarray:
 
 def _pass(
     spec: RiskSpec,
-    theta: ModelParams,
+    vec: np.ndarray,
     design: DesignMatrix,
     update: bool = True,
     buffers: np.ndarray | None = None,
 ) -> tuple[float, float, np.ndarray | None, np.ndarray | None]:
-    """One pass over the row blocks of the design at theta: the exact and
-    smoothed risks there and, with update, the matrix and right-hand side of
-    the normal equations of the surrogate anchored there (else None and
-    None).
+    """One pass over the row blocks of the design at the (alpha, beta) vector
+    vec: the exact and smoothed risks there and, with update, the matrix and
+    right-hand side of the normal equations of the surrogate anchored there
+    (else None and None).
 
     Every block's margins and loss terms go through the same block-sized
     buffers (_pass_buffers; fit hands every pass the same ones, so a fit
     allocates them once), so the pass allocates no n-length array.
     """
-    if theta.q != design.q:
-        raise ValueError(f"theta has {theta.q} features but data has {design.q}")
     k = design.q + 1
+    if vec.shape[0] != k:
+        raise ValueError(f"theta has {vec.shape[0] - 1} features but data has {design.q}")
     if buffers is None:
         buffers = _pass_buffers(design, update)
-    vec = theta.as_vector()
     gram = None
     rhs = np.zeros(k)
     loss_sum = smoothed_sum = 0.0
@@ -123,12 +127,12 @@ def _pass(
                 rhs += rhs_weights @ rows
 
     n = design.n
-    penalty, smoothed_penalty, diag = _penalty_terms(theta.beta, spec.lam, spec.mu, spec.epsilon)
+    penalty, smoothed_penalty, diag = _penalty_terms(vec[1:], spec.lam, spec.mu, spec.epsilon)
     exact = loss_sum / n + penalty
     smoothed = smoothed_sum / n + smoothed_penalty
     if not update:
         return exact, smoothed, None, None
-    offset = _rhs_offset(spec.loss, design, theta)
+    offset = _rhs_offset(spec.loss, design, vec)
     if offset is not None:
         rhs += offset
     a = design.gram.copy() if gram is None else gram.result()
@@ -147,54 +151,69 @@ def _surrogate_values(
     Returns (at, after): at[t] is the surrogate anchored at anchors[t]
     evaluated there, which equals the monitored risk there, and after[t] the
     same surrogate at images[t]. Each row block computes the margins of
-    every point once, into one of two block-sized rows: an anchor equal to
-    the image before it (a plain update) takes that image's row, and any
-    other anchor is computed into the other row. majorizer_value is summed
-    over the pair, and penalty_majorizer_value adds the penalty parts. No
-    update rule is involved, so the values check the updates independently.
+    update t's anchor and of its image into two block-sized rows,
+    majorizer_value is summed over the pair, and penalty_majorizer_value
+    adds the penalty parts. No update rule is involved, so the values check
+    the updates independently.
     """
     anchors = np.asarray(anchors, dtype=float)
     images = np.asarray(images, dtype=float)
     if anchors.ndim != 2 or anchors.shape[1] != design.q + 1 or images.shape != anchors.shape:
         raise ValueError(f"anchors and images must be equally many rows of {design.q + 1} parameters")
     count = anchors.shape[0]
-    chained = [t > 0 and np.array_equal(anchors[t], images[t - 1]) for t in range(count)]
     pair = np.empty((2, min(design.n, _BLOCK_ROWS)))
-    loss_at = np.zeros(count)
-    loss_after = np.zeros(count)
+    loss = np.zeros((count, 2))  # row t: the loss sums at update t's anchor and image
     for start in range(0, design.n, _BLOCK_ROWS):
         rows = design.rows[start : start + _BLOCK_ROWS]
         m = pair[:, : rows.shape[0]]
-        image = 1
         for t in range(count):
-            anchor = image if chained[t] else 1 - image
-            if not chained[t]:
-                np.matmul(rows, anchors[t], out=m[anchor])
-            image = 1 - anchor
-            np.matmul(rows, images[t], out=m[image])
-            sums = majorizer_value(spec.loss, m, m[anchor], spec.epsilon).sum(axis=1)
-            loss_at[t] += sums[anchor]
-            loss_after[t] += sums[image]
+            np.matmul(rows, anchors[t], out=m[0])
+            np.matmul(rows, images[t], out=m[1])
+            loss[t] += majorizer_value(spec.loss, m, m[0], spec.epsilon).sum(axis=1)
 
     def penalty_part(beta, beta_ref):
         return penalty_majorizer_value(beta, beta_ref, spec.lam, spec.mu, spec.epsilon)
 
     n = design.n
-    at = [loss_at[t] / n + penalty_part(anchors[t, 1:], anchors[t, 1:]) for t in range(count)]
-    after = [loss_after[t] / n + penalty_part(images[t, 1:], anchors[t, 1:]) for t in range(count)]
+    at = [loss[t, 0] / n + penalty_part(anchors[t, 1:], anchors[t, 1:]) for t in range(count)]
+    after = [loss[t, 1] / n + penalty_part(images[t, 1:], anchors[t, 1:]) for t in range(count)]
     return np.array(at), np.array(after)
+
+
+def _extrapolated(result: FitResult) -> np.ndarray:
+    """Which recorded updates started from an extrapolated point: those whose
+    anchor is not the iterate before them (fit)."""
+    return (result.anchor_trajectory != result.theta_trajectory[:-1]).any(axis=1)
+
+
+def _violations(spec: RiskSpec, result: FitResult, design: DesignMatrix) -> tuple[float, float, float]:
+    """check's three gates on fit's record, as worst relative violations: a
+    rise of the monitored risk, a surrogate off the risk at its anchor, a rise of a surrogate."""
+    # the smoothed risk is the monitored risk (see fit)
+    track = result.smoothed_risk_trajectory
+    descent = float(np.max(np.diff(track) / (1.0 + np.abs(track[:-1]))))
+    # each recorded update against the surrogate anchored at its own anchor:
+    # the iterate before it, whose risk is recorded, or an extrapolated point
+    anchors = result.anchor_trajectory
+    at, after = _surrogate_values(spec, anchors, result.theta_trajectory[1:], design)
+    anchor_risk = track[:-1].copy()
+    for t in np.flatnonzero(_extrapolated(result)):
+        anchor_risk[t] = _pass(spec, anchors[t], design, update=False)[1]
+    anchor = float(np.max(np.abs(at - anchor_risk) / (1.0 + np.abs(anchor_risk))))
+    surrogate = float(np.max((after - at) / (1.0 + np.abs(at))))
+    return descent, anchor, surrogate
 
 
 def risk(spec: RiskSpec, theta: ModelParams, dataset: Dataset) -> float:
     """Exact risk: average loss plus the unsmoothed penalty, by fit's pass over
     the n x (q+1) design (built per call), so bit for bit the risk fit records."""
-    return _pass(spec, theta, build_design_matrix(dataset), update=False)[0]
+    return _pass(spec, theta.as_vector(), build_design_matrix(dataset), update=False)[0]
 
 
 def smoothed_risk(spec: RiskSpec, theta: ModelParams, dataset: Dataset) -> float:
     """Risk with absolute values smoothed by sqrt(u^2 + epsilon), evaluated as
     risk is. The descent guarantee covers it; under an exact monitor it equals risk."""
-    return _pass(spec, theta, build_design_matrix(dataset), update=False)[1]
+    return _pass(spec, theta.as_vector(), build_design_matrix(dataset), update=False)[1]
 
 
 def irls_step(spec: RiskSpec, theta: ModelParams, design: DesignMatrix) -> ModelParams:
@@ -203,22 +222,19 @@ def irls_step(spec: RiskSpec, theta: ModelParams, design: DesignMatrix) -> Model
     For the least-squares loss with 2-norm penalty the surrogate is the risk
     itself, so the step returns the closed-form solution directly.
     """
-    return ModelParams.from_vector(solve_spd(*_pass(spec, theta, design)[2:]).x)
+    return ModelParams.from_vector(solve_spd(*_pass(spec, theta.as_vector(), design)[2:]).x)
 
 
-def closed_form_ls_l2(design: DesignMatrix, lam: float) -> ModelParams:
-    """Exact minimizer of the least-squares risk with 2-norm penalty."""
-    return irls_step(RiskSpec(Loss.LEAST_SQUARES, Penalty.L2, lam=lam), ModelParams.zeros(design.q), design)
-
-
-def _initial_theta(options: FitOptions, spec: RiskSpec, design: DesignMatrix) -> ModelParams:
+def _initial_theta(options: FitOptions, spec: RiskSpec, design: DesignMatrix) -> np.ndarray:
     if isinstance(options.init, ModelParams):
         if options.init.q != design.q:
             raise ValueError(f"explicit init has {options.init.q} features, data has {design.q}")
-        return options.init
+        return options.init.as_vector()
+    zeros = np.zeros(design.q + 1)
     if options.init is Init.ZERO:
-        return ModelParams.zeros(design.q)
-    return closed_form_ls_l2(design, max(spec.lam, WARM_START_RIDGE_FLOOR))
+        return zeros
+    warm_spec = RiskSpec(Loss.LEAST_SQUARES, Penalty.L2, lam=max(spec.lam, WARM_START_RIDGE_FLOOR))
+    return solve_spd(*_pass(warm_spec, zeros, design)[2:]).x
 
 
 def _extrapolated_update(spec, design, cycle, risk_bound, buffers, update):
@@ -238,14 +254,16 @@ def _extrapolated_update(spec, design, cycle, risk_bound, buffers, update):
     v = x2 - x1 - r
     # a step that overflows or fails is discarded, so its floating-point flags say nothing
     with np.errstate(all="ignore"):
+        a = min(-np.linalg.norm(r) / np.linalg.norm(v), -1.0)
+        anchor = x0 - 2.0 * a * r + a * a * v
+        if not np.isfinite(anchor).all():
+            return None
         try:
-            a = min(-np.linalg.norm(r) / np.linalg.norm(v), -1.0)
-            anchor = ModelParams.from_vector(x0 - 2.0 * a * r + a * a * v)
             solution = solve_spd(*_pass(spec, anchor, design, buffers=buffers)[2:])
-            image = _pass(spec, ModelParams.from_vector(solution.x), design, update=update, buffers=buffers)
+            image = _pass(spec, solution.x, design, update=update, buffers=buffers)
         except (ValueError, SingularSystemError):
             return None
-    return (anchor.as_vector(), solution, image) if image[1] <= risk_bound else None
+    return (anchor, solution, image) if image[1] <= risk_bound else None
 
 
 def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> FitResult:
@@ -276,7 +294,7 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
     steps = 1 if closed_form else options.max_iterations
     buffers = _pass_buffers(design, update=True)
     exact, smoothed, *system = _pass(spec, theta, design, buffers=buffers)
-    theta_track = [theta.as_vector()]
+    theta_track = [theta]
     anchor_track = []
     exact_track = [exact]
     smoothed_track = [smoothed]
@@ -298,7 +316,7 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
                 solution = solve_spd(*system)
             except SingularSystemError as err:
                 raise FitError(str(err), exact_track, smoothed_track) from err
-            image = _pass(spec, ModelParams.from_vector(solution.x), design, update, buffers)
+            image = _pass(spec, solution.x, design, update, buffers)
             step = (theta_track[-1], solution, image)
             plain_run += 1
         anchor, solution, (exact, smoothed, *system) = step

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from irlsvm import Dataset, Loss, Penalty
+from irlsvm import Dataset, Loss, ModelParams, Penalty, RiskSpec
+from irlsvm.engine import irls_step
 
 ALL_COMBOS = [(loss, pen) for loss in Loss for pen in Penalty]
 ITERATIVE_COMBOS = [c for c in ALL_COMBOS if c != (Loss.LEAST_SQUARES, Penalty.L2)]
@@ -13,6 +14,12 @@ ITERATIVE_IDS = [f"{loss.value}+{pen.value}" for loss, pen in ITERATIVE_COMBOS]
 def two_sample_dataset() -> Dataset:
     """The 2-sample fixture: t = (1), (-1) with labels +1, -1."""
     return Dataset(features=np.array([[1.0], [-1.0]]), labels=np.array([1.0, -1.0]))
+
+
+def closed_form_ls_l2(design, lam: float) -> ModelParams:
+    """Exact minimizer of the least-squares risk with 2-norm penalty: the one
+    update of that risk from 0, as fit's warm start and closed form take it."""
+    return irls_step(RiskSpec(Loss.LEAST_SQUARES, Penalty.L2, lam=lam), ModelParams.zeros(design.q), design)
 
 
 def make_dataset(seed: int, n: int = 40, q: int = 3) -> Dataset:

@@ -27,11 +27,10 @@ from irlsvm import (
     smoothed_risk,
 )
 from irlsvm.core import build_design_matrix
-from irlsvm.engine import closed_form_ls_l2
 from irlsvm.losses import loss_value, majorizer_value
 from irlsvm.penalties import penalty_majorizer_value
 
-from helpers import ALL_COMBOS, ITERATIVE_COMBOS, two_sample_dataset
+from helpers import ALL_COMBOS, ITERATIVE_COMBOS, closed_form_ls_l2, two_sample_dataset
 from risk_reference import smoothed_loss_value, smoothed_penalty_value
 
 GRID = [0.0, 0.1, 0.2, 0.3, 0.4]

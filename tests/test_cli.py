@@ -105,6 +105,10 @@ def test_grid_point_count_is_capped_before_the_grid_is_built():
     assert len(_grid(f"0:1:{MAX_GRID_POINTS - 1}")) == MAX_GRID_POINTS
     with pytest.raises(argparse.ArgumentTypeError, match="1000001 points"):
         _grid("0:1e-6:1")
+    # (end - start) / step overflows to inf, which round() cannot take
+    for text in ("0:5e-324:1", "-1e308:1e-10:1e308"):
+        with pytest.raises(argparse.ArgumentTypeError, match="too many points to count"):
+            _grid(text)
 
 
 def test_overlong_grid_is_usage_error(data_csv, tmp_path, capsys):
@@ -523,15 +527,47 @@ def test_predict_unwritable_output_is_data_error(data_csv, tmp_path, capsys):
     assert str(out) in capsys.readouterr().err
 
 
-def test_fit_summary_reports_jittered_solves(tmp_path, capsys):
+@pytest.fixture
+def duplicated_column_csv(tmp_path):
+    """Two equal feature columns: with lambda = 0 every squared-hinge solve is singular and jittered."""
     data = tmp_path / "dup.csv"
     data.write_text("x1,x2,y\n1,1,1\n2,2,1\n-1,-1,-1\n-3,-3,-1\n0.5,0.5,1\n-0.25,-0.25,-1\n")
+    return data
+
+
+def test_fit_summary_reports_jittered_solves(duplicated_column_csv, tmp_path, capsys):
     argv = ["fit", "--loss", "squared-hinge", "--penalty", "l2", "--iterations", "3", "--tolerance", "0",
-            "--init", "zero", "--data", str(data), "--out", str(tmp_path / "m")]
+            "--init", "zero", "--data", str(duplicated_column_csv), "--out", str(tmp_path / "m")]
     assert main(argv + ["--lambda", "0"]) == 0
     assert "3 jittered solves, descent not guaranteed" in capsys.readouterr().out
     assert main(argv + ["--lambda", "0.1"]) == 0
     assert "jitter" not in capsys.readouterr().out
+
+
+def test_check_notes_jittered_solves_after_its_three_lines(duplicated_column_csv, capsys):
+    argv = ["check", "--loss", "squared-hinge", "--penalty", "l2", "--iterations", "3", "--tolerance", "0",
+            "--init", "zero", "--data", str(duplicated_column_csv)]
+    main(argv + ["--lambda", "0"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and all(line.startswith("[") for line in lines[:3])
+    assert lines[3] == "note: 3 jittered solves, descent not guaranteed"
+    assert main(argv + ["--lambda", "0.1"]) == 0
+    assert "note" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("verb", ["fit", "predict"])
+def test_a_repeated_label_column_is_a_data_error(data_csv, tmp_path, capsys, verb):
+    # the second "y" used to be read as a feature: fit then reached risk 0 on the label itself
+    data = tmp_path / "dup-y.csv"
+    data.write_text("x1,y,y\n1,1,1\n-1,-1,-1\n2,1,1\n-2,-1,-1\n")
+    model = tmp_path / "m.model"
+    if verb == "fit":
+        argv = ["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data), "--out", str(model)]
+    else:
+        assert main(["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data_csv), "--out", str(model)]) == 0
+        argv = ["predict", "--model", str(model), "--data", str(data), "--out", str(tmp_path / "p.csv")]
+    assert main(argv) == 3
+    assert f"{data}: label column 'y' appears more than once" in capsys.readouterr().err
 
 
 def test_fit_reports_non_finite_cell_by_record_number(tmp_path, capsys):

@@ -21,13 +21,29 @@ from irlsvm import (
     risk,
     smoothed_risk,
 )
-from irlsvm.cli import DESCENT_SLACK, _extrapolated
 from irlsvm.core import build_design_matrix
-from irlsvm.engine import _BLOCK_ROWS, WARM_START_RIDGE_FLOOR, _surrogate_values, closed_form_ls_l2, irls_step
+from irlsvm.engine import (
+    _BLOCK_ROWS,
+    DESCENT_SLACK,
+    WARM_START_RIDGE_FLOOR,
+    _extrapolated,
+    _extrapolated_update,
+    _pass_buffers,
+    _surrogate_values,
+    irls_step,
+)
 from irlsvm.losses import loss_value, majorizer_value
 from irlsvm.penalties import penalty_majorizer_value
 
-from helpers import ALL_COMBOS, COMBO_IDS, ITERATIVE_COMBOS, ITERATIVE_IDS, make_dataset, two_sample_dataset
+from helpers import (
+    ALL_COMBOS,
+    COMBO_IDS,
+    ITERATIVE_COMBOS,
+    ITERATIVE_IDS,
+    closed_form_ls_l2,
+    make_dataset,
+    two_sample_dataset,
+)
 from risk_reference import penalty_quadratic, penalty_value, smoothed_loss_value, smoothed_penalty_value
 
 EPS = 1e-6
@@ -507,6 +523,16 @@ def test_accelerated_fit_records_update_images_with_falling_risks(loss, pen):
     for k in (1, result.iterations_run):
         theta = ModelParams.from_vector(result.theta_trajectory[k])
         assert_allclose(track[k], smoothed_risk(spec, theta, ds), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("loss", list(Loss), ids=lambda k: k.value)
+def test_extrapolated_update_rejects_a_non_finite_extrapolated_point(loss):
+    # x2 - x1 = x1 - x0, so v = 0 exactly, a = -inf and x' = 0 * inf = NaN
+    design = build_design_matrix(make_dataset(seed=34, n=20, q=2))
+    x1 = np.array([0.5, -0.25, 1.0])
+    cycle = [np.zeros(3), x1, 2.0 * x1]
+    spec = RiskSpec(loss, Penalty.L2, lam=0.1, epsilon=EPS)
+    assert _extrapolated_update(spec, design, cycle, np.inf, _pass_buffers(design, update=True), True) is None
 
 
 def test_hinge_fit_on_the_benchmark_data_stops_on_the_risk_tolerance():

@@ -1,7 +1,8 @@
 """Property tests over random small datasets, degenerate ones included: fit
-stays finite and descends, the surrogate touches the risk at each recorded
-iterate and the next iterate does not raise it, and fit agrees with the
-reference minimizer on well-posed problems.
+stays finite and descends, the surrogate touches the risk at each update's
+anchor and the update does not raise it (check's gates, plain and
+extrapolating fits), and fit agrees with the reference minimizer on
+well-posed problems.
 """
 
 import numpy as np
@@ -21,9 +22,8 @@ from irlsvm import (
     reference_minimize,
     smoothed_risk,
 )
-from irlsvm.cli import ANCHOR_SLACK, DESCENT_SLACK, SURROGATE_SLACK
 from irlsvm.core import build_design_matrix
-from irlsvm.engine import _surrogate_values
+from irlsvm.engine import ANCHOR_SLACK, DESCENT_SLACK, SURROGATE_SLACK, _violations
 
 from helpers import ALL_COMBOS
 
@@ -90,18 +90,18 @@ def test_fit_stays_finite_and_descends(data, spec, init):
 
 
 @PROPERTY_SETTINGS
-@given(datasets(), specs())
-def test_surrogate_touches_risk_and_update_lowers_it(data, spec):
-    result = _fit_or_none(spec, data, FitOptions(max_iterations=10, risk_tolerance=0.0, init=Init.ZERO))
+@given(datasets(), specs(), st.sampled_from([0.0, 1e-8]))
+def test_surrogate_touches_risk_and_update_lowers_it(data, spec, tolerance):
+    # tolerance 1e-8 (the default) takes updates from extrapolated anchors too
+    result = _fit_or_none(spec, data, FitOptions(max_iterations=10, risk_tolerance=tolerance, init=Init.ZERO))
     if result is None:
         return
-    images = result.theta_trajectory[1:]
-    at, after = _surrogate_values(spec, result.anchor_trajectory, images, build_design_matrix(data))
-    for at_anchor, at_update, anchor_risk in zip(at, after, result.smoothed_risk_trajectory):
-        assert abs(at_anchor - anchor_risk) <= ANCHOR_SLACK * (1.0 + abs(anchor_risk))
-        if result.jittered_solves == 0:
-            drop = at_update - at_anchor
-            assert drop <= SURROGATE_SLACK * (1.0 + abs(at_anchor))
+    descent, anchor, surrogate = _violations(spec, result, build_design_matrix(data))
+    assert anchor <= ANCHOR_SLACK
+    # a jittered solve voids the descent guarantee
+    if result.jittered_solves == 0:
+        assert descent <= DESCENT_SLACK
+        assert surrogate <= SURROGATE_SLACK
 
 
 @PROPERTY_SETTINGS
