@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import Loss, Penalty, RiskSpec, build_design_matrix, monitor_kind, predict_batch
 from .data_io import (
-    _FLOAT,
     DataError,
     _write_rows,
     generate_gaussian_mixture,
@@ -30,7 +29,7 @@ from .data_io import (
     write_trajectory_csv,
 )
 from .engine import ANCHOR_SLACK, DESCENT_SLACK, SURROGATE_SLACK, FitError, FitOptions, Init, fit
-from .engine import _extrapolated, _violations
+from .engine import _extrapolated, _fit, _violations
 from .linalg import SingularSystemError
 
 EXIT_OK = 0
@@ -178,13 +177,23 @@ def _trajectory_path(model_path) -> Path:
     return p.with_name(p.stem + ".trajectory.csv")
 
 
+def _refuse_overwriting(data, outputs) -> None:
+    """A usage error when one of the output paths names the --data file (the
+    same resolved path, or a link to it), which writing would replace."""
+    data = Path(data)
+    for out in map(Path, outputs):
+        if out.resolve() == data.resolve() or (out.exists() and out.samefile(data)):
+            raise ValueError(f"output {out} is the --data file {data}")
+
+
 def _cmd_fit(args) -> int:
     spec = _spec_from_args(args)
     options = _options_from_args(args)
     dataset = load_dataset_csv(args.data)
+    trajectory = _trajectory_path(args.out)
+    _refuse_overwriting(args.data, [args.out, trajectory])
     result = fit(spec, dataset, options)
     write_model(result, spec, args.out)
-    trajectory = _trajectory_path(args.out)
     write_trajectory_csv(result, trajectory)
     jitter_note = (
         f"; {result.jittered_solves} jittered solves, descent not guaranteed" if result.jittered_solves else ""
@@ -231,6 +240,10 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"--{param}-grid sweeps {param}, which penalty {spec_base.penalty.value} does not use")
     dataset = load_dataset_csv(args.data)
     out_dir = Path(args.out)
+    summary_path = out_dir / "summary.csv"
+    hyperplane_path = out_dir / "hyperplanes.csv"
+    trajectory_paths = [out_dir / f"trajectory_{param}_{name}.csv" for name in _value_names(grid)]
+    _refuse_overwriting(args.data, [summary_path, hyperplane_path, *trajectory_paths])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
@@ -240,13 +253,11 @@ def _cmd_sweep(args) -> int:
     results = [fit(dataclasses.replace(spec_base, **{field: value}), dataset, options) for value in grid]
     accuracies = [float(np.mean(predict_batch(r.theta, dataset.features) == dataset.labels)) for r in results]
 
-    summary_path = out_dir / "summary.csv"
-    hyperplane_path = out_dir / "hyperplanes.csv"
     _write_rows(
         summary_path,
         ["parameter", "value", "terminal_exact_risk", "terminal_smoothed_risk", "training_accuracy"],
-        ",".join([param] + [_FLOAT] * 4),
         [
+            param,
             grid,
             [r.exact_risk_trajectory[-1] for r in results],
             [r.smoothed_risk_trajectory[-1] for r in results],
@@ -256,11 +267,10 @@ def _cmd_sweep(args) -> int:
     _write_rows(
         hyperplane_path,
         ["parameter", "value", "alpha"] + [f"beta_{j + 1}" for j in range(dataset.q)],
-        ",".join([param] + [_FLOAT] * (dataset.q + 2)),
-        [grid, [r.theta.alpha for r in results], *np.array([r.theta.beta for r in results]).T],
+        [param, grid, [r.theta.alpha for r in results], *np.array([r.theta.beta for r in results]).T],
     )
-    for name, result in zip(_value_names(grid), results):
-        write_trajectory_csv(result, out_dir / f"trajectory_{param}_{name}.csv")
+    for path, result in zip(trajectory_paths, results):
+        write_trajectory_csv(result, path)
 
     print(f"swept {param} over {len(grid)} points; wrote {summary_path} and {hyperplane_path}")
     return EXIT_OK
@@ -269,9 +279,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_check(args) -> int:
     spec = _spec_from_args(args)
     options = _options_from_args(args)
-    dataset = load_dataset_csv(args.data)
-    result = fit(spec, dataset, options)
-    descent, anchor, surrogate = _violations(spec, result, build_design_matrix(dataset))
+    design = build_design_matrix(load_dataset_csv(args.data))
+    result = _fit(spec, design, options)
+    descent, anchor, surrogate = _violations(spec, result, design)
     checks = [
         (f"monotone {monitor_kind(spec).value}-risk descent", descent <= DESCENT_SLACK, descent),
         ("surrogate touches risk at anchor", anchor <= ANCHOR_SLACK, anchor),

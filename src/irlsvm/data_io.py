@@ -2,9 +2,20 @@
 trajectory persistence.
 
 File conventions: CSVs are comma-separated UTF-8 with a header row and LF
-line endings; the label column is named "y" and holds -1 or 1; floats are
-written with 17 significant digits so values round-trip bit-for-bit. Model
+line endings; the label column is named "y" and holds -1 or 1; a float cell
+is exactly Python's '%.17g' % value, so values round-trip bit-for-bit. Model
 files are flat "key = value" text documents with a fixed key set.
+
+CSV floats are formatted a block at a time by integer arithmetic
+(_float_cells). A finite x with 1e-11 < |x| < 2**50 is M * 2**e with M a
+53-bit integer, and with E its decimal exponent and k = 16 - E its 17 digits
+are D = round-half-even(M * 5**k / 2**(-e - k)). That range keeps k in
+[1, 27], so 5**k fits in 63 bits, and the shift in [1, 62], so D comes from
+the 116-bit product, summed exactly from 32-bit limbs in uint64. E starts
+from floor(log10|x|), which may be one off next to a power of ten: it is the
+smallest exponent whose D is below 10**17, so digits that round up to 10**17
+move it up by one. Zeros take the same path; other values (non-finite, huge
+or tiny) go through Python's '%' one at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +35,8 @@ MODEL_FORMAT = "irlsvm-model/1"
 LABEL_COLUMN = "y"
 
 _FLOAT = "%.17g"
-_WRITE_ROWS = 1 << 14  # rows formatted per write; bounds the memory a large file needs
+_WRITE_ROWS = 1 << 14  # rows copied per write by the predictions writer
+_WRITE_CELLS = 1 << 13  # cells formatted per write; bounds the memory a large file needs
 
 
 class DataError(ValueError):
@@ -151,22 +163,144 @@ def load_dataset_csv(path) -> Dataset:
         raise DataError(f"{path}: {err}") from err
 
 
-def _write_rows(path, header, fmt: str, columns) -> None:
-    """Write the header, then row k = fmt % (column[k] for each column),
-    formatted a block of rows at a time."""
-    line = fmt + "\n"
-    columns = [np.asarray(column) for column in columns]
+# A cell is _CELL bytes: a '%.17g' text in fixed slots, NUL where one is
+# empty, then ",": byte 0 the sign, 1-5 the "0.000" of fixed notation below
+# 1, 6 + 2i digit i of 17 and 7 + 2i the point after it, 40-43 the "e-XX" of
+# scientific notation. It is built as six 8-byte words from tables of words.
+_CELL, _TEXT = 48, 44  # a fallback text takes at most 24 bytes
+_MIN_EXP, _MAX_EXP = -11, 15  # the decimal exponents of the vector path
+_EXPONENTS = np.arange(_MIN_EXP, _MAX_EXP + 1)  # row r is exponent _MIN_EXP + r
+_POINT_AFTER = np.where(_EXPONENTS >= 0, _EXPONENTS, np.where(_EXPONENTS >= -4, -1, 0))  # -1: "0.0..."
+_POW5 = np.array([5**k for k in range(28)], dtype=np.uint64)
+_GROUP_ZEROS = sum(np.arange(10_000) % 10**j == 0 for j in range(1, 5)).astype(np.uint8)  # trailing
+
+
+def _words(table: bytes, width: int) -> np.ndarray:
+    """Entries of width bytes as uint64 words, word j of entry i at [j, i]."""
+    return np.ascontiguousarray(np.frombuffer(table, np.uint64).reshape(-1, width // 8).T).squeeze()
+
+
+def _frame(exponent, point, keep):  # a cell's prefix, point, suffix and separator
+    prefix = b"0." + b"0" * (-exponent - 1) if -4 <= exponent < 0 else b""
+    slots = b"\0" * (1 + 2 * point) + b"." if 0 <= point < keep else b""
+    suffix = b"e-%02d" % -exponent if exponent < -4 else b""
+    return b"\0" + prefix.ljust(5, b"\0") + slots.ljust(34, b"\0") + suffix.ljust(4, b"\0") + b",\0\0\0"
+
+
+# the words by 4-digit group (digit, NUL, ...), by lead digit + 10 * sign, by
+# the last digit kept (a mask of the later digits), and by exponent row and
+# last digit kept (_frame)
+_GROUP_DIGITS = np.arange(10_000)[:, None] // [1000, 1, 100, 1, 10, 1, 1, 1] % 10 + 48
+_GROUP_WORDS = _words((_GROUP_DIGITS * ([1, 0] * 4)).astype(np.uint8), 8)
+_LEAD_WORDS = _words(b"".join(bytes([45 * sign, 0, 0, 0, 0, 0, 48 + d, 0]) for sign in (0, 1) for d in range(10)), 8)
+_MASK_WORDS = _words(b"".join(bytes(255 * (i % 2 == 0 and i // 2 < keep) for i in range(32)) for keep in range(17)), 32)
+_FRAME_WORDS = _words(
+    b"".join(_frame(x, p, keep) for x, p in zip(_EXPONENTS.tolist(), _POINT_AFTER.tolist()) for keep in range(17)), _CELL
+)
+
+
+def _scaled_digits(mant, shift, k):
+    """round-half-even(mant * 5**k / 2**shift) for 53-bit mant, k in [1, 27]
+    and shift in [1, 62]: the product, below 2**116, is hi * 2**64 + lo, its
+    32-bit limb products each below 2**64."""
+    m0, m1 = mant & 0xFFFFFFFF, mant >> 32
+    power = np.take(_POW5, k)
+    p0, p1 = power & 0xFFFFFFFF, power >> 32
+    mid = m1 * p0 + m0 * p1  # below 2**53 + 2**63
+    low = m0 * p0
+    lo = low + (mid << 32)  # wraps modulo 2**64; the carry goes to hi
+    hi = m1 * p1 + (mid >> 32) + (lo < low)
+    scale = np.left_shift(1, 64 - shift, dtype=np.uint64)
+    digits = hi * scale + (lo >> shift)  # the quotient is below 2**64, so hi loses only 0 bits
+    rest = lo * scale  # the bits shifted out, at the top of a word
+    return digits + ((rest | (digits & 1)) > 2**63)  # up above a half, or at a half when odd
+
+
+def _decimal(magnitude):
+    """For magnitudes in (1e-11, 2**50), the 17 digits of '%.17g' and the
+    exponent row of E, with magnitude about digits * 10**(E - 16): the lead
+    digit, the words and trailing zeros of the four 4-digit groups after it,
+    and E - _MIN_EXP."""
+    bits = magnitude.view(np.uint64)
+    mant, exp = (bits & (2**52 - 1)) | 2**52, (bits >> 52).astype(np.int64) - 1075
+    e10 = np.clip(np.floor(np.log10(magnitude)).astype(np.int64), _MIN_EXP, _MAX_EXP)
+
+    def digits_at(index, e):
+        return _scaled_digits(mant[index], (e - 16 - exp[index]).astype(np.uint64), 16 - e)
+
+    digits = digits_at(slice(None), e10)
+    # the exponent is the smallest whose digits are below 10**17: log10 low
+    # or a rounding carry move it up, and digits of at most 10**16 (log10
+    # high, or a power of ten) move it down unless the lower exponent's reach 10**17
+    up = np.flatnonzero(digits >= 10**17)
+    if up.size:
+        e10[up] += 1
+        digits[up] = digits_at(up, e10[up])
+    down = np.flatnonzero(digits <= 10**16)
+    down = down[e10[down] > _MIN_EXP]
+    if down.size:
+        lower = digits_at(down, e10[down] - 1)
+        down, lower = down[lower < 10**17], lower[lower < 10**17]
+        e10[down] -= 1
+        digits[down] = lower
+
+    high = digits // 10**8
+    lead = high // 10**8
+    halves = np.stack([high - lead * 10**8, digits - high * 10**8])
+    quarters = halves // 10**4
+    groups = np.stack([quarters, halves - quarters * 10**4], axis=1).reshape(4, -1)
+    return lead, np.take(_GROUP_WORDS, groups), np.take(_GROUP_ZEROS, groups), e10 - _MIN_EXP
+
+
+def _float_cells(values: np.ndarray) -> np.ndarray:
+    """An (m, _CELL) uint8 array: the '%.17g' text of each of the m float64
+    values in the slots of a cell, and ","."""
+    magnitude = np.abs(values)
+    exact = (magnitude > 1e-11) & (magnitude < 2.0**50)
+    zero = magnitude == 0
+    np.copyto(magnitude, 1.0, where=~exact)  # a zero is formatted as 1, then its digit set to 0
+    lead, words, zeros, row = _decimal(magnitude)
+    trailing = zeros[3]
+    for j, full in ((2, 4), (1, 8), (0, 12)):
+        trailing = trailing + (trailing == full) * zeros[j]
+    keep = np.maximum(16 - trailing, np.take(_POINT_AFTER, row))  # the last digit written
+    # word j of every cell in row j, so that each operation is contiguous
+    cells = np.take(_FRAME_WORDS, row * 17 + keep, axis=1)
+    cells[0] |= np.take(_LEAD_WORDS, lead * ~zero + (values.view(np.uint64) >> 63) * 10)
+    words &= np.take(_MASK_WORDS, keep, axis=1)
+    cells[1:5] |= words
+    cells = cells.T.copy().view(np.uint8)
+    other = np.flatnonzero(~(exact | zero))
+    if other.size:
+        texts = [(_FLOAT % v).encode() for v in values[other].tolist()]
+        cells[other, :_TEXT] = np.array(texts, dtype=f"S{_TEXT}").view(np.uint8).reshape(-1, _TEXT)
+    return cells
+
+
+def _write_rows(path, header, columns) -> None:
+    """Write the header, then row k: the k-th value of each column as
+    '%.17g' text (so an integer below 2**50 as %d), or the column itself
+    where it is a str. Formatted about _WRITE_CELLS cells at a time."""
+    columns = [c if isinstance(c, str) else np.asarray(c, dtype=float) for c in columns]
+    n = min(len(c) for c in columns if not isinstance(c, str))
+    step = max(1, _WRITE_CELLS // len(columns))
     with open_output(path) as handle:
         handle.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _WRITE_ROWS):
-            block = zip(*(column[start : start + _WRITE_ROWS].tolist() for column in columns))
-            handle.write("".join(map(line.__mod__, block)))
+        for start in range(0, n, step):
+            count = min(step, n - start)
+            values = np.stack([np.zeros(count) if isinstance(c, str) else c[start : start + count] for c in columns], 1)
+            cells = _float_cells(values.reshape(-1)).reshape(count, len(columns), _CELL)
+            for j, text in enumerate(columns):
+                if isinstance(text, str):
+                    cells[:, j, :_TEXT] = np.frombuffer(text.encode().ljust(_TEXT, b"\0"), np.uint8)
+            cells[:, -1, _TEXT] = ord("\n")
+            handle.write(cells.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
     """Write a dataset with columns x1..xq then y."""
     header = [f"x{j + 1}" for j in range(dataset.q)] + [LABEL_COLUMN]
-    _write_rows(path, header, ",".join([_FLOAT] * dataset.q + ["%d"]), [*dataset.features.T, dataset.labels])
+    _write_rows(path, header, [*dataset.features.T, dataset.labels])
 
 
 def _csv_records(lines):
@@ -354,7 +488,7 @@ def write_trajectory_csv(result: FitResult, path) -> None:
     """One row per recorded iterate: iteration, exact_risk, smoothed_risk."""
     exact, smoothed = result.exact_risk_trajectory, result.smoothed_risk_trajectory
     header = ["iteration", "exact_risk", "smoothed_risk"]
-    _write_rows(path, header, f"%d,{_FLOAT},{_FLOAT}", [np.arange(len(exact)), exact, smoothed])
+    _write_rows(path, header, [np.arange(len(exact)), exact, smoothed])
 
 
 def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -287,8 +287,12 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
     smoothed risk. Fewer than three updates left run as plain updates. With
     risk_tolerance 0 every update is anchored at the iterate before it.
     """
-    options = options or FitOptions()
-    design = build_design_matrix(dataset)
+    return _fit(spec, build_design_matrix(dataset), options or FitOptions())
+
+
+def _fit(spec: RiskSpec, design: DesignMatrix, options: FitOptions) -> FitResult:
+    """fit on a design already built, so a caller that walks it again (check)
+    builds it once."""
     closed_form = spec.loss is Loss.LEAST_SQUARES and spec.penalty is Penalty.L2
     theta = _initial_theta(options, spec, design)
     steps = 1 if closed_form else options.max_iterations

@@ -1,9 +1,9 @@
-"""Row-by-row CSV reading and the predict writer as they were before the bulk
-numpy path: every cell goes through csv.reader and Python's float. Kept as
-the reference the bulk implementation must agree with, apart from blank
-lines, which these versions reject as rows of 0 cells. Both readers report a
-non-finite feature cell by its record number and column, as the bulk reader
-does.
+"""Row-by-row CSV reading and writing as they were before the bulk numpy
+paths: every cell read goes through csv.reader and Python's float, and every
+row written is one '%' format of its values. Kept as the reference the bulk
+implementations must agree with, apart from blank lines, which these readers
+reject as rows of 0 cells. Both readers report a non-finite feature cell by
+its record number and column, as the bulk reader does.
 """
 
 import csv
@@ -102,3 +102,22 @@ def write_predictions(header, rows, labels, path) -> None:
         writer.writerow(header + ["predicted"])
         for row, label in zip(rows, labels):
             writer.writerow(row + [str(int(label))])
+
+
+def write_rows(path, header, fmt, columns) -> None:
+    """The header, then row k as fmt % (column[k] for each column)."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n")
+        for row in zip(*(np.asarray(column).tolist() for column in columns)):
+            handle.write(fmt % row + "\n")
+
+
+def write_dataset_csv(dataset, path) -> None:
+    header = [f"x{j + 1}" for j in range(dataset.q)] + [LABEL_COLUMN]
+    write_rows(path, header, ",".join(["%.17g"] * dataset.q + ["%d"]), [*dataset.features.T, dataset.labels])
+
+
+def write_trajectory_csv(result, path) -> None:
+    exact, smoothed = result.exact_risk_trajectory, result.smoothed_risk_trajectory
+    header = ["iteration", "exact_risk", "smoothed_risk"]
+    write_rows(path, header, "%d,%.17g,%.17g", [np.arange(len(exact)), exact, smoothed])

@@ -489,6 +489,67 @@ def test_predict_can_overwrite_its_input(data_csv, tmp_path):
     assert [line.rsplit(",", 1)[0] for line in after] == before
 
 
+@pytest.mark.parametrize("out_name", ["d.csv", "d.model"])
+def test_fit_refuses_to_overwrite_its_data(tmp_path, capsys, out_name):
+    # --out d.model puts the trajectory at d.trajectory.csv, the data file of that case
+    data = tmp_path / ("d.csv" if out_name == "d.csv" else "d.trajectory.csv")
+    write_dataset_csv(make_dataset(seed=50, n=60, q=2), data)
+    before = data.read_bytes()
+    code = main(["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data), "--out", str(tmp_path / out_name)])
+    assert code == 2
+    assert str(data) in capsys.readouterr().err
+    assert data.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [data.name]
+
+
+@pytest.mark.parametrize("link", ["hard", "symbolic"])
+def test_fit_refuses_an_output_linked_to_its_data(data_csv, tmp_path, capsys, link):
+    model = tmp_path / "m.model"
+    model.hardlink_to(data_csv) if link == "hard" else model.symlink_to(data_csv)
+    before = data_csv.read_bytes()
+    code = main(["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data_csv), "--out", str(model)])
+    assert code == 2
+    assert str(model) in capsys.readouterr().err
+    assert data_csv.read_bytes() == before
+
+
+@pytest.mark.parametrize("name", ["summary.csv", "hyperplanes.csv", "trajectory_lambda_0.1.csv"])
+def test_sweep_refuses_to_overwrite_its_data(tmp_path, capsys, name):
+    out = tmp_path / "sweep"
+    out.mkdir()
+    data = out / name
+    write_dataset_csv(make_dataset(seed=50, n=60, q=2), data)
+    before = data.read_bytes()
+    argv = ["sweep", "--loss", "hinge", "--penalty", "l2", "--lambda-grid", "0:0.1:0.2"]
+    assert main(argv + ["--data", str(data), "--out", str(out)]) == 2
+    assert str(data) in capsys.readouterr().err
+    assert data.read_bytes() == before
+    assert [p.name for p in out.iterdir()] == [name]
+
+
+def test_check_builds_the_design_once(data_csv, monkeypatch, capsys):
+    import irlsvm.cli as cli_module
+    import irlsvm.engine as engine_module
+
+    argv = ["check", "--loss", "hinge", "--penalty", "elastic", "--lambda", "0.1", "--mu", "0.1"]
+    spec = RiskSpec(Loss.HINGE, Penalty.ELASTIC_NET, lam=0.1, mu=0.1)
+    dataset = load_dataset_csv(data_csv)
+    original = engine_module.build_design_matrix
+    expected = engine_module._violations(spec, fit(spec, dataset), original(dataset))
+    built = []
+
+    def counted(dataset):
+        built.append(dataset)
+        return original(dataset)
+
+    monkeypatch.setattr(cli_module, "build_design_matrix", counted)
+    monkeypatch.setattr(engine_module, "build_design_matrix", counted)
+    assert main(argv + ["--data", str(data_csv)]) == 0
+    assert len(built) == 1
+    values = [float(line.rsplit(" ", 1)[1].rstrip(")")) for line in capsys.readouterr().out.splitlines()]
+    assert values == [float(f"{v:.3e}") for v in expected]
+
+
 def test_simulate_unwritable_output_is_data_error(tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
     assert main(["simulate", "--n", "10", "--out", str(out)]) == 3
