@@ -172,7 +172,6 @@ _MIN_EXP, _MAX_EXP = -11, 15  # the decimal exponents of the vector path
 _EXPONENTS = np.arange(_MIN_EXP, _MAX_EXP + 1)  # row r is exponent _MIN_EXP + r
 _POINT_AFTER = np.where(_EXPONENTS >= 0, _EXPONENTS, np.where(_EXPONENTS >= -4, -1, 0))  # -1: "0.0..."
 _POW5 = np.array([5**k for k in range(28)], dtype=np.uint64)
-_GROUP_ZEROS = sum(np.arange(10_000) % 10**j == 0 for j in range(1, 5)).astype(np.uint8)  # trailing
 
 
 def _words(table: bytes, width: int) -> np.ndarray:
@@ -187,11 +186,12 @@ def _frame(exponent, point, keep):  # a cell's prefix, point, suffix and separat
     return b"\0" + prefix.ljust(5, b"\0") + slots.ljust(34, b"\0") + suffix.ljust(4, b"\0") + b",\0\0\0"
 
 
-# the words by 4-digit group (digit, NUL, ...), by lead digit + 10 * sign, by
-# the last digit kept (a mask of the later digits), and by exponent row and
-# last digit kept (_frame)
-_GROUP_DIGITS = np.arange(10_000)[:, None] // [1000, 1, 100, 1, 10, 1, 1, 1] % 10 + 48
-_GROUP_WORDS = _words((_GROUP_DIGITS * ([1, 0] * 4)).astype(np.uint8), 8)
+# the words by 4-digit group (digit, NUL, ...) with each group's trailing
+# zeros, by lead digit + 10 * sign, by the last digit kept (a mask of the
+# later digits), and by exponent row and last digit kept (_frame)
+_GROUP_DIGITS = np.arange(10_000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10 + 48
+_GROUP_WORDS = _words(np.stack([_GROUP_DIGITS, 0 * _GROUP_DIGITS], axis=2).astype(np.uint8), 8)
+_GROUP_ZEROS = np.logical_and.accumulate(_GROUP_DIGITS[:, ::-1] == 48, axis=1).sum(axis=1, dtype=np.uint8)
 _LEAD_WORDS = _words(b"".join(bytes([45 * sign, 0, 0, 0, 0, 0, 48 + d, 0]) for sign in (0, 1) for d in range(10)), 8)
 _MASK_WORDS = _words(b"".join(bytes(255 * (i % 2 == 0 and i // 2 < keep) for i in range(32)) for keep in range(17)), 32)
 _FRAME_WORDS = _words(
