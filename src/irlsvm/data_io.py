@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import itertools
 import math
 import warnings
@@ -186,17 +187,21 @@ def _frame(exponent, point, keep):  # a cell's prefix, point, suffix and separat
     return b"\0" + prefix.ljust(5, b"\0") + slots.ljust(34, b"\0") + suffix.ljust(4, b"\0") + b",\0\0\0"
 
 
-# the words by 4-digit group (digit, NUL, ...) with each group's trailing
-# zeros, by lead digit + 10 * sign, by the last digit kept (a mask of the
-# later digits), and by exponent row and last digit kept (_frame)
-_GROUP_DIGITS = np.arange(10_000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10 + 48
-_GROUP_WORDS = _words(np.stack([_GROUP_DIGITS, 0 * _GROUP_DIGITS], axis=2).astype(np.uint8), 8)
-_GROUP_ZEROS = np.logical_and.accumulate(_GROUP_DIGITS[:, ::-1] == 48, axis=1).sum(axis=1, dtype=np.uint8)
-_LEAD_WORDS = _words(b"".join(bytes([45 * sign, 0, 0, 0, 0, 0, 48 + d, 0]) for sign in (0, 1) for d in range(10)), 8)
-_MASK_WORDS = _words(b"".join(bytes(255 * (i % 2 == 0 and i // 2 < keep) for i in range(32)) for keep in range(17)), 32)
-_FRAME_WORDS = _words(
-    b"".join(_frame(x, p, keep) for x, p in zip(_EXPONENTS.tolist(), _POINT_AFTER.tolist()) for keep in range(17)), _CELL
-)
+@functools.cache
+def _tables():
+    """The word tables of _float_cells, built on the first write: by 4-digit
+    group (digit, NUL, ...) with each group's trailing zeros, by lead digit +
+    10 * sign, by the last digit kept (a mask of the later digits), and by
+    exponent row and last digit kept (_frame)."""
+    digits = np.arange(10_000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10 + 48
+    frames = (_frame(x, p, keep) for x, p in zip(_EXPONENTS.tolist(), _POINT_AFTER.tolist()) for keep in range(17))
+    return (
+        _words(np.stack([digits, 0 * digits], axis=2).astype(np.uint8), 8),
+        np.logical_and.accumulate(digits[:, ::-1] == 48, axis=1).sum(axis=1, dtype=np.uint8),
+        _words(b"".join(bytes([45 * sign, 0, 0, 0, 0, 0, 48 + d, 0]) for sign in (0, 1) for d in range(10)), 8),
+        _words(b"".join(bytes(255 * (i % 2 == 0 and i // 2 < keep) for i in range(32)) for keep in range(17)), 32),
+        _words(b"".join(frames), _CELL),
+    )
 
 
 def _scaled_digits(mant, shift, k):
@@ -249,7 +254,8 @@ def _decimal(magnitude):
     halves = np.stack([high - lead * 10**8, digits - high * 10**8])
     quarters = halves // 10**4
     groups = np.stack([quarters, halves - quarters * 10**4], axis=1).reshape(4, -1)
-    return lead, np.take(_GROUP_WORDS, groups), np.take(_GROUP_ZEROS, groups), e10 - _MIN_EXP
+    group_words, group_zeros = _tables()[:2]
+    return lead, np.take(group_words, groups), np.take(group_zeros, groups), e10 - _MIN_EXP
 
 
 def _float_cells(values: np.ndarray) -> np.ndarray:
@@ -265,9 +271,10 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
         trailing = trailing + (trailing == full) * zeros[j]
     keep = np.maximum(16 - trailing, np.take(_POINT_AFTER, row))  # the last digit written
     # word j of every cell in row j, so that each operation is contiguous
-    cells = np.take(_FRAME_WORDS, row * 17 + keep, axis=1)
-    cells[0] |= np.take(_LEAD_WORDS, lead * ~zero + (values.view(np.uint64) >> 63) * 10)
-    words &= np.take(_MASK_WORDS, keep, axis=1)
+    lead_words, mask_words, frame_words = _tables()[2:]
+    cells = np.take(frame_words, row * 17 + keep, axis=1)
+    cells[0] |= np.take(lead_words, lead * ~zero + (values.view(np.uint64) >> 63) * 10)
+    words &= np.take(mask_words, keep, axis=1)
     cells[1:5] |= words
     cells = cells.T.copy().view(np.uint8)
     other = np.flatnonzero(~(exact | zero))
