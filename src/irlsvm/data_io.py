@@ -4,7 +4,7 @@ trajectory persistence.
 File conventions: CSVs are comma-separated UTF-8 with a header row and LF
 line endings; the label column is named "y" and holds -1 or 1; a float cell
 is exactly Python's '%.17g' % value, so values round-trip bit-for-bit. Model
-files are flat "key = value" text documents with a fixed key set.
+files are flat "key = value" text documents whose keys _model_keys lists.
 
 CSV floats are formatted a block at a time by integer arithmetic
 (_float_cells). A finite x with 1e-11 < |x| < 2**50 is M * 2**e with M a
@@ -34,6 +34,7 @@ from .core import Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec
 
 MODEL_FORMAT = "irlsvm-model/1"
 LABEL_COLUMN = "y"
+_TRAJECTORY_HEADER = ["iteration", "exact_risk", "smoothed_risk"]
 
 _FLOAT = "%.17g"
 _WRITE_ROWS = 1 << 14  # rows copied per write by the predictions writer
@@ -405,49 +406,33 @@ def generate_gaussian_mixture(n: int, mean_neg=(-1.0, -1.0), mean_pos=(1.0, 1.0)
     return Dataset(features=features, labels=labels)
 
 
+def _model_keys(q: int) -> list[str]:
+    """The keys of a model file with q features, in the order they are written."""
+    head = ["format", "loss", "penalty", "lambda", "mu", "epsilon", "alpha"]
+    tail = ["iterations_run", "terminal_exact_risk", "terminal_smoothed_risk"]
+    return head + [f"beta_{j + 1}" for j in range(q)] + tail
+
+
 def write_model(result: FitResult, spec: RiskSpec, path) -> None:
-    """Persist a fitted model as "key = value" lines."""
-    path = Path(path)
-    lines = [
-        f"format = {MODEL_FORMAT}",
-        f"loss = {spec.loss.value}",
-        f"penalty = {spec.penalty.value}",
-        f"lambda = {_fmt(spec.lam)}",
-        f"mu = {_fmt(spec.mu)}",
-        f"epsilon = {_fmt(spec.epsilon)}",
-        f"alpha = {_fmt(result.theta.alpha)}",
-    ]
-    lines += [f"beta_{j + 1} = {_fmt(v)}" for j, v in enumerate(result.theta.beta)]
-    lines += [
-        f"iterations_run = {result.iterations_run}",
-        f"terminal_exact_risk = {_fmt(result.exact_risk_trajectory[-1])}",
-        f"terminal_smoothed_risk = {_fmt(result.smoothed_risk_trajectory[-1])}",
-    ]
+    """Persist a fitted model as "key = value" lines, one per _model_keys
+    entry: the names as text, the numbers as '%.17g' (so iterations_run as %d)."""
+    theta, terminal = result.theta, [result.exact_risk_trajectory[-1], result.smoothed_risk_trajectory[-1]]
+    numbers = [spec.lam, spec.mu, spec.epsilon, theta.alpha, *theta.beta, result.iterations_run, *terminal]
+    values = [MODEL_FORMAT, spec.loss.value, spec.penalty.value, *map(_fmt, numbers)]
     with open_output(path) as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-_SCALAR_MODEL_KEYS = {
-    "format",
-    "loss",
-    "penalty",
-    "lambda",
-    "mu",
-    "epsilon",
-    "alpha",
-    "iterations_run",
-    "terminal_exact_risk",
-    "terminal_smoothed_risk",
-}
+        handle.writelines(f"{key} = {value}\n" for key, value in zip(_model_keys(theta.q), values, strict=True))
 
 
 def read_model(path) -> tuple[ModelParams, RiskSpec]:
-    """Read a model file back; unknown keys and format mismatches are errors."""
+    """Read a model file back: its keys must be _model_keys(q) for some
+    q >= 1, in any order, iterations_run a non-negative integer and every
+    value after format, loss and penalty a number."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as err:
         raise DataError(f"{path}: {err.strerror}") from err
+    scalar_keys = _model_keys(0)
     entries: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -458,30 +443,30 @@ def read_model(path) -> tuple[ModelParams, RiskSpec]:
         key, value = key.strip(), value.strip()
         if key in entries:
             raise DataError(f"{path}: duplicate key '{key}'")
-        if key not in _SCALAR_MODEL_KEYS and not key.startswith("beta_"):
+        if key not in scalar_keys and not key.startswith("beta_"):
             raise DataError(f"{path}: unknown key '{key}'")
         entries[key] = value
 
-    missing = _SCALAR_MODEL_KEYS - entries.keys()
+    missing = set(scalar_keys) - entries.keys()
     if missing:
         raise DataError(f"{path}: missing keys {sorted(missing)}")
     if entries["format"] != MODEL_FORMAT:
         raise DataError(f"{path}: format {entries['format']!r} not supported (expected {MODEL_FORMAT!r})")
 
     beta_keys = sorted(k for k in entries if k.startswith("beta_"))
-    q = len(beta_keys)
-    expected = [f"beta_{j + 1}" for j in range(q)]
-    if q == 0 or beta_keys != sorted(expected):
+    keys = _model_keys(len(beta_keys))
+    if not beta_keys or entries.keys() != set(keys):
         raise DataError(f"{path}: beta entries must be beta_1..beta_q, got {beta_keys}")
 
-    def as_float(key):
+    def number(key):
+        if key == "iterations_run" and not entries[key].isdecimal():
+            raise DataError(f"{path}: value for '{key}' is not a non-negative integer")
         try:
             return float(entries[key])
         except ValueError:
             raise DataError(f"{path}: value for '{key}' is not numeric") from None
 
-    lam, mu, epsilon, alpha = (as_float(key) for key in ("lambda", "mu", "epsilon", "alpha"))
-    beta = np.array([as_float(k) for k in expected])
+    lam, mu, epsilon, alpha, *beta, _iterations, _exact, _smoothed = map(number, keys[3:])
     # an unknown name or an out-of-range value is a bad file, not a bad command line
     try:
         spec = RiskSpec(Loss(entries["loss"]), Penalty(entries["penalty"]), lam=lam, mu=mu, epsilon=epsilon)
@@ -494,13 +479,18 @@ def read_model(path) -> tuple[ModelParams, RiskSpec]:
 def write_trajectory_csv(result: FitResult, path) -> None:
     """One row per recorded iterate: iteration, exact_risk, smoothed_risk."""
     exact, smoothed = result.exact_risk_trajectory, result.smoothed_risk_trajectory
-    header = ["iteration", "exact_risk", "smoothed_risk"]
-    _write_rows(path, header, [np.arange(len(exact)), exact, smoothed])
+    _write_rows(path, _TRAJECTORY_HEADER, [np.arange(len(exact)), exact, smoothed])
 
 
 def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read back a trajectory file: (iterations, exact risks, smoothed risks)."""
+    """Read back a trajectory file: (iterations, exact risks, smoothed risks).
+    The iteration column must count 0, 1, ..., n - 1 over the non-blank rows."""
     header, values, _labels = load_features_csv(path)
-    if header != ["iteration", "exact_risk", "smoothed_risk"]:
+    if header != _TRAJECTORY_HEADER:
         raise DataError(f"{path}: unexpected trajectory header {header}")
-    return values[:, 0].astype(int), values[:, 1], values[:, 2]
+    iterations = np.arange(len(values))
+    bad = np.flatnonzero(values[:, 0] != iterations)
+    if bad.size:
+        k = bad[0]
+        raise DataError(f"{path}: iteration at non-blank row {k + 1} is {values[k, 0]}, expected {k}")
+    return iterations, values[:, 1], values[:, 2]

@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from irlsvm import (
+    DataError,
     FitOptions,
     Init,
     Loss,
@@ -203,6 +205,34 @@ def test_predict_out_of_range_model_value_is_data_error(data_csv, tmp_path, caps
     out = tmp_path / "p.csv"
     assert main(["predict", "--model", str(model_path), "--data", str(data_csv), "--out", str(out)]) == 3
     assert str(model_path) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _set_entry(key, value):
+    return lambda lines: [f"{key} = {value}" if line.startswith(f"{key} =") else line for line in lines]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_entry("iterations_run", "banana"), "value for 'iterations_run' is not a non-negative integer"),
+        (_set_entry("iterations_run", "2.5"), "value for 'iterations_run' is not a non-negative integer"),
+        (_set_entry("iterations_run", "-1"), "value for 'iterations_run' is not a non-negative integer"),
+        (_set_entry("terminal_exact_risk", "x"), "value for 'terminal_exact_risk' is not numeric"),
+        (lambda lines: [line for line in lines if not line.startswith("beta_1 =")], "got ['beta_2']"),
+        (lambda lines: lines + [lines[3]], "duplicate key 'lambda'"),
+    ],
+    ids=["iterations-banana", "iterations-fraction", "iterations-negative", "risk-x", "beta_2-alone", "repeated-key"],
+)
+def test_read_model_and_predict_reject_a_bad_entry(data_csv, tmp_path, capsys, edit, message):
+    model_path = tmp_path / "m.model"
+    assert main(["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data_csv), "--out", str(model_path)]) == 0
+    model_path.write_text("\n".join(edit(model_path.read_text().splitlines())) + "\n")
+    with pytest.raises(DataError, match=re.escape(message)):
+        read_model(model_path)
+    out = tmp_path / "p.csv"
+    assert main(["predict", "--model", str(model_path), "--data", str(data_csv), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -406,6 +436,26 @@ def test_predict_output_is_input_plus_label_column(data_csv, tmp_path):
     theta, _ = read_model(model_path)
     labels = [int(v) for v in predict_batch(theta, np.array([[1.0, 2.0], [-1.0, -2.0]]))]
     assert out.read_text() == f'x1,x2,y,predicted\n1,2,1,{labels[0]}\n"-1",-2 ,-1,{labels[1]}\n'
+
+
+@pytest.mark.parametrize(
+    "source, records",
+    [
+        (b'x1,x2,y\n1,2,"one\nlabel"\n-1,-2,-1\n', ['1,2,"one\nlabel"', "-1,-2,-1"]),
+        (b"x1,x2,y\r1,2,1\r\r-1,-2,-1\r", ["1,2,1", "-1,-2,-1"]),
+    ],
+    ids=["multi-line-quoted-record", "lone-cr-endings"],
+)
+def test_predict_copies_each_record_as_is(data_csv, tmp_path, source, records):
+    model_path = tmp_path / "m.model"
+    assert main(["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data_csv), "--out", str(model_path)]) == 0
+    path, out = tmp_path / "in.csv", tmp_path / "p.csv"
+    path.write_bytes(source)
+    assert main(["predict", "--model", str(model_path), "--data", str(path), "--out", str(out)]) == 0
+    theta, _ = read_model(model_path)
+    labels = [int(v) for v in predict_batch(theta, np.array([[1.0, 2.0], [-1.0, -2.0]]))]
+    expected = "x1,x2,y,predicted\n" + "".join(f"{record},{label}\n" for record, label in zip(records, labels))
+    assert out.read_bytes() == expected.encode()
 
 
 def test_sweep_trajectory_names_tell_close_grid_values_apart(data_csv, tmp_path):

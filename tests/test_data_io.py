@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -5,10 +7,13 @@ from numpy.testing import assert_array_equal
 from irlsvm import (
     DataError,
     FitOptions,
+    FitResult,
     Init,
     Loss,
+    ModelParams,
     Penalty,
     RiskSpec,
+    TerminationReason,
     fit,
     generate_gaussian_mixture,
     load_dataset_csv,
@@ -191,6 +196,37 @@ def test_model_rejects_gappy_beta_indices(tmp_path):
         read_model(path)
 
 
+def test_model_file_text_is_pinned(tmp_path):
+    """Every key, in the written order, with names as text and numbers as '%.17g'."""
+    path_rows = np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [-0.25, 2 / 3, 1e20]])
+    result = FitResult(
+        theta=ModelParams(alpha=-0.25, beta=np.array([2 / 3, 1e20])),
+        theta_trajectory=path_rows,
+        anchor_trajectory=path_rows[:2],
+        exact_risk_trajectory=np.array([1.0, 0.5, 0.3]),
+        smoothed_risk_trajectory=np.array([1.0, 0.5, 0.1 + 0.2]),
+        iterations_run=2,
+        termination_reason=TerminationReason.MAX_ITERATIONS,
+    )
+    spec = RiskSpec(Loss.SQUARED_HINGE, Penalty.ELASTIC_NET, lam=0.1, mu=0.3, epsilon=1e-6)
+    path = tmp_path / "m.model"
+    write_model(result, spec, path)
+    assert path.read_bytes() == (
+        b"format = irlsvm-model/1\n"
+        b"loss = squared-hinge\n"
+        b"penalty = elastic\n"
+        b"lambda = 0.10000000000000001\n"
+        b"mu = 0.29999999999999999\n"
+        b"epsilon = 9.9999999999999995e-07\n"
+        b"alpha = -0.25\n"
+        b"beta_1 = 0.66666666666666663\n"
+        b"beta_2 = 1e+20\n"
+        b"iterations_run = 2\n"
+        b"terminal_exact_risk = 0.29999999999999999\n"
+        b"terminal_smoothed_risk = 0.30000000000000004\n"
+    )
+
+
 def test_trajectory_row_counts(tmp_path):
     ds = make_dataset(seed=41, n=30, q=2)
     result = fit(RiskSpec(Loss.SQUARED_HINGE, Penalty.L2, lam=0.2), ds, FitOptions(max_iterations=50, risk_tolerance=0.0))
@@ -223,6 +259,22 @@ def test_trajectory_reader_rejects_foreign_files(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n1,2\n")
     with pytest.raises(DataError):
+        read_trajectory_csv(path)
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ("0 1.5 2", "non-blank row 2 is 1.5, expected 1"),
+        ("0 1 -3", "non-blank row 3 is -3.0, expected 2"),
+        ("0 1 3", "non-blank row 3 is 3.0, expected 2"),
+    ],
+    ids=["fractional", "negative", "gap"],
+)
+def test_trajectory_reader_rejects_iterations_its_writer_never_writes(tmp_path, cells, message):
+    path = tmp_path / "t.csv"
+    path.write_text("iteration,exact_risk,smoothed_risk\n" + "".join(f"{c},0.5,0.5\n" for c in cells.split()))
+    with pytest.raises(DataError, match=re.escape(f"iteration at {message}")):
         read_trajectory_csv(path)
 
 
