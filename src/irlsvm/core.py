@@ -40,6 +40,11 @@ class TerminationReason(Enum):
 
 DEFAULT_EPSILON = 1e-6
 
+# Rows per block of a walk over the design or its features: few enough that a block's temporaries
+# stay in cache, many enough that the Python loop over blocks costs little (at n = 10^6, q = 2 a
+# block is 1/61 of the design and its weighted copy in the engine's Gram accumulation 384 KiB).
+_BLOCK_ROWS = 1 << 14
+
 def _check_finite_rows(features: np.ndarray) -> None:
     """Raise ValueError naming the first (0-based) row that holds a non-finite
     feature; the row scan runs only once a whole-matrix check has failed."""
@@ -254,7 +259,10 @@ def build_design_matrix(dataset: Dataset) -> DesignMatrix:
     """
     cols = np.empty((dataset.q + 1, dataset.n))
     cols[0] = dataset.labels
-    np.multiply(dataset.features.T, dataset.labels, out=cols[1:])
+    # transposed a row block at a time, so each block's reads and writes stay in cache
+    for start in range(0, dataset.n, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        np.multiply(dataset.features[block].T, dataset.labels[block], out=cols[1:, block])
     cols.flags.writeable = False
     return DesignMatrix(rows=cols.T)
 

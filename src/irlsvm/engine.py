@@ -9,7 +9,8 @@ penalty term. A fit with a risk tolerance also extrapolates (SQUAREM) from
 two updates and keeps the update from the extrapolated point only if it
 does not raise the smoothed risk.
 
-Every pass walks the design in blocks of _BLOCK_ROWS rows.
+Every pass walks the design in blocks of _BLOCK_ROWS rows; fit's passes
+build normal equations only at points where an update may be anchored.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Dataset, DesignMatrix, FitResult, Loss, ModelParams, Penalty, RiskSpec, TerminationReason
-from .core import build_design_matrix
+from .core import _BLOCK_ROWS, Dataset, DesignMatrix, FitResult, Loss, ModelParams, Penalty, RiskSpec
+from .core import TerminationReason, build_design_matrix
 from .linalg import SingularSystemError, _GramBlocks, solve_spd
 from .losses import _block_terms, _penalty_scale, _rhs_offset, majorizer_value
 from .penalties import _penalty_terms, penalty_majorizer_value
@@ -32,12 +33,6 @@ WARM_START_RIDGE_FLOOR = 1e-3
 DESCENT_SLACK = 1e-10
 ANCHOR_SLACK = 1e-10
 SURROGATE_SLACK = 1e-12
-
-# Rows per block of a pass over the design: few enough that a block's
-# temporaries stay in cache, many enough that the Python loop over blocks
-# costs little (at n = 10^6, q = 2 a block is 1/61 of the design and its
-# weighted copy in the Gram accumulation 384 KiB).
-_BLOCK_ROWS = 1 << 14
 
 
 class Init(Enum):
@@ -136,9 +131,16 @@ def _pass(
     if offset is not None:
         rhs += offset
     a = design.gram.copy() if gram is None else gram.result()
+    return exact, smoothed, _with_penalty_diagonal(a, spec.loss, n, diag), rhs
+
+
+def _with_penalty_diagonal(a: np.ndarray, loss: Loss, n: int, diag) -> np.ndarray:
+    """a with the penalty diagonal diag (a scalar or one entry per beta) of an
+    n-sample loss's normal equations added to its beta entries, in place."""
+    k = a.shape[0]
     # the diagonal entries of beta, through a strided view of the C-ordered matrix
-    a.reshape(-1)[k + 1 :: k + 1] += _penalty_scale(spec.loss) * n * diag
-    return exact, smoothed, a, rhs
+    a.reshape(-1)[k + 1 :: k + 1] += _penalty_scale(loss) * n * diag
+    return a
 
 
 def _surrogate_values(
@@ -216,25 +218,17 @@ def smoothed_risk(spec: RiskSpec, theta: ModelParams, dataset: Dataset) -> float
     return _pass(spec, theta.as_vector(), build_design_matrix(dataset), update=False)[1]
 
 
-def irls_step(spec: RiskSpec, theta: ModelParams, design: DesignMatrix) -> ModelParams:
-    """One reweighted update: the minimizer of the surrogate anchored at theta.
-
-    For the least-squares loss with 2-norm penalty the surrogate is the risk
-    itself, so the step returns the closed-form solution directly.
-    """
-    return ModelParams.from_vector(solve_spd(*_pass(spec, theta.as_vector(), design)[2:]).x)
-
-
 def _initial_theta(options: FitOptions, spec: RiskSpec, design: DesignMatrix) -> np.ndarray:
     if isinstance(options.init, ModelParams):
         if options.init.q != design.q:
             raise ValueError(f"explicit init has {options.init.q} features, data has {design.q}")
         return options.init.as_vector()
-    zeros = np.zeros(design.q + 1)
     if options.init is Init.ZERO:
-        return zeros
-    warm_spec = RiskSpec(Loss.LEAST_SQUARES, Penalty.L2, lam=max(spec.lam, WARM_START_RIDGE_FLOOR))
-    return solve_spd(*_pass(warm_spec, zeros, design)[2:]).x
+        return np.zeros(design.q + 1)
+    # the least-squares update from zero with no pass: the cached Gram plus the ridge,
+    # and 0.0 plus the column sums as a pass forms them, so a -0.0 sum enters as +0.0
+    a = _with_penalty_diagonal(design.gram.copy(), Loss.LEAST_SQUARES, design.n, max(spec.lam, WARM_START_RIDGE_FLOOR))
+    return solve_spd(a, 0.0 + design.column_sums).x
 
 
 def _extrapolated_update(spec, design, cycle, risk_bound, buffers, update):
@@ -296,42 +290,47 @@ def _fit(spec: RiskSpec, design: DesignMatrix, options: FitOptions) -> FitResult
     closed_form = spec.loss is Loss.LEAST_SQUARES and spec.penalty is Penalty.L2
     theta = _initial_theta(options, spec, design)
     steps = 1 if closed_form else options.max_iterations
+    # tolerance 0 (the fixed-count protocol) takes plain updates only and never stops early
+    accelerated = options.risk_tolerance > 0
     buffers = _pass_buffers(design, update=True)
-    exact, smoothed, *system = _pass(spec, theta, design, buffers=buffers)
+    exact, smoothed, *system = _pass(spec, theta, design, True, buffers)
     theta_track = [theta]
     anchor_track = []
     exact_track = [exact]
     smoothed_track = [smoothed]
 
+    def anchored(plain_run: int) -> bool:
+        # whether the image of the update being taken may anchor one, so that its pass builds the system:
+        # not after the last update, nor at a cycle's second image, whose update waits on the extrapolated one
+        return len(anchor_track) + 1 < steps and not (accelerated and plain_run == 2)
+
     jittered = 0
     plain_run = 0  # updates since the last extrapolation was tried
     reason = TerminationReason.MAX_ITERATIONS
     while len(anchor_track) < steps:
-        # the last allowed update needs no system after it
-        update = len(anchor_track) + 1 < steps
         step = None
-        # after two plain updates a cycle tries the extrapolated point; tolerance 0
-        # (the fixed-count protocol) takes plain updates only
-        if options.risk_tolerance > 0 and plain_run == 2:
+        # after two plain updates a cycle tries the extrapolated point
+        if accelerated and plain_run == 2:
             plain_run = 0
-            step = _extrapolated_update(spec, design, theta_track[-3:], smoothed_track[-1], buffers, update)
+            step = _extrapolated_update(spec, design, theta_track[-3:], smoothed_track[-1], buffers, anchored(0))
         if step is None:
+            if system[0] is None:  # a cycle's second image, whose extrapolated update failed
+                system = _pass(spec, theta_track[-1], design, True, buffers)[2:]
             try:
                 solution = solve_spd(*system)
             except SingularSystemError as err:
                 raise FitError(str(err), exact_track, smoothed_track) from err
-            image = _pass(spec, solution.x, design, update, buffers)
-            step = (theta_track[-1], solution, image)
             plain_run += 1
+            image = _pass(spec, solution.x, design, anchored(plain_run), buffers)
+            step = (theta_track[-1], solution, image)
         anchor, solution, (exact, smoothed, *system) = step
         jittered += solution.jitter_used
         anchor_track.append(anchor)
         theta_track.append(solution.x)
         exact_track.append(exact)
         smoothed_track.append(smoothed)
-        # tolerance 0 disables early stopping entirely (fixed-count protocol)
         previous = smoothed_track[-2]
-        if options.risk_tolerance > 0 and abs(smoothed - previous) <= options.risk_tolerance * (1.0 + abs(previous)):
+        if accelerated and abs(smoothed - previous) <= options.risk_tolerance * (1.0 + abs(previous)):
             reason = TerminationReason.RISK_TOLERANCE
             break
 

@@ -3,7 +3,8 @@
 import numpy as np
 
 from irlsvm import Dataset, Loss, ModelParams, Penalty, RiskSpec
-from irlsvm.engine import irls_step
+from irlsvm.engine import _pass
+from irlsvm.linalg import solve_spd
 
 ALL_COMBOS = [(loss, pen) for loss in Loss for pen in Penalty]
 ITERATIVE_COMBOS = [c for c in ALL_COMBOS if c != (Loss.LEAST_SQUARES, Penalty.L2)]
@@ -14,6 +15,16 @@ ITERATIVE_IDS = [f"{loss.value}+{pen.value}" for loss, pen in ITERATIVE_COMBOS]
 def two_sample_dataset() -> Dataset:
     """The 2-sample fixture: t = (1), (-1) with labels +1, -1."""
     return Dataset(features=np.array([[1.0], [-1.0]]), labels=np.array([1.0, -1.0]))
+
+
+def irls_step(spec: RiskSpec, theta: ModelParams, design) -> ModelParams:
+    """One reweighted update: the minimizer of the surrogate anchored at theta,
+    from the system fit's pass builds there.
+
+    For the least-squares loss with 2-norm penalty the surrogate is the risk
+    itself, so the step returns the closed-form solution directly.
+    """
+    return ModelParams.from_vector(solve_spd(*_pass(spec, theta.as_vector(), design)[2:]).x)
 
 
 def closed_form_ls_l2(design, lam: float) -> ModelParams:

@@ -28,9 +28,9 @@ from irlsvm.engine import (
     WARM_START_RIDGE_FLOOR,
     _extrapolated,
     _extrapolated_update,
+    _pass,
     _pass_buffers,
     _surrogate_values,
-    irls_step,
 )
 from irlsvm.losses import loss_value, majorizer_value
 from irlsvm.penalties import penalty_majorizer_value
@@ -41,6 +41,7 @@ from helpers import (
     ITERATIVE_COMBOS,
     ITERATIVE_IDS,
     closed_form_ls_l2,
+    irls_step,
     make_dataset,
     two_sample_dataset,
 )
@@ -433,23 +434,13 @@ def _dense_system(spec, theta, dataset):
 
 
 @pytest.mark.parametrize("loss, pen", ALL_COMBOS, ids=COMBO_IDS)
-def test_update_system_matches_dense_reference_across_blocks(blocked, loss, pen, monkeypatch):
-    import irlsvm.engine as engine_module
-
-    systems = []
-    original = engine_module.solve_spd
-
-    def recording_solve(matrix, rhs):
-        systems.append((matrix, rhs))
-        return original(matrix, rhs)
-
-    monkeypatch.setattr(engine_module, "solve_spd", recording_solve)
+def test_update_system_matches_dense_reference_across_blocks(blocked, loss, pen):
     spec = RiskSpec(loss, pen, lam=0.2, mu=0.3, epsilon=EPS)
     theta = ModelParams(alpha=0.3, beta=[0.5, -0.4, 0.2])
-    irls_step(spec, theta, build_design_matrix(blocked))
+    system = _pass(spec, theta.as_vector(), build_design_matrix(blocked))[2:]
     matrix, rhs = _dense_system(spec, theta, blocked)
-    assert_allclose(systems[0][0], matrix, rtol=1e-12, atol=0)
-    assert_allclose(systems[0][1], rhs, rtol=1e-12, atol=0)
+    assert_allclose(system[0], matrix, rtol=1e-12, atol=0)
+    assert_allclose(system[1], rhs, rtol=1e-12, atol=0)
 
 
 def _dense_surrogate_values(spec, anchors, images, dataset):
@@ -568,6 +559,9 @@ def test_fit_takes_the_plain_update_when_the_extrapolated_solve_is_singular(monk
     rows = result.iterations_run + 1
     assert result.theta_trajectory.tobytes() == plain.theta_trajectory[:rows].tobytes()
     assert result.smoothed_risk_trajectory.tobytes() == plain.smoothed_risk_trajectory[:rows].tobytes()
+    calls["count"] = 0
+    _build_every_system(monkeypatch)
+    assert _fit_record(fit(spec, ds, options)) == _fit_record(result)
 
 
 def test_failing_plain_update_of_an_accelerated_fit_raises_fit_error(monkeypatch):
@@ -595,3 +589,133 @@ def test_failing_plain_update_of_an_accelerated_fit_raises_fit_error(monkeypatch
         fit(spec, ds, options)
     assert info.value.exact_trajectory.tobytes() == full.exact_risk_trajectory[:4].tobytes()
     assert info.value.smoothed_trajectory.tobytes() == full.smoothed_risk_trajectory[:4].tobytes()
+
+
+def _fit_record(result):
+    """What a fit returns, as bytes: the trajectories, the stop reason and the jitter count."""
+    arrays = (result.theta_trajectory, result.anchor_trajectory, result.exact_risk_trajectory,
+              result.smoothed_risk_trajectory)
+    return tuple(a.tobytes() for a in arrays) + (result.termination_reason, result.jittered_solves)
+
+
+def _build_every_system(monkeypatch):
+    """Make every pass of fit build its point's system, as a pass that skips none."""
+    import irlsvm.engine as engine_module
+
+    original = engine_module._pass
+
+    def full_pass(spec, vec, design, update=True, buffers=None):
+        return original(spec, vec, design, True, buffers)
+
+    monkeypatch.setattr(engine_module, "_pass", full_pass)
+
+
+@pytest.fixture(scope="module")
+def mixture():
+    return generate_gaussian_mixture(200, seed=32)
+
+
+SKIP_OPTIONS = {
+    "default": FitOptions(),
+    "zero-plain": FitOptions(risk_tolerance=0.0, init=Init.ZERO),
+    "tight": FitOptions(max_iterations=60, risk_tolerance=1e-12),
+    "three": FitOptions(max_iterations=3),
+    "four": FitOptions(max_iterations=4),
+}
+
+
+@pytest.mark.parametrize("options", SKIP_OPTIONS.values(), ids=SKIP_OPTIONS.keys())
+@pytest.mark.parametrize("loss, pen", ALL_COMBOS, ids=COMBO_IDS)
+def test_a_skipped_system_changes_no_result(mixture, loss, pen, options, monkeypatch):
+    spec = RiskSpec(loss, pen, lam=0.1, mu=0.1, epsilon=EPS)
+    result = fit(spec, mixture, options)
+    _build_every_system(monkeypatch)
+    assert _fit_record(fit(spec, mixture, options)) == _fit_record(result)
+
+
+@pytest.mark.parametrize("loss, pen", ITERATIVE_COMBOS, ids=ITERATIVE_IDS)
+def test_a_skipped_system_changes_no_result_when_every_extrapolation_fails(mixture, loss, pen, monkeypatch):
+    import irlsvm.engine as engine_module
+
+    monkeypatch.setattr(engine_module, "_extrapolated_update", lambda *args: None)
+    spec = RiskSpec(loss, pen, lam=0.1, mu=0.1, epsilon=EPS)
+    options = FitOptions(max_iterations=60, risk_tolerance=1e-12)
+    result = fit(spec, mixture, options)
+    assert not _extrapolated(result).any()
+    _build_every_system(monkeypatch)
+    assert _fit_record(fit(spec, mixture, options)) == _fit_record(result)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_the_warm_start_is_the_ridge_solution_bit_for_bit(lam):
+    rng = np.random.default_rng(36)
+    features = rng.normal(size=(30, 3))
+    features[:, 1] = 0.0
+    negative = Dataset(features=features, labels=-np.ones(30))
+    # -1 * 0.0 in every row: the zero column of the design is all -0.0
+    assert np.signbit(build_design_matrix(negative).rows[:, 2]).all()
+    for ds in (make_dataset(seed=35, n=50, q=3), negative):
+        result = fit(RiskSpec(Loss.HINGE, Penalty.L2, lam=lam), ds, FitOptions(max_iterations=1))
+        warm = closed_form_ls_l2(build_design_matrix(ds), max(lam, WARM_START_RIDGE_FLOOR))
+        assert result.theta_trajectory[0].tobytes() == warm.as_vector().tobytes()
+
+
+def _record_passes_and_solves(monkeypatch):
+    """Record each pass of fit as ("pass", its point, its system matrix or
+    None) and each solve as ("solve", its matrix, its solution)."""
+    import irlsvm.engine as engine_module
+
+    events = []
+    original_pass, original_solve = engine_module._pass, engine_module.solve_spd
+
+    def recording_pass(spec, vec, design, update=True, buffers=None):
+        out = original_pass(spec, vec, design, update, buffers)
+        events.append(("pass", vec.copy(), out[2]))
+        return out
+
+    def recording_solve(matrix, rhs):
+        solution = original_solve(matrix, rhs)
+        events.append(("solve", matrix, solution.x))
+        return solution
+
+    monkeypatch.setattr(engine_module, "_pass", recording_pass)
+    monkeypatch.setattr(engine_module, "solve_spd", recording_solve)
+    return events
+
+
+@pytest.mark.parametrize("loss, pen", ITERATIVE_COMBOS, ids=ITERATIVE_IDS)
+def test_an_accelerated_fit_builds_systems_only_where_an_update_may_be_anchored(mixture, loss, pen, monkeypatch):
+    events = _record_passes_and_solves(monkeypatch)
+    spec = RiskSpec(loss, pen, lam=0.1, mu=0.1, epsilon=EPS)
+    result = fit(spec, mixture, FitOptions(max_iterations=200, risk_tolerance=1e-12, init=Init.ZERO))
+    recorded = [row.tobytes() for row in result.theta_trajectory]
+    built = [(vec, matrix) for kind, vec, matrix in events if kind == "pass" and matrix is not None]
+    solves = [(matrix, x) for kind, matrix, x in events if kind == "solve"]
+    # the images of extrapolated points that were not kept
+    rejected = [x for _, x in solves if x.tobytes() not in recorded]
+    assert len(built) <= len(solves) + 1 + len(rejected)
+    # a system goes unsolved only at a rejected image, or at the last iterate of a fit
+    # that stopped on the risk tolerance
+    for vec, matrix in built:
+        if not any(matrix is solved for solved, _ in solves):
+            assert vec.tobytes() not in recorded or vec.tobytes() == recorded[-1]
+    # each kept extrapolation follows exactly one risk-only pass, at the iterate before it
+    extrapolated = np.flatnonzero(_extrapolated(result))
+    assert extrapolated.size
+    for t in extrapolated:
+        anchor = result.anchor_trajectory[t].tobytes()
+        i = next(i for i, e in enumerate(events) if e[0] == "pass" and e[1].tobytes() == anchor)
+        kind, vec, matrix = events[i - 1]
+        assert events[i - 2][0] == "solve"
+        assert kind == "pass" and matrix is None and vec.tobytes() == recorded[t]
+
+
+def test_a_warm_start_fit_of_one_update_makes_two_passes(mixture, monkeypatch):
+    events = _record_passes_and_solves(monkeypatch)
+    spec = RiskSpec(Loss.HINGE, Penalty.L2, lam=0.1, epsilon=EPS)
+    result = fit(spec, mixture, FitOptions(max_iterations=1, risk_tolerance=0.0))
+    assert result.iterations_run == 1
+    # the ridge start solves the cached Gram's system with no pass, and the last image builds none
+    passes = [matrix is None for kind, _, matrix in events if kind == "pass"]
+    assert [kind for kind, _, _ in events] == ["solve", "pass", "solve", "pass"]
+    assert passes == [False, True]
