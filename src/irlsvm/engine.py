@@ -293,7 +293,7 @@ def _fit(spec: RiskSpec, design: DesignMatrix, options: FitOptions) -> FitResult
     # tolerance 0 (the fixed-count protocol) takes plain updates only and never stops early
     accelerated = options.risk_tolerance > 0
     buffers = _pass_buffers(design, update=True)
-    exact, smoothed, *system = _pass(spec, theta, design, True, buffers)
+    exact, smoothed, *system = _pass(spec, theta, design, buffers=buffers)
     theta_track = [theta]
     anchor_track = []
     exact_track = [exact]
