@@ -33,7 +33,6 @@ from .data_io import (
     write_trajectory_csv,
 )
 from .engine import FitError, FitOptions, Init, fit, risk, smoothed_risk
-from .oracle import finite_diff_gradient, reference_minimize
 
 __version__ = "0.1.0"
 
@@ -50,7 +49,6 @@ __all__ = [
     "Penalty",
     "RiskSpec",
     "TerminationReason",
-    "finite_diff_gradient",
     "fit",
     "generate_gaussian_mixture",
     "load_dataset_csv",
@@ -59,7 +57,6 @@ __all__ = [
     "predict_batch",
     "read_model",
     "read_trajectory_csv",
-    "reference_minimize",
     "risk",
     "smoothed_risk",
     "write_dataset_csv",

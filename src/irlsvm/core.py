@@ -166,6 +166,11 @@ class ModelParams:
         return cls(alpha=0.0, beta=np.zeros(q))
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be > 0 and finite")
+
+
 @dataclass(frozen=True)
 class RiskSpec:
     """One of the 12 loss x penalty risk combinations plus its constants.
@@ -187,8 +192,7 @@ class RiskSpec:
             raise ValueError("lambda must be >= 0 and finite")
         if not 0 <= self.mu < math.inf:
             raise ValueError("mu must be >= 0 and finite")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be > 0 and finite")
+        _check_epsilon(self.epsilon)
         lam, mu = float(self.lam), float(self.mu)
         if self.penalty is Penalty.L2:
             mu = 0.0

@@ -10,11 +10,9 @@ in the order its update's algebra needs them.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .core import Loss
+from .core import Loss, _check_epsilon
 
 
 def _loss_into(kind: Loss, m: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -136,8 +134,7 @@ def majorizer_value(kind: Loss, m, m_ref, epsilon: float):
     (for the hinge, both statements hold against the smoothed loss with the
     same epsilon; as epsilon -> 0 they hold against the plain hinge).
     """
-    if not 0 < epsilon < math.inf:
-        raise ValueError("epsilon must be > 0 and finite")
+    _check_epsilon(epsilon)
     m = np.asarray(m, dtype=float)
     m_ref = np.asarray(m_ref, dtype=float)
     # in place from u = 1 - m, so the only temporaries are of m's and m_ref's shapes

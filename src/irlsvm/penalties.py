@@ -12,16 +12,13 @@ import math
 
 import numpy as np
 
+from .core import _check_epsilon
+
 
 # RiskSpec's rules for the constants, which NaN fails
 def _check_constants(lam: float, mu: float) -> None:
     if not (0 <= lam < math.inf and 0 <= mu < math.inf):
         raise ValueError("penalty constants must be >= 0 and finite")
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not 0 < epsilon < math.inf:
-        raise ValueError("epsilon must be > 0 and finite")
 
 
 def _penalty_terms(beta: np.ndarray, lam: float, mu: float, epsilon: float):

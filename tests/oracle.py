@@ -1,8 +1,11 @@
-"""Independent reference minimizer and derivative checks, used only for
-verification. The minimizer shares no solver code with the engine; the
-objective it minimizes is the smoothed risk the leaf functions of
-tests/risk_reference.py define (the fused evaluators below exist for speed
-and are pinned to those functions by the test suite).
+"""Independent reference minimizer and derivative checks, test code beside
+risk_reference.py: the package never imports this module, so only the test
+extra needs the scipy it runs on.
+
+The minimizer shares no solver code with the engine; the objective it
+minimizes is the smoothed risk the leaf functions of risk_reference.py define
+(the fused evaluators below exist for speed and are pinned to those functions
+by test_oracle.py).
 """
 
 from __future__ import annotations
@@ -10,8 +13,10 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import minimize
+from scipy.special import expit
 
-from .core import Dataset, Loss, ModelParams, RiskSpec
+from irlsvm import Dataset, Loss, ModelParams, RiskSpec
 
 # L-BFGS-B stopping rule: no stop on a small relative decrease (ftol), a
 # projected-gradient stop far below the agreement tolerances the tests set,
@@ -47,8 +52,6 @@ def _margin_path(kind: Loss, epsilon: float):
             return float((up * up).mean()), -2.0 * up
 
     else:
-        # loaded here, not at import: the runtime needs numpy only
-        from scipy.special import expit
 
         def path(m):
             p = expit(-m)
@@ -86,9 +89,6 @@ def reference_minimize(spec: RiskSpec, dataset: Dataset) -> ModelParams:
     number. The final point is returned even when the line search stops at
     the floating-point precision floor before the gradient test is met.
     """
-    # loaded here, not at import: the runtime needs numpy only
-    from scipy.optimize import minimize
-
     loss_path = _margin_path(spec.loss, spec.epsilon)
     penalty_path = _penalty_path(spec.lam, spec.mu, spec.epsilon)
     y = dataset.labels

@@ -1,7 +1,8 @@
 """The loss and penalty leaves, one value per function call, as the package
 defined them before its passes fused them. Kept as the specification that
-losses._block_terms, penalties._penalty_terms and the oracle's fused
-evaluators are pinned to; the package itself calls none of them.
+losses._block_terms, penalties._penalty_terms and the fused evaluators of the
+reference minimizer in oracle.py are pinned to; the package itself calls
+none of them.
 
 A penalty is lam * beta.beta + mu * sum |beta_j|: a part whose constant is 0
 is not evaluated, so it contributes exactly +0.0 even where its sums would
@@ -12,7 +13,8 @@ import numpy as np
 
 from irlsvm import Loss
 from irlsvm.losses import _hinge_gamma, loss_value
-from irlsvm.penalties import _check_constants, _check_epsilon
+from irlsvm.core import _check_epsilon
+from irlsvm.penalties import _check_constants
 
 
 def smoothed_loss_value(kind: Loss, m, epsilon: float):

@@ -17,12 +17,10 @@ from irlsvm import (
     Monitor,
     Penalty,
     RiskSpec,
-    finite_diff_gradient,
     fit,
     generate_gaussian_mixture,
     monitor_kind,
     predict_batch,
-    reference_minimize,
     risk,
     smoothed_risk,
 )
@@ -31,6 +29,7 @@ from irlsvm.losses import loss_value, majorizer_value
 from irlsvm.penalties import penalty_majorizer_value
 
 from helpers import ALL_COMBOS, ITERATIVE_COMBOS, closed_form_ls_l2, two_sample_dataset
+from oracle import finite_diff_gradient, reference_minimize
 from risk_reference import smoothed_loss_value, smoothed_penalty_value
 
 GRID = [0.0, 0.1, 0.2, 0.3, 0.4]

@@ -492,9 +492,10 @@ def test_overflowing_system_prints_only_the_solver_error(tmp_path, verb):
     assert proc.stderr == "solver error: system matrix or right-hand side is not finite\n"
 
 
-# every verb through cli.main in a fresh interpreter in which importing scipy fails
+# every verb through cli.main in a fresh interpreter in which importing scipy fails: the package's
+# runtime is numpy only, and the scipy-based reference minimizer is test code (tests/oracle.py)
 _NO_SCIPY_RUN = """
-import json, sys
+import importlib.util, json, sys
 
 
 class BlockScipy:
@@ -512,12 +513,13 @@ data, model = f"{work}/d.csv", f"{work}/m.model"
 runs = [
     ["simulate", "--n", "2000", "--out", data],
     ["fit", "--loss", "logistic", "--penalty", "l2", "--lambda", "0.1", "--data", data, "--out", model],
-    ["sweep", "--loss", "hinge", "--penalty", "l1", "--mu-grid", "0.1:0.1:0.2", "--data", data, "--out", f"{work}/s"],
+    ["sweep", "--loss", "hinge", "--penalty", "l1", "--mu-grid", "0.1:0.1:0.3", "--data", data, "--out", f"{work}/s"],
     ["predict", "--model", model, "--data", data, "--out", f"{work}/p.csv"],
     ["check", "--loss", "squared-hinge", "--penalty", "elastic", "--lambda", "0.1", "--mu", "0.1", "--data", data],
 ]
 codes = {argv[0]: irlsvm.cli.main(argv) for argv in runs}
-print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")}))
+scipy = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": scipy, "oracle": importlib.util.find_spec("irlsvm.oracle") is not None}))
 """
 
 
@@ -527,6 +529,8 @@ def test_every_verb_runs_with_scipy_imports_blocked(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["codes"] == {"simulate": 0, "fit": 0, "sweep": 0, "predict": 0, "check": 0}, proc.stdout
     assert report["scipy"] == []
+    assert report["oracle"] is False
+    assert len(list((tmp_path / "s").glob("trajectory_mu_*.csv"))) == 3
 
 
 def test_predict_can_overwrite_its_input(data_csv, tmp_path):

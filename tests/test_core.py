@@ -3,8 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from irlsvm import Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec, TerminationReason, predict, predict_batch, risk
-from irlsvm.core import build_design_matrix
-from irlsvm.engine import _BLOCK_ROWS
+from irlsvm.core import _BLOCK_ROWS, build_design_matrix
 
 from helpers import make_dataset
 

@@ -17,13 +17,11 @@ from irlsvm import (
     fit,
     generate_gaussian_mixture,
     monitor_kind,
-    reference_minimize,
     risk,
     smoothed_risk,
 )
-from irlsvm.core import build_design_matrix
+from irlsvm.core import _BLOCK_ROWS, build_design_matrix
 from irlsvm.engine import (
-    _BLOCK_ROWS,
     DESCENT_SLACK,
     WARM_START_RIDGE_FLOOR,
     _extrapolated,
@@ -45,6 +43,7 @@ from helpers import (
     make_dataset,
     two_sample_dataset,
 )
+from oracle import finite_diff_gradient, reference_minimize
 from risk_reference import penalty_quadratic, penalty_value, smoothed_loss_value, smoothed_penalty_value
 
 EPS = 1e-6
@@ -302,8 +301,6 @@ def test_terminal_risk_monotone_in_penalty_constants(loss, pen):
 def test_fixed_point_is_stationary():
     ds = make_dataset(seed=27, n=60, q=2)
     design = build_design_matrix(ds)
-    from irlsvm import finite_diff_gradient
-
     for loss, pen in ((Loss.HINGE, Penalty.ELASTIC_NET), (Loss.LOGISTIC, Penalty.L2), (Loss.SQUARED_HINGE, Penalty.L1)):
         spec = RiskSpec(loss, pen, lam=0.1, mu=0.1, epsilon=EPS)
         theta = ModelParams.zeros(2)

@@ -1,5 +1,3 @@
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -11,15 +9,13 @@ from irlsvm import (
     ModelParams,
     Penalty,
     RiskSpec,
-    finite_diff_gradient,
     fit,
     generate_gaussian_mixture,
-    reference_minimize,
     smoothed_risk,
 )
-from irlsvm.oracle import _margin_path, _penalty_path
 
 from helpers import make_dataset, two_sample_dataset
+from oracle import _margin_path, _penalty_path, finite_diff_gradient, reference_minimize
 from risk_reference import smoothed_loss_value, smoothed_penalty_value
 
 EPS = 1e-6
@@ -53,12 +49,6 @@ def test_deterministic():
     a = reference_minimize(spec, ds)
     b = reference_minimize(spec, ds)
     assert a.alpha == b.alpha and (a.beta == b.beta).all()
-
-
-def test_import_leaves_scipy_optimize_unloaded():
-    # reference_minimize imports it on call, so no CLI command pays for it
-    code = "import sys, irlsvm; assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded'"
-    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 @pytest.mark.parametrize("kind", list(Loss), ids=[k.value for k in Loss])

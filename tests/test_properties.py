@@ -19,13 +19,13 @@ from irlsvm import (
     Penalty,
     RiskSpec,
     fit,
-    reference_minimize,
     smoothed_risk,
 )
 from irlsvm.core import build_design_matrix
 from irlsvm.engine import ANCHOR_SLACK, DESCENT_SLACK, SURROGATE_SLACK, _violations
 
 from helpers import ALL_COMBOS
+from oracle import reference_minimize
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None)
 
