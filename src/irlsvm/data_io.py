@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import io
 import itertools
 import math
 import warnings
@@ -37,8 +38,9 @@ LABEL_COLUMN = "y"
 _TRAJECTORY_HEADER = ["iteration", "exact_risk", "smoothed_risk"]
 
 _FLOAT = "%.17g"
-_WRITE_ROWS = 1 << 14  # rows copied per write by the predictions writer
-_WRITE_CELLS = 1 << 13  # cells formatted per write; bounds the memory a large file needs
+_WRITE_ROWS = 1 << 14  # records copied per write by the predictions writer's record path
+# cells formatted per write, and normal pairs drawn per batch; bounds the memory a large file needs
+_WRITE_CELLS = 1 << 13
 
 
 class DataError(ValueError):
@@ -339,46 +341,74 @@ def write_predictions_csv(source, header: list[str], labels, path) -> None:
     Each data record keeps its text, with an LF line ending, and gains
     ",<label>"; labels holds one -1/1 entry per non-blank record, in order.
     The header is written as the given cell list plus "predicted".
+
+    A file of ASCII lines with no quote, CR or blank line, which is each
+    line a record, is copied as bytes in blocks of _WRITE_CELLS * _CELL
+    bytes; any other goes record by record through _csv_records.
     """
-    with Path(source).open(newline="", encoding="utf-8") as src:
-        lines = src.readlines()  # read in full first: path may name the same file
-    suffixes = (",-1\n", ",1\n")
-    positive = (np.asarray(labels) > 0).tolist()
-    records = _csv_records(iter(lines))
-    next(records)  # the header record
+    data = Path(source).read_bytes()  # read in full first: path may name the same file
+    negative = ~(np.asarray(labels) > 0)
+    plain = data.isascii() and not any(mark in data for mark in (b'"', b"\r", b"\n\n")) and data[:1] != b"\n"
+    if not plain:
+        records = _csv_records(iter(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="").readlines()))
+        next(records)  # the header record
     with open_output(path) as out:
         csv.writer(out, lineterminator="\n").writerow(header + ["predicted"])
-        for start in range(0, len(positive), _WRITE_ROWS):
-            block = itertools.islice(records, _WRITE_ROWS)
-            ends = map(suffixes.__getitem__, positive[start : start + _WRITE_ROWS])
-            out.write("".join(map(str.__add__, block, ends)))
+        if plain:
+            _copy_labelled_lines(data, negative, out)
+        else:
+            suffixes, negative = (",1\n", ",-1\n"), negative.tolist()
+            for start in range(0, len(negative), _WRITE_ROWS):
+                block = itertools.islice(records, _WRITE_ROWS)
+                ends = map(suffixes.__getitem__, negative[start : start + _WRITE_ROWS])
+                out.write("".join(map(str.__add__, block, ends)))
 
 
-def _polar_normals(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Standard normals via the Marsaglia polar transform.
+def _copy_labelled_lines(data: bytes, negative: np.ndarray, out) -> None:
+    """Write the lines of data after the first to out, line k with ",1" or
+    ",-1" (as negative[k]) before its newline; a last line without one gains
+    it. A block may cut a line anywhere, as the insertions sit at newlines."""
+    body = np.frombuffer(data, np.uint8)[data.find(b"\n") + 1 or len(data) :]
+    step, done = _WRITE_CELLS * _CELL, 0
+    for start in range(0, body.size, step):
+        chunk = body[start : start + step]
+        ends = np.flatnonzero(chunk == ord("\n"))
+        sign = negative[done : done + ends.size]
+        done += ends.size
+        sizes = 2 + sign  # the bytes of ",1" or ",-1"
+        first = np.cumsum(sizes) - sizes
+        values = np.full(sizes.sum(), ord("1"), np.uint8)
+        values[first] = ord(",")
+        values[first[sign] + 1] = ord("-")
+        out.write(np.insert(chunk, np.repeat(ends, sizes), values).tobytes().decode("ascii"))
+    if body.size and body[-1] != ord("\n"):
+        out.write(",-1\n" if negative[done] else ",1\n")
+
+
+def _polar_normals(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill out, an (m, 2) array, with standard normals via the Marsaglia
+    polar transform.
 
     Uniform doubles are consumed strictly in pairs (u, v) from the stream;
     pairs with u^2 + v^2 outside (0, 1) are rejected; accepted pairs yield two
-    normals each, taken in stream order. The output therefore depends only on
-    the generator stream, not on internal batch sizes.
+    normals each, written row by row in stream order. The output therefore
+    depends only on the generator stream, not on the _WRITE_CELLS pairs drawn
+    per batch, which bound the memory the transform needs besides out.
     """
-    out = np.empty(count)
+    pairs = np.empty((_WRITE_CELLS, 2))
     filled = 0
-    while filled < count:
-        pairs_needed = (count - filled + 1) // 2
-        draw = 2 * (pairs_needed + max(8, pairs_needed // 4))
-        u = 2.0 * rng.random(draw) - 1.0
-        a, b = u[0::2], u[1::2]
+    while filled < len(out):
+        rng.random(out=pairs)
+        pairs *= 2.0
+        pairs -= 1.0
+        a, b = pairs.T
         s = a * a + b * b
         keep = (s > 0.0) & (s < 1.0)
-        factor = np.sqrt(-2.0 * np.log(s[keep]) / s[keep])
-        accepted = np.empty(2 * factor.size)
-        accepted[0::2] = a[keep] * factor
-        accepted[1::2] = b[keep] * factor
-        take = min(accepted.size, count - filled)
-        out[filled : filled + take] = accepted[:take]
+        s = s[keep]  # contiguous: numpy may round log and sqrt otherwise on strided data
+        take = min(s.size, len(out) - filled)
+        factor = np.sqrt(-2.0 * np.log(s[:take]) / s[:take])
+        np.multiply(pairs[keep][:take], factor[:, None], out=out[filled : filled + take])
         filled += take
-    return out
 
 
 def generate_gaussian_mixture(n: int, mean_neg=(-1.0, -1.0), mean_pos=(1.0, 1.0), seed: int = 0) -> Dataset:
@@ -397,11 +427,11 @@ def generate_gaussian_mixture(n: int, mean_neg=(-1.0, -1.0), mean_pos=(1.0, 1.0)
         raise ValueError("class means must have equal length")
     q = mean_neg.shape[0]
     rng = np.random.Generator(np.random.PCG64(seed))
-    noise = _polar_normals(rng, n * q).reshape(n, q)
-    half = n // 2
     features = np.empty((n, q))
-    features[:half] = mean_neg + noise[:half]
-    features[half:] = mean_pos + noise[half:]
+    _polar_normals(rng, features.reshape(-1, 2))  # n * q is even
+    half = n // 2
+    features[:half] += mean_neg
+    features[half:] += mean_pos
     labels = np.concatenate([-np.ones(half), np.ones(half)])
     return Dataset(features=features, labels=labels)
 

@@ -438,13 +438,23 @@ def test_predict_output_is_input_plus_label_column(data_csv, tmp_path):
     assert out.read_text() == f'x1,x2,y,predicted\n1,2,1,{labels[0]}\n"-1",-2 ,-1,{labels[1]}\n'
 
 
+# plain ASCII lines are copied as bytes, every other file record by record: both give the same text
 @pytest.mark.parametrize(
     "source, records",
     [
         (b'x1,x2,y\n1,2,"one\nlabel"\n-1,-2,-1\n', ['1,2,"one\nlabel"', "-1,-2,-1"]),
         (b"x1,x2,y\r1,2,1\r\r-1,-2,-1\r", ["1,2,1", "-1,-2,-1"]),
+        (b"x1,x2,y\n1,2,1\n-1,-2,-1\n", ["1,2,1", "-1,-2,-1"]),
+        (b"x1,x2,y\n1,2,1\n-1,-2,-1", ["1,2,1", "-1,-2,-1"]),
+        (b"x1,x2,y\r\n1,2,1\r\n-1,-2,-1\r\n", ["1,2,1", "-1,-2,-1"]),
+        (b'x1,x2,y\n"1",2,1\n-1,-2,-1\n', ['"1",2,1', "-1,-2,-1"]),
+        (b"x1,x2,y\n1,2,1\n\n-1,-2,-1\n", ["1,2,1", "-1,-2,-1"]),
+        ("x\u00e91,x2,y\n1,2,1\n-1,-2,-1\n".encode(), ["1,2,1", "-1,-2,-1"]),
     ],
-    ids=["multi-line-quoted-record", "lone-cr-endings"],
+    ids=[
+        "multi-line-quoted-record", "lone-cr-endings", "lf", "lf-without-final-newline", "crlf", "quoted-cell",
+        "blank-line", "non-ascii-header",
+    ],
 )
 def test_predict_copies_each_record_as_is(data_csv, tmp_path, source, records):
     model_path = tmp_path / "m.model"
@@ -454,7 +464,8 @@ def test_predict_copies_each_record_as_is(data_csv, tmp_path, source, records):
     assert main(["predict", "--model", str(model_path), "--data", str(path), "--out", str(out)]) == 0
     theta, _ = read_model(model_path)
     labels = [int(v) for v in predict_batch(theta, np.array([[1.0, 2.0], [-1.0, -2.0]]))]
-    expected = "x1,x2,y,predicted\n" + "".join(f"{record},{label}\n" for record, label in zip(records, labels))
+    header = source.decode().splitlines()[0] + ",predicted\n"
+    expected = header + "".join(f"{record},{label}\n" for record, label in zip(records, labels))
     assert out.read_bytes() == expected.encode()
 
 

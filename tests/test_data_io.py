@@ -1,4 +1,6 @@
+import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from irlsvm import (
     write_model,
     write_trajectory_csv,
 )
+from irlsvm import data_io
 
 from helpers import make_dataset, two_sample_dataset
 
@@ -129,6 +132,56 @@ def test_generator_custom_means():
     ds = generate_gaussian_mixture(2_000, mean_neg=(-3.0, 0.0), mean_pos=(3.0, 0.0), seed=5)
     assert ds.features[:1000, 0].mean() < -2.5
     assert ds.features[1000:, 0].mean() > 2.5
+
+
+def test_generator_bytes_are_pinned_at_fifty_features():
+    ds = generate_gaussian_mixture(1000, mean_neg=-0.2 * np.ones(50), mean_pos=0.2 * np.ones(50), seed=0)
+    digest = hashlib.sha256(ds.features.tobytes() + ds.labels.tobytes()).hexdigest()
+    assert digest == "fd9d41b9a28097becd3eff7dcd89cc7e2d9fa6046f2b347813ee0da52bcac3e1"
+
+
+@pytest.mark.parametrize("q", [1, 2, 50])
+def test_generator_output_does_not_depend_on_its_batch_size(monkeypatch, q):
+    # the last batch is cut part-way through its accepted pairs: at the default size
+    # for every q, and at 7 pairs for q = 1 and q = 50
+    def draw():
+        return generate_gaussian_mixture(1002, mean_neg=-np.ones(q), mean_pos=np.ones(q), seed=q)
+
+    expected = draw()
+    for pairs in (1, 3, 7):
+        monkeypatch.setattr(data_io, "_WRITE_CELLS", pairs)
+        ds = draw()
+        assert ds.features.tobytes() == expected.features.tobytes()
+        assert ds.labels.tobytes() == expected.labels.tobytes()
+
+
+def traced_peak(call):
+    """The peak of the memory numpy and Python allocate while call runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n, q", [(200_000, 2), (20_000, 50)])
+def test_generator_holds_little_besides_its_output(n, q):
+    # the output, Dataset's copy of it and one batch of pairs; a transform over
+    # arrays as long as the output held 3.4 and 4.8 times it
+    held = {}
+    peak = traced_peak(lambda: held.update(ds=generate_gaussian_mixture(n, mean_neg=-np.ones(q), mean_pos=np.ones(q))))
+    output = held["ds"].features.nbytes + held["ds"].labels.nbytes
+    assert peak <= 2.25 * output + 2**20
+
+
+def test_predictions_writer_holds_its_source_and_one_block(tmp_path):
+    n = 200_000
+    source = tmp_path / "d.csv"
+    write_dataset_csv(generate_gaussian_mixture(n, seed=3), source)
+    labels = np.where(np.arange(n) % 3 == 0, -1.0, 1.0)
+    peak = traced_peak(lambda: data_io.write_predictions_csv(source, ["x1", "x2", "y"], labels, tmp_path / "p.csv"))
+    assert peak <= 1.5 * source.stat().st_size
 
 
 def _fit_two_sample(spec):
