@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Loss, Penalty, RiskSpec, build_design_matrix, monitor_kind, predict_batch
+from .core import Loss, Penalty, RiskSpec, monitor_kind, predict_batch
 from .data_io import (
     DataError,
     _write_rows,
@@ -29,7 +29,7 @@ from .data_io import (
     write_trajectory_csv,
 )
 from .engine import ANCHOR_SLACK, DESCENT_SLACK, SURROGATE_SLACK, FitError, FitOptions, Init, fit
-from .engine import _extrapolated, _fit, _violations
+from .engine import _extrapolated, _violations
 from .linalg import SingularSystemError
 
 EXIT_OK = 0
@@ -251,23 +251,26 @@ def _cmd_sweep(args) -> int:
 
     field = "lam" if param == "lambda" else "mu"
     results = [fit(dataclasses.replace(spec_base, **{field: value}), dataset, options) for value in grid]
-    accuracies = [float(np.mean(predict_batch(r.theta, dataset.features) == dataset.labels)) for r in results]
+    features = dataset.features
+    accuracies = [float(np.mean(predict_batch(r.theta, features) == dataset.labels)) for r in results]
 
     _write_rows(
         summary_path,
         ["parameter", "value", "terminal_exact_risk", "terminal_smoothed_risk", "training_accuracy"],
         [
-            param,
-            grid,
-            [r.exact_risk_trajectory[-1] for r in results],
-            [r.smoothed_risk_trajectory[-1] for r in results],
-            accuracies,
+            [
+                param,
+                grid,
+                [r.exact_risk_trajectory[-1] for r in results],
+                [r.smoothed_risk_trajectory[-1] for r in results],
+                accuracies,
+            ]
         ],
     )
     _write_rows(
         hyperplane_path,
         ["parameter", "value", "alpha"] + [f"beta_{j + 1}" for j in range(dataset.q)],
-        [param, grid, [r.theta.alpha for r in results], *np.array([r.theta.beta for r in results]).T],
+        [[param, grid, [r.theta.alpha for r in results], *np.array([r.theta.beta for r in results]).T]],
     )
     for path, result in zip(trajectory_paths, results):
         write_trajectory_csv(result, path)
@@ -279,9 +282,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_check(args) -> int:
     spec = _spec_from_args(args)
     options = _options_from_args(args)
-    design = build_design_matrix(load_dataset_csv(args.data))
-    result = _fit(spec, design, options)
-    descent, anchor, surrogate = _violations(spec, result, design)
+    dataset = load_dataset_csv(args.data)
+    result = fit(spec, dataset, options)
+    descent, anchor, surrogate = _violations(spec, result, dataset)
     checks = [
         (f"monotone {monitor_kind(spec).value}-risk descent", descent <= DESCENT_SLACK, descent),
         ("surrogate touches risk at anchor", anchor <= ANCHOR_SLACK, anchor),

@@ -1,5 +1,5 @@
-"""Shared domain types: datasets, design matrices, hyperplane parameters,
-risk specifications, and fit results.
+"""Shared domain types: datasets, hyperplane parameters, risk
+specifications, and fit results.
 
 All types are immutable after construction (arrays are marked read-only) and
 safe to share across threads. The operations here are pure functions.
@@ -60,19 +60,21 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
 class Dataset:
     """A labeled sample: feature rows t_i (n x q) and labels y_i in {-1, +1}.
 
-    Features are used as-is; any transformation happens upstream.
+    Features are used as-is; any transformation happens upstream. The sample
+    is stored once, as the engine's design: a read-only (q+1) x n C-ordered
+    array whose column i is y_i (1, t_i), so that its transpose is the
+    n x (q+1) matrix Y of the normal equations and its margins are
+    Y theta. labels is a view of its first row; features is computed from
+    it on each access, exactly, as y_i (y_i t_i) = t_i. The unit Gram Y'Y
+    and the column sums 1'Y are computed once and cached.
     """
 
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        features = np.atleast_2d(np.asarray(self.features, dtype=float))
-        labels = np.asarray(self.labels, dtype=float).ravel()
+    def __init__(self, features, labels):
+        features = np.atleast_2d(np.asarray(features, dtype=float))
+        labels = np.asarray(labels, dtype=float).ravel()
         if features.ndim != 2:
             raise ValueError("features must be a 2-d matrix")
         n, q = features.shape
@@ -84,52 +86,62 @@ class Dataset:
         off = np.nonzero((labels != 1.0) & (labels != -1.0))[0]
         if off.size:
             raise ValueError(f"label in row {off[0]} is {labels[off[0]]}, must be -1 or +1")
-        object.__setattr__(self, "features", _readonly(features))
-        object.__setattr__(self, "labels", _readonly(labels))
+        design = np.empty((q + 1, n))
+        design[0] = labels
+        # transposed a row block at a time, so each block's reads and writes stay in cache
+        for start in range(0, n, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            np.multiply(features[block].T, labels[block], out=design[1:, block])
+        self._adopt(design)
+
+    def _adopt(self, design: np.ndarray) -> Dataset:
+        """Take design, a (q+1) x n C-ordered array laid out as the class
+        describes, as this dataset's storage; the one way a Dataset gets its
+        data (the generator fills one and adopts it without a copy)."""
+        design.flags.writeable = False
+        object.__setattr__(self, "_design", design)
+        return self
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("Dataset is immutable")
+
+    __delattr__ = __setattr__
+
+    @property
+    def features(self) -> np.ndarray:
+        """The n x q feature matrix, a new read-only C-ordered array."""
+        features = np.multiply(self._design[1:].T, self._design[0, :, None], order="C")
+        features.flags.writeable = False
+        return features
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self._design[0]
 
     @property
     def n(self) -> int:
-        return self.features.shape[0]
+        return self._design.shape[1]
 
     @property
     def q(self) -> int:
-        return self.features.shape[1]
-
-
-@dataclass
-class DesignMatrix:
-    """n x (q+1) matrix with rows y_i * (1, t_i); margins are rows @ theta.
-
-    rows is stored column-major, so each block of rows is q+1 contiguous
-    column pieces.
-    """
-
-    rows: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.rows.shape[1] - 1
+        return self._design.shape[0] - 1
 
     @cached_property
-    def gram(self) -> np.ndarray:
+    def _gram(self) -> np.ndarray:
         """Unit-weight Gram matrix Y'Y, cached (it is iteration-independent);
         exactly symmetric. An overflow shows as a non-finite entry, which
         solve_spd rejects."""
         with np.errstate(over="ignore", invalid="ignore"):
-            g = self.rows.T @ self.rows
+            g = self._design @ self._design.T
         g.flags.writeable = False
         return g
 
     @cached_property
-    def column_sums(self) -> np.ndarray:
-        """Column sums 1'Y, cached like gram; an overflow shows as a non-finite
-        entry, which solve_spd rejects."""
+    def _column_sums(self) -> np.ndarray:
+        """Column sums 1'Y, cached like the Gram; an overflow shows as a
+        non-finite entry, which solve_spd rejects."""
         with np.errstate(over="ignore", invalid="ignore"):
-            s = self.rows.sum(axis=0)
+            s = self._design.sum(axis=1)
         s.flags.writeable = False
         return s
 
@@ -253,22 +265,6 @@ class FitResult:
             raise ValueError("theta_trajectory must be (iterations_run + 1) x (q + 1)")
         if self.anchor_trajectory.shape != (self.iterations_run, self.theta.q + 1):
             raise ValueError("anchor_trajectory must be iterations_run x (q + 1)")
-
-
-def build_design_matrix(dataset: Dataset) -> DesignMatrix:
-    """Assemble the n x (q+1) matrix with rows y_i * (1, t_i).
-
-    The features need no finiteness check here: Dataset enforced it and its
-    arrays are read-only.
-    """
-    cols = np.empty((dataset.q + 1, dataset.n))
-    cols[0] = dataset.labels
-    # transposed a row block at a time, so each block's reads and writes stay in cache
-    for start in range(0, dataset.n, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        np.multiply(dataset.features[block].T, dataset.labels[block], out=cols[1:, block])
-    cols.flags.writeable = False
-    return DesignMatrix(rows=cols.T)
 
 
 def predict(theta: ModelParams, features: np.ndarray) -> int:

@@ -38,7 +38,7 @@ LABEL_COLUMN = "y"
 _TRAJECTORY_HEADER = ["iteration", "exact_risk", "smoothed_risk"]
 
 _FLOAT = "%.17g"
-_WRITE_ROWS = 1 << 14  # records copied per write by the predictions writer's record path
+_WRITE_ROWS = 1 << 14  # records per write of a dataset, and of the predictions writer's record path
 # cells formatted per write, and normal pairs drawn per batch; bounds the memory a large file needs
 _WRITE_CELLS = 1 << 13
 
@@ -93,10 +93,12 @@ def load_features_csv(path, labeled: bool = False) -> tuple[list[str], np.ndarra
         label_idx = None  # an unlabeled read ignores a "y" column
     features = None
     if values is not None and (not labeled or np.isin(values[:, label_idx], (-1.0, 1.0)).all()):
-        # row-major like a row-by-row fill: BLAS sums in an order that
-        # depends on the layout, and fits must repeat bit for bit
-        features = np.ascontiguousarray(values[:, feature_idx])
-        labels = None if label_idx is None else values[:, label_idx]
+        # one row-major copy, like a row-by-row fill: predict_batch's product
+        # sums in an order that depends on the layout, and predictions must
+        # repeat bit for bit (a Dataset stores its own design, whatever the layout)
+        features = values.take(feature_idx, axis=1)
+        # a copy, so that the parsed table is freed before a Dataset is built from these
+        labels = None if label_idx is None else values[:, label_idx].copy()
     if features is None or not np.isfinite(features).all():
         features, labels = _scan_rows(path, header, feature_idx, label_idx)
     if features.shape[0] == 0:
@@ -287,30 +289,35 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _write_rows(path, header, columns) -> None:
-    """Write the header, then row k: the k-th value of each column as
-    '%.17g' text (so an integer below 2**50 as %d), or the column itself
-    where it is a str. Formatted about _WRITE_CELLS cells at a time."""
-    columns = [c if isinstance(c, str) else np.asarray(c, dtype=float) for c in columns]
-    n = min(len(c) for c in columns if not isinstance(c, str))
-    step = max(1, _WRITE_CELLS // len(columns))
+def _write_rows(path, header, blocks) -> None:
+    """Write the header, then the rows of each block in turn, a block being a
+    list of columns: its row k is the k-th value of each column as '%.17g'
+    text (so an integer below 2**50 as %d), or the column itself where it is
+    a str. Formatted about _WRITE_CELLS cells at a time."""
     with open_output(path) as handle:
         handle.write(",".join(header) + "\n")
-        for start in range(0, n, step):
-            count = min(step, n - start)
-            values = np.stack([np.zeros(count) if isinstance(c, str) else c[start : start + count] for c in columns], 1)
-            cells = _float_cells(values.reshape(-1)).reshape(count, len(columns), _CELL)
-            for j, text in enumerate(columns):
-                if isinstance(text, str):
-                    cells[:, j, :_TEXT] = np.frombuffer(text.encode().ljust(_TEXT, b"\0"), np.uint8)
-            cells[:, -1, _TEXT] = ord("\n")
-            handle.write(cells.tobytes().translate(None, b"\0").decode("ascii"))
+        for columns in blocks:
+            columns = [c if isinstance(c, str) else np.asarray(c, dtype=float) for c in columns]
+            n = min(len(c) for c in columns if not isinstance(c, str))
+            step = max(1, _WRITE_CELLS // len(columns))
+            for start in range(0, n, step):
+                count = min(step, n - start)
+                stop = start + count
+                values = np.stack([np.zeros(count) if isinstance(c, str) else c[start:stop] for c in columns], 1)
+                cells = _float_cells(values.reshape(-1)).reshape(count, len(columns), _CELL)
+                for j, text in enumerate(columns):
+                    if isinstance(text, str):
+                        cells[:, j, :_TEXT] = np.frombuffer(text.encode().ljust(_TEXT, b"\0"), np.uint8)
+                cells[:, -1, _TEXT] = ord("\n")
+                handle.write(cells.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
-    """Write a dataset with columns x1..xq then y."""
+    """Write a dataset with columns x1..xq then y, its features computed
+    from the design (Dataset) _WRITE_ROWS samples at a time."""
     header = [f"x{j + 1}" for j in range(dataset.q)] + [LABEL_COLUMN]
-    _write_rows(path, header, [*dataset.features.T, dataset.labels])
+    blocks = (dataset._design[:, start : start + _WRITE_ROWS] for start in range(0, dataset.n, _WRITE_ROWS))
+    _write_rows(path, header, ([*(block[1:] * block[0]), block[0]] for block in blocks))
 
 
 def _csv_records(lines):
@@ -385,19 +392,18 @@ def _copy_labelled_lines(data: bytes, negative: np.ndarray, out) -> None:
         out.write(",-1\n" if negative[done] else ",1\n")
 
 
-def _polar_normals(rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill out, an (m, 2) array, with standard normals via the Marsaglia
-    polar transform.
+def _polar_normals(rng: np.random.Generator):
+    """Standard normals via the Marsaglia polar transform, yielded as one flat
+    array per batch of _WRITE_CELLS uniform pairs.
 
     Uniform doubles are consumed strictly in pairs (u, v) from the stream;
     pairs with u^2 + v^2 outside (0, 1) are rejected; accepted pairs yield two
-    normals each, written row by row in stream order. The output therefore
-    depends only on the generator stream, not on the _WRITE_CELLS pairs drawn
-    per batch, which bound the memory the transform needs besides out.
+    normals each, in stream order. The normals therefore depend only on the
+    generator stream, not on the batch size, which bounds the memory the
+    transform needs.
     """
     pairs = np.empty((_WRITE_CELLS, 2))
-    filled = 0
-    while filled < len(out):
+    while True:
         rng.random(out=pairs)
         pairs *= 2.0
         pairs -= 1.0
@@ -405,10 +411,8 @@ def _polar_normals(rng: np.random.Generator, out: np.ndarray) -> None:
         s = a * a + b * b
         keep = (s > 0.0) & (s < 1.0)
         s = s[keep]  # contiguous: numpy may round log and sqrt otherwise on strided data
-        take = min(s.size, len(out) - filled)
-        factor = np.sqrt(-2.0 * np.log(s[:take]) / s[:take])
-        np.multiply(pairs[keep][:take], factor[:, None], out=out[filled : filled + take])
-        filled += take
+        factor = np.sqrt(-2.0 * np.log(s) / s)
+        yield (pairs[keep] * factor[:, None]).reshape(-1)
 
 
 def generate_gaussian_mixture(n: int, mean_neg=(-1.0, -1.0), mean_pos=(1.0, 1.0), seed: int = 0) -> Dataset:
@@ -417,7 +421,10 @@ def generate_gaussian_mixture(n: int, mean_neg=(-1.0, -1.0), mean_pos=(1.0, 1.0)
 
     Deterministic given the seed: normals come from a PCG64 stream through
     the polar transform, filled row-major (sample by sample, coordinate by
-    coordinate).
+    coordinate). They are staged about _WRITE_CELLS at a time in a row-major
+    buffer, a batch's normals that do not fit carried to the next stage, and
+    each stage is written into the Dataset's design as y (normal + mean), so
+    the output is never held twice.
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be a positive even integer, got {n}")
@@ -425,15 +432,26 @@ def generate_gaussian_mixture(n: int, mean_neg=(-1.0, -1.0), mean_pos=(1.0, 1.0)
     mean_pos = np.asarray(mean_pos, dtype=float).ravel()
     if mean_neg.shape != mean_pos.shape:
         raise ValueError("class means must have equal length")
-    q = mean_neg.shape[0]
-    rng = np.random.Generator(np.random.PCG64(seed))
-    features = np.empty((n, q))
-    _polar_normals(rng, features.reshape(-1, 2))  # n * q is even
-    half = n // 2
-    features[:half] += mean_neg
-    features[half:] += mean_pos
-    labels = np.concatenate([-np.ones(half), np.ones(half)])
-    return Dataset(features=features, labels=labels)
+    if not (np.isfinite(mean_neg).all() and np.isfinite(mean_pos).all()):
+        raise ValueError("class means must be finite")
+    q, half = mean_neg.shape[0], n // 2
+    design = np.empty((q + 1, n))
+    design[0, :half] = -1.0
+    design[0, half:] = 1.0
+    normals = _polar_normals(np.random.Generator(np.random.PCG64(seed)))
+    stage = np.empty((max(1, _WRITE_CELLS // q), q))
+    left = np.empty(0)  # normals drawn and not yet staged
+    for start in range(0, n, len(stage)):
+        block = stage[: n - start]
+        while left.size < block.size:
+            left = np.concatenate((left, next(normals)))
+        block.reshape(-1)[:] = left[: block.size]
+        left = left[block.size :]
+        stop = start + len(block)
+        block[: max(0, half - start)] += mean_neg
+        block[max(0, half - start) :] += mean_pos
+        np.multiply(block.T, design[0, start:stop], out=design[1:, start:stop])
+    return Dataset.__new__(Dataset)._adopt(design)
 
 
 def _model_keys(q: int) -> list[str]:
@@ -509,7 +527,7 @@ def read_model(path) -> tuple[ModelParams, RiskSpec]:
 def write_trajectory_csv(result: FitResult, path) -> None:
     """One row per recorded iterate: iteration, exact_risk, smoothed_risk."""
     exact, smoothed = result.exact_risk_trajectory, result.smoothed_risk_trajectory
-    _write_rows(path, _TRAJECTORY_HEADER, [np.arange(len(exact)), exact, smoothed])
+    _write_rows(path, _TRAJECTORY_HEADER, [[np.arange(len(exact)), exact, smoothed]])
 
 
 def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,8 +9,9 @@ penalty term. A fit with a risk tolerance also extrapolates (SQUAREM) from
 two updates and keeps the update from the extrapolated point only if it
 does not raise the smoothed risk.
 
-Every pass walks the design in blocks of _BLOCK_ROWS rows; fit's passes
-build normal equations only at points where an update may be anchored.
+Every pass walks the dataset's design (Dataset) in blocks of _BLOCK_ROWS
+rows; fit's passes build normal equations only at points where an update may
+be anchored.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import _BLOCK_ROWS, Dataset, DesignMatrix, FitResult, Loss, ModelParams, Penalty, RiskSpec
-from .core import TerminationReason, build_design_matrix
+from .core import _BLOCK_ROWS, Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec, TerminationReason
 from .linalg import SingularSystemError, _GramBlocks, solve_spd
 from .losses import _block_terms, _penalty_scale, _rhs_offset, majorizer_value
 from .penalties import _penalty_terms, penalty_majorizer_value
@@ -72,20 +72,20 @@ class FitError(RuntimeError):
         self.smoothed_trajectory = np.asarray(smoothed_trajectory)
 
 
-def _pass_buffers(design: DesignMatrix, update: bool) -> np.ndarray:
+def _pass_buffers(dataset: Dataset, update: bool) -> np.ndarray:
     """Block buffers of a pass over the design: the margins, three loss-term
     rows and, for an update, the q+1 rows of a weighted block."""
-    return np.empty((4 + (design.q + 1 if update else 0), min(design.n, _BLOCK_ROWS)))
+    return np.empty((4 + (dataset.q + 1 if update else 0), min(dataset.n, _BLOCK_ROWS)))
 
 
 def _pass(
     spec: RiskSpec,
     vec: np.ndarray,
-    design: DesignMatrix,
+    dataset: Dataset,
     update: bool = True,
     buffers: np.ndarray | None = None,
 ) -> tuple[float, float, np.ndarray | None, np.ndarray | None]:
-    """One pass over the row blocks of the design at the (alpha, beta) vector
+    """One pass over the row blocks of the dataset's design at the (alpha, beta) vector
     vec: the exact and smoothed risks there and, with update, the matrix and
     right-hand side of the normal equations of the surrogate anchored there
     (else None and None).
@@ -94,16 +94,16 @@ def _pass(
     buffers (_pass_buffers; fit hands every pass the same ones, so a fit
     allocates them once), so the pass allocates no n-length array.
     """
-    k = design.q + 1
+    k = dataset.q + 1
     if vec.shape[0] != k:
-        raise ValueError(f"theta has {vec.shape[0] - 1} features but data has {design.q}")
+        raise ValueError(f"theta has {vec.shape[0] - 1} features but data has {dataset.q}")
     if buffers is None:
-        buffers = _pass_buffers(design, update)
+        buffers = _pass_buffers(dataset, update)
     gram = None
     rhs = np.zeros(k)
     loss_sum = smoothed_sum = 0.0
-    for start in range(0, design.n, _BLOCK_ROWS):
-        rows = design.rows[start : start + _BLOCK_ROWS]
+    for start in range(0, dataset.n, _BLOCK_ROWS):
+        rows = dataset._design[:, start : start + _BLOCK_ROWS].T
         b = rows.shape[0]
         m = np.matmul(rows, vec, out=buffers[0, :b])
         scratch = buffers[1:4, :b]
@@ -121,16 +121,16 @@ def _pass(
             with np.errstate(over="ignore", invalid="ignore"):
                 rhs += rhs_weights @ rows
 
-    n = design.n
+    n = dataset.n
     penalty, smoothed_penalty, diag = _penalty_terms(vec[1:], spec.lam, spec.mu, spec.epsilon)
     exact = loss_sum / n + penalty
     smoothed = smoothed_sum / n + smoothed_penalty
     if not update:
         return exact, smoothed, None, None
-    offset = _rhs_offset(spec.loss, design, vec)
+    offset = _rhs_offset(spec.loss, dataset, vec)
     if offset is not None:
         rhs += offset
-    a = design.gram.copy() if gram is None else gram.result()
+    a = dataset._gram.copy() if gram is None else gram.result()
     return exact, smoothed, _with_penalty_diagonal(a, spec.loss, n, diag), rhs
 
 
@@ -144,11 +144,11 @@ def _with_penalty_diagonal(a: np.ndarray, loss: Loss, n: int, diag) -> np.ndarra
 
 
 def _surrogate_values(
-    spec: RiskSpec, anchors: np.ndarray, images: np.ndarray, design: DesignMatrix
+    spec: RiskSpec, anchors: np.ndarray, images: np.ndarray, dataset: Dataset
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full surrogate objectives (constants included) of a run of updates,
     the one anchored at row t of anchors having row t of images as its
-    image, in one blocked pass over the design.
+    image, in one blocked pass over the dataset's design.
 
     Returns (at, after): at[t] is the surrogate anchored at anchors[t]
     evaluated there, which equals the monitored risk there, and after[t] the
@@ -160,13 +160,13 @@ def _surrogate_values(
     """
     anchors = np.asarray(anchors, dtype=float)
     images = np.asarray(images, dtype=float)
-    if anchors.ndim != 2 or anchors.shape[1] != design.q + 1 or images.shape != anchors.shape:
-        raise ValueError(f"anchors and images must be equally many rows of {design.q + 1} parameters")
+    if anchors.ndim != 2 or anchors.shape[1] != dataset.q + 1 or images.shape != anchors.shape:
+        raise ValueError(f"anchors and images must be equally many rows of {dataset.q + 1} parameters")
     count = anchors.shape[0]
-    pair = np.empty((2, min(design.n, _BLOCK_ROWS)))
+    pair = np.empty((2, min(dataset.n, _BLOCK_ROWS)))
     loss = np.zeros((count, 2))  # row t: the loss sums at update t's anchor and image
-    for start in range(0, design.n, _BLOCK_ROWS):
-        rows = design.rows[start : start + _BLOCK_ROWS]
+    for start in range(0, dataset.n, _BLOCK_ROWS):
+        rows = dataset._design[:, start : start + _BLOCK_ROWS].T
         m = pair[:, : rows.shape[0]]
         for t in range(count):
             np.matmul(rows, anchors[t], out=m[0])
@@ -176,7 +176,7 @@ def _surrogate_values(
     def penalty_part(beta, beta_ref):
         return penalty_majorizer_value(beta, beta_ref, spec.lam, spec.mu, spec.epsilon)
 
-    n = design.n
+    n = dataset.n
     at = [loss[t, 0] / n + penalty_part(anchors[t, 1:], anchors[t, 1:]) for t in range(count)]
     after = [loss[t, 1] / n + penalty_part(images[t, 1:], anchors[t, 1:]) for t in range(count)]
     return np.array(at), np.array(after)
@@ -188,7 +188,7 @@ def _extrapolated(result: FitResult) -> np.ndarray:
     return (result.anchor_trajectory != result.theta_trajectory[:-1]).any(axis=1)
 
 
-def _violations(spec: RiskSpec, result: FitResult, design: DesignMatrix) -> tuple[float, float, float]:
+def _violations(spec: RiskSpec, result: FitResult, dataset: Dataset) -> tuple[float, float, float]:
     """check's three gates on fit's record, as worst relative violations: a
     rise of the monitored risk, a surrogate off the risk at its anchor, a rise of a surrogate."""
     # the smoothed risk is the monitored risk (see fit)
@@ -197,10 +197,10 @@ def _violations(spec: RiskSpec, result: FitResult, design: DesignMatrix) -> tupl
     # each recorded update against the surrogate anchored at its own anchor:
     # the iterate before it, whose risk is recorded, or an extrapolated point
     anchors = result.anchor_trajectory
-    at, after = _surrogate_values(spec, anchors, result.theta_trajectory[1:], design)
+    at, after = _surrogate_values(spec, anchors, result.theta_trajectory[1:], dataset)
     anchor_risk = track[:-1].copy()
     for t in np.flatnonzero(_extrapolated(result)):
-        anchor_risk[t] = _pass(spec, anchors[t], design, update=False)[1]
+        anchor_risk[t] = _pass(spec, anchors[t], dataset, update=False)[1]
     anchor = float(np.max(np.abs(at - anchor_risk) / (1.0 + np.abs(anchor_risk))))
     surrogate = float(np.max((after - at) / (1.0 + np.abs(at))))
     return descent, anchor, surrogate
@@ -208,30 +208,31 @@ def _violations(spec: RiskSpec, result: FitResult, design: DesignMatrix) -> tupl
 
 def risk(spec: RiskSpec, theta: ModelParams, dataset: Dataset) -> float:
     """Exact risk: average loss plus the unsmoothed penalty, by fit's pass over
-    the n x (q+1) design (built per call), so bit for bit the risk fit records."""
-    return _pass(spec, theta.as_vector(), build_design_matrix(dataset), update=False)[0]
+    the dataset's design, so bit for bit the risk fit records."""
+    return _pass(spec, theta.as_vector(), dataset, update=False)[0]
 
 
 def smoothed_risk(spec: RiskSpec, theta: ModelParams, dataset: Dataset) -> float:
     """Risk with absolute values smoothed by sqrt(u^2 + epsilon), evaluated as
     risk is. The descent guarantee covers it; under an exact monitor it equals risk."""
-    return _pass(spec, theta.as_vector(), build_design_matrix(dataset), update=False)[1]
+    return _pass(spec, theta.as_vector(), dataset, update=False)[1]
 
 
-def _initial_theta(options: FitOptions, spec: RiskSpec, design: DesignMatrix) -> np.ndarray:
+def _initial_theta(options: FitOptions, spec: RiskSpec, dataset: Dataset) -> np.ndarray:
     if isinstance(options.init, ModelParams):
-        if options.init.q != design.q:
-            raise ValueError(f"explicit init has {options.init.q} features, data has {design.q}")
+        if options.init.q != dataset.q:
+            raise ValueError(f"explicit init has {options.init.q} features, data has {dataset.q}")
         return options.init.as_vector()
     if options.init is Init.ZERO:
-        return np.zeros(design.q + 1)
+        return np.zeros(dataset.q + 1)
     # the least-squares update from zero with no pass: the cached Gram plus the ridge,
     # and 0.0 plus the column sums as a pass forms them, so a -0.0 sum enters as +0.0
-    a = _with_penalty_diagonal(design.gram.copy(), Loss.LEAST_SQUARES, design.n, max(spec.lam, WARM_START_RIDGE_FLOOR))
-    return solve_spd(a, 0.0 + design.column_sums).x
+    ridge = max(spec.lam, WARM_START_RIDGE_FLOOR)
+    a = _with_penalty_diagonal(dataset._gram.copy(), Loss.LEAST_SQUARES, dataset.n, ridge)
+    return solve_spd(a, 0.0 + dataset._column_sums).x
 
 
-def _extrapolated_update(spec, design, cycle, risk_bound, buffers, update):
+def _extrapolated_update(spec, dataset, cycle, risk_bound, buffers, update):
     """SQUAREM's step (Varadhan & Roland 2008, scheme S3) from a cycle of
     three iterates x0, x1, x2, each of the two later ones the update of the
     one before: the update anchored at x' = x0 - 2 a r + a^2 v, with
@@ -253,8 +254,8 @@ def _extrapolated_update(spec, design, cycle, risk_bound, buffers, update):
         if not np.isfinite(anchor).all():
             return None
         try:
-            solution = solve_spd(*_pass(spec, anchor, design, buffers=buffers)[2:])
-            image = _pass(spec, solution.x, design, update=update, buffers=buffers)
+            solution = solve_spd(*_pass(spec, anchor, dataset, buffers=buffers)[2:])
+            image = _pass(spec, solution.x, dataset, update=update, buffers=buffers)
         except (ValueError, SingularSystemError):
             return None
     return (anchor, solution, image) if image[1] <= risk_bound else None
@@ -281,19 +282,14 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
     smoothed risk. Fewer than three updates left run as plain updates. With
     risk_tolerance 0 every update is anchored at the iterate before it.
     """
-    return _fit(spec, build_design_matrix(dataset), options or FitOptions())
-
-
-def _fit(spec: RiskSpec, design: DesignMatrix, options: FitOptions) -> FitResult:
-    """fit on a design already built, so a caller that walks it again (check)
-    builds it once."""
+    options = options or FitOptions()
     closed_form = spec.loss is Loss.LEAST_SQUARES and spec.penalty is Penalty.L2
-    theta = _initial_theta(options, spec, design)
+    theta = _initial_theta(options, spec, dataset)
     steps = 1 if closed_form else options.max_iterations
     # tolerance 0 (the fixed-count protocol) takes plain updates only and never stops early
     accelerated = options.risk_tolerance > 0
-    buffers = _pass_buffers(design, update=True)
-    exact, smoothed, *system = _pass(spec, theta, design, buffers=buffers)
+    buffers = _pass_buffers(dataset, update=True)
+    exact, smoothed, *system = _pass(spec, theta, dataset, buffers=buffers)
     theta_track = [theta]
     anchor_track = []
     exact_track = [exact]
@@ -312,16 +308,16 @@ def _fit(spec: RiskSpec, design: DesignMatrix, options: FitOptions) -> FitResult
         # after two plain updates a cycle tries the extrapolated point
         if accelerated and plain_run == 2:
             plain_run = 0
-            step = _extrapolated_update(spec, design, theta_track[-3:], smoothed_track[-1], buffers, anchored(0))
+            step = _extrapolated_update(spec, dataset, theta_track[-3:], smoothed_track[-1], buffers, anchored(0))
         if step is None:
             if system[0] is None:  # a cycle's second image, whose extrapolated update failed
-                system = _pass(spec, theta_track[-1], design, True, buffers)[2:]
+                system = _pass(spec, theta_track[-1], dataset, True, buffers)[2:]
             try:
                 solution = solve_spd(*system)
             except SingularSystemError as err:
                 raise FitError(str(err), exact_track, smoothed_track) from err
             plain_run += 1
-            image = _pass(spec, solution.x, design, anchored(plain_run), buffers)
+            image = _pass(spec, solution.x, dataset, anchored(plain_run), buffers)
             step = (theta_track[-1], solution, image)
         anchor, solution, (exact, smoothed, *system) = step
         jittered += solution.jitter_used

@@ -106,17 +106,17 @@ def _block_terms(kind: Loss, m: np.ndarray, epsilon: float, scratch, update: boo
     return loss_sum, loss_sum, None, pi
 
 
-def _rhs_offset(kind: Loss, design, vec) -> np.ndarray | None:
+def _rhs_offset(kind: Loss, dataset, vec) -> np.ndarray | None:
     """The part of the update's right side that no row block contributes
     (see _block_terms) for the surrogate anchored at vec, or None."""
     if kind is Loss.HINGE:
-        return 0.25 * design.column_sums
+        return 0.25 * dataset._column_sums
     if kind is Loss.LEAST_SQUARES:
-        return design.column_sums
+        return dataset._column_sums
     if kind is Loss.LOGISTIC:
         # an overflow shows as a non-finite right side, which solve_spd rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            return design.gram @ vec
+            return dataset._gram @ vec
     return None
 
 

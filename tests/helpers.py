@@ -1,5 +1,7 @@
 """Shared test fixtures/constants."""
 
+import tracemalloc
+
 import numpy as np
 
 from irlsvm import Dataset, Loss, ModelParams, Penalty, RiskSpec
@@ -17,20 +19,20 @@ def two_sample_dataset() -> Dataset:
     return Dataset(features=np.array([[1.0], [-1.0]]), labels=np.array([1.0, -1.0]))
 
 
-def irls_step(spec: RiskSpec, theta: ModelParams, design) -> ModelParams:
+def irls_step(spec: RiskSpec, theta: ModelParams, dataset: Dataset) -> ModelParams:
     """One reweighted update: the minimizer of the surrogate anchored at theta,
     from the system fit's pass builds there.
 
     For the least-squares loss with 2-norm penalty the surrogate is the risk
     itself, so the step returns the closed-form solution directly.
     """
-    return ModelParams.from_vector(solve_spd(*_pass(spec, theta.as_vector(), design)[2:]).x)
+    return ModelParams.from_vector(solve_spd(*_pass(spec, theta.as_vector(), dataset)[2:]).x)
 
 
-def closed_form_ls_l2(design, lam: float) -> ModelParams:
+def closed_form_ls_l2(dataset: Dataset, lam: float) -> ModelParams:
     """Exact minimizer of the least-squares risk with 2-norm penalty: the one
     update of that risk from 0, as fit's warm start and closed form take it."""
-    return irls_step(RiskSpec(Loss.LEAST_SQUARES, Penalty.L2, lam=lam), ModelParams.zeros(design.q), design)
+    return irls_step(RiskSpec(Loss.LEAST_SQUARES, Penalty.L2, lam=lam), ModelParams.zeros(dataset.q), dataset)
 
 
 def make_dataset(seed: int, n: int = 40, q: int = 3) -> Dataset:
@@ -40,3 +42,13 @@ def make_dataset(seed: int, n: int = 40, q: int = 3) -> Dataset:
     labels = np.where(rng.random(n) < 0.5, -1.0, 1.0)
     labels[0], labels[-1] = -1.0, 1.0
     return Dataset(features=features, labels=labels)
+
+
+def traced_peak(call):
+    """The peak of the memory numpy and Python allocate while call runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

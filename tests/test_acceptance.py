@@ -24,7 +24,6 @@ from irlsvm import (
     risk,
     smoothed_risk,
 )
-from irlsvm.core import build_design_matrix
 from irlsvm.losses import loss_value, majorizer_value
 from irlsvm.penalties import penalty_majorizer_value
 
@@ -126,15 +125,14 @@ def test_fit_agrees_with_independent_minimizer():
 
 def test_closed_form_consistency():
     two = two_sample_dataset()
-    design = build_design_matrix(two)
     for lam in (0.0, 0.5, 1.0):
-        theta = closed_form_ls_l2(design, lam)
+        theta = closed_form_ls_l2(two, lam)
         assert abs(theta.alpha) <= 1e-12
         assert abs(theta.beta[0] - 1.0 / (1.0 + lam)) <= 1e-12
 
     spec = RiskSpec(Loss.LEAST_SQUARES, Penalty.L2, lam=0.3)
     result = fit(spec, two)
-    direct = closed_form_ls_l2(design, 0.3)
+    direct = closed_form_ls_l2(two, 0.3)
     assert result.theta.alpha == direct.alpha and (result.theta.beta == direct.beta).all()
     print("[PASS] least-squares + l2 closed form: fit matches the one-shot solution exactly")
 
@@ -227,11 +225,10 @@ def test_terminal_risk_monotone_in_penalty_constant(sim, sweep_fits):
         terminal = [_monitored_track(loss, pen, sweep_fits[(loss, pen, value)])[-1] for value in GRID]
         worst_drop = min(worst_drop, float(np.diff(terminal).min()))
     # least-squares + l2 sweeps via its closed form
-    sim_design = build_design_matrix(sim)
     terminal = []
     for value in GRID:
         spec = RiskSpec(Loss.LEAST_SQUARES, Penalty.L2, lam=value)
-        terminal.append(risk(spec, closed_form_ls_l2(sim_design, value), sim))
+        terminal.append(risk(spec, closed_form_ls_l2(sim, value), sim))
     worst_drop = min(worst_drop, float(np.diff(terminal).min()))
     assert worst_drop >= -1e-8
     print(f"[PASS] terminal risk nondecreasing along penalty grids: smallest step {worst_drop:.3e} (slack 1e-8)")

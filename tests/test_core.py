@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from irlsvm import Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec, TerminationReason, predict, predict_batch, risk
-from irlsvm.core import _BLOCK_ROWS, build_design_matrix
+from irlsvm.core import _BLOCK_ROWS
 
 from helpers import make_dataset
 
@@ -12,21 +12,30 @@ from helpers import make_dataset
 LS = RiskSpec(Loss.LEAST_SQUARES, Penalty.L2, lam=0.0)
 
 
-def test_design_matrix_rows():
+def test_dataset_stores_its_design():
     ds = Dataset(features=np.array([[1.0], [-1.0]]), labels=np.array([1.0, -1.0]))
-    design = build_design_matrix(ds)
-    assert_array_equal(design.rows, [[1.0, 1.0], [-1.0, 1.0]])
+    assert_array_equal(ds._design.T, [[1.0, 1.0], [-1.0, 1.0]])
 
     ds = Dataset(features=np.array([[2.0, 3.0]]), labels=np.array([-1.0]))
-    assert_array_equal(build_design_matrix(ds).rows, [[-1.0, -2.0, -3.0]])
+    assert_array_equal(ds._design.T, [[-1.0, -2.0, -3.0]])
+    assert ds._design.flags.c_contiguous and not ds._design.flags.writeable
 
 
-def test_design_matrix_first_column_is_label():
-    ds = make_dataset(seed=3)
-    design = build_design_matrix(ds)
-    assert_array_equal(design.rows[:, 0], ds.labels)
-    assert np.all(np.abs(design.rows[:, 0]) == 1.0)
-    assert design.n == ds.n and design.q == ds.q
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_dataset_gives_back_its_features_and_labels_exactly(order):
+    base = make_dataset(seed=3, n=2 * _BLOCK_ROWS + 5)
+    features = np.array(base.features, order=order)
+    features[:4, 0] = [0.0, -0.0, 0.0, -0.0]  # signed zeros survive y * (y * t)
+    labels = np.array(base.labels)
+    labels[:4] = [1.0, 1.0, -1.0, -1.0]
+    ds = Dataset(features=features, labels=labels)
+    assert (ds.n, ds.q) == features.shape
+    assert ds.features.tobytes() == np.ascontiguousarray(features).tobytes()
+    assert ds.features.flags.c_contiguous and ds.features is not ds.features
+    assert ds.labels.tobytes() == labels.tobytes()
+    # the labels are the design's first row, not a copy
+    assert np.shares_memory(ds.labels, ds._design)
+    assert_array_equal(ds._design[0], ds.labels)
 
 
 def test_dataset_rejects_bad_labels():
@@ -50,6 +59,12 @@ def test_dataset_arrays_are_readonly():
     ds = make_dataset(seed=1)
     with pytest.raises(ValueError):
         ds.features[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        ds.labels[0] = 1.0
+    with pytest.raises(AttributeError):
+        ds.features = np.zeros((ds.n, ds.q))
+    with pytest.raises(AttributeError):
+        ds._design = np.zeros((ds.q + 1, ds.n))
 
 
 def test_margins_examples(two_sample):
@@ -98,7 +113,7 @@ def test_predict_matches_margin_sign():
     for _ in range(200):
         t = rng.normal(size=3)
         ds = Dataset(features=t[None, :], labels=np.array([1.0]))
-        m = (build_design_matrix(ds).rows @ theta.as_vector())[0]
+        m = (ds._design.T @ theta.as_vector())[0]
         assert (predict(theta, t) == 1) == (m >= 0)
 
 

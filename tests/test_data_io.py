@@ -1,6 +1,5 @@
 import hashlib
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from irlsvm import (
 )
 from irlsvm import data_io
 
-from helpers import make_dataset, two_sample_dataset
+from helpers import make_dataset, traced_peak, two_sample_dataset
 
 
 def test_load_two_sample_dataset(tmp_path):
@@ -126,6 +125,9 @@ def test_generator_rejects_odd_n():
         generate_gaussian_mixture(0, seed=0)
     with pytest.raises(ValueError, match="equal length"):
         generate_gaussian_mixture(4, mean_neg=(0.0,), mean_pos=(1.0, 1.0))
+    # the generator writes the Dataset's design itself, so it checks what the constructor would
+    with pytest.raises(ValueError, match="finite"):
+        generate_gaussian_mixture(4, mean_neg=(0.0, np.nan), mean_pos=(1.0, 1.0))
 
 
 def test_generator_custom_means():
@@ -155,24 +157,15 @@ def test_generator_output_does_not_depend_on_its_batch_size(monkeypatch, q):
         assert ds.labels.tobytes() == expected.labels.tobytes()
 
 
-def traced_peak(call):
-    """The peak of the memory numpy and Python allocate while call runs, in bytes."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("n, q", [(200_000, 2), (20_000, 50)])
 def test_generator_holds_little_besides_its_output(n, q):
-    # the output, Dataset's copy of it and one batch of pairs; a transform over
-    # arrays as long as the output held 3.4 and 4.8 times it
+    # the output, which is the Dataset's design, one batch of pairs and one stage; a
+    # transform over arrays as long as the output held 3.4 and 4.8 times it, and a
+    # Dataset that copied the generated features 2 times
     held = {}
     peak = traced_peak(lambda: held.update(ds=generate_gaussian_mixture(n, mean_neg=-np.ones(q), mean_pos=np.ones(q))))
     output = held["ds"].features.nbytes + held["ds"].labels.nbytes
-    assert peak <= 2.25 * output + 2**20
+    assert peak <= 1.25 * output + 2**20
 
 
 def test_predictions_writer_holds_its_source_and_one_block(tmp_path):

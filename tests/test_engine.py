@@ -20,7 +20,7 @@ from irlsvm import (
     risk,
     smoothed_risk,
 )
-from irlsvm.core import _BLOCK_ROWS, build_design_matrix
+from irlsvm.core import _BLOCK_ROWS
 from irlsvm.engine import (
     DESCENT_SLACK,
     WARM_START_RIDGE_FLOOR,
@@ -29,6 +29,7 @@ from irlsvm.engine import (
     _pass,
     _pass_buffers,
     _surrogate_values,
+    _violations,
 )
 from irlsvm.losses import loss_value, majorizer_value
 from irlsvm.penalties import penalty_majorizer_value
@@ -41,6 +42,7 @@ from helpers import (
     closed_form_ls_l2,
     irls_step,
     make_dataset,
+    traced_peak,
     two_sample_dataset,
 )
 from oracle import finite_diff_gradient, reference_minimize
@@ -56,11 +58,6 @@ def two():
     return two_sample_dataset()
 
 
-@pytest.fixture(scope="module")
-def two_design(two):
-    return build_design_matrix(two)
-
-
 def test_monitor_kind_mapping():
     assert monitor_kind(RiskSpec(Loss.SQUARED_HINGE, Penalty.L2)) is Monitor.EXACT
     assert monitor_kind(RiskSpec(Loss.LOGISTIC, Penalty.L2)) is Monitor.EXACT
@@ -71,15 +68,15 @@ def test_monitor_kind_mapping():
     assert monitor_kind(RiskSpec(Loss.HINGE, Penalty.L2)) is Monitor.SMOOTHED
 
 
-def test_irls_step_hand_solved_cases(two_design):
+def test_irls_step_hand_solved_cases(two):
     # least-squares with both constants zero collapses to the plain solve
-    theta = irls_step(RiskSpec(Loss.LEAST_SQUARES, Penalty.ELASTIC_NET, lam=0.0, mu=0.0), ModelParams.zeros(1), two_design)
+    theta = irls_step(RiskSpec(Loss.LEAST_SQUARES, Penalty.ELASTIC_NET, lam=0.0, mu=0.0), ModelParams.zeros(1), two)
     assert_allclose(theta.as_vector(), [0.0, 1.0], atol=1e-12)
 
-    theta = irls_step(RiskSpec(Loss.HINGE, Penalty.L2, lam=0.0, epsilon=EPS), ModelParams.zeros(1), two_design)
+    theta = irls_step(RiskSpec(Loss.HINGE, Penalty.L2, lam=0.0, epsilon=EPS), ModelParams.zeros(1), two)
     assert_allclose(theta.as_vector(), [0.0, 1.0 + np.sqrt(1.0 + EPS)], rtol=1e-12)
 
-    theta = irls_step(RiskSpec(Loss.LOGISTIC, Penalty.L2, lam=0.0), ModelParams.zeros(1), two_design)
+    theta = irls_step(RiskSpec(Loss.LOGISTIC, Penalty.L2, lam=0.0), ModelParams.zeros(1), two)
     assert_allclose(theta.as_vector(), [0.0, 2.0], atol=1e-12)
 
 
@@ -88,16 +85,16 @@ def test_logistic_step_is_overflow_safe_at_extreme_margins():
     # (clipped just inside), giving targets 800 and -796 and no NaN
     ds = Dataset(features=np.array([[1.0], [-1.0]]), labels=np.array([1.0, 1.0]))
     spec = RiskSpec(Loss.LOGISTIC, Penalty.L2, lam=0.0)
-    theta = irls_step(spec, ModelParams(alpha=0.0, beta=[800.0]), build_design_matrix(ds))
+    theta = irls_step(spec, ModelParams(alpha=0.0, beta=[800.0]), ds)
     assert_allclose(theta.as_vector(), [2.0, 798.0], rtol=1e-12)
 
 
-def test_closed_form_examples(two_design):
+def test_closed_form_examples(two):
     for lam in (0.0, 0.5, 1.0):
-        theta = closed_form_ls_l2(two_design, lam)
+        theta = closed_form_ls_l2(two, lam)
         assert_allclose(theta.as_vector(), [0.0, 1.0 / (1.0 + lam)], atol=1e-12)
     # penalty dominance sends the parameters to zero
-    theta = closed_form_ls_l2(two_design, 1e10)
+    theta = closed_form_ls_l2(two, 1e10)
     assert abs(theta.alpha) <= 1e-6 and np.abs(theta.beta).max() <= 1e-6
 
 
@@ -135,7 +132,7 @@ def test_penalty_part_of_risk_ignores_intercept():
         parts = []
         for alpha in (-2.0, 0.0, 3.5):
             theta = ModelParams(alpha=alpha, beta=beta)
-            m = build_design_matrix(ds).rows @ theta.as_vector()
+            m = ds._design.T @ theta.as_vector()
             parts.append(risk(spec, theta, ds) - np.mean(loss_value(loss, m)))
         assert_allclose(parts, parts[0], rtol=0, atol=1e-15)
 
@@ -146,7 +143,7 @@ def test_fit_ls_l2_is_single_closed_form_step(two):
     assert result.iterations_run == 1
     assert result.termination_reason is TerminationReason.CLOSED_FORM
     assert len(result.exact_risk_trajectory) == 2
-    direct = closed_form_ls_l2(build_design_matrix(two), 0.5)
+    direct = closed_form_ls_l2(two, 0.5)
     assert result.theta.alpha == direct.alpha
     assert_array_equal(result.theta.beta, direct.beta)
 
@@ -204,7 +201,7 @@ def test_fit_records_theta_trajectory(init):
     result = fit(spec, ds, FitOptions(max_iterations=7, risk_tolerance=0.0, init=init))
     trajectory = result.theta_trajectory
     assert trajectory.shape == (result.iterations_run + 1, ds.q + 1) == (8, 4)
-    start = ModelParams.zeros(ds.q) if init is Init.ZERO else closed_form_ls_l2(build_design_matrix(ds), 0.1)
+    start = ModelParams.zeros(ds.q) if init is Init.ZERO else closed_form_ls_l2(ds, 0.1)
     assert_array_equal(trajectory[0], start.as_vector())
     assert_array_equal(trajectory[-1], result.theta.as_vector())
     # row k is the iterate whose risks the trajectories record at k
@@ -225,7 +222,7 @@ def test_fit_explicit_init_dimension_mismatch(two):
 def test_fit_warm_start_is_ridge_solution(two):
     spec = RiskSpec(Loss.LOGISTIC, Penalty.L1, mu=0.2)
     result = fit(spec, two, FitOptions(max_iterations=1, risk_tolerance=0.0))
-    warm = closed_form_ls_l2(build_design_matrix(two), 1e-3)  # max(lam, 1e-3) with lam forced to 0
+    warm = closed_form_ls_l2(two, 1e-3)  # max(lam, 1e-3) with lam forced to 0
     assert_allclose(result.exact_risk_trajectory[0], risk(spec, warm, two), rtol=1e-14)
 
 
@@ -248,21 +245,20 @@ def test_fit_hinge_l1_two_sample_matches_oracle(two):
     assert abs(result.smoothed_risk_trajectory[-1] - smoothed_risk(spec, reference, two)) <= 1e-8
 
 
-def majorizer_objective(spec, theta, anchor, design):
+def majorizer_objective(spec, theta, anchor, dataset):
     """The surrogate anchored at anchor, at theta, from the verifier's pass
     over the two iterates (anchor, theta)."""
-    return _surrogate_values(spec, anchor.as_vector()[None], theta.as_vector()[None], design)[1][0]
+    return _surrogate_values(spec, anchor.as_vector()[None], theta.as_vector()[None], dataset)[1][0]
 
 
 @pytest.mark.parametrize("loss, pen", ALL_COMBOS, ids=COMBO_IDS)
 def test_surrogate_touches_monitored_risk_at_anchor(loss, pen):
     ds = make_dataset(seed=24, n=40, q=3)
-    design = build_design_matrix(ds)
     spec = RiskSpec(loss, pen, lam=0.2, mu=0.3, epsilon=EPS)
     rng = np.random.default_rng(24)
     for _ in range(10):
         theta = ModelParams(alpha=rng.normal(), beta=rng.normal(size=3))
-        anchor = majorizer_objective(spec, theta, theta, design)
+        anchor = majorizer_objective(spec, theta, theta, ds)
         reference = smoothed_risk(spec, theta, ds)
         assert abs(anchor - reference) <= 1e-10 * (1.0 + abs(reference))
 
@@ -270,18 +266,17 @@ def test_surrogate_touches_monitored_risk_at_anchor(loss, pen):
 @pytest.mark.parametrize("loss, pen", ITERATIVE_COMBOS, ids=ITERATIVE_IDS)
 def test_update_minimizes_the_surrogate(loss, pen):
     ds = make_dataset(seed=25, n=40, q=3)
-    design = build_design_matrix(ds)
     spec = RiskSpec(loss, pen, lam=0.1, mu=0.2, epsilon=EPS)
     theta = ModelParams(alpha=0.4, beta=np.array([0.5, -0.3, 0.1]))
     rng = np.random.default_rng(25)
     for _ in range(3):
-        nxt = irls_step(spec, theta, design)
-        at_next = majorizer_objective(spec, nxt, theta, design)
-        at_anchor = majorizer_objective(spec, theta, theta, design)
+        nxt = irls_step(spec, theta, ds)
+        at_next = majorizer_objective(spec, nxt, theta, ds)
+        at_anchor = majorizer_objective(spec, theta, theta, ds)
         assert at_next <= at_anchor + 1e-12 * (1.0 + abs(at_anchor))
         for _ in range(100):
             perturbed = ModelParams.from_vector(nxt.as_vector() + rng.normal(scale=1e-3, size=4))
-            assert at_next <= majorizer_objective(spec, perturbed, theta, design) + 1e-12
+            assert at_next <= majorizer_objective(spec, perturbed, theta, ds) + 1e-12
         theta = nxt
 
 
@@ -300,12 +295,11 @@ def test_terminal_risk_monotone_in_penalty_constants(loss, pen):
 
 def test_fixed_point_is_stationary():
     ds = make_dataset(seed=27, n=60, q=2)
-    design = build_design_matrix(ds)
     for loss, pen in ((Loss.HINGE, Penalty.ELASTIC_NET), (Loss.LOGISTIC, Penalty.L2), (Loss.SQUARED_HINGE, Penalty.L1)):
         spec = RiskSpec(loss, pen, lam=0.1, mu=0.1, epsilon=EPS)
         theta = ModelParams.zeros(2)
         for _ in range(5000):
-            nxt = irls_step(spec, theta, design)
+            nxt = irls_step(spec, theta, ds)
             if np.abs(nxt.as_vector() - theta.as_vector()).max() <= 1e-10:
                 theta = nxt
                 break
@@ -380,9 +374,8 @@ def test_fit_counts_jittered_solves():
 
     t = np.array([1.0, 2.0, -1.0, -3.0, 0.5, -0.25])
     ds = Dataset(features=np.column_stack([t, t]), labels=np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0]))
-    design = build_design_matrix(ds)
     # with lam = 0 the squared-hinge system matrix is Y'Y, singular for a duplicated column
-    assert solve_spd(design.gram, np.ones(3)).jitter_used
+    assert solve_spd(ds._gram, np.ones(3)).jitter_used
     spec = RiskSpec(Loss.SQUARED_HINGE, Penalty.L2, lam=0.0)
     result = fit(spec, ds, FitOptions(max_iterations=3, risk_tolerance=0.0, init=Init.ZERO))
     assert result.jittered_solves == 3
@@ -434,7 +427,7 @@ def _dense_system(spec, theta, dataset):
 def test_update_system_matches_dense_reference_across_blocks(blocked, loss, pen):
     spec = RiskSpec(loss, pen, lam=0.2, mu=0.3, epsilon=EPS)
     theta = ModelParams(alpha=0.3, beta=[0.5, -0.4, 0.2])
-    system = _pass(spec, theta.as_vector(), build_design_matrix(blocked))[2:]
+    system = _pass(spec, theta.as_vector(), blocked)[2:]
     matrix, rhs = _dense_system(spec, theta, blocked)
     assert_allclose(system[0], matrix, rtol=1e-12, atol=0)
     assert_allclose(system[1], rhs, rtol=1e-12, atol=0)
@@ -460,7 +453,7 @@ def test_surrogate_values_match_dense_reference_across_blocks(blocked, loss, pen
     spec = RiskSpec(loss, pen, lam=0.2, mu=0.3, epsilon=EPS)
     result = fit(spec, blocked, FitOptions(max_iterations=6, risk_tolerance=tolerance, init=Init.ZERO))
     anchors, images = result.anchor_trajectory, result.theta_trajectory[1:]
-    at, after = _surrogate_values(spec, anchors, images, build_design_matrix(blocked))
+    at, after = _surrogate_values(spec, anchors, images, blocked)
     dense_at, dense_after = _dense_surrogate_values(spec, anchors, images, blocked)
     assert at.shape == after.shape == (result.iterations_run,)
     assert_allclose(at, dense_at, rtol=1e-12, atol=0)
@@ -479,15 +472,14 @@ def three_blocks():
 @pytest.mark.parametrize("loss, pen", ALL_COMBOS, ids=COMBO_IDS)
 def test_tolerance_zero_fit_is_a_plain_update_chain(three_blocks, loss, pen, init):
     spec = RiskSpec(loss, pen, lam=0.2, mu=0.3, epsilon=EPS)
-    design = build_design_matrix(three_blocks)
     result = fit(spec, three_blocks, FitOptions(max_iterations=4, risk_tolerance=0.0, init=init))
     closed_form = (loss, pen) == (Loss.LEAST_SQUARES, Penalty.L2)
     assert result.iterations_run == (1 if closed_form else 4)
-    warm = closed_form_ls_l2(design, max(spec.lam, WARM_START_RIDGE_FLOOR))
+    warm = closed_form_ls_l2(three_blocks, max(spec.lam, WARM_START_RIDGE_FLOOR))
     theta = ModelParams.zeros(3) if init is Init.ZERO else warm
     chain = [theta.as_vector()]
     for _ in range(result.iterations_run):
-        theta = irls_step(spec, theta, design)
+        theta = irls_step(spec, theta, three_blocks)
         chain.append(theta.as_vector())
     assert result.theta_trajectory.tobytes() == np.array(chain).tobytes()
     assert result.anchor_trajectory.tobytes() == np.array(chain[:-1]).tobytes()
@@ -496,13 +488,12 @@ def test_tolerance_zero_fit_is_a_plain_update_chain(three_blocks, loss, pen, ini
 @pytest.mark.parametrize("loss, pen", ITERATIVE_COMBOS, ids=ITERATIVE_IDS)
 def test_accelerated_fit_records_update_images_with_falling_risks(loss, pen):
     ds = generate_gaussian_mixture(200, seed=32)
-    design = build_design_matrix(ds)
     spec = RiskSpec(loss, pen, lam=0.1, mu=0.1, epsilon=EPS)
     result = fit(spec, ds, FitOptions(max_iterations=200, risk_tolerance=1e-12, init=Init.ZERO))
     extrapolated = _extrapolated(result)
     assert extrapolated.any()
     for anchor, image in zip(result.anchor_trajectory, result.theta_trajectory[1:]):
-        assert irls_step(spec, ModelParams.from_vector(anchor), design).as_vector().tobytes() == image.tobytes()
+        assert irls_step(spec, ModelParams.from_vector(anchor), ds).as_vector().tobytes() == image.tobytes()
     track = result.smoothed_risk_trajectory
     rise = np.diff(track)
     # an image of an extrapolated point is kept only if its risk is not above the iterate before it
@@ -516,11 +507,44 @@ def test_accelerated_fit_records_update_images_with_falling_risks(loss, pen):
 @pytest.mark.parametrize("loss", list(Loss), ids=lambda k: k.value)
 def test_extrapolated_update_rejects_a_non_finite_extrapolated_point(loss):
     # x2 - x1 = x1 - x0, so v = 0 exactly, a = -inf and x' = 0 * inf = NaN
-    design = build_design_matrix(make_dataset(seed=34, n=20, q=2))
+    ds = make_dataset(seed=34, n=20, q=2)
     x1 = np.array([0.5, -0.25, 1.0])
     cycle = [np.zeros(3), x1, 2.0 * x1]
     spec = RiskSpec(loss, Penalty.L2, lam=0.1, epsilon=EPS)
-    assert _extrapolated_update(spec, design, cycle, np.inf, _pass_buffers(design, update=True), True) is None
+    assert _extrapolated_update(spec, ds, cycle, np.inf, _pass_buffers(ds, update=True), True) is None
+
+
+@pytest.mark.parametrize("n, q", [(200_000, 2), (20_000, 50)], ids=["q2", "q50"])
+@pytest.mark.parametrize("loss", list(Loss), ids=lambda k: k.value)
+def test_fits_and_risks_hold_no_copy_of_the_data(n, q, loss):
+    # a fit, a risk and check's gates walk the Dataset's own design: besides the
+    # pass buffers (_pass_buffers) they hold nothing that grows with n
+    ds = generate_gaussian_mixture(n, mean_neg=-0.3 * np.ones(q), mean_pos=0.3 * np.ones(q), seed=4)
+    bound = (q + 5) * _BLOCK_ROWS * 8 + 2**20
+    spec = RiskSpec(loss, Penalty.ELASTIC_NET, lam=0.1, mu=0.1, epsilon=EPS)
+    held = {}
+    assert traced_peak(lambda: held.update(result=fit(spec, ds))) <= bound
+    result = held["result"]
+    assert traced_peak(lambda: risk(spec, result.theta, ds)) <= bound
+    assert traced_peak(lambda: smoothed_risk(spec, result.theta, ds)) <= bound
+    assert traced_peak(lambda: _violations(spec, result, ds)) <= bound
+
+
+SWEEP_OPTIONS = {"default": FitOptions(), "zero-plain": FitOptions(max_iterations=8, risk_tolerance=0.0, init=Init.ZERO)}
+
+
+@pytest.mark.parametrize("options", SWEEP_OPTIONS.values(), ids=SWEEP_OPTIONS.keys())
+@pytest.mark.parametrize("loss", list(Loss), ids=lambda k: k.value)
+def test_sweep_points_on_one_dataset_equal_lone_fits(loss, options):
+    # a sweep fits every grid point on one Dataset, which caches its Gram and column
+    # sums; each point equals a fit on a fresh Dataset, from either feature layout
+    shared = make_dataset(seed=37, n=_BLOCK_ROWS + 77, q=3)
+    features, labels = shared.features, shared.labels
+    for lam in (0.0, 0.1, 0.2):
+        spec = RiskSpec(loss, Penalty.ELASTIC_NET, lam=lam, mu=0.1, epsilon=EPS)
+        point = _fit_record(fit(spec, shared, options))
+        for layout in (features, np.asfortranarray(features)):
+            assert _fit_record(fit(spec, Dataset(features=layout, labels=labels), options)) == point
 
 
 def test_hinge_fit_on_the_benchmark_data_stops_on_the_risk_tolerance():
@@ -601,8 +625,8 @@ def _build_every_system(monkeypatch):
 
     original = engine_module._pass
 
-    def full_pass(spec, vec, design, update=True, buffers=None):
-        return original(spec, vec, design, True, buffers)
+    def full_pass(spec, vec, dataset, update=True, buffers=None):
+        return original(spec, vec, dataset, True, buffers)
 
     monkeypatch.setattr(engine_module, "_pass", full_pass)
 
@@ -650,10 +674,10 @@ def test_the_warm_start_is_the_ridge_solution_bit_for_bit(lam):
     features[:, 1] = 0.0
     negative = Dataset(features=features, labels=-np.ones(30))
     # -1 * 0.0 in every row: the zero column of the design is all -0.0
-    assert np.signbit(build_design_matrix(negative).rows[:, 2]).all()
+    assert np.signbit(negative._design[2]).all()
     for ds in (make_dataset(seed=35, n=50, q=3), negative):
         result = fit(RiskSpec(Loss.HINGE, Penalty.L2, lam=lam), ds, FitOptions(max_iterations=1))
-        warm = closed_form_ls_l2(build_design_matrix(ds), max(lam, WARM_START_RIDGE_FLOOR))
+        warm = closed_form_ls_l2(ds, max(lam, WARM_START_RIDGE_FLOOR))
         assert result.theta_trajectory[0].tobytes() == warm.as_vector().tobytes()
 
 
@@ -665,8 +689,8 @@ def _record_passes_and_solves(monkeypatch):
     events = []
     original_pass, original_solve = engine_module._pass, engine_module.solve_spd
 
-    def recording_pass(spec, vec, design, update=True, buffers=None):
-        out = original_pass(spec, vec, design, update, buffers)
+    def recording_pass(spec, vec, dataset, update=True, buffers=None):
+        out = original_pass(spec, vec, dataset, update, buffers)
         events.append(("pass", vec.copy(), out[2]))
         return out
 

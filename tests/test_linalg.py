@@ -5,38 +5,31 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from irlsvm import Dataset
-from irlsvm.core import build_design_matrix
 from irlsvm.linalg import SingularSystemError, _GramBlocks, solve_spd
 
-from helpers import make_dataset, two_sample_dataset
+from helpers import make_dataset
 
 
-def _one_block_gram(design, weights):
-    """Y'WY of the whole design accumulated as one block."""
-    gram = _GramBlocks(np.empty((design.q + 1, design.n)))
-    gram.add(design.rows.T, np.asarray(weights, dtype=float))
+def _one_block_gram(dataset, weights):
+    """Y'WY of the dataset's whole design accumulated as one block."""
+    gram = _GramBlocks(np.empty((dataset.q + 1, dataset.n)))
+    gram.add(dataset._design, np.asarray(weights, dtype=float))
     return gram.result()
 
 
-@pytest.fixture
-def two_sample_design():
-    return build_design_matrix(two_sample_dataset())
-
-
-def test_weighted_gram_examples(two_sample_design):
-    assert_array_equal(_one_block_gram(two_sample_design, np.ones(2)), [[2.0, 0.0], [0.0, 2.0]])
-    assert_array_equal(_one_block_gram(two_sample_design, np.zeros(2)), np.zeros((2, 2)))
+def test_weighted_gram_examples(two_sample):
+    assert_array_equal(_one_block_gram(two_sample, np.ones(2)), [[2.0, 0.0], [0.0, 2.0]])
+    assert_array_equal(_one_block_gram(two_sample, np.zeros(2)), np.zeros((2, 2)))
 
     ds = Dataset(features=np.array([[2.0, -1.0]]), labels=np.array([-1.0]))
-    design = build_design_matrix(ds)
-    row = design.rows[0]
-    assert_allclose(_one_block_gram(design, np.array([0.7])), 0.7 * np.outer(row, row), rtol=1e-15)
+    row = ds._design[:, 0]
+    assert_allclose(_one_block_gram(ds, np.array([0.7])), 0.7 * np.outer(row, row), rtol=1e-15)
 
 
 def test_weighted_gram_exactly_symmetric():
-    design = build_design_matrix(make_dataset(seed=8, n=67, q=5))
+    ds = make_dataset(seed=8, n=67, q=5)
     rng = np.random.default_rng(8)
-    gram = _one_block_gram(design, rng.uniform(0, 3, design.n))
+    gram = _one_block_gram(ds, rng.uniform(0, 3, ds.n))
     assert_array_equal(gram, gram.T)
 
 
@@ -51,13 +44,13 @@ def test_weighted_gram_near_the_float_limit_stays_finite():
 
 
 def test_unit_weights_give_plain_gram():
-    design = build_design_matrix(make_dataset(seed=9, n=31, q=4))
-    plain = design.rows.T @ design.rows
-    assert_allclose(_one_block_gram(design, np.ones(design.n)), plain, rtol=1e-14, atol=0)
+    ds = make_dataset(seed=9, n=31, q=4)
+    plain = ds._design @ ds._design.T
+    assert_allclose(_one_block_gram(ds, np.ones(ds.n)), plain, rtol=1e-14, atol=0)
 
 
-def test_weighted_gram_validation(two_sample_design):
-    cols = two_sample_design.rows.T
+def test_weighted_gram_validation(two_sample):
+    cols = two_sample._design
     for bad in ([1.0, -1.0], [1.0, np.nan], [np.inf, 1.0]):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             _GramBlocks(np.empty((2, 2))).add(cols, np.array(bad))

@@ -21,7 +21,6 @@ from irlsvm import (
     fit,
     smoothed_risk,
 )
-from irlsvm.core import build_design_matrix
 from irlsvm.engine import ANCHOR_SLACK, DESCENT_SLACK, SURROGATE_SLACK, _violations
 
 from helpers import ALL_COMBOS
@@ -96,7 +95,7 @@ def test_surrogate_touches_risk_and_update_lowers_it(data, spec, tolerance):
     result = _fit_or_none(spec, data, FitOptions(max_iterations=10, risk_tolerance=tolerance, init=Init.ZERO))
     if result is None:
         return
-    descent, anchor, surrogate = _violations(spec, result, build_design_matrix(data))
+    descent, anchor, surrogate = _violations(spec, result, data)
     assert anchor <= ANCHOR_SLACK
     # a jittered solve voids the descent guarantee
     if result.jittered_solves == 0:
