@@ -86,13 +86,20 @@ class Dataset:
         off = np.nonzero((labels != 1.0) & (labels != -1.0))[0]
         if off.size:
             raise ValueError(f"label in row {off[0]} is {labels[off[0]]}, must be -1 or +1")
+        self._fill(features, labels)
+
+    def _fill(self, features: np.ndarray, labels: np.ndarray) -> Dataset:
+        """Build the design from an n x q float matrix of finite features and
+        n labels, each -1 or 1, with n, q >= 1, and adopt it. It checks
+        nothing: __init__ and the CSV loader check these first."""
+        n, q = features.shape
         design = np.empty((q + 1, n))
         design[0] = labels
         # transposed a row block at a time, so each block's reads and writes stay in cache
         for start in range(0, n, _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
             np.multiply(features[block].T, labels[block], out=design[1:, block])
-        self._adopt(design)
+        return self._adopt(design)
 
     def _adopt(self, design: np.ndarray) -> Dataset:
         """Take design, a (q+1) x n C-ordered array laid out as the class
@@ -178,11 +185,6 @@ class ModelParams:
         return cls(alpha=0.0, beta=np.zeros(q))
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not 0 < epsilon < math.inf:
-        raise ValueError("epsilon must be > 0 and finite")
-
-
 @dataclass(frozen=True)
 class RiskSpec:
     """One of the 12 loss x penalty risk combinations plus its constants.
@@ -204,7 +206,8 @@ class RiskSpec:
             raise ValueError("lambda must be >= 0 and finite")
         if not 0 <= self.mu < math.inf:
             raise ValueError("mu must be >= 0 and finite")
-        _check_epsilon(self.epsilon)
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be > 0 and finite")
         lam, mu = float(self.lam), float(self.mu)
         if self.penalty is Penalty.L2:
             mu = 0.0

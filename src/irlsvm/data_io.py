@@ -31,20 +31,33 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec
+from .core import _BLOCK_ROWS, Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec
 
 MODEL_FORMAT = "irlsvm-model/1"
 LABEL_COLUMN = "y"
 _TRAJECTORY_HEADER = ["iteration", "exact_risk", "smoothed_risk"]
 
 _FLOAT = "%.17g"
-_WRITE_ROWS = 1 << 14  # records per write of a dataset, and of the predictions writer's record path
 # cells formatted per write, and normal pairs drawn per batch; bounds the memory a large file needs
 _WRITE_CELLS = 1 << 13
 
 
 class DataError(ValueError):
     """File-level problem: missing/malformed content, bad labels, bad cells."""
+
+
+@contextlib.contextmanager
+def open_input(path, binary: bool = False):
+    """Open path for reading UTF-8 text, line endings as they are, or bytes;
+    an OSError, or text that is not UTF-8, while opening or reading it
+    becomes a DataError naming path. Every reader opens its file here."""
+    try:
+        with Path(path).open("rb") if binary else Path(path).open(newline="", encoding="utf-8") as handle:
+            yield handle
+    except OSError as err:
+        raise DataError(f"{path}: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: not UTF-8 text ({err.reason})") from err
 
 
 @contextlib.contextmanager
@@ -72,23 +85,20 @@ def load_features_csv(path, labeled: bool = False) -> tuple[list[str], np.ndarra
     ("nan", "inf") is a DataError naming its row and column.
     """
     path = Path(path)
-    try:
-        with path.open(newline="", encoding="utf-8") as handle:
-            try:
-                header = [name.strip() for name in next(csv.reader(handle))]
-            except StopIteration:
-                raise DataError(f"{path}: empty file, header required") from None
-            if header.count(LABEL_COLUMN) > 1:
-                raise DataError(f"{path}: label column '{LABEL_COLUMN}' appears more than once")
-            if labeled and LABEL_COLUMN not in header:
-                raise DataError(f"{path}: missing label column '{LABEL_COLUMN}'")
-            label_idx = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
-            feature_idx = [i for i in range(len(header)) if i != label_idx]
-            if not feature_idx:
-                raise DataError(f"{path}: no feature columns")
-            values = _parse_body(handle, len(header))
-    except OSError as err:
-        raise DataError(f"{path}: {err.strerror}") from err
+    with open_input(path) as handle:
+        try:
+            header = [name.strip() for name in next(csv.reader(handle))]
+        except StopIteration:
+            raise DataError(f"{path}: empty file, header required") from None
+        if header.count(LABEL_COLUMN) > 1:
+            raise DataError(f"{path}: label column '{LABEL_COLUMN}' appears more than once")
+        if labeled and LABEL_COLUMN not in header:
+            raise DataError(f"{path}: missing label column '{LABEL_COLUMN}'")
+        label_idx = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
+        feature_idx = [i for i in range(len(header)) if i != label_idx]
+        if not feature_idx:
+            raise DataError(f"{path}: no feature columns")
+        values = _parse_body(handle, len(header))
     if not labeled:
         label_idx = None  # an unlabeled read ignores a "y" column
     features = None
@@ -129,13 +139,10 @@ def _scan_rows(path: Path, header, feature_idx, label_idx) -> tuple[np.ndarray, 
     does not, such as "1_000" cells, lone-CR line endings, or a non-numeric
     "y" column that an unlabeled read ignores.
     """
-    try:
-        with path.open(newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            next(reader)
-            rows = [(r, row) for r, row in enumerate(reader, start=1) if row]
-    except OSError as err:
-        raise DataError(f"{path}: {err.strerror}") from err
+    with open_input(path) as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        rows = [(r, row) for r, row in enumerate(reader, start=1) if row]
     features = np.empty((len(rows), len(feature_idx)))
     labels = None if label_idx is None else np.empty(len(rows))
     for k, (r, row) in enumerate(rows):
@@ -163,10 +170,8 @@ def _scan_rows(path: Path, header, feature_idx, label_idx) -> tuple[np.ndarray, 
 def load_dataset_csv(path) -> Dataset:
     """Read a labeled dataset; the header must name the label column "y"."""
     _header, features, labels = load_features_csv(path, labeled=True)
-    try:
-        return Dataset(features=features, labels=labels)
-    except ValueError as err:
-        raise DataError(f"{path}: {err}") from err
+    # load_features_csv has checked what the constructor would: q >= 1, n >= 1, -1/1 labels, finite features
+    return Dataset.__new__(Dataset)._fill(features, labels)
 
 
 # A cell is _CELL bytes: a '%.17g' text in fixed slots, NUL where one is
@@ -314,9 +319,9 @@ def _write_rows(path, header, blocks) -> None:
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
     """Write a dataset with columns x1..xq then y, its features computed
-    from the design (Dataset) _WRITE_ROWS samples at a time."""
+    from the design (Dataset) _BLOCK_ROWS samples at a time."""
     header = [f"x{j + 1}" for j in range(dataset.q)] + [LABEL_COLUMN]
-    blocks = (dataset._design[:, start : start + _WRITE_ROWS] for start in range(0, dataset.n, _WRITE_ROWS))
+    blocks = (dataset._design[:, start : start + _BLOCK_ROWS] for start in range(0, dataset.n, _BLOCK_ROWS))
     _write_rows(path, header, ([*(block[1:] * block[0]), block[0]] for block in blocks))
 
 
@@ -351,13 +356,17 @@ def write_predictions_csv(source, header: list[str], labels, path) -> None:
 
     A file of ASCII lines with no quote, CR or blank line, which is each
     line a record, is copied as bytes in blocks of _WRITE_CELLS * _CELL
-    bytes; any other goes record by record through _csv_records.
+    bytes; any other is decoded as it goes, record by record through
+    _csv_records. A source that is not UTF-8 fails before path is opened.
     """
-    data = Path(source).read_bytes()  # read in full first: path may name the same file
+    with open_input(source, binary=True) as handle:
+        data = handle.read()  # read in full first: path may name the same file
+        if not data.isascii():
+            data.decode("utf-8")  # the check only: the records are decoded a block at a time
     negative = ~(np.asarray(labels) > 0)
     plain = data.isascii() and not any(mark in data for mark in (b'"', b"\r", b"\n\n")) and data[:1] != b"\n"
     if not plain:
-        records = _csv_records(iter(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="").readlines()))
+        records = _csv_records(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
         next(records)  # the header record
     with open_output(path) as out:
         csv.writer(out, lineterminator="\n").writerow(header + ["predicted"])
@@ -365,9 +374,9 @@ def write_predictions_csv(source, header: list[str], labels, path) -> None:
             _copy_labelled_lines(data, negative, out)
         else:
             suffixes, negative = (",1\n", ",-1\n"), negative.tolist()
-            for start in range(0, len(negative), _WRITE_ROWS):
-                block = itertools.islice(records, _WRITE_ROWS)
-                ends = map(suffixes.__getitem__, negative[start : start + _WRITE_ROWS])
+            for start in range(0, len(negative), _BLOCK_ROWS):
+                block = itertools.islice(records, _BLOCK_ROWS)
+                ends = map(suffixes.__getitem__, negative[start : start + _BLOCK_ROWS])
                 out.write("".join(map(str.__add__, block, ends)))
 
 
@@ -476,10 +485,8 @@ def read_model(path) -> tuple[ModelParams, RiskSpec]:
     q >= 1, in any order, iterations_run a non-negative integer and every
     value after format, loss and penalty a number."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as err:
-        raise DataError(f"{path}: {err.strerror}") from err
+    with open_input(path) as handle:
+        text = handle.read()
     scalar_keys = _model_keys(0)
     entries: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

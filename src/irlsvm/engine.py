@@ -158,10 +158,6 @@ def _surrogate_values(
     adds the penalty parts. No update rule is involved, so the values check
     the updates independently.
     """
-    anchors = np.asarray(anchors, dtype=float)
-    images = np.asarray(images, dtype=float)
-    if anchors.ndim != 2 or anchors.shape[1] != dataset.q + 1 or images.shape != anchors.shape:
-        raise ValueError(f"anchors and images must be equally many rows of {dataset.q + 1} parameters")
     count = anchors.shape[0]
     pair = np.empty((2, min(dataset.n, _BLOCK_ROWS)))
     loss = np.zeros((count, 2))  # row t: the loss sums at update t's anchor and image

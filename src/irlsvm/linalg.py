@@ -85,8 +85,6 @@ def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> SpdSolution:
     """
     a = np.asarray(matrix, dtype=float)
     b = np.asarray(rhs, dtype=float).ravel()
-    if a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
-        raise ValueError("matrix and rhs dimensions disagree")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise SingularSystemError("system matrix or right-hand side is not finite")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Loss, _check_epsilon
+from .core import Loss
 
 
 def _loss_into(kind: Loss, m: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -27,7 +27,7 @@ def _loss_into(kind: Loss, m: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.subtract(1.0, m, out=out)
         np.maximum(out, 0.0, out=out)
         np.square(out, out=out)
-    elif kind is Loss.LOGISTIC:
+    else:  # Loss.LOGISTIC
         # log(1 + exp(-m)) = max(-m, 0) + log1p(exp(-|m|)), without overflow
         # for large |m|
         np.abs(m, out=out)
@@ -35,8 +35,6 @@ def _loss_into(kind: Loss, m: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.exp(out, out=out)
         np.log1p(out, out=out)
         out -= np.minimum(m, 0.0)
-    else:
-        raise ValueError(f"unknown loss {kind}")
     return out
 
 
@@ -134,7 +132,6 @@ def majorizer_value(kind: Loss, m, m_ref, epsilon: float):
     (for the hinge, both statements hold against the smoothed loss with the
     same epsilon; as epsilon -> 0 they hold against the plain hinge).
     """
-    _check_epsilon(epsilon)
     m = np.asarray(m, dtype=float)
     m_ref = np.asarray(m_ref, dtype=float)
     # in place from u = 1 - m, so the only temporaries are of m's and m_ref's shapes
@@ -155,7 +152,7 @@ def majorizer_value(kind: Loss, m, m_ref, epsilon: float):
         # u^2 where v = 1 - m_ref >= 0, else (u - v)^2
         out -= np.minimum(1.0 - m_ref, 0.0)
         np.square(out, out=out)
-    elif kind is Loss.LOGISTIC:
+    else:  # Loss.LOGISTIC
         # curvature bound 1/4 on the logistic second derivative
         d = np.subtract(m, m_ref, out=out)
         curvature = d * d
@@ -163,6 +160,4 @@ def majorizer_value(kind: Loss, m, m_ref, epsilon: float):
         np.multiply(d, _logistic_pi(m_ref, np.empty_like(m_ref)), out=out)
         np.subtract(loss_value(Loss.LOGISTIC, m_ref), out, out=out)
         out += curvature
-    else:
-        raise ValueError(f"unknown loss {kind}")
     return out if out.ndim else float(out)

@@ -8,17 +8,7 @@ contributes exactly +0.0 even where its sums would overflow.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-from .core import _check_epsilon
-
-
-# RiskSpec's rules for the constants, which NaN fails
-def _check_constants(lam: float, mu: float) -> None:
-    if not (0 <= lam < math.inf and 0 <= mu < math.inf):
-        raise ValueError("penalty constants must be >= 0 and finite")
 
 
 def _penalty_terms(beta: np.ndarray, lam: float, mu: float, epsilon: float):
@@ -49,12 +39,8 @@ def penalty_majorizer_value(beta, beta_ref, lam: float, mu: float, epsilon: floa
     beta_j^2 + eps; it touches the smoothed penalty at beta = beta_ref and
     dominates it everywhere. The 2-norm part majorizes itself.
     """
-    _check_constants(lam, mu)
-    _check_epsilon(epsilon)
     beta = np.asarray(beta, dtype=float).ravel()
     v = np.asarray(beta_ref, dtype=float).ravel()
-    if beta.shape != v.shape:
-        raise ValueError("beta and beta_ref must have equal length")
     value = 0.0
     if lam:
         value += lam * float(beta @ beta)

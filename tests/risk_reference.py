@@ -9,12 +9,23 @@ is not evaluated, so it contributes exactly +0.0 even where its sums would
 overflow.
 """
 
+import math
+
 import numpy as np
 
 from irlsvm import Loss
 from irlsvm.losses import _hinge_gamma, loss_value
-from irlsvm.core import _check_epsilon
-from irlsvm.penalties import _check_constants
+
+
+# RiskSpec's rules for the constants and the smoothing value, which NaN fails
+def _check_constants(lam: float, mu: float) -> None:
+    if not (0 <= lam < math.inf and 0 <= mu < math.inf):
+        raise ValueError("penalty constants must be >= 0 and finite")
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be > 0 and finite")
 
 
 def smoothed_loss_value(kind: Loss, m, epsilon: float):

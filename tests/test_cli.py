@@ -705,3 +705,41 @@ def test_fit_reports_non_finite_cell_by_record_number(tmp_path, capsys):
     code = main(["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data), "--out", str(tmp_path / "m")])
     assert code == 3
     assert "non-finite cell at row 2, column 'x1'" in capsys.readouterr().err
+
+
+# a file that cannot be read as the verb needs it: each is a data error naming the file, and nothing is written
+@pytest.mark.parametrize(
+    "verb, role, content, message",
+    [
+        ("fit", "data", b"", "empty file, header required"),
+        ("fit", "data", b"y\n1\n-1\n", "no feature columns"),
+        ("fit", "data", b"x1,y\n1,1\n\xff,1\n", "not UTF-8 text"),
+        # past the first block the text reader decodes, so the bulk parse fails and the cell scan reports it
+        ("fit", "data", b"x1,y\n" + b"1,1\n" * 5000 + b"\xe9,1\n", "not UTF-8 text"),
+        ("predict", "data", b"x1,x2\n1,2\n\xff,1\n", "not UTF-8 text"),
+        ("predict", "data", b"", "empty file, header required"),
+        ("predict", "model", b"\xff", "not UTF-8 text"),
+        ("predict", "model", None, "Is a directory"),
+    ],
+    ids=[
+        "fit-empty", "fit-only-y", "fit-not-utf8", "fit-not-utf8-late", "predict-not-utf8", "predict-empty",
+        "model-not-utf8", "model-directory",
+    ],
+)
+def test_an_unreadable_input_is_a_data_error_naming_it(tmp_path, capsys, verb, role, content, message):
+    data, model, out = tmp_path / "d.csv", tmp_path / "m.model", tmp_path / "out"
+    data.write_bytes(b"x1,x2\n1,2\n")
+    model.write_text(MODEL_X2_MINUS_X1)
+    path = data if role == "data" else model
+    if content is None:
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    if verb == "fit":
+        argv = ["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data), "--out", str(out)]
+    else:
+        argv = ["predict", "--model", str(model), "--data", str(data), "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+    assert not out.exists()

@@ -53,6 +53,8 @@ def test_dataset_shape_validation():
         Dataset(features=np.empty((0, 2)), labels=np.empty(0))
     with pytest.raises(ValueError, match="labels"):
         Dataset(features=np.ones((2, 1)), labels=np.array([1.0]))
+    with pytest.raises(ValueError, match="features must be a 2-d matrix"):
+        Dataset(features=np.ones((2, 1, 1)), labels=np.ones(2))
 
 
 def test_dataset_arrays_are_readonly():

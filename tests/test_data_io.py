@@ -91,6 +91,8 @@ def test_dataset_csv_roundtrip_is_exact(tmp_path):
     again = load_dataset_csv(path)
     assert_array_equal(again.features, ds.features)
     assert_array_equal(again.labels, ds.labels)
+    # the loader builds the design as the constructor does, without checking again what it parsed
+    assert again._design.tobytes() == ds._design.tobytes() and not again._design.flags.writeable
 
 
 def test_generator_balance_and_order():
@@ -177,6 +179,26 @@ def test_predictions_writer_holds_its_source_and_one_block(tmp_path):
     assert peak <= 1.5 * source.stat().st_size
 
 
+def test_predictions_writer_decodes_one_block_of_records_at_a_time(tmp_path):
+    # a CRLF file goes record by record: beside its bytes (8.7 MB) the writer holds one block of
+    # 16 384 records and their text, about 4 MiB; holding every decoded line took 3.8 times the bytes
+    n = 200_000
+    source = tmp_path / "d.csv"
+    write_dataset_csv(generate_gaussian_mixture(n, seed=3), source)
+    source.write_bytes(source.read_bytes().replace(b"\n", b"\r\n"))
+    labels = np.where(np.arange(n) % 3 == 0, -1.0, 1.0)
+    peak = traced_peak(lambda: data_io.write_predictions_csv(source, ["x1", "x2", "y"], labels, tmp_path / "p.csv"))
+    assert peak <= source.stat().st_size + 6 * 2**20
+
+
+def test_predictions_writer_rejects_a_source_that_is_not_utf8_before_writing(tmp_path):
+    source, out = tmp_path / "d.csv", tmp_path / "p.csv"
+    source.write_bytes(b"x1,x2\r\n1,2\r\n3,\xff\r\n")
+    with pytest.raises(DataError, match=re.escape(f"{source}: not UTF-8 text")):
+        data_io.write_predictions_csv(source, ["x1", "x2"], np.ones(2), out)
+    assert not out.exists()
+
+
 def _fit_two_sample(spec):
     return fit(spec, two_sample_dataset(), FitOptions(max_iterations=20, risk_tolerance=0.0, init=Init.ZERO))
 
@@ -191,6 +213,11 @@ def test_model_roundtrip_is_bit_exact(tmp_path):
     assert_array_equal(theta.beta, result.theta.beta)
     assert spec_back.loss is spec.loss and spec_back.penalty is spec.penalty
     assert spec_back.lam == 0.1 and spec_back.mu == 0.3 and spec_back.epsilon == 1e-6
+    # blank lines, with or without spaces, are skipped
+    path.write_text("\n" + path.read_text().replace("\n", "\n  \n\n"))
+    theta_blank, spec_blank = read_model(path)
+    assert theta_blank.alpha == theta.alpha and theta_blank.beta.tobytes() == theta.beta.tobytes()
+    assert spec_blank == spec_back
 
 
 def test_model_rejects_unknown_key(tmp_path):

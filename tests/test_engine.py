@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -740,3 +744,44 @@ def test_a_warm_start_fit_of_one_update_makes_two_passes(mixture, monkeypatch):
     passes = [matrix is None for kind, _, matrix in events if kind == "pass"]
     assert [kind for kind, _, _ in events] == ["solve", "pass", "solve", "pass"]
     assert passes == [False, True]
+
+
+# two q = 50 fits of 2·10^4 samples (two row blocks), run under a given BLAS thread count
+_THREADED_FITS = """
+import sys
+import numpy as np
+from irlsvm import Loss, Penalty, RiskSpec, fit, generate_gaussian_mixture
+
+mean = 0.2 * np.ones(50)
+dataset = generate_gaussian_mixture(20_000, mean_neg=-mean, mean_pos=mean, seed=1)
+arrays = {}
+for loss in (Loss.HINGE, Loss.LOGISTIC):
+    result = fit(RiskSpec(loss, Penalty.L2, lam=0.1), dataset)
+    arrays[f"{loss.value}-theta"] = result.theta_trajectory
+    arrays[f"{loss.value}-risk"] = np.stack([result.exact_risk_trajectory, result.smoothed_risk_trajectory])
+np.savez(sys.argv[1], **arrays)
+"""
+
+
+def test_fits_repeat_at_a_fixed_blas_thread_count_and_agree_across_counts(tmp_path):
+    # the two products that reduce over a block's rows (a weighted Gram and a pass's right side)
+    # sum in an order that depends on the BLAS thread count, so only a fixed count repeats bit for
+    # bit; across 1 and 2 threads these fits kept their update counts, and their iterates differed
+    # by at most 2.2e-11 and their risks by 1.4e-13, relative to 1 + |value| (4.3e-10 and 7.1e-13
+    # with seed 7)
+    runs = []
+    for threads in (1, 2, 2):
+        path = tmp_path / f"run{len(runs)}.npz"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREADED_FITS, str(path)], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        with np.load(path) as arrays:
+            runs.append(dict(arrays))
+    one, two, again = runs
+    for key, value in two.items():
+        assert value.tobytes() == again[key].tobytes(), key
+        assert one[key].shape == value.shape, key
+        bound = 1e-9 if key.endswith("theta") else 1e-11
+        assert np.all(np.abs(one[key] - value) <= bound * (1.0 + np.abs(value))), key

@@ -133,11 +133,6 @@ def test_solve_spd_overflowing_solution_is_singular_without_a_warning():
             solve_spd(np.array([[1e-300]]), np.array([1e10]))
 
 
-def test_solve_spd_dimension_mismatch():
-    with pytest.raises(ValueError):
-        solve_spd(np.eye(2), np.ones(3))
-
-
 def test_non_finite_system_is_singular():
     with pytest.raises(SingularSystemError, match="not finite"):
         solve_spd(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
