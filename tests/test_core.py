@@ -173,6 +173,25 @@ def test_risk_spec_validation():
             RiskSpec(Loss.HINGE, Penalty.L2, epsilon=epsilon)
 
 
+# RiskSpec is the one check on the constants: the loss and penalty kernels
+# behind it take them as given
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_risk_spec_rejects_out_of_range_epsilon(bad):
+    for loss in Loss:
+        for penalty in Penalty:
+            with pytest.raises(ValueError, match="epsilon"):
+                RiskSpec(loss, penalty, lam=0.1, mu=0.1, epsilon=bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_risk_spec_rejects_out_of_range_constants(bad):
+    for penalty in Penalty:
+        with pytest.raises(ValueError, match="lambda"):
+            RiskSpec(Loss.HINGE, penalty, lam=bad, mu=0.1)
+        with pytest.raises(ValueError, match="mu"):
+            RiskSpec(Loss.HINGE, penalty, lam=0.1, mu=bad)
+
+
 def test_fit_result_trajectory_lengths_must_agree():
     theta = ModelParams.zeros(1)
     with pytest.raises(ValueError):
