@@ -86,20 +86,13 @@ class Dataset:
         off = np.nonzero((labels != 1.0) & (labels != -1.0))[0]
         if off.size:
             raise ValueError(f"label in row {off[0]} is {labels[off[0]]}, must be -1 or +1")
-        self._fill(features, labels)
-
-    def _fill(self, features: np.ndarray, labels: np.ndarray) -> Dataset:
-        """Build the design from an n x q float matrix of finite features and
-        n labels, each -1 or 1, with n, q >= 1, and adopt it. It checks
-        nothing: __init__ and the CSV loader check these first."""
-        n, q = features.shape
         design = np.empty((q + 1, n))
         design[0] = labels
         # transposed a row block at a time, so each block's reads and writes stay in cache
         for start in range(0, n, _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
             np.multiply(features[block].T, labels[block], out=design[1:, block])
-        return self._adopt(design)
+        self._adopt(design)
 
     def _adopt(self, design: np.ndarray) -> Dataset:
         """Take design, a (q+1) x n C-ordered array laid out as the class
@@ -202,6 +195,10 @@ class RiskSpec:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
+        if not isinstance(self.loss, Loss):
+            raise ValueError(f"loss must be a Loss, got {self.loss!r}")
+        if not isinstance(self.penalty, Penalty):
+            raise ValueError(f"penalty must be a Penalty, got {self.penalty!r}")
         if not 0 <= self.lam < math.inf:
             raise ValueError("lambda must be >= 0 and finite")
         if not 0 <= self.mu < math.inf:

@@ -170,8 +170,8 @@ def _scan_rows(path: Path, header, feature_idx, label_idx) -> tuple[np.ndarray, 
 def load_dataset_csv(path) -> Dataset:
     """Read a labeled dataset; the header must name the label column "y"."""
     _header, features, labels = load_features_csv(path, labeled=True)
-    # load_features_csv has checked what the constructor would: q >= 1, n >= 1, -1/1 labels, finite features
-    return Dataset.__new__(Dataset)._fill(features, labels)
+    # load_features_csv has checked what the constructor does, so its errors cannot arise here
+    return Dataset(features=features, labels=labels)
 
 
 # A cell is _CELL bytes: a '%.17g' text in fixed slots, NUL where one is
@@ -357,12 +357,11 @@ def write_predictions_csv(source, header: list[str], labels, path) -> None:
     A file of ASCII lines with no quote, CR or blank line, which is each
     line a record, is copied as bytes in blocks of _WRITE_CELLS * _CELL
     bytes; any other is decoded as it goes, record by record through
-    _csv_records. A source that is not UTF-8 fails before path is opened.
+    _csv_records. source is a file load_features_csv has read, which
+    rejects one that is not UTF-8.
     """
     with open_input(source, binary=True) as handle:
         data = handle.read()  # read in full first: path may name the same file
-        if not data.isascii():
-            data.decode("utf-8")  # the check only: the records are decoded a block at a time
     negative = ~(np.asarray(labels) > 0)
     plain = data.isascii() and not any(mark in data for mark in (b'"', b"\r", b"\n\n")) and data[:1] != b"\n"
     if not plain:

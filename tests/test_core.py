@@ -171,6 +171,12 @@ def test_risk_spec_validation():
     for epsilon in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="epsilon"):
             RiskSpec(Loss.HINGE, Penalty.L2, epsilon=epsilon)
+    # the kernels take the kind as given, so a value that is not the enum
+    # must fail here rather than be evaluated as some other kind
+    with pytest.raises(ValueError, match="loss must be a Loss, got 'hinge'"):
+        RiskSpec("hinge", Penalty.L2, lam=0.1)
+    with pytest.raises(ValueError, match="penalty must be a Penalty, got 'l2'"):
+        RiskSpec(Loss.HINGE, "l2", lam=0.1)
 
 
 # RiskSpec is the one check on the constants: the loss and penalty kernels
@@ -186,9 +192,9 @@ def test_risk_spec_rejects_out_of_range_epsilon(bad):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
 def test_risk_spec_rejects_out_of_range_constants(bad):
     for penalty in Penalty:
-        with pytest.raises(ValueError, match="lambda"):
+        with pytest.raises(ValueError, match="^lambda must"):
             RiskSpec(Loss.HINGE, penalty, lam=bad, mu=0.1)
-        with pytest.raises(ValueError, match="mu"):
+        with pytest.raises(ValueError, match="^mu must"):
             RiskSpec(Loss.HINGE, penalty, lam=0.1, mu=bad)
 
 

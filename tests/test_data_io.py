@@ -191,14 +191,6 @@ def test_predictions_writer_decodes_one_block_of_records_at_a_time(tmp_path):
     assert peak <= source.stat().st_size + 6 * 2**20
 
 
-def test_predictions_writer_rejects_a_source_that_is_not_utf8_before_writing(tmp_path):
-    source, out = tmp_path / "d.csv", tmp_path / "p.csv"
-    source.write_bytes(b"x1,x2\r\n1,2\r\n3,\xff\r\n")
-    with pytest.raises(DataError, match=re.escape(f"{source}: not UTF-8 text")):
-        data_io.write_predictions_csv(source, ["x1", "x2"], np.ones(2), out)
-    assert not out.exists()
-
-
 def _fit_two_sample(spec):
     return fit(spec, two_sample_dataset(), FitOptions(max_iterations=20, risk_tolerance=0.0, init=Init.ZERO))
 
