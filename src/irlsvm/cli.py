@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Loss, Penalty, RiskSpec, monitor_kind, predict_batch
+from .core import DEFAULT_EPSILON, Loss, Penalty, RiskSpec, monitor_kind, predict_batch
 from .data_io import (
     DataError,
     _write_rows,
@@ -37,9 +37,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_SOLVER = 4
 EXIT_INVARIANT = 5
-
-DEFAULT_SIM_N = 10_000
-DEFAULT_SEED = 2017
 
 # each grid point is one fit; a longer grid is taken for a mistyped step
 MAX_GRID_POINTS = 10_000
@@ -92,18 +89,22 @@ def _add_risk_flags(parser):
     parser.add_argument("--penalty", required=True, choices=[p.value for p in Penalty])
     parser.add_argument("--lambda", dest="lam", type=float, default=0.0, help="2-norm penalty constant")
     parser.add_argument("--mu", type=float, default=0.0, help="1-norm penalty constant")
-    parser.add_argument("--epsilon", type=float, default=1e-6, help="smoothing constant")
+    parser.add_argument(
+        "--epsilon", type=float, default=DEFAULT_EPSILON, help="smoothing constant (default %(default)s)"
+    )
 
 
 def _add_fit_flags(parser):
-    parser.add_argument("--iterations", type=int, default=50, help="maximum update count (default 50)")
+    parser.add_argument(
+        "--iterations", type=int, default=FitOptions.max_iterations, help="maximum update count (default %(default)s)"
+    )
     parser.add_argument(
         "--tolerance",
         type=float,
-        default=1e-8,
-        help="relative monitored-risk change that stops early; 0 runs all iterations",
+        default=FitOptions.risk_tolerance,
+        help="relative monitored-risk change that stops early; 0 runs all iterations (default %(default)s)",
     )
-    parser.add_argument("--init", choices=[i.value for i in Init], default=Init.WARM_START_LS_L2.value)
+    parser.add_argument("--init", choices=[i.value for i in Init], default=FitOptions.init.value)
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -134,8 +135,8 @@ def _parser() -> argparse.ArgumentParser:
     p_pred.set_defaults(handler=_cmd_predict)
 
     p_sim = sub.add_parser("simulate", help="generate the two-Gaussian benchmark dataset")
-    p_sim.add_argument("--n", type=int, default=DEFAULT_SIM_N, help="sample count, even (default 10000)")
-    p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_sim.add_argument("--n", type=int, default=10_000, help="sample count, even (default %(default)s)")
+    p_sim.add_argument("--seed", type=int, default=2017, help="generator seed (default %(default)s)")
     p_sim.add_argument("--out", required=True, help="dataset CSV path")
     p_sim.set_defaults(handler=_cmd_simulate)
 
@@ -172,11 +173,6 @@ def _options_from_args(args) -> FitOptions:
     return FitOptions(max_iterations=args.iterations, risk_tolerance=args.tolerance, init=Init(args.init))
 
 
-def _trajectory_path(model_path) -> Path:
-    p = Path(model_path)
-    return p.with_name(p.stem + ".trajectory.csv")
-
-
 def _refuse_overwriting(data, outputs) -> None:
     """A usage error when one of the output paths names the --data file (the
     same resolved path, or a link to it), which writing would replace."""
@@ -190,7 +186,7 @@ def _cmd_fit(args) -> int:
     spec = _spec_from_args(args)
     options = _options_from_args(args)
     dataset = load_dataset_csv(args.data)
-    trajectory = _trajectory_path(args.out)
+    trajectory = Path(args.out).with_suffix(".trajectory.csv")
     _refuse_overwriting(args.data, [args.out, trajectory])
     result = fit(spec, dataset, options)
     write_model(result, spec, args.out)
@@ -214,10 +210,7 @@ def _cmd_predict(args) -> int:
     header, features, _labels = load_features_csv(args.data)
     if features.shape[1] != theta.q:
         raise DataError(f"{args.data}: model expects {theta.q} features, file has {features.shape[1]}")
-    try:
-        labels = predict_batch(theta, features)
-    except ValueError as err:
-        raise DataError(f"{args.data}: {err}") from None
+    labels = predict_batch(theta, features)  # load_features_csv has rejected a non-finite feature
     write_predictions_csv(args.data, header, labels, args.out)
     print(f"wrote {len(labels)} predictions to {args.out}")
     return EXIT_OK

@@ -45,13 +45,13 @@ DEFAULT_EPSILON = 1e-6
 # block is 1/61 of the design and its weighted copy in the engine's Gram accumulation 384 KiB).
 _BLOCK_ROWS = 1 << 14
 
-def _check_finite_rows(features: np.ndarray) -> None:
-    """Raise ValueError naming the first (0-based) row that holds a non-finite
+def _check_finite_rows(features: np.ndarray, first: int = 0) -> None:
+    """Raise ValueError naming the first row, counted from first, that holds a non-finite
     feature; the row scan runs only once a whole-matrix check has failed."""
     if np.isfinite(features).all():
         return
     bad = np.nonzero(~np.isfinite(features).all(axis=1))[0]
-    raise ValueError(f"non-finite feature in row {bad[0]}")
+    raise ValueError(f"non-finite feature in row {first + bad[0]}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -82,25 +82,38 @@ class Dataset:
             raise ValueError(f"need n >= 1 samples and q >= 1 features, got n={n}, q={q}")
         if labels.shape[0] != n:
             raise ValueError(f"{n} feature rows but {labels.shape[0]} labels")
-        _check_finite_rows(features)
-        off = np.nonzero((labels != 1.0) & (labels != -1.0))[0]
-        if off.size:
-            raise ValueError(f"label in row {off[0]} is {labels[off[0]]}, must be -1 or +1")
-        design = np.empty((q + 1, n))
-        design[0] = labels
-        # transposed a row block at a time, so each block's reads and writes stay in cache
-        for start in range(0, n, _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            np.multiply(features[block].T, labels[block], out=design[1:, block])
-        self._adopt(design)
+        rows = (slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS))
+        self._fill(n, q, ((labels[block], features[block]) for block in rows))
 
-    def _adopt(self, design: np.ndarray) -> Dataset:
-        """Take design, a (q+1) x n C-ordered array laid out as the class
-        describes, as this dataset's storage; the one way a Dataset gets its
-        data (the generator fills one and adopts it without a copy)."""
+    @classmethod
+    def _filled(cls, n: int, q: int, blocks) -> Dataset:
+        """A dataset filled by _fill alone: the generator's way in, with no whole feature matrix."""
+        return cls.__new__(cls)._fill(n, q, blocks)
+
+    def _fill(self, n: int, q: int, blocks) -> Dataset:
+        """Check and store n samples of q features, given as (labels, feature rows) blocks in sample
+        order, each transposed into the design while it is in cache. A non-finite feature is
+        reported before a bad label, each by its row in the sample."""
+        design = np.empty((q + 1, n))
+        stop, bad_label = 0, ""
+        for labels, features in blocks:
+            start, stop = stop, stop + labels.shape[0]
+            _check_finite_rows(features, start)
+            off = np.flatnonzero(np.abs(labels) != 1.0)
+            if off.size:  # raised once every feature is checked; a product with it could overflow
+                bad_label = bad_label or f"label in row {start + off[0]} is {labels[off[0]]}, must be -1 or +1"
+                continue
+            design[0, start:stop] = labels
+            np.multiply(features.T, labels, out=design[1:, start:stop])
+        if bad_label:
+            raise ValueError(bad_label)
         design.flags.writeable = False
         object.__setattr__(self, "_design", design)
         return self
+
+    def _blocks(self):
+        """The design's (q+1) x b column blocks of _BLOCK_ROWS samples (fewer in the last), in order."""
+        return (self._design[:, start : start + _BLOCK_ROWS] for start in range(0, self.n, _BLOCK_ROWS))
 
     def __setattr__(self, name, value=None):
         raise AttributeError("Dataset is immutable")
@@ -253,10 +266,8 @@ class FitResult:
     jittered_solves: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "theta_trajectory", _readonly(self.theta_trajectory))
-        object.__setattr__(self, "anchor_trajectory", _readonly(self.anchor_trajectory))
-        object.__setattr__(self, "exact_risk_trajectory", _readonly(self.exact_risk_trajectory))
-        object.__setattr__(self, "smoothed_risk_trajectory", _readonly(self.smoothed_risk_trajectory))
+        for name in ("theta_trajectory", "anchor_trajectory", "exact_risk_trajectory", "smoothed_risk_trajectory"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
         if len(self.exact_risk_trajectory) != self.iterations_run + 1:
             raise ValueError("trajectory length must be iterations_run + 1")
         if len(self.smoothed_risk_trajectory) != len(self.exact_risk_trajectory):

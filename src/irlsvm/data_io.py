@@ -71,10 +71,6 @@ def open_output(path):
         raise DataError(f"{path}: cannot write: {err.strerror or err}") from err
 
 
-def _fmt(value: float) -> str:
-    return _FLOAT % float(value)
-
-
 def load_features_csv(path, labeled: bool = False) -> tuple[list[str], np.ndarray, np.ndarray | None]:
     """Read a CSV with a header row: returns (header, features, labels).
 
@@ -118,12 +114,15 @@ def load_features_csv(path, labeled: bool = False) -> tuple[list[str], np.ndarra
 
 def _parse_body(handle, width: int) -> np.ndarray | None:
     """The rows after the header as an (n, width) matrix, parsed by numpy's C
-    reader; None when that reader rejects them. comments=None keeps a "#"
-    inside a cell from silently cutting the row short."""
+    reader; None when that reader rejects them, but not for text that is not
+    UTF-8, which open_input reports. comments=None keeps a "#" inside a cell
+    from silently cutting the row short."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # an empty body is reported as "no samples"
             values = np.loadtxt(handle, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except UnicodeDecodeError:
+        raise
     except ValueError:
         return None
     return values if values.shape[1] == width else None
@@ -321,8 +320,7 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
     """Write a dataset with columns x1..xq then y, its features computed
     from the design (Dataset) _BLOCK_ROWS samples at a time."""
     header = [f"x{j + 1}" for j in range(dataset.q)] + [LABEL_COLUMN]
-    blocks = (dataset._design[:, start : start + _BLOCK_ROWS] for start in range(0, dataset.n, _BLOCK_ROWS))
-    _write_rows(path, header, ([*(block[1:] * block[0]), block[0]] for block in blocks))
+    _write_rows(path, header, ([*(block[1:] * block[0]), block[0]] for block in dataset._blocks()))
 
 
 def _csv_records(lines):
@@ -431,8 +429,8 @@ def generate_gaussian_mixture(n: int, mean_neg=(-1.0, -1.0), mean_pos=(1.0, 1.0)
     the polar transform, filled row-major (sample by sample, coordinate by
     coordinate). They are staged about _WRITE_CELLS at a time in a row-major
     buffer, a batch's normals that do not fit carried to the next stage, and
-    each stage is written into the Dataset's design as y (normal + mean), so
-    the output is never held twice.
+    each stage (normal + mean) goes with its labels to the Dataset, which
+    checks it and writes it into its design, so the output is never held twice.
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be a positive even integer, got {n}")
@@ -443,23 +441,23 @@ def generate_gaussian_mixture(n: int, mean_neg=(-1.0, -1.0), mean_pos=(1.0, 1.0)
     if not (np.isfinite(mean_neg).all() and np.isfinite(mean_pos).all()):
         raise ValueError("class means must be finite")
     q, half = mean_neg.shape[0], n // 2
-    design = np.empty((q + 1, n))
-    design[0, :half] = -1.0
-    design[0, half:] = 1.0
     normals = _polar_normals(np.random.Generator(np.random.PCG64(seed)))
     stage = np.empty((max(1, _WRITE_CELLS // q), q))
-    left = np.empty(0)  # normals drawn and not yet staged
-    for start in range(0, n, len(stage)):
-        block = stage[: n - start]
-        while left.size < block.size:
-            left = np.concatenate((left, next(normals)))
-        block.reshape(-1)[:] = left[: block.size]
-        left = left[block.size :]
-        stop = start + len(block)
-        block[: max(0, half - start)] += mean_neg
-        block[max(0, half - start) :] += mean_pos
-        np.multiply(block.T, design[0, start:stop], out=design[1:, start:stop])
-    return Dataset.__new__(Dataset)._adopt(design)
+
+    def blocks():
+        left = np.empty(0)  # normals drawn and not yet staged
+        for start in range(0, n, len(stage)):
+            block = stage[: n - start]
+            while left.size < block.size:
+                left = np.concatenate((left, next(normals)))
+            block.reshape(-1)[:] = left[: block.size]
+            left = left[block.size :]
+            negative = max(0, half - start)  # the block's rows of the first class
+            block[:negative] += mean_neg
+            block[negative:] += mean_pos
+            yield np.where(np.arange(len(block)) < negative, -1.0, 1.0), block
+
+    return Dataset._filled(n, q, blocks())
 
 
 def _model_keys(q: int) -> list[str]:
@@ -474,7 +472,7 @@ def write_model(result: FitResult, spec: RiskSpec, path) -> None:
     entry: the names as text, the numbers as '%.17g' (so iterations_run as %d)."""
     theta, terminal = result.theta, [result.exact_risk_trajectory[-1], result.smoothed_risk_trajectory[-1]]
     numbers = [spec.lam, spec.mu, spec.epsilon, theta.alpha, *theta.beta, result.iterations_run, *terminal]
-    values = [MODEL_FORMAT, spec.loss.value, spec.penalty.value, *map(_fmt, numbers)]
+    values = [MODEL_FORMAT, spec.loss.value, spec.penalty.value, *(_FLOAT % number for number in numbers)]
     with open_output(path) as handle:
         handle.writelines(f"{key} = {value}\n" for key, value in zip(_model_keys(theta.q), values, strict=True))
 

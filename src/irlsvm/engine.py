@@ -9,9 +9,9 @@ penalty term. A fit with a risk tolerance also extrapolates (SQUAREM) from
 two updates and keeps the update from the extrapolated point only if it
 does not raise the smoothed risk.
 
-Every pass walks the dataset's design (Dataset) in blocks of _BLOCK_ROWS
-rows; fit's passes build normal equations only at points where an update may
-be anchored.
+Every pass walks the dataset's design in blocks of _BLOCK_ROWS samples
+(Dataset._blocks); fit's passes build normal equations only at points where
+an update may be anchored.
 """
 
 from __future__ import annotations
@@ -102,10 +102,9 @@ def _pass(
     gram = None
     rhs = np.zeros(k)
     loss_sum = smoothed_sum = 0.0
-    for start in range(0, dataset.n, _BLOCK_ROWS):
-        rows = dataset._design[:, start : start + _BLOCK_ROWS].T
-        b = rows.shape[0]
-        m = np.matmul(rows, vec, out=buffers[0, :b])
+    for block in dataset._blocks():
+        b = block.shape[1]
+        m = np.matmul(block.T, vec, out=buffers[0, :b])
         scratch = buffers[1:4, :b]
         block_loss, block_smoothed, weights, rhs_weights = _block_terms(spec.loss, m, spec.epsilon, scratch, update)
         loss_sum += block_loss
@@ -115,11 +114,11 @@ def _pass(
         if weights is not None:
             if gram is None:
                 gram = _GramBlocks(buffers[4:])
-            gram.add(rows.T, weights)
+            gram.add(block, weights)
         if rhs_weights is not None:
             # an overflow shows as a non-finite rhs, which solve_spd rejects
             with np.errstate(over="ignore", invalid="ignore"):
-                rhs += rhs_weights @ rows
+                rhs += rhs_weights @ block.T
 
     n = dataset.n
     penalty, smoothed_penalty, diag = _penalty_terms(vec[1:], spec.lam, spec.mu, spec.epsilon)
@@ -161,12 +160,11 @@ def _surrogate_values(
     count = anchors.shape[0]
     pair = np.empty((2, min(dataset.n, _BLOCK_ROWS)))
     loss = np.zeros((count, 2))  # row t: the loss sums at update t's anchor and image
-    for start in range(0, dataset.n, _BLOCK_ROWS):
-        rows = dataset._design[:, start : start + _BLOCK_ROWS].T
-        m = pair[:, : rows.shape[0]]
+    for block in dataset._blocks():
+        m = pair[:, : block.shape[1]]
         for t in range(count):
-            np.matmul(rows, anchors[t], out=m[0])
-            np.matmul(rows, images[t], out=m[1])
+            np.matmul(block.T, anchors[t], out=m[0])
+            np.matmul(block.T, images[t], out=m[1])
             loss[t] += majorizer_value(spec.loss, m, m[0], spec.epsilon).sum(axis=1)
 
     def penalty_part(beta, beta_ref):

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import re
 import subprocess
@@ -26,7 +27,8 @@ from irlsvm import (
     smoothed_risk,
     write_dataset_csv,
 )
-from irlsvm.cli import MAX_GRID_POINTS, _grid, main, parse_args
+from irlsvm.cli import MAX_GRID_POINTS, _grid, _options_from_args, _spec_from_args, main, parse_args
+from irlsvm.core import DEFAULT_EPSILON
 from irlsvm.linalg import SingularSystemError
 
 from helpers import ITERATIVE_COMBOS, ITERATIVE_IDS, make_dataset
@@ -46,6 +48,16 @@ def test_parse_fit_flags():
     assert args.verb == "fit"
     assert args.loss == "hinge" and args.penalty == "l2"
     assert args.lam == 0.4 and args.mu == 0.0
+
+
+@pytest.mark.parametrize("verb", ["fit", "sweep", "check"])
+def test_fit_flag_defaults_are_the_library_defaults(verb):
+    argv = [verb, "--loss", "hinge", "--penalty", "l2", "--data", "d.csv"]
+    argv += {"fit": ["--out", "m.model"], "sweep": ["--out", "s", "--lambda-grid", "0.1"], "check": []}[verb]
+    args = parse_args(argv)
+    assert _options_from_args(args) == FitOptions()
+    assert _spec_from_args(args) == RiskSpec(Loss.HINGE, Penalty.L2)
+    assert args.epsilon == DEFAULT_EPSILON
 
 
 def test_negative_lambda_is_usage_error(capsys):
@@ -242,6 +254,21 @@ def test_simulate_writes_balanced_dataset(tmp_path):
     ds = load_dataset_csv(out)
     assert ds.n == 50
     assert int((ds.labels == 1).sum()) == 25
+
+
+def test_simulate_and_predict_outputs_are_pinned_at_two_features(tmp_path):
+    # the digests CI checks for the console script: a change to the generator, the
+    # CSV writer or the predictions writer shows here as well
+    data, model, predictions = tmp_path / "data.csv", tmp_path / "model.model", tmp_path / "predictions.csv"
+    assert main(["simulate", "--n", "2000", "--out", str(data)]) == 0
+    assert hashlib.sha256(data.read_bytes()).hexdigest() == (
+        "1190d932e61b6d73bca6d733bad2dd28993b907bd850fe55c01abcad48f07331"
+    )
+    assert main(["fit", "--loss", "hinge", "--penalty", "l2", "--lambda", "0.1", "--data", str(data), "--out", str(model)]) == 0
+    assert main(["predict", "--model", str(model), "--data", str(data), "--out", str(predictions)]) == 0
+    assert hashlib.sha256(predictions.read_bytes()).hexdigest() == (
+        "34056ef98362eda93eae65378e8fe37f7e648f4dbf4842cbbab539e31c8ef0cf"
+    )
 
 
 @pytest.mark.parametrize("n", ["7", "0", "-4"])

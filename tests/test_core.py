@@ -48,6 +48,51 @@ def test_dataset_rejects_nonfinite_features():
         Dataset(features=np.array([[1.0], [np.nan]]), labels=np.array([1.0, -1.0]))
 
 
+def test_dataset_reports_a_non_finite_feature_past_the_first_block_by_its_row():
+    features = np.ones((_BLOCK_ROWS + 10, 2))
+    features[_BLOCK_ROWS + 3, 1] = np.inf
+    with pytest.raises(ValueError, match=f"^non-finite feature in row {_BLOCK_ROWS + 3}$"):
+        Dataset(features=features, labels=np.ones(_BLOCK_ROWS + 10))
+
+
+def test_dataset_reports_a_non_finite_feature_before_an_earlier_bad_label():
+    # the blocks are checked one at a time, yet a bad label in the first block
+    # is reported only once no later block holds a non-finite feature
+    features = np.ones((2 * _BLOCK_ROWS, 1))
+    features[_BLOCK_ROWS + 1, 0] = np.nan
+    labels = np.ones(2 * _BLOCK_ROWS)
+    labels[5] = 1e300
+    with pytest.raises(ValueError, match=f"^non-finite feature in row {_BLOCK_ROWS + 1}$"):
+        Dataset(features=features, labels=labels)
+    # a block with a bad label is not multiplied out, so its overflow warns of nothing
+    features[_BLOCK_ROWS + 1, 0] = 1e10
+    features[5, 0] = 1e10
+    with pytest.raises(ValueError, match=r"^label in row 5 is 1e\+300, must be -1 or \+1$"):
+        Dataset(features=features, labels=labels)
+
+
+def test_dataset_filled_from_blocks_is_checked_and_stored_as_a_constructed_one():
+    features = np.array([[1.0, 2.0], [3.0, -0.0], [5.0, 6.0]])
+    labels = np.array([1.0, -1.0, 1.0])
+    # the generator's way in: blocks of any size, among them an empty one
+    blocks = [(labels[:2], features[:2]), (labels[2:2], features[2:2]), (labels[2:], features[2:])]
+    ds = Dataset._filled(3, 2, blocks)
+    assert ds._design.tobytes() == Dataset(features=features, labels=labels)._design.tobytes()
+    assert not ds._design.flags.writeable
+    with pytest.raises(ValueError, match="^label in row 2 is 0.5, must be -1 or \\+1$"):
+        Dataset._filled(3, 2, [(labels[:2], features[:2]), (np.array([0.5]), features[2:])])
+    with pytest.raises(ValueError, match="^non-finite feature in row 2$"):
+        Dataset._filled(3, 2, [(labels[:2], features[:2]), (labels[2:], np.array([[np.nan, 1.0]]))])
+
+
+def test_dataset_blocks_walk_its_design_in_order():
+    ds = make_dataset(seed=4, n=2 * _BLOCK_ROWS + 7, q=2)
+    blocks = list(ds._blocks())
+    assert [b.shape for b in blocks] == [(3, _BLOCK_ROWS), (3, _BLOCK_ROWS), (3, 7)]
+    assert all(np.shares_memory(b, ds._design) for b in blocks)
+    assert np.concatenate(blocks, axis=1).tobytes() == ds._design.tobytes()
+
+
 def test_dataset_shape_validation():
     with pytest.raises(ValueError):
         Dataset(features=np.empty((0, 2)), labels=np.empty(0))

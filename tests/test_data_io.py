@@ -79,6 +79,20 @@ def test_load_rejects_ragged_rows(tmp_path):
         load_dataset_csv(path)
 
 
+def test_load_reports_late_non_utf8_text_without_a_second_read(tmp_path, monkeypatch):
+    # the bulk parse meets the byte and the error passes on; reading the file again
+    # cell by cell would only fail the same way
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"x1,y\n" + b"1,1\n" * 4000 + b"\xff,1\n")
+
+    def scan_rows(*args):
+        raise AssertionError("the file was read a second time")
+
+    monkeypatch.setattr(data_io, "_scan_rows", scan_rows)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 text \\(invalid start byte\\)$"):
+        load_dataset_csv(path)
+
+
 def test_load_missing_file():
     with pytest.raises(DataError):
         load_dataset_csv("/nonexistent/nope.csv")
@@ -91,7 +105,7 @@ def test_dataset_csv_roundtrip_is_exact(tmp_path):
     again = load_dataset_csv(path)
     assert_array_equal(again.features, ds.features)
     assert_array_equal(again.labels, ds.labels)
-    # the loader builds the design as the constructor does, without checking again what it parsed
+    # the loader builds its design through the constructor, as any Dataset is built
     assert again._design.tobytes() == ds._design.tobytes() and not again._design.flags.writeable
 
 
@@ -127,8 +141,8 @@ def test_generator_rejects_odd_n():
         generate_gaussian_mixture(0, seed=0)
     with pytest.raises(ValueError, match="equal length"):
         generate_gaussian_mixture(4, mean_neg=(0.0,), mean_pos=(1.0, 1.0))
-    # the generator writes the Dataset's design itself, so it checks what the constructor would
-    with pytest.raises(ValueError, match="finite"):
+    # the Dataset would reject the samples too, but the generator names the argument at fault
+    with pytest.raises(ValueError, match="^class means must be finite$"):
         generate_gaussian_mixture(4, mean_neg=(0.0, np.nan), mean_pos=(1.0, 1.0))
 
 
