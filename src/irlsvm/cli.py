@@ -21,7 +21,6 @@ from .data_io import (
     _write_rows,
     generate_gaussian_mixture,
     load_dataset_csv,
-    load_features_csv,
     read_model,
     write_dataset_csv,
     write_model,
@@ -207,12 +206,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     theta, _spec = read_model(args.model)
-    header, features, _labels = load_features_csv(args.data)
-    if features.shape[1] != theta.q:
-        raise DataError(f"{args.data}: model expects {theta.q} features, file has {features.shape[1]}")
-    labels = predict_batch(theta, features)  # load_features_csv has rejected a non-finite feature
-    write_predictions_csv(args.data, header, labels, args.out)
-    print(f"wrote {len(labels)} predictions to {args.out}")
+    count = write_predictions_csv(theta, args.data, args.out)
+    print(f"wrote {count} predictions to {args.out}")
     return EXIT_OK
 
 

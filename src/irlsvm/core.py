@@ -45,13 +45,13 @@ DEFAULT_EPSILON = 1e-6
 # block is 1/61 of the design and its weighted copy in the engine's Gram accumulation 384 KiB).
 _BLOCK_ROWS = 1 << 14
 
-def _check_finite_rows(features: np.ndarray, first: int = 0) -> None:
+def _check_finite_rows(values: np.ndarray, first: int = 0, what: str = "feature") -> None:
     """Raise ValueError naming the first row, counted from first, that holds a non-finite
-    feature; the row scan runs only once a whole-matrix check has failed."""
-    if np.isfinite(features).all():
+    value (what it holds); the row scan runs only once a whole-matrix check has failed."""
+    if np.isfinite(values).all():
         return
-    bad = np.nonzero(~np.isfinite(features).all(axis=1))[0]
-    raise ValueError(f"non-finite feature in row {first + bad[0]}")
+    bad = np.nonzero(~np.isfinite(values).all(axis=1))[0]
+    raise ValueError(f"non-finite {what} in row {first + bad[0]}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -87,7 +87,7 @@ class Dataset:
 
     @classmethod
     def _filled(cls, n: int, q: int, blocks) -> Dataset:
-        """A dataset filled by _fill alone: the generator's way in, with no whole feature matrix."""
+        """A dataset filled by _fill alone: the generator's and CSV loader's way in, with no whole feature matrix."""
         return cls.__new__(cls)._fill(n, q, blocks)
 
     def _fill(self, n: int, q: int, blocks) -> Dataset:
@@ -286,10 +286,16 @@ def predict(theta: ModelParams, features: np.ndarray) -> int:
 
 def predict_batch(theta: ModelParams, features: np.ndarray) -> np.ndarray:
     """Vector of predicted labels for an n x q feature matrix; a non-finite
-    feature raises ValueError naming its (0-based) row."""
-    t = np.atleast_2d(np.asarray(features, dtype=float))
+    feature or decision value raises ValueError naming its (0-based) row."""
+    return _predictions(theta, np.atleast_2d(np.asarray(features, dtype=float)))
+
+
+def _predictions(theta: ModelParams, t: np.ndarray, first: int = 0) -> np.ndarray:
+    """predict_batch for the rows of the matrix t, counted from first in its errors."""
     if t.shape[1] != theta.q:
         raise ValueError(f"expected {theta.q} features, got {t.shape[1]}")
-    _check_finite_rows(t)
-    scores = theta.alpha + t @ theta.beta
+    _check_finite_rows(t, first)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported as a non-finite value
+        scores = theta.alpha + t @ theta.beta
+    _check_finite_rows(scores[:, None], first, "decision value")
     return np.where(scores >= 0, 1.0, -1.0)

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _BLOCK_ROWS, Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec
+from .core import _BLOCK_ROWS, Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec, _predictions
 
 MODEL_FORMAT = "irlsvm-model/1"
 LABEL_COLUMN = "y"
@@ -48,16 +48,16 @@ class DataError(ValueError):
 
 @contextlib.contextmanager
 def open_input(path, binary: bool = False):
-    """Open path for reading UTF-8 text, line endings as they are, or bytes;
-    an OSError, or text that is not UTF-8, while opening or reading it
-    becomes a DataError naming path. Every reader opens its file here."""
+    """Open path for reading UTF-8 text, line endings as they are, or bytes; an
+    OSError, or text that is not UTF-8, while opening or reading it becomes a
+    DataError naming Path(path), as the readers' own errors do. Every reader opens its file here."""
     try:
         with Path(path).open("rb") if binary else Path(path).open(newline="", encoding="utf-8") as handle:
             yield handle
     except OSError as err:
-        raise DataError(f"{path}: {err.strerror or err}") from err
+        raise DataError(f"{Path(path)}: {err.strerror or err}") from err
     except UnicodeDecodeError as err:
-        raise DataError(f"{path}: not UTF-8 text ({err.reason})") from err
+        raise DataError(f"{Path(path)}: not UTF-8 text ({err.reason})") from err
 
 
 @contextlib.contextmanager
@@ -71,77 +71,63 @@ def open_output(path):
         raise DataError(f"{path}: cannot write: {err.strerror or err}") from err
 
 
-def load_features_csv(path, labeled: bool = False) -> tuple[list[str], np.ndarray, np.ndarray | None]:
-    """Read a CSV with a header row: returns (header, features, labels).
-
-    Every column except the label column "y" is a feature, in header order.
-    With labeled=True the "y" column is required and must hold -1 or 1;
-    otherwise it is optional, ignored, and labels is None. A header naming
-    "y" twice is a DataError. Blank lines are skipped. A non-finite feature
-    ("nan", "inf") is a DataError naming its row and column.
-    """
-    path = Path(path)
-    with open_input(path) as handle:
-        try:
-            header = [name.strip() for name in next(csv.reader(handle))]
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header required") from None
-        if header.count(LABEL_COLUMN) > 1:
-            raise DataError(f"{path}: label column '{LABEL_COLUMN}' appears more than once")
-        if labeled and LABEL_COLUMN not in header:
-            raise DataError(f"{path}: missing label column '{LABEL_COLUMN}'")
-        label_idx = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
-        feature_idx = [i for i in range(len(header)) if i != label_idx]
-        if not feature_idx:
-            raise DataError(f"{path}: no feature columns")
-        values = _parse_body(handle, len(header))
-    if not labeled:
-        label_idx = None  # an unlabeled read ignores a "y" column
-    features = None
-    if values is not None and (not labeled or np.isin(values[:, label_idx], (-1.0, 1.0)).all()):
-        # one row-major copy, like a row-by-row fill: predict_batch's product
-        # sums in an order that depends on the layout, and predictions must
-        # repeat bit for bit (a Dataset stores its own design, whatever the layout)
-        features = values.take(feature_idx, axis=1)
-        # a copy, so that the parsed table is freed before a Dataset is built from these
-        labels = None if label_idx is None else values[:, label_idx].copy()
-    if features is None or not np.isfinite(features).all():
-        features, labels = _scan_rows(path, header, feature_idx, label_idx)
-    if features.shape[0] == 0:
-        raise DataError(f"{path}: no samples")
-    return header, features, labels
-
-
-def _parse_body(handle, width: int) -> np.ndarray | None:
-    """The rows after the header as an (n, width) matrix, parsed by numpy's C
-    reader; None when that reader rejects them, but not for text that is not
-    UTF-8, which open_input reports. comments=None keeps a "#" inside a cell
-    from silently cutting the row short."""
+def _csv_blocks(path, handle, labeled: bool = False):
+    """The header of the CSV text on handle, and a generator of the rows after it
+    as (labels, features) blocks of up to _BLOCK_ROWS rows; every column but "y"
+    is a feature, and labeled=True requires labels of -1 or 1 (else they are None).
+    numpy's C reader parses each block where the last stopped (comments=None keeps
+    a "#" from cutting a row short). At the first block it rejects, or that fails a
+    check, _scan_rows reads handle again to report the bad cell or supply the rest."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # an empty body is reported as "no samples"
-            values = np.loadtxt(handle, delimiter=",", comments=None, quotechar='"', ndmin=2)
-    except UnicodeDecodeError:
-        raise
-    except ValueError:
-        return None
-    return values if values.shape[1] == width else None
+        header = [name.strip() for name in next(csv.reader(handle))]
+    except StopIteration:
+        raise DataError(f"{path}: empty file, header required") from None
+    if header.count(LABEL_COLUMN) > 1:
+        raise DataError(f"{path}: label column '{LABEL_COLUMN}' appears more than once")
+    if labeled and LABEL_COLUMN not in header:
+        raise DataError(f"{path}: missing label column '{LABEL_COLUMN}'")
+    label_idx = header.index(LABEL_COLUMN) if labeled else None
+    feature_idx = [i for i, name in enumerate(header) if name != LABEL_COLUMN]
+    if not feature_idx:
+        raise DataError(f"{path}: no feature columns")
+
+    def blocks():
+        done, count = 0, _BLOCK_ROWS
+        while count == _BLOCK_ROWS:  # a short block is the last
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # an empty read is a block of no rows
+                    values = np.loadtxt(handle, delimiter=",", comments=None, quotechar='"', ndmin=2, max_rows=_BLOCK_ROWS)
+                values = values.reshape(len(values), len(header))  # another width fails; an empty read is (0, 1)
+                # row-major, as predict_batch's sums depend on the layout and must repeat bit for bit
+                features = values.take(feature_idx, axis=1)
+                labels = None if label_idx is None else values[:, label_idx].copy()
+                count = len(values)
+                checked = np.isfinite(features).all() and (labels is None or np.isin(labels, (-1.0, 1.0)).all())
+            except UnicodeDecodeError:  # for open_input to report
+                raise
+            except ValueError:
+                checked = False
+            if not checked:
+                handle.seek(0)
+                features, labels = _scan_rows(path, handle, header, feature_idx, label_idx)
+                features, labels, count = features[done:], None if labels is None else labels[done:], 0
+            yield labels, features
+            done += len(features)
+        if not done:
+            raise DataError(f"{path}: no samples")
+
+    return header, blocks()
 
 
-def _scan_rows(path: Path, header, feature_idx, label_idx) -> tuple[np.ndarray, np.ndarray | None]:
-    """Read the rows one cell at a time with Python's float, raising a
-    DataError that names the first bad row and column.
-
-    Runs only when the bulk parse fails or finds a bad label or a non-finite
-    feature ("nan", "inf", "1e999"), which it reports by cell. It also returns
-    the values of the few files Python's float accepts and numpy's reader
-    does not, such as "1_000" cells, lone-CR line endings, or a non-numeric
-    "y" column that an unlabeled read ignores.
-    """
-    with open_input(path) as handle:
-        reader = csv.reader(handle)
-        next(reader)
-        rows = [(r, row) for r, row in enumerate(reader, start=1) if row]
+def _scan_rows(path: Path, handle, header, feature_idx, label_idx) -> tuple[np.ndarray, np.ndarray | None]:
+    """Read the rows on handle from its start, a cell at a time with Python's float;
+    a DataError names the first bad row and column. Returns the values of the few
+    files that float accepts and numpy's reader does not, such as "1_000" cells, or
+    a non-numeric "y" column that an unlabeled read ignores."""
+    reader = csv.reader(handle)
+    next(reader)
+    rows = [(r, row) for r, row in enumerate(reader, start=1) if row]
     features = np.empty((len(rows), len(feature_idx)))
     labels = None if label_idx is None else np.empty(len(rows))
     for k, (r, row) in enumerate(rows):
@@ -168,9 +154,11 @@ def _scan_rows(path: Path, header, feature_idx, label_idx) -> tuple[np.ndarray, 
 
 def load_dataset_csv(path) -> Dataset:
     """Read a labeled dataset; the header must name the label column "y"."""
-    _header, features, labels = load_features_csv(path, labeled=True)
-    # load_features_csv has checked what the constructor does, so its errors cannot arise here
-    return Dataset(features=features, labels=labels)
+    with open_input(path) as handle:
+        header, blocks = _csv_blocks(Path(path), handle, labeled=True)
+        blocks = list(blocks)  # the row count sizes the Dataset
+    # the blocks have passed the checks Dataset._fill makes, so its errors cannot arise here
+    return Dataset._filled(sum(len(labels) for labels, _ in blocks), len(header) - 1, blocks)
 
 
 # A cell is _CELL bytes: a '%.17g' text in fixed slots, NUL where one is
@@ -345,22 +333,34 @@ def _csv_records(lines):
             yield line
 
 
-def write_predictions_csv(source, header: list[str], labels, path) -> None:
-    """Copy the CSV at source to path with a "predicted" column appended.
-
-    Each data record keeps its text, with an LF line ending, and gains
-    ",<label>"; labels holds one -1/1 entry per non-blank record, in order.
-    The header is written as the given cell list plus "predicted".
-
-    A file of ASCII lines with no quote, CR or blank line, which is each
-    line a record, is copied as bytes in blocks of _WRITE_CELLS * _CELL
-    bytes; any other is decoded as it goes, record by record through
-    _csv_records. source is a file load_features_csv has read, which
-    rejects one that is not UTF-8.
-    """
+def write_predictions_csv(theta: ModelParams, source, path) -> int:
+    """Copy the CSV at source to path with a "predicted" column of theta's labels and
+    return their count. source is read once, in full before path opens (it may name
+    source), then parsed a block at a time, keeping each record's label alone. A
+    non-finite decision value is a DataError naming its row among non-blank records."""
     with open_input(source, binary=True) as handle:
-        data = handle.read()  # read in full first: path may name the same file
-    negative = ~(np.asarray(labels) > 0)
+        data = handle.read()
+        header, blocks = _csv_blocks(Path(source), io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+        labels, done = [], 0
+        for _labels, features in blocks:
+            if features.shape[1] != theta.q:
+                raise DataError(f"{source}: model expects {theta.q} features, file has {features.shape[1]}")
+            try:
+                labels.append(_predictions(theta, features, done + 1).astype(np.int8))
+            except ValueError as err:
+                raise DataError(f"{source}: {err}") from None
+            done += len(features)
+    _write_labelled_copy(data, header, np.concatenate(labels), path)
+    return done
+
+
+def _write_labelled_copy(data: bytes, header: list[str], labels, path) -> None:
+    """Write the header's cells and "predicted" to path, then each non-blank record
+    of the CSV bytes data with its text, ",<label>" (labels: one -1 or 1 each, in
+    order) and an LF ending. A file of ASCII lines with no quote, CR or blank line
+    is copied as bytes in blocks of _WRITE_CELLS * _CELL bytes; any other is
+    decoded as it goes, record by record through _csv_records."""
+    negative = np.asarray(labels) < 0
     plain = data.isascii() and not any(mark in data for mark in (b'"', b"\r", b"\n\n")) and data[:1] != b"\n"
     if not plain:
         records = _csv_records(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
@@ -537,7 +537,9 @@ def write_trajectory_csv(result: FitResult, path) -> None:
 def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read back a trajectory file: (iterations, exact risks, smoothed risks).
     The iteration column must count 0, 1, ..., n - 1 over the non-blank rows."""
-    header, values, _labels = load_features_csv(path)
+    with open_input(path) as handle:
+        header, blocks = _csv_blocks(Path(path), handle)
+        values = np.concatenate([features for _labels, features in blocks])
     if header != _TRAJECTORY_HEADER:
         raise DataError(f"{path}: unexpected trajectory header {header}")
     iterations = np.arange(len(values))

@@ -256,19 +256,42 @@ def test_simulate_writes_balanced_dataset(tmp_path):
     assert int((ds.labels == 1).sum()) == 25
 
 
+def _simulate_fit_predict(tmp_path, n):
+    """The console-script run CI pins: n simulated samples, and the predictions of a hinge + l2 fit on them."""
+    data, model, predictions = tmp_path / "data.csv", tmp_path / "model.model", tmp_path / "predictions.csv"
+    assert main(["simulate", "--n", str(n), "--out", str(data)]) == 0
+    assert main(["fit", "--loss", "hinge", "--penalty", "l2", "--lambda", "0.1", "--data", str(data), "--out", str(model)]) == 0
+    assert main(["predict", "--model", str(model), "--data", str(data), "--out", str(predictions)]) == 0
+    return data, model, predictions
+
+
 def test_simulate_and_predict_outputs_are_pinned_at_two_features(tmp_path):
     # the digests CI checks for the console script: a change to the generator, the
     # CSV writer or the predictions writer shows here as well
-    data, model, predictions = tmp_path / "data.csv", tmp_path / "model.model", tmp_path / "predictions.csv"
-    assert main(["simulate", "--n", "2000", "--out", str(data)]) == 0
+    data, _model, predictions = _simulate_fit_predict(tmp_path, 2000)
     assert hashlib.sha256(data.read_bytes()).hexdigest() == (
         "1190d932e61b6d73bca6d733bad2dd28993b907bd850fe55c01abcad48f07331"
     )
-    assert main(["fit", "--loss", "hinge", "--penalty", "l2", "--lambda", "0.1", "--data", str(data), "--out", str(model)]) == 0
-    assert main(["predict", "--model", str(model), "--data", str(data), "--out", str(predictions)]) == 0
     assert hashlib.sha256(predictions.read_bytes()).hexdigest() == (
         "34056ef98362eda93eae65378e8fe37f7e648f4dbf4842cbbab539e31c8ef0cf"
     )
+
+
+def test_simulate_and_predict_outputs_are_pinned_across_read_blocks(tmp_path):
+    # CI's second pinned run: 40 000 rows are three blocks of the CSV reader, which fit and
+    # predict read, so a row lost or repeated at a block boundary shows here; a CRLF copy
+    # of the data is copied record by record and must give the same predictions
+    data, model, predictions = _simulate_fit_predict(tmp_path, 40_000)
+    assert hashlib.sha256(data.read_bytes()).hexdigest() == (
+        "bfa2bca08aeb767381ec775ee9075f6768fa7294fa00190fbc005b7003e1f8a2"
+    )
+    assert hashlib.sha256(predictions.read_bytes()).hexdigest() == (
+        "f79a514451fec5658b0d8ca095cbe022ecaf6c54e0f6fddcff213914a70cba84"
+    )
+    crlf, crlf_predictions = tmp_path / "data-crlf.csv", tmp_path / "predictions-crlf.csv"
+    crlf.write_bytes(data.read_bytes().replace(b"\n", b"\r\n"))
+    assert main(["predict", "--model", str(model), "--data", str(crlf), "--out", str(crlf_predictions)]) == 0
+    assert crlf_predictions.read_bytes() == predictions.read_bytes()
 
 
 @pytest.mark.parametrize("n", ["7", "0", "-4"])
@@ -724,6 +747,38 @@ def test_a_repeated_label_column_is_a_data_error(data_csv, tmp_path, capsys, ver
         argv = ["predict", "--model", str(model), "--data", str(data), "--out", str(tmp_path / "p.csv")]
     assert main(argv) == 3
     assert f"{data}: label column 'y' appears more than once" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["fit", "predict"])
+@pytest.mark.parametrize("cell, message", [("nan", "non-finite cell"), ("oops", "non-numeric cell")])
+def test_a_bad_cell_past_the_first_read_block_is_reported_by_record_number(tmp_path, capsys, verb, cell, message):
+    # the reader parses 16 384 records a block: the first block is taken, and the second is
+    # rejected; the record is counted from the start, blank lines included
+    data, model, out = tmp_path / "d.csv", tmp_path / "m.model", tmp_path / "out"
+    rows = ["1,2,1", "-1,-2,-1"] * 10_000
+    rows[16_390] = f"{cell},2,1"
+    data.write_text("x1,x2,y\n\n" + "\n".join(rows) + "\n")
+    model.write_text(MODEL_X2_MINUS_X1)
+    if verb == "fit":
+        argv = ["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data), "--out", str(out)]
+    else:
+        argv = ["predict", "--model", str(model), "--data", str(data), "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {data}: {message} at row 16392, column 'x1'\n"
+    assert not out.exists()
+
+
+def test_predict_rejects_a_non_finite_decision_value_by_its_row(tmp_path, capsys):
+    # 1e308 * 10 overflows both products, and their difference is NaN: the record past the first
+    # read block is named by its row among the non-blank records, and nothing is written
+    model, data, out = tmp_path / "m.model", tmp_path / "d.csv", tmp_path / "p.csv"
+    model.write_text(MODEL_X2_MINUS_X1.replace("beta_1 = -1", "beta_1 = 1e308").replace("beta_2 = 1", "beta_2 = -1e308"))
+    rows = ["1,1"] * 20_000
+    rows[17_000] = "10,10"
+    data.write_text("x1,x2\n" + "\n".join(rows) + "\n")
+    assert main(["predict", "--model", str(model), "--data", str(data), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {data}: non-finite decision value in row 17001\n"
+    assert not out.exists()
 
 
 def test_fit_reports_non_finite_cell_by_record_number(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -293,3 +295,15 @@ def test_predict_batch_rejects_non_finite_features():
     theta = ModelParams(alpha=0.5, beta=np.array([1.0, -1.0]))
     with pytest.raises(ValueError, match="non-finite feature in row 1"):
         predict_batch(theta, np.array([[1.0, 2.0], [np.nan, 0.0], [np.inf, 1.0]]))
+
+
+def test_predict_batch_rejects_a_non_finite_decision_value():
+    # finite parameters and features whose products overflow to inf and -inf: their sum is NaN,
+    # which a sign test would label -1; the overflow is reported by the error, not as a warning
+    theta = ModelParams(alpha=0.0, beta=np.array([1e308, -1e308]))
+    features = np.array([[1.0, 1.0], [10.0, 10.0], [-10.0, -10.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^non-finite decision value in row 1$"):
+            predict_batch(theta, features)
+        assert predict_batch(theta, features[:1])[0] == 1.0

@@ -1,6 +1,8 @@
-"""The bulk CSV reader and predict writer against the row-by-row reference in
+"""The block CSV reader and predict writer against the row-by-row reference in
 csv_reference.py: the same arrays, or the same DataError message, for the
-same file; the same rows written back by predict."""
+same file; the same rows written back by predict. Each property runs twice:
+with the reader's block size, where these files are one block, and with
+blocks of two rows, where most span several and many are rejected late."""
 
 import csv
 
@@ -11,7 +13,8 @@ from numpy.testing import assert_array_equal
 
 import csv_reference as ref
 from irlsvm import DataError, load_dataset_csv
-from irlsvm.data_io import load_features_csv, write_predictions_csv
+from irlsvm import data_io
+from irlsvm.data_io import _csv_blocks, _write_labelled_copy, open_input
 
 SETTINGS = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -84,10 +87,21 @@ def _outcome(load, path):
         return str(err)
 
 
-@SETTINGS
-@_with_examples
-@given(text=csv_texts())
-def test_dataset_loader_matches_reference(tmp_path, text):
+def _load_features(path):
+    """The unlabeled read of predict and the trajectory reader: header, features, labels."""
+    with open_input(path) as handle:
+        header, blocks = _csv_blocks(path, handle, labeled=False)
+        blocks = list(blocks)
+    assert all(labels is None for labels, _ in blocks)
+    return header, np.concatenate([features for _, features in blocks]), None
+
+
+def _property(check):
+    """A hypothesis test of check(tmp_path, text) over csv_texts and EXAMPLES."""
+    return SETTINGS(_with_examples(given(text=csv_texts())(check)))
+
+
+def _check_dataset_loader(tmp_path, text):
     path = tmp_path / "d.csv"
     path.write_text(text, encoding="utf-8", newline="")
     expected, got = _outcome(ref.load_dataset_csv, path), _outcome(load_dataset_csv, path)
@@ -98,13 +112,10 @@ def test_dataset_loader_matches_reference(tmp_path, text):
         assert_array_equal(got.labels, expected.labels)
 
 
-@SETTINGS
-@_with_examples
-@given(text=csv_texts())
-def test_feature_loader_and_predict_writer_match_reference(tmp_path, text):
+def _check_feature_loader_and_predict_writer(tmp_path, text):
     path = tmp_path / "d.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    expected, got = _outcome(ref.load_feature_rows_csv, path), _outcome(load_features_csv, path)
+    expected, got = _outcome(ref.load_feature_rows_csv, path), _outcome(_load_features, path)
     if isinstance(expected, str):
         assert got == expected
         return
@@ -115,9 +126,31 @@ def test_feature_loader_and_predict_writer_match_reference(tmp_path, text):
 
     labels = np.where(np.arange(len(rows)) % 3 == 0, 1.0, -1.0)
     ref.write_predictions(header, rows, labels, tmp_path / "expected.csv")
-    write_predictions_csv(path, header, labels, tmp_path / "got.csv")
+    _write_labelled_copy(path.read_bytes(), header, labels, tmp_path / "got.csv")
     expected_bytes, got_bytes = (tmp_path / "expected.csv").read_bytes(), (tmp_path / "got.csv").read_bytes()
     if '"' not in text and "\r" not in text:
         assert got_bytes == expected_bytes
     with (tmp_path / "got.csv").open(newline="", encoding="utf-8") as handle:
         assert list(csv.reader(handle)) == [header + ["predicted"]] + [row + [str(int(v))] for row, v in zip(rows, labels)]
+
+
+@_property
+def test_dataset_loader_matches_reference(tmp_path, text):
+    _check_dataset_loader(tmp_path, text)
+
+
+@_property
+def test_feature_loader_and_predict_writer_match_reference(tmp_path, text):
+    _check_feature_loader_and_predict_writer(tmp_path, text)
+
+
+@_property
+def test_dataset_loader_matches_reference_in_blocks_of_two_rows(tmp_path, monkeypatch, text):
+    monkeypatch.setattr(data_io, "_BLOCK_ROWS", 2)
+    _check_dataset_loader(tmp_path, text)
+
+
+@_property
+def test_feature_loader_and_predict_writer_match_reference_in_blocks_of_two_rows(tmp_path, monkeypatch, text):
+    monkeypatch.setattr(data_io, "_BLOCK_ROWS", 2)
+    _check_feature_loader_and_predict_writer(tmp_path, text)

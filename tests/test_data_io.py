@@ -1,4 +1,5 @@
 import hashlib
+import pathlib
 import re
 
 import numpy as np
@@ -184,25 +185,28 @@ def test_generator_holds_little_besides_its_output(n, q):
     assert peak <= 1.25 * output + 2**20
 
 
-def test_predictions_writer_holds_its_source_and_one_block(tmp_path):
+@pytest.mark.parametrize("eol, slack", [(b"\n", 3), (b"\r\n", 5)], ids=["lf", "crlf"])
+def test_predict_reads_its_source_once_and_holds_it_and_one_block(tmp_path, monkeypatch, eol, slack):
+    # beside the source's bytes (8.5 MB with LF endings) the step holds one parsed block, a byte
+    # per label and one block of the copy: bytes as LF, records and their text as CRLF. A parse
+    # of the whole file, then a second read for the copy, held 6.3 and 8.6 MiB more
     n = 200_000
     source = tmp_path / "d.csv"
     write_dataset_csv(generate_gaussian_mixture(n, seed=3), source)
-    labels = np.where(np.arange(n) % 3 == 0, -1.0, 1.0)
-    peak = traced_peak(lambda: data_io.write_predictions_csv(source, ["x1", "x2", "y"], labels, tmp_path / "p.csv"))
-    assert peak <= 1.5 * source.stat().st_size
+    source.write_bytes(source.read_bytes().replace(b"\n", eol))
+    opened, path_open = [], pathlib.Path.open
 
+    def counted_open(self, *args, **kwargs):
+        opened.append(self)
+        return path_open(self, *args, **kwargs)
 
-def test_predictions_writer_decodes_one_block_of_records_at_a_time(tmp_path):
-    # a CRLF file goes record by record: beside its bytes (8.7 MB) the writer holds one block of
-    # 16 384 records and their text, about 4 MiB; holding every decoded line took 3.8 times the bytes
-    n = 200_000
-    source = tmp_path / "d.csv"
-    write_dataset_csv(generate_gaussian_mixture(n, seed=3), source)
-    source.write_bytes(source.read_bytes().replace(b"\n", b"\r\n"))
-    labels = np.where(np.arange(n) % 3 == 0, -1.0, 1.0)
-    peak = traced_peak(lambda: data_io.write_predictions_csv(source, ["x1", "x2", "y"], labels, tmp_path / "p.csv"))
-    assert peak <= source.stat().st_size + 6 * 2**20
+    monkeypatch.setattr(pathlib.Path, "open", counted_open)
+    theta = ModelParams(alpha=0.25, beta=[1.0, -0.5])
+    out = tmp_path / "p.csv"
+    peak = traced_peak(lambda: data_io.write_predictions_csv(theta, source, out))
+    assert opened.count(source) == 1
+    assert peak <= source.stat().st_size + slack * 2**20
+    assert out.read_bytes().count(b"\n") == n + 1
 
 
 def _fit_two_sample(spec):
