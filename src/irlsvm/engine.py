@@ -17,6 +17,7 @@ an update may be anchored.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .core import _BLOCK_ROWS, Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec, TerminationReason
 from .linalg import SingularSystemError, _GramBlocks, solve_spd
-from .losses import _block_terms, _penalty_scale, _rhs_offset, majorizer_value
+from .losses import _block_terms, _normal_equations, majorizer_value
 from .penalties import _penalty_terms, penalty_majorizer_value
 
 WARM_START_RIDGE_FLOOR = 1e-3
@@ -44,12 +45,12 @@ class Init(Enum):
 class FitOptions:
     """Iteration controls for fit().
 
-    init may be Init.ZERO, Init.WARM_START_LS_L2 (a single ridge solve with
+    init is Init.ZERO, Init.WARM_START_LS_L2 (a single ridge solve with
     constant max(lambda, 1e-3)), or an explicit ModelParams starting point.
     risk_tolerance stops the loop on a small relative change of the monitored
     risk, and above 0 the loop takes extrapolated (SQUAREM) steps as well
     (see fit); set it to 0 to run exactly max_iterations plain updates.
-    max_iterations counts recorded updates.
+    max_iterations, an integer >= 1 (not a bool), counts recorded updates.
     """
 
     max_iterations: int = 50
@@ -57,8 +58,11 @@ class FitOptions:
     init: Init | ModelParams = Init.WARM_START_LS_L2
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        count = self.max_iterations
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, got {count!r}")
+        if not isinstance(self.init, (Init, ModelParams)):
+            raise ValueError(f"init must be an Init or a ModelParams, got {self.init!r}")
         if not 0 <= self.risk_tolerance < math.inf:
             raise ValueError("risk_tolerance must be >= 0 and finite")
 
@@ -126,20 +130,7 @@ def _pass(
     smoothed = smoothed_sum / n + smoothed_penalty
     if not update:
         return exact, smoothed, None, None
-    offset = _rhs_offset(spec.loss, dataset, vec)
-    if offset is not None:
-        rhs += offset
-    a = dataset._gram.copy() if gram is None else gram.result()
-    return exact, smoothed, _with_penalty_diagonal(a, spec.loss, n, diag), rhs
-
-
-def _with_penalty_diagonal(a: np.ndarray, loss: Loss, n: int, diag) -> np.ndarray:
-    """a with the penalty diagonal diag (a scalar or one entry per beta) of an
-    n-sample loss's normal equations added to its beta entries, in place."""
-    k = a.shape[0]
-    # the diagonal entries of beta, through a strided view of the C-ordered matrix
-    a.reshape(-1)[k + 1 :: k + 1] += _penalty_scale(loss) * n * diag
-    return a
+    return exact, smoothed, *_normal_equations(spec.loss, dataset, vec, gram, rhs, diag)
 
 
 def _surrogate_values(
@@ -219,11 +210,10 @@ def _initial_theta(options: FitOptions, spec: RiskSpec, dataset: Dataset) -> np.
         return options.init.as_vector()
     if options.init is Init.ZERO:
         return np.zeros(dataset.q + 1)
-    # the least-squares update from zero with no pass: the cached Gram plus the ridge,
-    # and 0.0 plus the column sums as a pass forms them, so a -0.0 sum enters as +0.0
+    # the least-squares update from zero needs no pass: that loss's row blocks add nothing to its system
+    k = dataset.q + 1
     ridge = max(spec.lam, WARM_START_RIDGE_FLOOR)
-    a = _with_penalty_diagonal(dataset._gram.copy(), Loss.LEAST_SQUARES, dataset.n, ridge)
-    return solve_spd(a, 0.0 + dataset._column_sums).x
+    return solve_spd(*_normal_equations(Loss.LEAST_SQUARES, dataset, np.zeros(k), None, np.zeros(k), ridge)).x
 
 
 def _extrapolated_update(spec, dataset, cycle, risk_bound, buffers, update):

@@ -5,7 +5,8 @@ Every public function accepts scalars or numpy arrays of margins and is
 pure. The loss, smoothing and sigmoid formulas live in private functions
 that fill a given array; the public functions apply them to whole margin
 vectors, and _block_terms to one row block of the engine's pass at a time,
-in the order its update's algebra needs them.
+in the order its update's algebra needs them; _normal_equations turns a
+pass's block sums into its update's system.
 """
 
 from __future__ import annotations
@@ -58,22 +59,15 @@ def _logistic_pi(m: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.clip(out, *_UNIT_OPEN, out=out)
 
 
-def _penalty_scale(kind: Loss) -> float:
-    """Factor of n on the penalty diagonals in the normal equations: the
-    logistic surrogate carries a 1/(8n) quadratic coefficient, so clearing
-    it scales them by 8n; the other losses' by n."""
-    return 8.0 if kind is Loss.LOGISTIC else 1.0
-
-
 def _block_terms(kind: Loss, m: np.ndarray, epsilon: float, scratch, update: bool):
     """One row block's share of a pass at its margins m: (sum of the exact
     losses, sum of the smoothed losses, weights, rhs weights).
 
     The update's normal equations (Y'WY + diagonal) theta = Y'W r gain
     Y_b' diag(weights) Y_b on the left (Y_b'Y_b when weights is None) and
-    rhs_weights' Y_b on the right (nothing when None); _rhs_offset is the
-    part of the right side no block contributes. Each loss's rule follows
-    the algebra of its weights w and targets r:
+    rhs_weights' Y_b on the right (nothing when None); _normal_equations
+    completes the system once per pass. Each loss's rule follows the
+    algebra of its weights w and targets r:
     - hinge: w = 1/(4 gamma) and r = gamma + 1, so W r = w + 1/4: the
       right side is w'Y + 1'Y/4;
     - least squares: W = I and r = 1: the right side is 1'Y;
@@ -104,18 +98,27 @@ def _block_terms(kind: Loss, m: np.ndarray, epsilon: float, scratch, update: boo
     return loss_sum, loss_sum, None, pi
 
 
-def _rhs_offset(kind: Loss, dataset, vec) -> np.ndarray | None:
-    """The part of the update's right side that no row block contributes
-    (see _block_terms) for the surrogate anchored at vec, or None."""
+def _normal_equations(kind: Loss, dataset, vec, gram, rhs, diag) -> tuple[np.ndarray, np.ndarray]:
+    """The update's normal equations (matrix, right side) at vec from a pass's
+    block sums (see _block_terms): gram's weighted Gram (a linalg._GramBlocks),
+    or the cached Y'Y when gram is None (unit weights), plus the penalty
+    diagonal diag times n, or 8n to clear the logistic surrogate's 1/(8n); and
+    rhs plus, in place, the part of the right side that no block adds."""
     if kind is Loss.HINGE:
-        return 0.25 * dataset._column_sums
-    if kind is Loss.LEAST_SQUARES:
-        return dataset._column_sums
-    if kind is Loss.LOGISTIC:
+        rhs += 0.25 * dataset._column_sums
+    elif kind is Loss.LEAST_SQUARES:
+        rhs += dataset._column_sums
+    elif kind is Loss.LOGISTIC:
         # an overflow shows as a non-finite right side, which solve_spd rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            return dataset._gram @ vec
-    return None
+            offset = dataset._gram @ vec
+        rhs += offset
+    a = dataset._gram.copy() if gram is None else gram.result()
+    k = a.shape[0]
+    scale = 8.0 if kind is Loss.LOGISTIC else 1.0
+    # the diagonal entries of beta, through a strided view of the C-ordered matrix
+    a.reshape(-1)[k + 1 :: k + 1] += scale * dataset.n * diag
+    return a, rhs
 
 
 def loss_value(kind: Loss, m):

@@ -341,6 +341,17 @@ def test_fit_options_validation():
     for tolerance in (-1e-3, np.nan, np.inf):
         with pytest.raises(ValueError, match="risk_tolerance"):
             FitOptions(risk_tolerance=tolerance)
+    # a count is an integer of at least 1: no float, whole or not, and no bool
+    for count in (2.5, 3.0, True, np.nan, np.inf):
+        with pytest.raises(ValueError, match="max_iterations"):
+            FitOptions(max_iterations=count)
+    # an init that is neither an Init nor a ModelParams is named, not read as the warm start
+    for init in ("zero", None, 0):
+        with pytest.raises(ValueError, match=f"init must be an Init or a ModelParams, got {init!r}"):
+            FitOptions(init=init)
+    assert FitOptions(max_iterations=np.int64(3)).max_iterations == 3
+    for init in (*Init, ModelParams(alpha=0.0, beta=[1.0, 2.0])):
+        assert FitOptions(init=init).init is init
 
 
 def _assert_recorded_risks_are_direct_evaluations(spec, ds):

@@ -30,8 +30,8 @@ def _hinge_reweighting(m, epsilon):
 
 def _targets(kind, m):
     """Targets of an unweighted (W = I) update at margins m: the block rule's
-    rhs weights plus the part of Y'r that _rhs_offset adds once per pass,
-    1'Y (r = 1) for least squares and Y'Y theta (r = m) for the logistic."""
+    rhs weights plus the part of Y'r that _normal_equations adds once per
+    pass, 1'Y (r = 1) for least squares and Y'Y theta (r = m) for the logistic."""
     m = np.asarray(m, dtype=float)
     _gamma, weights, rhs_weights = _update_terms(kind, m)
     assert weights is None
