@@ -8,6 +8,7 @@ safe to share across threads. The operations here are pure functions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -191,6 +192,15 @@ class ModelParams:
         return cls(alpha=0.0, beta=np.zeros(q))
 
 
+def _constant(name: str, value, positive: bool = False) -> float:
+    """value as a float if it is a real number, not a bool, that is finite and >= 0 (> 0 if
+    positive): the rule of the risk constants and the risk tolerance. Else a ValueError naming it."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and (value > 0 if positive else value >= 0) and value < math.inf):
+        raise ValueError(f"{name} must be {'>' if positive else '>='} 0 and finite, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class RiskSpec:
     """One of the 12 loss x penalty risk combinations plus its constants.
@@ -212,20 +222,15 @@ class RiskSpec:
             raise ValueError(f"loss must be a Loss, got {self.loss!r}")
         if not isinstance(self.penalty, Penalty):
             raise ValueError(f"penalty must be a Penalty, got {self.penalty!r}")
-        if not 0 <= self.lam < math.inf:
-            raise ValueError("lambda must be >= 0 and finite")
-        if not 0 <= self.mu < math.inf:
-            raise ValueError("mu must be >= 0 and finite")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be > 0 and finite")
-        lam, mu = float(self.lam), float(self.mu)
+        lam = _constant("lambda", self.lam)
+        mu = _constant("mu", self.mu)
         if self.penalty is Penalty.L2:
             mu = 0.0
         elif self.penalty is Penalty.L1:
             lam = 0.0
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(self, "epsilon", _constant("epsilon", self.epsilon, positive=True))
 
 
 class Monitor(Enum):
@@ -276,6 +281,8 @@ class FitResult:
             raise ValueError("theta_trajectory must be (iterations_run + 1) x (q + 1)")
         if self.anchor_trajectory.shape != (self.iterations_run, self.theta.q + 1):
             raise ValueError("anchor_trajectory must be iterations_run x (q + 1)")
+        if self.theta.as_vector().tobytes() != self.theta_trajectory[-1].tobytes():
+            raise ValueError("theta must be the last row of theta_trajectory")
 
 
 def predict(theta: ModelParams, features: np.ndarray) -> int:

@@ -26,6 +26,7 @@ import functools
 import io
 import itertools
 import math
+import numbers
 import warnings
 from pathlib import Path
 
@@ -432,8 +433,8 @@ def generate_gaussian_mixture(n: int, mean_neg=(-1.0, -1.0), mean_pos=(1.0, 1.0)
     each stage (normal + mean) goes with its labels to the Dataset, which
     checks it and writes it into its design, so the output is never held twice.
     """
-    if n < 2 or n % 2:
-        raise ValueError(f"n must be a positive even integer, got {n}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2 or n % 2:
+        raise ValueError(f"n must be a positive even integer, got {n!r}")
     mean_neg = np.asarray(mean_neg, dtype=float).ravel()
     mean_pos = np.asarray(mean_pos, dtype=float).ravel()
     if mean_neg.shape != mean_pos.shape:

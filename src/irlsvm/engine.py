@@ -16,14 +16,13 @@ an update may be anchored.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .core import _BLOCK_ROWS, Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec, TerminationReason
+from .core import _BLOCK_ROWS, Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec, TerminationReason, _constant
 from .linalg import SingularSystemError, _GramBlocks, solve_spd
 from .losses import _block_terms, _normal_equations, majorizer_value
 from .penalties import _penalty_terms, penalty_majorizer_value
@@ -63,8 +62,7 @@ class FitOptions:
             raise ValueError(f"max_iterations must be an integer >= 1, got {count!r}")
         if not isinstance(self.init, (Init, ModelParams)):
             raise ValueError(f"init must be an Init or a ModelParams, got {self.init!r}")
-        if not 0 <= self.risk_tolerance < math.inf:
-            raise ValueError("risk_tolerance must be >= 0 and finite")
+        object.__setattr__(self, "risk_tolerance", _constant("risk_tolerance", self.risk_tolerance))
 
 
 class FitError(RuntimeError):
@@ -88,11 +86,10 @@ def _pass(
     dataset: Dataset,
     update: bool = True,
     buffers: np.ndarray | None = None,
-) -> tuple[float, float, np.ndarray | None, np.ndarray | None]:
-    """One pass over the row blocks of the dataset's design at the (alpha, beta) vector
-    vec: the exact and smoothed risks there and, with update, the matrix and
-    right-hand side of the normal equations of the surrogate anchored there
-    (else None and None).
+) -> tuple[float, float, tuple[np.ndarray, np.ndarray] | None]:
+    """One pass over the row blocks of the dataset's design at the (alpha, beta) vector vec:
+    the exact and smoothed risks there and, with update, the system (matrix, right-hand side)
+    of the normal equations of the surrogate anchored there (else None).
 
     Every block's margins and loss terms go through the same block-sized
     buffers (_pass_buffers; fit hands every pass the same ones, so a fit
@@ -128,9 +125,7 @@ def _pass(
     penalty, smoothed_penalty, diag = _penalty_terms(vec[1:], spec.lam, spec.mu, spec.epsilon)
     exact = loss_sum / n + penalty
     smoothed = smoothed_sum / n + smoothed_penalty
-    if not update:
-        return exact, smoothed, None, None
-    return exact, smoothed, *_normal_equations(spec.loss, dataset, vec, gram, rhs, diag)
+    return exact, smoothed, (_normal_equations(spec.loss, dataset, vec, gram, rhs, diag) if update else None)
 
 
 def _surrogate_values(
@@ -216,17 +211,25 @@ def _initial_theta(options: FitOptions, spec: RiskSpec, dataset: Dataset) -> np.
     return solve_spd(*_normal_equations(Loss.LEAST_SQUARES, dataset, np.zeros(k), None, np.zeros(k), ridge)).x
 
 
-def _extrapolated_update(spec, dataset, cycle, risk_bound, buffers, update):
+def _update(spec, dataset, anchor, system, anchored, buffers):
+    """The update anchored at the (alpha, beta) vector anchor, as (anchor, the solution of its system,
+    the pass at that solution): a pass at anchor builds the system when it is None, and the solution's
+    pass builds that point's system when anchored is set. A pass or solve failure propagates."""
+    if system is None:
+        system = _pass(spec, anchor, dataset, buffers=buffers)[2]
+    solution = solve_spd(*system)
+    return anchor, solution, _pass(spec, solution.x, dataset, anchored, buffers)
+
+
+def _extrapolated_update(spec, dataset, cycle, risk_bound, buffers, anchored):
     """SQUAREM's step (Varadhan & Roland 2008, scheme S3) from a cycle of
     three iterates x0, x1, x2, each of the two later ones the update of the
     one before: the update anchored at x' = x0 - 2 a r + a^2 v, with
     r = x1 - x0, v = x2 - x1 - r and a = min(-|r|/|v|, -1), so that a = -1
     gives x' = x2.
 
-    Returns (x', the solution at x', the pass at its image), or None when
-    x' is not finite, its pass or solve fails, or the image's smoothed risk
-    is not finite or above risk_bound. The image's pass builds its system
-    when update is set.
+    Returns _update's triple at x', or None when x' is not finite, the update
+    fails, or its image's smoothed risk is not finite or above risk_bound.
     """
     x0, x1, x2 = cycle
     r = x1 - x0
@@ -238,8 +241,7 @@ def _extrapolated_update(spec, dataset, cycle, risk_bound, buffers, update):
         if not np.isfinite(anchor).all():
             return None
         try:
-            solution = solve_spd(*_pass(spec, anchor, dataset, buffers=buffers)[2:])
-            image = _pass(spec, solution.x, dataset, update=update, buffers=buffers)
+            anchor, solution, image = _update(spec, dataset, anchor, None, anchored, buffers)
         except (ValueError, SingularSystemError):
             return None
     return (anchor, solution, image) if image[1] <= risk_bound else None
@@ -273,7 +275,7 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
     # tolerance 0 (the fixed-count protocol) takes plain updates only and never stops early
     accelerated = options.risk_tolerance > 0
     buffers = _pass_buffers(dataset, update=True)
-    exact, smoothed, *system = _pass(spec, theta, dataset, buffers=buffers)
+    exact, smoothed, system = _pass(spec, theta, dataset, buffers=buffers)
     theta_track = [theta]
     anchor_track = []
     exact_track = [exact]
@@ -294,16 +296,12 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
             plain_run = 0
             step = _extrapolated_update(spec, dataset, theta_track[-3:], smoothed_track[-1], buffers, anchored(0))
         if step is None:
-            if system[0] is None:  # a cycle's second image, whose extrapolated update failed
-                system = _pass(spec, theta_track[-1], dataset, True, buffers)[2:]
+            plain_run += 1
             try:
-                solution = solve_spd(*system)
+                step = _update(spec, dataset, theta_track[-1], system, anchored(plain_run), buffers)
             except SingularSystemError as err:
                 raise FitError(str(err), exact_track, smoothed_track) from err
-            plain_run += 1
-            image = _pass(spec, solution.x, dataset, anchored(plain_run), buffers)
-            step = (theta_track[-1], solution, image)
-        anchor, solution, (exact, smoothed, *system) = step
+        anchor, solution, (exact, smoothed, system) = step
         jittered += solution.jitter_used
         anchor_track.append(anchor)
         theta_track.append(solution.x)

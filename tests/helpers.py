@@ -5,8 +5,7 @@ import tracemalloc
 import numpy as np
 
 from irlsvm import Dataset, Loss, ModelParams, Penalty, RiskSpec
-from irlsvm.engine import _pass
-from irlsvm.linalg import solve_spd
+from irlsvm.engine import _update
 
 ALL_COMBOS = [(loss, pen) for loss in Loss for pen in Penalty]
 ITERATIVE_COMBOS = [c for c in ALL_COMBOS if c != (Loss.LEAST_SQUARES, Penalty.L2)]
@@ -21,12 +20,12 @@ def two_sample_dataset() -> Dataset:
 
 def irls_step(spec: RiskSpec, theta: ModelParams, dataset: Dataset) -> ModelParams:
     """One reweighted update: the minimizer of the surrogate anchored at theta,
-    from the system fit's pass builds there.
+    by fit's update step from the system a pass builds there.
 
     For the least-squares loss with 2-norm penalty the surrogate is the risk
     itself, so the step returns the closed-form solution directly.
     """
-    return ModelParams.from_vector(solve_spd(*_pass(spec, theta.as_vector(), dataset)[2:]).x)
+    return ModelParams.from_vector(_update(spec, dataset, theta.as_vector(), None, False, None)[1].x)
 
 
 def closed_form_ls_l2(dataset: Dataset, lam: float) -> ModelParams:

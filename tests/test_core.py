@@ -209,15 +209,18 @@ def test_risk_spec_ignores_irrelevant_constant(penalty, lam, mu, want_lam, want_
 
 
 def test_risk_spec_validation():
-    for lam in (-1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="lambda"):
+    # a constant is a real number, not a bool, so True is no 1.0 and a str or None is named, not compared
+    for lam in (-1.0, np.nan, np.inf, True, "0.1", None):
+        with pytest.raises(ValueError, match=f"^lambda must be >= 0 and finite, got {lam!r}$"):
             RiskSpec(Loss.HINGE, Penalty.L2, lam=lam)
-    for mu in (-0.1, np.nan, np.inf):
-        with pytest.raises(ValueError, match="mu"):
+    for mu in (-0.1, np.nan, np.inf, True):
+        with pytest.raises(ValueError, match=f"^mu must be >= 0 and finite, got {mu!r}$"):
             RiskSpec(Loss.HINGE, Penalty.L1, mu=mu)
-    for epsilon in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="epsilon"):
+    for epsilon in (0.0, np.nan, np.inf, True):
+        with pytest.raises(ValueError, match=f"^epsilon must be > 0 and finite, got {epsilon!r}$"):
             RiskSpec(Loss.HINGE, Penalty.L2, epsilon=epsilon)
+    spec = RiskSpec(Loss.HINGE, Penalty.ELASTIC_NET, lam=np.float64(0.1), mu=1, epsilon=np.float32(0.5))
+    assert [type(value) for value in (spec.lam, spec.mu, spec.epsilon)] == [float, float, float]
     # the kernels take the kind as given, so a value that is not the enum
     # must fail here rather than be evaluated as some other kind
     with pytest.raises(ValueError, match="loss must be a Loss, got 'hinge'"):
@@ -272,6 +275,18 @@ def test_fit_result_trajectory_lengths_must_agree():
             FitResult(
                 theta=theta,
                 theta_trajectory=np.zeros((rows, cols)),
+                anchor_trajectory=np.zeros((1, 2)),
+                exact_risk_trajectory=np.array([1.0, 0.5]),
+                smoothed_risk_trajectory=np.array([1.0, 0.5]),
+                iterations_run=1,
+                termination_reason=TerminationReason.MAX_ITERATIONS,
+            )
+    # theta is the last iterate, bit for bit, or the model file would disagree with the trajectory
+    for params, last in ((ModelParams(5.0, [7.0]), [0.0, 0.0]), (theta, [-0.0, 0.0])):
+        with pytest.raises(ValueError, match="^theta must be the last row of theta_trajectory$"):
+            FitResult(
+                theta=params,
+                theta_trajectory=np.array([[1.0, 1.0], last]),
                 anchor_trajectory=np.zeros((1, 2)),
                 exact_risk_trajectory=np.array([1.0, 0.5]),
                 smoothed_risk_trajectory=np.array([1.0, 0.5]),

@@ -140,6 +140,11 @@ def test_generator_rejects_odd_n():
         generate_gaussian_mixture(7, seed=0)
     with pytest.raises(ValueError, match="positive even integer, got 0"):
         generate_gaussian_mixture(0, seed=0)
+    # n counts samples: an integral value, not a float or a bool, even when it is whole
+    for n in (10.0, True, "10"):
+        with pytest.raises(ValueError, match=f"^n must be a positive even integer, got {n!r}$"):
+            generate_gaussian_mixture(n, seed=0)
+    assert generate_gaussian_mixture(np.int64(10), seed=0).n == 10
     with pytest.raises(ValueError, match="equal length"):
         generate_gaussian_mixture(4, mean_neg=(0.0,), mean_pos=(1.0, 1.0))
     # the Dataset would reject the samples too, but the generator names the argument at fault

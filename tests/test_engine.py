@@ -338,9 +338,11 @@ def test_fit_error_carries_partial_trajectory(two, monkeypatch):
 def test_fit_options_validation():
     with pytest.raises(ValueError):
         FitOptions(max_iterations=0)
-    for tolerance in (-1e-3, np.nan, np.inf):
-        with pytest.raises(ValueError, match="risk_tolerance"):
+    # a tolerance is a real number, not a bool: True would stop a fit at its first update
+    for tolerance in (-1e-3, np.nan, np.inf, True, "0", None):
+        with pytest.raises(ValueError, match=f"^risk_tolerance must be >= 0 and finite, got {tolerance!r}$"):
             FitOptions(risk_tolerance=tolerance)
+    assert type(FitOptions(risk_tolerance=np.float64(1e-6)).risk_tolerance) is float
     # a count is an integer of at least 1: no float, whole or not, and no bool
     for count in (2.5, 3.0, True, np.nan, np.inf):
         with pytest.raises(ValueError, match="max_iterations"):
@@ -442,7 +444,7 @@ def _dense_system(spec, theta, dataset):
 def test_update_system_matches_dense_reference_across_blocks(blocked, loss, pen):
     spec = RiskSpec(loss, pen, lam=0.2, mu=0.3, epsilon=EPS)
     theta = ModelParams(alpha=0.3, beta=[0.5, -0.4, 0.2])
-    system = _pass(spec, theta.as_vector(), blocked)[2:]
+    system = _pass(spec, theta.as_vector(), blocked)[2]
     matrix, rhs = _dense_system(spec, theta, blocked)
     assert_allclose(system[0], matrix, rtol=1e-12, atol=0)
     assert_allclose(system[1], rhs, rtol=1e-12, atol=0)
@@ -706,7 +708,8 @@ def _record_passes_and_solves(monkeypatch):
 
     def recording_pass(spec, vec, dataset, update=True, buffers=None):
         out = original_pass(spec, vec, dataset, update, buffers)
-        events.append(("pass", vec.copy(), out[2]))
+        system = out[2]
+        events.append(("pass", vec.copy(), None if system is None else system[0]))
         return out
 
     def recording_solve(matrix, rhs):
