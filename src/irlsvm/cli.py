@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_EPSILON, Loss, Penalty, RiskSpec, monitor_kind, predict_batch
+from .core import DEFAULT_EPSILON, Loss, Penalty, RiskSpec, _feature_rows, monitor_kind, predict_batch
 from .data_io import (
     DataError,
     _write_rows,
@@ -239,8 +239,11 @@ def _cmd_sweep(args) -> int:
 
     field = "lam" if param == "lambda" else "mu"
     results = [fit(dataclasses.replace(spec_base, **{field: value}), dataset, options) for value in grid]
-    features = dataset.features
-    accuracies = [float(np.mean(predict_batch(r.theta, features) == dataset.labels)) for r in results]
+    # counted a design block at a time, its rows rebuilt as Dataset.features rebuilds them: no n x q copy
+    accuracies = [
+        sum(np.count_nonzero(predict_batch(r.theta, _feature_rows(b)) == b[0]) for b in dataset._blocks()) / dataset.n
+        for r in results
+    ]
 
     _write_rows(
         summary_path,

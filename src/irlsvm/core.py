@@ -55,6 +55,11 @@ def _check_finite_rows(values: np.ndarray, first: int = 0, what: str = "feature"
     raise ValueError(f"non-finite {what} in row {first + bad[0]}")
 
 
+def _feature_rows(block: np.ndarray) -> np.ndarray:
+    """The feature rows t_i of design columns y_i (1, t_i), exactly (y_i (y_i t_i) = t_i), row-major."""
+    return np.multiply(block[1:].T, block[0, :, None], order="C")
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.flags.writeable = False
@@ -92,9 +97,10 @@ class Dataset:
         return cls.__new__(cls)._fill(n, q, blocks)
 
     def _fill(self, n: int, q: int, blocks) -> Dataset:
-        """Check and store n samples of q features, given as (labels, feature rows) blocks in sample
-        order, each transposed into the design while it is in cache. A non-finite feature is
-        reported before a bad label, each by its row in the sample."""
+        """Check and store at most n samples of q features, given as (labels, feature rows) blocks in
+        sample order, each transposed into the design while it is in cache; if fewer come, the
+        design is copied down to them once. A non-finite feature is reported before a bad label,
+        each by its row in the sample."""
         design = np.empty((q + 1, n))
         stop, bad_label = 0, ""
         for labels, features in blocks:
@@ -108,6 +114,8 @@ class Dataset:
             np.multiply(features.T, labels, out=design[1:, start:stop])
         if bad_label:
             raise ValueError(bad_label)
+        if stop < n:
+            design = design[:, :stop].copy()
         design.flags.writeable = False
         object.__setattr__(self, "_design", design)
         return self
@@ -124,7 +132,7 @@ class Dataset:
     @property
     def features(self) -> np.ndarray:
         """The n x q feature matrix, a new read-only C-ordered array."""
-        features = np.multiply(self._design[1:].T, self._design[0, :, None], order="C")
+        features = _feature_rows(self._design)
         features.flags.writeable = False
         return features
 

@@ -5,9 +5,11 @@ File conventions: CSVs are comma-separated UTF-8 with a header row and LF
 line endings; the label column is named "y" and holds -1 or 1; a float cell
 is exactly Python's '%.17g' % value, so values round-trip bit-for-bit. Model
 files are flat "key = value" text documents whose keys _model_keys lists.
-Input lines may end at an LF, a CRLF or a lone CR. predict copies its input's
-records as bytes, a window at a time, with one path for every line ending
-(_write_labelled_copy), and writes through a temporary file (_replacing).
+Input lines may end at an LF, a CRLF or a lone CR; the loader counts them to
+size a Dataset's design (_line_count). predict opens its input once, parses it,
+then copies its records as bytes from the start, a window at a time, with one
+path for every line ending (_write_labelled_copy), and writes through a
+temporary file (_replacing).
 
 CSV floats are formatted a block at a time by integer arithmetic
 (_float_cells). A finite x with 1e-11 < |x| < 2**50 is M * 2**e with M a
@@ -53,13 +55,13 @@ class DataError(ValueError):
 
 @contextlib.contextmanager
 def open_input(path, binary: bool = False):
-    """Open path for reading UTF-8 text, line endings as they are, or bytes; an
-    OSError, text that is not UTF-8 or a csv.Error (a cell over csv's field size
-    limit) while opening or reading it becomes a DataError naming Path(path), as
-    the readers' own errors do. Every reader opens its file here."""
+    """Open path for reading UTF-8 text, line endings as they are, or bytes (a pipe's read in
+    full, as the byte readers read theirs twice); an OSError, text that is not UTF-8 or a
+    csv.Error (a cell over csv's field size limit) while opening or reading it becomes a
+    DataError naming Path(path), as the readers' own errors do. Every reader opens its file here."""
     try:
         with Path(path).open("rb") if binary else Path(path).open(newline="", encoding="utf-8") as handle:
-            yield handle
+            yield handle if not binary or handle.seekable() else io.BytesIO(handle.read())
     except OSError as err:
         raise DataError(f"{Path(path)}: {err.strerror or err}") from err
     except UnicodeDecodeError as err:
@@ -184,13 +186,30 @@ def _scan_rows(path: Path, handle, header, feature_idx, label_idx) -> tuple[np.n
     return features, labels
 
 
+def _line_count(handle) -> int:
+    """The lines of the bytes read from handle as csv counts them, each ended by an LF, a CRLF, a lone
+    CR or the end of the bytes; they are read _WRITE_CELLS * _CELL at a time into one buffer."""
+    buffer = bytearray(_WRITE_CELLS * _CELL)
+    chunks, lines, last = np.frombuffer(buffer, np.uint8), 0, ord("\n")
+    while size := handle.readinto(buffer):
+        chunk = chunks[:size]
+        lines += np.count_nonzero(chunk == ord("\n")) - (last == ord("\r") and buffer[0] == ord("\n"))
+        if buffer.find(b"\r", 0, size) >= 0:  # a CR ends a line unless an LF follows it
+            cr = chunk == ord("\r")
+            lines += np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & (chunk[1:] == ord("\n")))
+        last = buffer[size - 1]
+    return lines + (last not in b"\r\n")
+
+
 def load_dataset_csv(path) -> Dataset:
-    """Read a labeled dataset; the header must name the label column "y"."""
-    with open_input(path) as handle:
-        header, blocks = _csv_blocks(Path(path), handle, labeled=True)
-        blocks = list(blocks)  # the row count sizes the Dataset
-    # the blocks have passed the checks Dataset._fill makes, so its errors cannot arise here
-    return Dataset._filled(sum(len(labels) for labels, _ in blocks), len(header) - 1, blocks)
+    """Read a labeled dataset; the header must name the label column "y". The file's lines, which
+    are at least its records, size the design, and each block is written into it as it comes."""
+    with open_input(path, binary=True) as handle:
+        rows = _line_count(handle) - 1
+        handle.seek(0)
+        header, blocks = _csv_blocks(Path(path), io.TextIOWrapper(handle, encoding="utf-8", newline=""), labeled=True)
+        # the blocks have passed the checks Dataset._fill makes, so its errors cannot arise here
+        return Dataset._filled(rows, len(header) - 1, blocks)
 
 
 # A cell is _CELL bytes: a '%.17g' text in fixed slots, NUL where one is
@@ -345,12 +364,13 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
 
 def write_predictions_csv(theta: ModelParams, source, path) -> int:
     """Copy the CSV at source to path with a "predicted" column of theta's labels and
-    return their count. source is read once, in full before path is written (it may name
-    source), then parsed a block at a time, keeping each record's label alone. A
-    non-finite decision value is a DataError naming its row among non-blank records."""
+    return their count. source is opened once: it is parsed a block at a time, keeping each
+    record's label alone, then read again from its start by the copy, whose output replaces
+    path (which may name source) at the end. A non-finite decision value is a DataError
+    naming its row among non-blank records."""
     with open_input(source, binary=True) as handle:
-        data = handle.read()
-        header, blocks = _csv_blocks(Path(source), io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+        text = io.TextIOWrapper(handle, encoding="utf-8", newline="")
+        header, blocks = _csv_blocks(Path(source), text)
         labels, done = [], 0
         for _labels, features in blocks:
             if features.shape[1] != theta.q:
@@ -360,8 +380,8 @@ def write_predictions_csv(theta: ModelParams, source, path) -> int:
             except ValueError as err:
                 raise DataError(f"{source}: {err}") from None
             done += len(features)
-        labels = np.concatenate(labels)
-        _write_labelled_copy(data, header, labels, path)
+        text.detach().seek(0)
+        _write_labelled_copy(handle, header, np.concatenate(labels), path)
     return done
 
 
@@ -369,64 +389,88 @@ def write_predictions_csv(theta: ModelParams, source, path) -> int:
 _LINE_REST = re.compile(rb"[^\r\n]*[\r\n]*")
 
 
-def _write_labelled_copy(data: bytes, header: list[str], labels, path) -> None:
+def _write_labelled_copy(source, header: list[str], labels, path) -> None:
     """Write the header's cells and "predicted" to path, then each non-blank record of the
-    CSV bytes data after the header with ",<label>" (labels: one -1 or 1 each, in order)
-    and an LF ending. A line ends at an LF, a CRLF or a lone CR and is a record, unless a
-    quote on it starts a record that csv.reader ends on a later line. A record's text is
-    what rstrip("\r\n") leaves. The copy goes in windows of about _WRITE_CELLS * _CELL
-    bytes, each from the start of a record's text to the end of a record's line ends."""
-    body, labels, done, read = np.frombuffer(data, np.uint8), np.asarray(labels), 0, 0
+    CSV bytes on the binary handle source after the header with ",<label>" (labels: one -1
+    or 1 each, in order) and an LF ending. A line ends at an LF, a CRLF or a lone CR and is
+    a record, unless a quote on it starts a record that csv.reader ends on a later line. A
+    record's text is what rstrip("\r\n") leaves. The bytes are read and copied in windows
+    of about _WRITE_CELLS * _CELL, so about one window is held."""
+    size, labels, done = _WRITE_CELLS * _CELL, np.asarray(labels), 0
+    data, read = b"", 0  # the bytes in hand, and where in them csv.reader reads on
 
-    def lines():  # each line of data from read on, with the blank lines after it, as csv.reader pulls it
-        nonlocal read
-        while read < body.size:
-            line = _LINE_REST.match(data, read)
-            read = line.end()
-            yield line[0].decode()
+    def lines():  # each line from read on, with the blank lines after it, as csv.reader pulls it
+        nonlocal data, read
+        while True:
+            while (end := _LINE_REST.match(data, read).end()) == len(data) and (more := source.read(size)):
+                data += more
+            if end == read:
+                return
+            line, read = data[read:end], end
+            yield line.decode()
 
     records, heading = csv.reader(lines()), io.StringIO()
     next(records)  # the header's, which moves read past it
     csv.writer(heading, lineterminator="\n").writerow(header + ["predicted"])
     with _replacing(path) as out:
         out.write(heading.getvalue().encode())
-        while read < body.size:
-            start, quoted = read, []
-            stop = _LINE_REST.match(data, min(start + _WRITE_CELLS * _CELL, body.size) - 1).end()
-            # the (offset, size) of the text of each record that starts on a line holding a quote
-            while (quote := data.find(b'"', read, stop)) >= 0:
-                read = begin = max(read, data.rfind(b"\n", read, quote) + 1, data.rfind(b"\r", read, quote) + 1)
-                next(records)  # which moves read past the record
-                quoted.append((begin - start, len(data[begin:read].rstrip(b"\r\n"))))
-                stop = max(stop, read)
-            window = body[start:stop]
-            ends = window == ord("\n")
-            ends |= window == ord("\r")
-            for offset, size in quoted:
-                ends[offset : offset + size] = False
-            # the window is records, each its text and then a run of line-end bytes (none at the end of data)
-            edges = np.flatnonzero(ends[1:] != ends[:-1]) + 1
-            del ends  # one window-sized mask at a time
-            sizes = np.diff(edges, prepend=0, append=[window.size] * 2)
-            texts, gaps = sizes[:-1:2], sizes[1::2]
-            sign = labels[done : done + texts.size] < 0
-            done += texts.size
-            # after its text a record takes its line-end bytes, widened to fit ",1\n" or ",-1\n" over their end
-            suffix = 3 + sign
-            room = np.maximum(gaps, suffix)
-            tails = np.cumsum(texts + room)
-            labelled, copied = np.empty(tails[-1], np.uint8), np.ones(tails[-1], bool)
-            for back in range(1, 5):  # the widening
-                copied[tails[room - gaps >= back] - back] = False
-            labelled[copied] = window
-            labelled[tails - 1], labelled[tails - 2] = ord("\n"), ord("1")
-            labelled[tails - 3] = np.where(sign, ord("-"), ord(","))
-            labelled[tails[sign] - 4] = ord(",")
-            # and line-end bytes that the suffix does not cover are left out
-            extra = np.column_stack((tails - room, tails - suffix))[gaps > suffix]
-            out.writelines(np.split(labelled, extra.ravel())[::2])
-            del labelled, copied  # before the next window's masks
-            read = stop
+        span = size  # the bytes to hold in hand
+        while data := data[read:] + source.read(max(0, span - len(data) + read)):
+            # the window ends at the start of the last line whose line ends are all in hand, or at the end of source
+            read, text = 0, len(data.rstrip(b"\r\n"))
+            stop = len(data) if len(data) < span else max(data.rfind(b"\n", 0, text), data.rfind(b"\r", 0, text)) + 1
+            # across: the (first byte, text end) of each record that goes on past its first line
+            window, across = np.frombuffer(data, np.uint8, stop), []
+            if data.find(b'"', 0, stop) >= 0:
+                ends = _line_ends(window)
+                starts = np.append(0, np.flatnonzero(ends[:-1] > ends[1:]) + 1)  # each line's first byte
+                quoted = np.unique(np.searchsorted(starts, np.flatnonzero(window == ord('"')), "right") - 1)
+                del ends
+                for begin, after in zip(starts[quoted].tolist(), np.append(starts, stop)[quoted + 1].tolist()):
+                    if begin >= read:  # the line starts a record, which csv.reader reads to its end
+                        read = begin
+                        next(records)
+                        if read > after:
+                            across.append((begin, begin + len(data[begin:read].rstrip(b"\r\n"))))
+            if not stop or read > stop:  # no such line in hand, or a record goes on past it: read on
+                read, span = 0, len(data) + size
+                continue
+            span, done, read = size, done + _write_records(out, window, across, labels[done:]), stop
+
+
+def _line_ends(window: np.ndarray) -> np.ndarray:
+    """A mask of the LF and CR bytes of window."""
+    return (window == ord("\n")) | (window == ord("\r"))
+
+
+def _write_records(out, window: np.ndarray, across, labels: np.ndarray) -> int:
+    """Write to out each record of window, a text (spanning each (first byte, text end) of across)
+    and a run of line-end bytes (none at the end of the source), with the next label; count them.
+    Its window-sized arrays are freed on return, before the next window is read."""
+    ends = _line_ends(window)
+    for begin, end in across:
+        ends[begin:end] = False
+    edges = np.flatnonzero(ends[1:] != ends[:-1]) + 1
+    del ends  # one window-sized mask at a time
+    sizes = np.diff(edges, prepend=0, append=[window.size] * 2)
+    texts, gaps = sizes[:-1:2], sizes[1::2]
+    sign = labels[: texts.size] < 0
+    # after its text a record takes its line-end bytes, widened to fit ",1\n" or ",-1\n" over their end
+    suffix = 3 + sign
+    room = np.maximum(gaps, suffix)
+    tails = np.cumsum(texts + room)
+    labelled, copied = np.empty(tails[-1], np.uint8), np.ones(tails[-1], bool)
+    for back in range(1, 5):  # the widening
+        copied[tails[room - gaps >= back] - back] = False
+    labelled[copied] = window
+    del copied
+    labelled[tails - 1], labelled[tails - 2] = ord("\n"), ord("1")
+    labelled[tails - 3] = np.where(sign, ord("-"), ord(","))
+    labelled[tails[sign] - 4] = ord(",")
+    # and line-end bytes that the suffix does not cover are left out
+    extra = np.column_stack((tails - room, tails - suffix))[gaps > suffix]
+    out.writelines(np.split(labelled, extra.ravel())[::2])
+    return texts.size
 
 
 def _polar_normals(rng: np.random.Generator):

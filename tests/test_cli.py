@@ -36,7 +36,7 @@ from irlsvm.cli import MAX_GRID_POINTS, _grid, _options_from_args, _spec_from_ar
 from irlsvm.core import DEFAULT_EPSILON
 from irlsvm.linalg import SingularSystemError
 
-from helpers import ITERATIVE_COMBOS, ITERATIVE_IDS, make_dataset
+from helpers import ITERATIVE_COMBOS, ITERATIVE_IDS, make_dataset, traced_peak
 
 
 @pytest.fixture
@@ -336,6 +336,18 @@ def test_sweep_artifacts(data_csv, tmp_path):
         hyper = list(csv.reader(handle))
     assert hyper[0] == ["parameter", "value", "alpha", "beta_1", "beta_2"]
     assert len(hyper) == 6
+
+
+def test_sweep_holds_its_design_and_little_more(tmp_path):
+    # the design, one parsed block of the load and one block of each pass or accuracy count;
+    # the n x q features that the training accuracies were once counted on took 3.1 MiB more
+    data, out_dir = tmp_path / "d.csv", tmp_path / "sweep"
+    write_dataset_csv(generate_gaussian_mixture(200_000, seed=5), data)
+    argv = ["sweep", "--loss", "hinge", "--penalty", "l2", "--lambda-grid", "0.1:0.1:0.2", "--iterations", "2"]
+    codes = []
+    peak = traced_peak(lambda: codes.append(main(argv + ["--data", str(data), "--out", str(out_dir)])))
+    assert codes == [0]
+    assert peak <= 3 * 200_000 * 8 + 2 * 2**20
 
 
 def test_sweep_matches_independent_fits(data_csv, tmp_path):
@@ -835,6 +847,25 @@ def test_predict_writes_a_pipe_in_place(tmp_path):
     reader.join(timeout=10)
     assert got == [b"x1,x2,predicted\n1,2,1\n"]
     assert stat.S_ISFIFO(pipe.stat().st_mode)
+
+
+def test_fit_and_predict_read_a_pipe(data_csv, tmp_path):
+    # the loader counts the lines of --data before it parses them, and predict parses them, then
+    # copies them: a pipe's bytes are read in full for the two passes, and the outputs are a file's
+    pipe = tmp_path / "d.fifo"
+    os.mkfifo(pipe)
+    fit_argv = ["fit", "--loss", "hinge", "--penalty", "l2", "--out"]
+    predict_argv = ["predict", "--model", str(tmp_path / "f.model"), "--out"]
+    assert main(fit_argv + [str(tmp_path / "f.model"), "--data", str(data_csv)]) == 0
+    assert main(predict_argv + [str(tmp_path / "f.csv"), "--data", str(data_csv)]) == 0
+    for argv, out in ((fit_argv, "p.model"), (predict_argv, "p.csv")):
+        writer = threading.Thread(target=lambda: pipe.write_bytes(data_csv.read_bytes()), daemon=True)
+        writer.start()
+        assert main(argv + [str(tmp_path / out), "--data", str(pipe)]) == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+    for name in ("model", "trajectory.csv", "csv"):
+        assert (tmp_path / f"p.{name}").read_bytes() == (tmp_path / f"f.{name}").read_bytes()
 
 
 def test_fit_reports_non_finite_cell_by_record_number(tmp_path, capsys):

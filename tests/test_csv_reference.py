@@ -7,6 +7,7 @@ rejected late; the predict writer runs a third time in windows of 48 bytes,
 which records, CRLF pairs and multi-line quoted records straddle."""
 
 import csv
+import io
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
@@ -130,7 +131,7 @@ def _check_feature_loader_and_predict_writer(tmp_path, text):
 
     labels = np.where(np.arange(len(rows)) % 3 == 0, 1.0, -1.0)
     ref.write_labelled_copy(path.read_bytes(), header, labels, tmp_path / "expected.csv")
-    _write_labelled_copy(path.read_bytes(), header, labels, tmp_path / "got.csv")
+    _write_labelled_copy(io.BytesIO(path.read_bytes()), header, labels, tmp_path / "got.csv")
     got_bytes = (tmp_path / "got.csv").read_bytes()
     assert got_bytes == (tmp_path / "expected.csv").read_bytes()
     if '"' not in text and "\r" not in text:

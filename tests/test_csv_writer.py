@@ -14,6 +14,7 @@ import csv_reference as ref
 from irlsvm import Dataset, FitOptions, Init, Loss, Penalty, RiskSpec, fit, generate_gaussian_mixture, predict_batch
 from irlsvm import write_dataset_csv, write_trajectory_csv
 from irlsvm.cli import main
+from irlsvm.core import _BLOCK_ROWS
 from irlsvm.data_io import _TEXT, _float_cells
 
 from helpers import make_dataset
@@ -134,8 +135,10 @@ def test_trajectory_file_matches_reference(tmp_path):
     assert_same_file(tmp_path, write_trajectory_csv, ref.write_trajectory_csv, result)
 
 
-def test_sweep_summary_and_hyperplanes_match_reference(tmp_path):
-    dataset = make_dataset(seed=8, n=60, q=2)
+# the training accuracies are counted a design block at a time: in one block, and in three
+@pytest.mark.parametrize("n", [60, 2 * _BLOCK_ROWS + 123])
+def test_sweep_summary_and_hyperplanes_match_reference(tmp_path, n):
+    dataset = make_dataset(seed=8, n=n, q=2)
     data, out = tmp_path / "d.csv", tmp_path / "sweep"
     write_dataset_csv(dataset, data)
     argv = ["sweep", "--loss", "logistic", "--penalty", "l2", "--lambda-grid", "0:0.1:0.3", "--init", "zero"]

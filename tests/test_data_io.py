@@ -1,4 +1,5 @@
 import hashlib
+import io
 import pathlib
 import re
 
@@ -190,15 +191,21 @@ def test_generator_holds_little_besides_its_output(n, q):
     assert peak <= 1.25 * output + 2**20
 
 
-@pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
-def test_predict_reads_its_source_once_and_holds_it_and_one_block(tmp_path, monkeypatch, eol):
-    # beside the source's bytes (8.5 MB with LF endings) the step holds one parsed block, a byte
-    # per label and one window of the copy, whatever the line endings. A parse of the whole file,
-    # then a second read for the copy, held 6.3 and 8.6 MiB more
-    n = 200_000
+def _source_csv(tmp_path, n, eol):
+    """A generated dataset of n samples as a CSV whose lines end at eol."""
     source = tmp_path / "d.csv"
     write_dataset_csv(generate_gaussian_mixture(n, seed=3), source)
     source.write_bytes(source.read_bytes().replace(b"\n", eol))
+    return source
+
+
+@pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_predict_reads_its_source_once_and_holds_one_block_and_one_window(tmp_path, monkeypatch, eol):
+    # of the source (8.5 MB with LF endings) the step holds one parsed block, a byte per label and
+    # one window of the copy, whatever the line endings. Holding the source's bytes through the parse
+    # and the copy took 7.3 MiB more; a parse of the whole file, then a second read, more again
+    n = 200_000
+    source = _source_csv(tmp_path, n, eol)
     opened, path_open = [], pathlib.Path.open
 
     def counted_open(self, *args, **kwargs):
@@ -210,8 +217,70 @@ def test_predict_reads_its_source_once_and_holds_it_and_one_block(tmp_path, monk
     out = tmp_path / "p.csv"
     peak = traced_peak(lambda: data_io.write_predictions_csv(theta, source, out))
     assert opened.count(source) == 1
-    assert peak <= source.stat().st_size + 3 * 2**20
+    assert peak <= 3 * 2**20
     assert out.read_bytes().count(b"\n") == n + 1
+
+
+@pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_load_holds_the_design_and_one_block(tmp_path, eol):
+    # the design, sized by the file's lines, and one parsed block (1.2 MiB); keeping every block
+    # until the last, as a design sized by the blocks' rows must, held 4.7 MiB more at this n
+    n = 200_000
+    source, held = _source_csv(tmp_path, n, eol), {}
+    peak = traced_peak(lambda: held.update(ds=load_dataset_csv(source)))
+    assert held["ds"].n == n
+    assert peak <= held["ds"]._design.nbytes + 2 * 2**20
+
+
+@pytest.mark.parametrize("cells", [1, 2, data_io._WRITE_CELLS])
+def test_line_count_counts_the_lines_csv_reads(cells, monkeypatch):
+    # an LF, a CRLF, a lone CR or the end of the bytes ends a line; the count reads _WRITE_CELLS *
+    # _CELL bytes at a time (48 for one cell), and a CRLF may straddle two reads
+    monkeypatch.setattr(data_io, "_WRITE_CELLS", cells)
+    texts = [b"", b"x", b"\r", b"\n", b"\r\n", b"\n\r", b"x\r\r\ny\rz\n\n", b"x\ry", b"x,y\r\n1,1\r\n\r\n-1,-1"]
+    texts += [b"x" * k + end + b"y" * tail for k in range(100) for end in (b"\r\n", b"\r", b"\r\r\n") for tail in (0, 1)]
+    for text in texts:
+        lines = sum(1 for _ in io.TextIOWrapper(io.BytesIO(text), encoding="utf-8", newline=""))
+        assert data_io._line_count(io.BytesIO(text)) == lines, text
+
+
+# lines that hold no record of their own: blank lines, line breaks in quoted cells; a design sized by
+# the file's lines is copied down to the records that come, whose values, errors and row numbers
+# are as before. In blocks of two rows, and with the line count read 48 bytes at a time, as well
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("x1,y\n1,1\n\n\n-1,-1\n\n", [1, -1]),
+        ("x1,y\r\n1,1\r\n\r\n-1,-1\r\n", [1, -1]),
+        ("x1,y\r1,1\r\r\r-1,-1", [1, -1]),
+        ('"x\n1",y\n1,1\n-1,-1\n', [1, -1]),
+        ('x1,y\n"1\n",1\n" -1",-1\n-1,"-1\r\n"\n', [1, -1, -1]),
+        ("x1,y\n1,1\n-1,-1", [1, -1]),
+        ("x1  ,y\r\n" + "1,1\r\n-1,-1\r\n" * 30, [1, -1] * 30),
+        ("x1,x2,y\n1,2,1\n\n\n1,oops,-1\n", "non-numeric cell at row 4, column 'x2'"),
+        ("x1,y\r\n1,1\r\n\r\n2,0\r\n", "label at row 3 is '0', must be -1 or 1"),
+        ('x1,y\n"1\n\n",1\n\n-1,inf\n', "label at row 3 is 'inf', must be -1 or 1"),
+        ("x1,y\n\n\r\n", "no samples"),
+    ],
+    ids=[
+        "blank-lines", "crlf-blank-lines", "lone-cr-blank-lines-and-no-final-line-end", "quoted-header-line-break",
+        "quoted-line-breaks", "no-final-line-end", "crlf-at-a-count-chunk-boundary", "bad-cell-after-blank-lines",
+        "bad-label-after-blank-lines", "bad-label-after-quoted-line-breaks", "blank-lines-only",
+    ],
+)
+def test_load_copies_a_design_sized_by_lines_down_to_its_records(tmp_path, monkeypatch, text, expected):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+    for block_rows, cells in [(data_io._BLOCK_ROWS, data_io._WRITE_CELLS), (2, 1)]:
+        monkeypatch.setattr(data_io, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(data_io, "_WRITE_CELLS", cells)
+        if isinstance(expected, str):
+            with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {expected}')}$"):
+                load_dataset_csv(path)
+            continue
+        ds = load_dataset_csv(path)
+        assert ds.labels.tolist() == expected and ds.features.tolist() == [[v] for v in expected]
+        assert ds._design.flags.c_contiguous and not ds._design.flags.writeable
 
 
 def test_trajectory_reader_reports_a_cell_over_the_csv_field_limit(tmp_path):
