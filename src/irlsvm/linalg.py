@@ -18,6 +18,9 @@ import numpy as np
 JITTER_SCALE = 1e-10
 JITTER_RETRIES = 3
 JITTER_GROWTH = 10.0
+# A Cholesky pivot L_ii^2 below PIVOT_FLOOR * A_ii is what rounding leaves of a zero pivot: the
+# system is numerically singular, and its solution would drift along the null direction.
+PIVOT_FLOOR = 1e-14
 
 
 class SingularSystemError(RuntimeError):
@@ -78,8 +81,9 @@ def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> SpdSolution:
     Cholesky factorization A = L L' and the two triangular solves on L and
     L', with a ridge-jitter fallback.
 
-    If the factorization fails (A singular or numerically indefinite), a
-    diagonal delta*I is added with delta = JITTER_SCALE * trace(A)/(q+1),
+    If the factorization fails (A singular or numerically indefinite) or
+    leaves a pivot at rounding level (PIVOT_FLOOR), a diagonal delta*I is
+    added with delta = JITTER_SCALE * trace(A)/(q+1),
     retrying with delta growing tenfold, before giving up. A non-finite A or
     b, e.g. from an overflowing Gram matrix, fails at once.
     """
@@ -92,7 +96,11 @@ def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> SpdSolution:
     for attempt in range(JITTER_RETRIES + 1):
         # a solution that overflows is retried with more jitter, like a failed factorization
         try:
-            lower = np.linalg.cholesky(a + jitter * np.eye(a.shape[0]) if jitter else a)
+            ridged = a + jitter * np.eye(a.shape[0]) if jitter else a
+            lower = np.linalg.cholesky(ridged)
+            # compared as L_ii against sqrt(PIVOT_FLOOR * A_ii), which cannot overflow
+            if (np.diag(lower) < np.sqrt(PIVOT_FLOOR * np.diag(ridged))).any():
+                raise np.linalg.LinAlgError("numerically zero pivot")
             x = np.linalg.solve(lower.T, _forward_substitution(lower, b))
         except np.linalg.LinAlgError:
             pass

@@ -399,6 +399,21 @@ def test_fit_counts_jittered_solves():
     assert fit(RiskSpec(Loss.SQUARED_HINGE, Penalty.L2, lam=0.1), ds, FitOptions(max_iterations=3)).jittered_solves == 0
 
 
+def test_constant_column_without_penalty_is_jittered_and_descends():
+    # a constant feature repeats the intercept's column up to rounding, so with lam = 0 every logistic
+    # system is singular; a pivot left positive by rounding is jittered like a failed one, and the
+    # iterate does not drift along the null direction, where rounding in the margins raised the risk
+    rng = np.random.default_rng(130)
+    features = rng.normal(size=(12, 3))
+    features[:, -1] = features[0, -1]
+    ds = Dataset(features=features, labels=rng.choice([-1.0, 1.0], size=12))
+    spec = RiskSpec(Loss.LOGISTIC, Penalty.L2, lam=0.0)
+    result = fit(spec, ds, FitOptions(max_iterations=20, risk_tolerance=0.0, init=Init.ZERO))
+    assert result.jittered_solves == 20
+    track = result.smoothed_risk_trajectory
+    assert (np.diff(track) <= DESCENT_SLACK * (1.0 + np.abs(track[:-1]))).all()
+
+
 @pytest.fixture(scope="module", params=[_BLOCK_ROWS, 2 * _BLOCK_ROWS + 123], ids=["one-block", "three-blocks"])
 def blocked(request):
     return make_dataset(seed=29, n=request.param, q=3)

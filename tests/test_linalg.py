@@ -104,6 +104,14 @@ def test_solve_spd_jitter_rescues_singular_system():
     assert abs(sol.x[1]) <= 1e-3
 
 
+def test_solve_spd_jitters_a_pivot_left_by_rounding():
+    # the factor exists, but its second pivot is 2^-52 of its diagonal entry: rounding, not rank
+    sol = solve_spd(np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-52]]), np.array([1.0, 1.0]))
+    assert sol.jitter_used and sol.jitter > 0
+    # the ridge's solution: along the null direction (1, -1) only rounding over the jitter, ~eps/1e-10
+    assert_allclose(sol.x, [0.5, 0.5], rtol=0, atol=1e-5)
+
+
 def test_solve_spd_residual_bound_on_conditioned_instances():
     rng = np.random.default_rng(10)
     for _ in range(25):
