@@ -481,19 +481,25 @@ def _polar_normals(rng: np.random.Generator):
     pairs with u^2 + v^2 outside (0, 1) are rejected; accepted pairs yield two
     normals each, in stream order. The normals therefore depend only on the
     generator stream, not on the batch size, which bounds the memory the
-    transform needs.
+    transform needs. A batch selects its accepted pairs whole and scales them in place.
     """
     pairs = np.empty((_WRITE_CELLS, 2))
+    points, (a, b) = pairs.view(complex).reshape(-1), pairs.T  # a pair is one complex element
     while True:
         rng.random(out=pairs)
         pairs *= 2.0
         pairs -= 1.0
-        a, b = pairs.T
-        s = a * a + b * b
-        keep = (s > 0.0) & (s < 1.0)
-        s = s[keep]  # contiguous: numpy may round log and sqrt otherwise on strided data
-        factor = np.sqrt(-2.0 * np.log(s) / s)
-        yield (pairs[keep] * factor[:, None]).reshape(-1)
+        s = a * a
+        s += b * b
+        keep = np.flatnonzero((s > 0.0) & (s < 1.0))
+        s = s.take(keep)  # contiguous: numpy may round log and sqrt otherwise on strided data
+        factor = np.log(s)
+        factor *= -2.0
+        factor /= s
+        accepted = points.take(keep)
+        # (u + iv) * f is u*f - v*0 + i(u*0 + v*f): each part rounds as u*f and v*f alone
+        accepted *= np.sqrt(factor, out=factor)
+        yield accepted.view(float)
 
 
 def generate_gaussian_mixture(n: int, mean_neg=(-1.0, -1.0), mean_pos=(1.0, 1.0), seed: int = 0) -> Dataset:
@@ -509,10 +515,12 @@ def generate_gaussian_mixture(n: int, mean_neg=(-1.0, -1.0), mean_pos=(1.0, 1.0)
     """
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2 or n % 2:
         raise ValueError(f"n must be a positive even integer, got {n!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     mean_neg = np.asarray(mean_neg, dtype=float).ravel()
     mean_pos = np.asarray(mean_pos, dtype=float).ravel()
-    if mean_neg.shape != mean_pos.shape:
-        raise ValueError("class means must have equal length")
+    if mean_neg.shape != mean_pos.shape or not mean_neg.size:
+        raise ValueError("class means must be non-empty and of equal length")
     if not (np.isfinite(mean_neg).all() and np.isfinite(mean_pos).all()):
         raise ValueError("class means must be finite")
     q, half = mean_neg.shape[0], n // 2

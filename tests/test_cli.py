@@ -261,6 +261,14 @@ def test_simulate_writes_balanced_dataset(tmp_path):
     assert int((ds.labels == 1).sum()) == 25
 
 
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+def test_simulate_rejects_a_negative_or_fractional_seed(tmp_path, capsys, seed):
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--n", "50", "--seed", seed, "--out", str(out)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _simulate_fit_predict(tmp_path, n):
     """The console-script run CI pins: n simulated samples, and the predictions of a hinge + l2 fit on them."""
     data, model, predictions = tmp_path / "data.csv", tmp_path / "model.model", tmp_path / "predictions.csv"

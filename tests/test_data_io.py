@@ -1,5 +1,6 @@
 import hashlib
 import io
+import math
 import pathlib
 import re
 
@@ -148,9 +149,55 @@ def test_generator_rejects_odd_n():
     assert generate_gaussian_mixture(np.int64(10), seed=0).n == 10
     with pytest.raises(ValueError, match="equal length"):
         generate_gaussian_mixture(4, mean_neg=(0.0,), mean_pos=(1.0, 1.0))
+    # q = 0 would divide the stage size by zero: the means are named before any draw
+    with pytest.raises(ValueError, match="^class means must be non-empty and of equal length$"):
+        generate_gaussian_mixture(4, mean_neg=(), mean_pos=())
     # the Dataset would reject the samples too, but the generator names the argument at fault
     with pytest.raises(ValueError, match="^class means must be finite$"):
         generate_gaussian_mixture(4, mean_neg=(0.0, np.nan), mean_pos=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+def test_generator_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    # numpy would reject -1 without naming it, raise a TypeError for 1.5 and take True as 1
+    with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"):
+        generate_gaussian_mixture(4, seed=seed)
+
+
+def test_generator_takes_a_numpy_integer_seed():
+    expected = generate_gaussian_mixture(10, seed=3)
+    assert generate_gaussian_mixture(10, seed=np.int64(3)).features.tobytes() == expected.features.tobytes()
+
+
+def _marsaglia_normals(seed, count):
+    """The first count normals of the polar method run pair by pair in Python on
+    the PCG64 uniforms of seed, in stream order."""
+    rng, out = np.random.Generator(np.random.PCG64(seed)), []
+    while len(out) < count:
+        u, v = 2.0 * rng.random() - 1.0, 2.0 * rng.random() - 1.0
+        s = u * u + v * v
+        if 0.0 < s < 1.0:
+            factor = math.sqrt(-2.0 * math.log(s) / s)
+            out += [u * factor, v * factor]
+    return np.array(out[:count])
+
+
+@pytest.mark.parametrize("cells", [None, 1, 3])
+def test_polar_normals_follow_the_stream_pair_by_pair(monkeypatch, cells):
+    # one pair per batch meets batches that accept nothing; three pairs per batch put
+    # batch ends inside the generator's one-sample stages
+    if cells is not None:
+        monkeypatch.setattr(data_io, "_WRITE_CELLS", cells)
+    count = 3000
+    expected = _marsaglia_normals(17, count)
+    drawn, normals = [], data_io._polar_normals(np.random.Generator(np.random.PCG64(17)))
+    while sum(map(len, drawn)) < count:
+        drawn.append(next(normals))
+    # numpy's log and sqrt may round otherwise than the C library's, by an ulp or so
+    ulps = 4 * np.spacing(np.abs(expected))
+    assert np.all(np.abs(np.concatenate(drawn)[:count] - expected) <= ulps)
+    ds = generate_gaussian_mixture(count // 3, mean_neg=np.zeros(3), mean_pos=np.zeros(3), seed=17)
+    assert np.all(np.abs(ds.features.reshape(-1) - expected) <= ulps)
 
 
 def test_generator_custom_means():
@@ -163,6 +210,20 @@ def test_generator_bytes_are_pinned_at_fifty_features():
     ds = generate_gaussian_mixture(1000, mean_neg=-0.2 * np.ones(50), mean_pos=0.2 * np.ones(50), seed=0)
     digest = hashlib.sha256(ds.features.tobytes() + ds.labels.tobytes()).hexdigest()
     assert digest == "fd9d41b9a28097becd3eff7dcd89cc7e2d9fa6046f2b347813ee0da52bcac3e1"
+
+
+@pytest.mark.parametrize(
+    "q, expected",
+    [
+        (1, "76de181ceca15120ce18707b3e350226c1aaae3a6782d8934b486e5e5c276f93"),
+        (2, "4829e3cc2c90e42c0ffe5ee82f06fec27a8c7fc3518fdca8a9679defbd265bb3"),
+    ],
+)
+def test_generator_bytes_are_pinned_at_one_and_two_features(q, expected):
+    # CI's draw (n = 40 000, seed 2017): several batches of pairs, and stages that
+    # end inside a batch
+    ds = generate_gaussian_mixture(40_000, mean_neg=-np.ones(q), mean_pos=np.ones(q), seed=2017)
+    assert hashlib.sha256(ds.features.tobytes() + ds.labels.tobytes()).hexdigest() == expected
 
 
 @pytest.mark.parametrize("q", [1, 2, 50])
