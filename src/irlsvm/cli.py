@@ -15,14 +15,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_EPSILON, Loss, Penalty, RiskSpec, _feature_rows, monitor_kind, predict_batch
+from .core import DEFAULT_EPSILON, Loss, Penalty, RiskSpec, _check_finite_rows, _feature_rows, _rows_within
+from .core import monitor_kind, predict_batch
 from .data_io import (
+    _MEAN_NEG,
+    _MEAN_POS,
     DataError,
+    _mixture_blocks,
     _write_rows,
-    generate_gaussian_mixture,
+    _write_samples,
     load_dataset_csv,
     read_model,
-    write_dataset_csv,
     write_model,
     write_predictions_csv,
     write_trajectory_csv,
@@ -212,9 +215,17 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    dataset = generate_gaussian_mixture(args.n, seed=args.seed)
-    write_dataset_csv(dataset, args.out)
-    print(f"wrote {dataset.n} samples ({dataset.n // 2} per class) to {args.out}")
+    q, blocks = _mixture_blocks(args.n, _MEAN_NEG, _MEAN_POS, args.seed)
+
+    def checked():  # each block checked as a Dataset checks it, and written as it comes: no design is built
+        start = 0
+        for labels, rows in blocks:
+            _check_finite_rows(rows, start)
+            start += len(rows)
+            yield labels, rows.T
+
+    _write_samples(args.out, q, checked())
+    print(f"wrote {args.n} samples ({args.n // 2} per class) to {args.out}")
     return EXIT_OK
 
 
@@ -239,9 +250,10 @@ def _cmd_sweep(args) -> int:
 
     field = "lam" if param == "lambda" else "mu"
     results = [fit(dataclasses.replace(spec_base, **{field: value}), dataset, options) for value in grid]
-    # counted a design block at a time, its rows rebuilt as Dataset.features rebuilds them: no n x q copy
+    # counted a design block at a time (at most _BLOCK_BYTES of rows), rebuilt as Dataset.features rebuilds them
+    rows = _rows_within(dataset.q)
     accuracies = [
-        sum(np.count_nonzero(predict_batch(r.theta, _feature_rows(b)) == b[0]) for b in dataset._blocks()) / dataset.n
+        sum(np.count_nonzero(predict_batch(r.theta, _feature_rows(b)) == b[0]) for b in dataset._blocks(rows)) / dataset.n
         for r in results
     ]
 

@@ -45,6 +45,17 @@ DEFAULT_EPSILON = 1e-6
 # stay in cache, many enough that the Python loop over blocks costs little (at n = 10^6, q = 2 a
 # block is 1/61 of the design and its weighted copy in the engine's Gram accumulation 384 KiB).
 _BLOCK_ROWS = 1 << 14
+# Bytes of each block-sized buffer whose rows hold q or q + 1 values (a weighted Gram block, a parsed
+# CSV block, feature rows rebuilt from the design): a whole block up to q = 15, fewer rows beyond, so
+# that the working memory does not grow with q. On 2 vCPUs a q = 50 hinge pass was no slower at 2 MiB
+# than with whole blocks (6.4 MiB), and slower at 1 MiB and at 384 KiB.
+_BLOCK_BYTES = 1 << 21
+
+
+def _rows_within(width: int, rows: int = _BLOCK_ROWS) -> int:
+    """The rows of a buffer of width doubles a row: rows, or as many as fit in _BLOCK_BYTES if fewer (at least 1)."""
+    return max(1, min(rows, _BLOCK_BYTES // (8 * width)))
+
 
 def _check_finite_rows(values: np.ndarray, first: int = 0, what: str = "feature") -> None:
     """Raise ValueError naming the first row, counted from first, that holds a non-finite
@@ -88,7 +99,8 @@ class Dataset:
             raise ValueError(f"need n >= 1 samples and q >= 1 features, got n={n}, q={q}")
         if labels.shape[0] != n:
             raise ValueError(f"{n} feature rows but {labels.shape[0]} labels")
-        rows = (slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS))
+        step = _rows_within(q)  # _fill's finiteness check makes a mask of each block
+        rows = (slice(start, start + step) for start in range(0, n, step))
         self._fill(n, q, ((labels[block], features[block]) for block in rows))
 
     @classmethod
@@ -120,9 +132,9 @@ class Dataset:
         object.__setattr__(self, "_design", design)
         return self
 
-    def _blocks(self):
-        """The design's (q+1) x b column blocks of _BLOCK_ROWS samples (fewer in the last), in order."""
-        return (self._design[:, start : start + _BLOCK_ROWS] for start in range(0, self.n, _BLOCK_ROWS))
+    def _blocks(self, rows: int = _BLOCK_ROWS):
+        """The design's (q+1) x b column blocks of rows samples (fewer in the last), in order."""
+        return (self._design[:, start : start + rows] for start in range(0, self.n, rows))
 
     def __setattr__(self, name, value=None):
         raise AttributeError("Dataset is immutable")

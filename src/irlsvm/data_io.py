@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _BLOCK_ROWS, Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec, _predictions
+from .core import _BLOCK_ROWS, Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec, _predictions, _rows_within
 
 MODEL_FORMAT = "irlsvm-model/1"
 LABEL_COLUMN = "y"
@@ -72,10 +72,10 @@ def open_input(path, binary: bool = False):
 
 @contextlib.contextmanager
 def open_output(path):
-    """Open path for writing UTF-8 text, line endings as given; an OSError
-    while opening, writing or closing it becomes a DataError naming path."""
+    """Open path for writing bytes; an OSError while opening, writing or
+    closing it becomes a DataError naming path."""
     try:
-        with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        with Path(path).open("wb") as handle:
             yield handle
     except OSError as err:
         raise DataError(f"{path}: cannot write: {err.strerror or err}") from err
@@ -107,7 +107,8 @@ def _replacing(path):
 
 def _csv_blocks(path, handle, labeled: bool = False):
     """The header of the CSV text on handle, and a generator of the rows after it
-    as (labels, features) blocks of up to _BLOCK_ROWS rows; every column but "y"
+    as (labels, features) blocks of up to _BLOCK_ROWS rows, fewer where a parsed
+    block would exceed _BLOCK_BYTES (core._rows_within); every column but "y"
     is a feature, and labeled=True requires labels of -1 or 1 (else they are None).
     numpy's C reader parses each block where the last stopped (comments=None keeps
     a "#" from cutting a row short). At the first block it rejects, or that fails a
@@ -125,13 +126,15 @@ def _csv_blocks(path, handle, labeled: bool = False):
     if not feature_idx:
         raise DataError(f"{path}: no feature columns")
 
+    rows = _rows_within(len(header), _BLOCK_ROWS)
+
     def blocks():
-        done, count = 0, _BLOCK_ROWS
-        while count == _BLOCK_ROWS:  # a short block is the last
+        done, count = 0, rows
+        while count == rows:  # a short block is the last
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)  # an empty read is a block of no rows
-                    values = np.loadtxt(handle, delimiter=",", comments=None, quotechar='"', ndmin=2, max_rows=_BLOCK_ROWS)
+                    values = np.loadtxt(handle, delimiter=",", comments=None, quotechar='"', ndmin=2, max_rows=rows)
                 values = values.reshape(len(values), len(header))  # another width fails; an empty read is (0, 1)
                 # row-major, as predict_batch's sums depend on the layout and must repeat bit for bit
                 features = values.take(feature_idx, axis=1)
@@ -256,17 +259,31 @@ def _scaled_digits(mant, shift, k):
     """round-half-even(mant * 5**k / 2**shift) for 53-bit mant, k in [1, 27]
     and shift in [1, 62]: the product, below 2**116, is hi * 2**64 + lo, its
     32-bit limb products each below 2**64."""
+    # in place where an operand is done with, so that few arrays of mant's size are live at once
     m0, m1 = mant & 0xFFFFFFFF, mant >> 32
-    power = np.take(_POW5, k)
-    p0, p1 = power & 0xFFFFFFFF, power >> 32
-    mid = m1 * p0 + m0 * p1  # below 2**53 + 2**63
-    low = m0 * p0
-    lo = low + (mid << 32)  # wraps modulo 2**64; the carry goes to hi
-    hi = m1 * p1 + (mid >> 32) + (lo < low)
+    low = np.take(_POW5, k)
+    hi = low >> 32  # p1
+    low &= 0xFFFFFFFF  # p0
+    mid = m1 * low
+    mid += m0 * hi  # below 2**53 + 2**63
+    hi *= m1
+    low *= m0
+    del m0, m1
+    lo = mid << 32
+    lo += low  # wraps modulo 2**64; the carry goes to hi
+    hi += mid >> 32
+    hi += lo < low
+    del mid, low
     scale = np.left_shift(1, 64 - shift, dtype=np.uint64)
-    digits = hi * scale + (lo >> shift)  # the quotient is below 2**64, so hi loses only 0 bits
-    rest = lo * scale  # the bits shifted out, at the top of a word
-    return digits + ((rest | (digits & 1)) > 2**63)  # up above a half, or at a half when odd
+    digits = hi
+    digits *= scale  # the quotient is below 2**64, so hi loses only 0 bits
+    digits += lo >> shift
+    rest = lo
+    rest *= scale  # the bits shifted out, at the top of a word
+    del scale
+    rest |= digits & 1
+    digits += rest > 2**63  # up above a half, or at a half when odd
+    return digits
 
 
 def _decimal(magnitude):
@@ -296,12 +313,18 @@ def _decimal(magnitude):
         down, lower = down[lower < 10**17], lower[lower < 10**17]
         e10[down] -= 1
         digits[down] = lower
+    del mant, exp
 
+    digits = digits.view(np.int64)  # below 10**17: signed, so that np.take needs no copy of the groups
     high = digits // 10**8
     lead = high // 10**8
-    halves = np.stack([high - lead * 10**8, digits - high * 10**8])
-    quarters = halves // 10**4
-    groups = np.stack([quarters, halves - quarters * 10**4], axis=1).reshape(4, -1)
+    digits -= high * 10**8  # the last 8 digits
+    high -= lead * 10**8  # the 8 after the lead digit
+    groups = np.empty((4, len(digits)), np.int64)
+    for row, half in ((0, high), (2, digits)):
+        np.floor_divide(half, 10**4, out=groups[row])
+        np.subtract(half, groups[row] * 10**4, out=groups[row + 1])
+    del high, digits
     group_words, group_zeros = _tables()[:2]
     return lead, np.take(group_words, groups), np.take(group_zeros, groups), e10 - _MIN_EXP
 
@@ -314,16 +337,19 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     zero = magnitude == 0
     np.copyto(magnitude, 1.0, where=~exact)  # a zero is formatted as 1, then its digit set to 0
     lead, words, zeros, row = _decimal(magnitude)
+    del magnitude
     trailing = zeros[3]
     for j, full in ((2, 4), (1, 8), (0, 12)):
         trailing = trailing + (trailing == full) * zeros[j]
     keep = np.maximum(16 - trailing, np.take(_POINT_AFTER, row))  # the last digit written
     # word j of every cell in row j, so that each operation is contiguous
     lead_words, mask_words, frame_words = _tables()[2:]
-    cells = np.take(frame_words, row * 17 + keep, axis=1)
-    cells[0] |= np.take(lead_words, lead * ~zero + (values.view(np.uint64) >> 63) * 10)
     words &= np.take(mask_words, keep, axis=1)
+    cells = np.take(frame_words, row * 17 + keep, axis=1)
+    del zeros, row, trailing, keep
+    cells[0] |= np.take(lead_words, lead * ~zero + np.signbit(values) * 10)
     cells[1:5] |= words
+    del lead, words
     cells = cells.T.copy().view(np.uint8)
     other = np.flatnonzero(~(exact | zero))
     if other.size:
@@ -336,30 +362,44 @@ def _write_rows(path, header, blocks) -> None:
     """Write the header, then the rows of each block in turn, a block being a
     list of columns: its row k is the k-th value of each column as '%.17g'
     text (so an integer below 2**50 as %d), or the column itself where it is
-    a str. Formatted about _WRITE_CELLS cells at a time."""
+    a str. Formatted about _WRITE_CELLS cells at a time (_row_bytes)."""
     with open_output(path) as handle:
-        handle.write(",".join(header) + "\n")
+        handle.write(",".join(header).encode() + b"\n")
         for columns in blocks:
             columns = [c if isinstance(c, str) else np.asarray(c, dtype=float) for c in columns]
             n = min(len(c) for c in columns if not isinstance(c, str))
             step = max(1, _WRITE_CELLS // len(columns))
             for start in range(0, n, step):
-                count = min(step, n - start)
-                stop = start + count
-                values = np.stack([np.zeros(count) if isinstance(c, str) else c[start:stop] for c in columns], 1)
-                cells = _float_cells(values.reshape(-1)).reshape(count, len(columns), _CELL)
-                for j, text in enumerate(columns):
-                    if isinstance(text, str):
-                        cells[:, j, :_TEXT] = np.frombuffer(text.encode().ljust(_TEXT, b"\0"), np.uint8)
-                cells[:, -1, _TEXT] = ord("\n")
-                handle.write(cells.tobytes().translate(None, b"\0").decode("ascii"))
+                handle.write(_row_bytes(columns, start, min(start + step, n)))
+
+
+def _row_bytes(columns, start: int, stop: int) -> bytes:
+    """The text of rows start to stop of _write_rows's columns, as ASCII bytes; each array is
+    dropped once the next step is done with it, so a chunk holds about two copies of its cells."""
+    values = np.stack([np.zeros(stop - start) if isinstance(c, str) else c[start:stop] for c in columns], 1)
+    cells = _float_cells(values.reshape(-1)).reshape(stop - start, len(columns), _CELL)
+    del values
+    for j, text in enumerate(columns):
+        if isinstance(text, str):
+            cells[:, j, :_TEXT] = np.frombuffer(text.encode().ljust(_TEXT, b"\0"), np.uint8)
+    cells[:, -1, _TEXT] = ord("\n")
+    text = cells.tobytes()
+    del cells
+    return text.translate(None, b"\0")
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
     """Write a dataset with columns x1..xq then y, its features computed
-    from the design (Dataset) _BLOCK_ROWS samples at a time."""
-    header = [f"x{j + 1}" for j in range(dataset.q)] + [LABEL_COLUMN]
-    _write_rows(path, header, ([*(block[1:] * block[0]), block[0]] for block in dataset._blocks()))
+    from the design (Dataset) a block at a time, at most _BLOCK_BYTES of them."""
+    blocks = dataset._blocks(_rows_within(dataset.q))
+    _write_samples(path, dataset.q, ((block[0], block[1:] * block[0]) for block in blocks))
+
+
+def _write_samples(path, q: int, blocks) -> None:
+    """Write the samples of (labels, features) blocks, features being q columns of b values
+    each (a q x b array), with columns x1..xq then y."""
+    header = [f"x{j + 1}" for j in range(q)] + [LABEL_COLUMN]
+    _write_rows(path, header, ([*features, labels] for labels, features in blocks))
 
 
 def write_predictions_csv(theta: ModelParams, source, path) -> int:
@@ -502,17 +542,28 @@ def _polar_normals(rng: np.random.Generator):
         yield accepted.view(float)
 
 
-def generate_gaussian_mixture(n: int, mean_neg=(-1.0, -1.0), mean_pos=(1.0, 1.0), seed: int = 0) -> Dataset:
+# the class means of the benchmark, which simulate draws around
+_MEAN_NEG, _MEAN_POS = (-1.0, -1.0), (1.0, 1.0)
+
+
+def generate_gaussian_mixture(n: int, mean_neg=_MEAN_NEG, mean_pos=_MEAN_POS, seed: int = 0) -> Dataset:
     """Two balanced spherical-Gaussian classes: the first n/2 samples carry
     label -1 around mean_neg, the rest label +1 around mean_pos.
 
     Deterministic given the seed: normals come from a PCG64 stream through
     the polar transform, filled row-major (sample by sample, coordinate by
-    coordinate). They are staged about _WRITE_CELLS at a time in a row-major
-    buffer, a batch's normals that do not fit carried to the next stage, and
-    each stage (normal + mean) goes with its labels to the Dataset, which
-    checks it and writes it into its design, so the output is never held twice.
+    coordinate). Each of _mixture_blocks' stages goes with its labels to the
+    Dataset, which checks it and writes it into its design, so the output is
+    never held twice.
     """
+    return Dataset._filled(n, *_mixture_blocks(n, mean_neg, mean_pos, seed))
+
+
+def _mixture_blocks(n: int, mean_neg, mean_pos, seed: int):
+    """q and a generator of generate_gaussian_mixture's samples as (labels, feature rows) blocks; the
+    arguments are checked first. The normals are staged about _WRITE_CELLS at a time in one row-major
+    buffer, a batch's normals that do not fit carried to the next stage, so each block is a view of
+    that buffer (normal + mean), valid until the next is drawn."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2 or n % 2:
         raise ValueError(f"n must be a positive even integer, got {n!r}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
@@ -540,7 +591,7 @@ def generate_gaussian_mixture(n: int, mean_neg=(-1.0, -1.0), mean_pos=(1.0, 1.0)
             block[negative:] += mean_pos
             yield np.where(np.arange(len(block)) < negative, -1.0, 1.0), block
 
-    return Dataset._filled(n, q, blocks())
+    return q, blocks()
 
 
 def _model_keys(q: int) -> list[str]:
@@ -557,7 +608,7 @@ def write_model(result: FitResult, spec: RiskSpec, path) -> None:
     numbers = [spec.lam, spec.mu, spec.epsilon, theta.alpha, *theta.beta, result.iterations_run, *terminal]
     values = [MODEL_FORMAT, spec.loss.value, spec.penalty.value, *(_FLOAT % number for number in numbers)]
     with open_output(path) as handle:
-        handle.writelines(f"{key} = {value}\n" for key, value in zip(_model_keys(theta.q), values, strict=True))
+        handle.writelines(f"{key} = {value}\n".encode() for key, value in zip(_model_keys(theta.q), values, strict=True))
 
 
 def read_model(path) -> tuple[ModelParams, RiskSpec]:

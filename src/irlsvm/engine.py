@@ -22,7 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import _BLOCK_ROWS, Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec, TerminationReason, _constant
+from .core import _BLOCK_ROWS, Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec, TerminationReason
+from .core import _constant, _rows_within
 from .linalg import SingularSystemError, _GramBlocks, solve_spd
 from .losses import _block_terms, _normal_equations, majorizer_value
 from .penalties import _penalty_terms, penalty_majorizer_value
@@ -74,10 +75,13 @@ class FitError(RuntimeError):
         self.smoothed_trajectory = np.asarray(smoothed_trajectory)
 
 
-def _pass_buffers(dataset: Dataset, update: bool) -> np.ndarray:
-    """Block buffers of a pass over the design: the margins, three loss-term
-    rows and, for an update, the q+1 rows of a weighted block."""
-    return np.empty((4 + (dataset.q + 1 if update else 0), min(dataset.n, _BLOCK_ROWS)))
+def _pass_buffers(dataset: Dataset, update: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Block buffers of a pass over the design: the margins and three loss-term
+    rows of a block and, for an update, the q+1 rows of the Gram's weighted copy,
+    as many columns of a block as fit in _BLOCK_BYTES (else None)."""
+    rows = min(dataset.n, _BLOCK_ROWS)
+    k = dataset.q + 1
+    return np.empty((4, rows)), np.empty((k, _rows_within(k, rows))) if update else None
 
 
 def _pass(
@@ -85,7 +89,7 @@ def _pass(
     vec: np.ndarray,
     dataset: Dataset,
     update: bool = True,
-    buffers: np.ndarray | None = None,
+    buffers: tuple[np.ndarray, np.ndarray | None] | None = None,
 ) -> tuple[float, float, tuple[np.ndarray, np.ndarray] | None]:
     """One pass over the row blocks of the dataset's design at the (alpha, beta) vector vec:
     the exact and smoothed risks there and, with update, the system (matrix, right-hand side)
@@ -93,20 +97,20 @@ def _pass(
 
     Every block's margins and loss terms go through the same block-sized
     buffers (_pass_buffers; fit hands every pass the same ones, so a fit
-    allocates them once), so the pass allocates no n-length array.
+    allocates them once), so the pass allocates no n-length array, and an
+    update's weighted copy of a block is at most _BLOCK_BYTES at any q.
     """
     k = dataset.q + 1
     if vec.shape[0] != k:
         raise ValueError(f"theta has {vec.shape[0] - 1} features but data has {dataset.q}")
-    if buffers is None:
-        buffers = _pass_buffers(dataset, update)
+    rows, work = _pass_buffers(dataset, update) if buffers is None else buffers
     gram = None
     rhs = np.zeros(k)
     loss_sum = smoothed_sum = 0.0
     for block in dataset._blocks():
         b = block.shape[1]
-        m = np.matmul(block.T, vec, out=buffers[0, :b])
-        scratch = buffers[1:4, :b]
+        m = np.matmul(block.T, vec, out=rows[0, :b])
+        scratch = rows[1:4, :b]
         block_loss, block_smoothed, weights, rhs_weights = _block_terms(spec.loss, m, spec.epsilon, scratch, update)
         loss_sum += block_loss
         smoothed_sum += block_smoothed
@@ -114,7 +118,7 @@ def _pass(
             continue
         if weights is not None:
             if gram is None:
-                gram = _GramBlocks(buffers[4:])
+                gram = _GramBlocks(work)
             gram.add(block, weights)
         if rhs_weights is not None:
             # an overflow shows as a non-finite rhs, which solve_spd rejects

@@ -35,10 +35,10 @@ class SpdSolution:
 
 
 class _GramBlocks:
-    """Y'WY accumulated one row block at a time through one reused weighted
-    copy of a block, in work (k x at least the block's rows, which the
-    caller may reuse across Grams); each block's weights are checked as
-    they come."""
+    """Y'WY accumulated one row block at a time through one reused buffer,
+    work (k x r, which the caller may reuse across Grams): a block's weighted
+    copy is made r of its columns at a time, so a block of at most r columns
+    adds one product. Each block's weights are checked as they come."""
 
     def __init__(self, work: np.ndarray):
         self.gram = np.zeros((work.shape[0], work.shape[0]))
@@ -49,10 +49,13 @@ class _GramBlocks:
         # min >= 0 is False when any weight is NaN
         if not (weights.min() >= 0.0 and np.isfinite(weights.max())):
             raise ValueError("weights must be finite and nonnegative")
+        step = self._work.shape[1]
         # an overflow shows as a non-finite Gram, which solve_spd rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            weighted = np.multiply(cols, weights, out=self._work[:, : weights.shape[0]])
-            self.gram += weighted @ cols.T
+            for start in range(0, weights.shape[0], step):
+                part = cols[:, start : start + step]
+                weighted = np.multiply(part, weights[start : start + step], out=self._work[:, : part.shape[1]])
+                self.gram += weighted @ part.T
 
     def result(self) -> np.ndarray:
         """The sum so far, made exactly symmetric as the mean of it and its
@@ -99,7 +102,7 @@ def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> SpdSolution:
             ridged = a + jitter * np.eye(a.shape[0]) if jitter else a
             lower = np.linalg.cholesky(ridged)
             # compared as L_ii against sqrt(PIVOT_FLOOR * A_ii), which cannot overflow
-            if (np.diag(lower) < np.sqrt(PIVOT_FLOOR * np.diag(ridged))).any():
+            if (lower.diagonal() < np.sqrt(PIVOT_FLOOR * ridged.diagonal())).any():
                 raise np.linalg.LinAlgError("numerically zero pivot")
             x = np.linalg.solve(lower.T, _forward_substitution(lower, b))
         except np.linalg.LinAlgError:

@@ -253,6 +253,29 @@ def test_read_model_and_predict_reject_a_bad_entry(data_csv, tmp_path, capsys, e
     assert not out.exists()
 
 
+# a fresh interpreter runs one irlsvm command line as its child and prints the child's peak RSS
+# (ru_maxrss, KiB on Linux); a child of the test process would report at least that process's own
+_CHILD_PEAK_RSS = """
+import resource, subprocess, sys
+
+subprocess.run([sys.executable, "-m", "irlsvm", *sys.argv[1:]], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_simulate_writes_its_samples_without_building_a_design(tmp_path):
+    # 200 000 samples peak above 2 by less than their 4.8 MB design: the generator's blocks are
+    # written as they come (the design they went through before added 6.6 MiB)
+    peaks = []
+    for n in (2, 200_000):
+        argv = ["simulate", "--n", str(n), "--out", str(tmp_path / f"{n}.csv")]
+        proc = subprocess.run([sys.executable, "-c", _CHILD_PEAK_RSS, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(int(proc.stdout) * 1024)
+    assert peaks[1] - peaks[0] < 3 * 200_000 * 8
+
+
 def test_simulate_writes_balanced_dataset(tmp_path):
     out = tmp_path / "sim.csv"
     assert main(["simulate", "--n", "50", "--seed", "3", "--out", str(out)]) == 0

@@ -5,13 +5,22 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from irlsvm import Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec, TerminationReason, predict, predict_batch, risk
-from irlsvm.core import _BLOCK_ROWS
+from irlsvm.core import _BLOCK_BYTES, _BLOCK_ROWS
 
-from helpers import make_dataset
+from helpers import make_dataset, traced_peak
 
 # unpenalised least squares: the risk is the mean of (1 - m)^2 over the margins
 # m = y * (alpha + beta.t) of the blocked pass
 LS = RiskSpec(Loss.LEAST_SQUARES, Penalty.L2, lam=0.0)
+
+
+def test_a_wide_dataset_is_built_holding_little_besides_its_design():
+    # the finiteness check's mask of a block is at most _BLOCK_BYTES / 8 bytes; a mask of
+    # 16 384 rows took 3.3 MB at q = 200
+    rng = np.random.default_rng(5)
+    features, labels, held = rng.normal(size=(20_000, 200)), np.where(rng.random(20_000) < 0.5, -1.0, 1.0), {}
+    peak = traced_peak(lambda: held.update(ds=Dataset(features, labels)))
+    assert peak <= held["ds"]._design.nbytes + _BLOCK_BYTES // 8 + 2**19
 
 
 def test_dataset_stores_its_design():

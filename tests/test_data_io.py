@@ -28,6 +28,7 @@ from irlsvm import (
     write_trajectory_csv,
 )
 from irlsvm import data_io
+from irlsvm.core import _BLOCK_BYTES
 
 from helpers import make_dataset, traced_peak, two_sample_dataset
 
@@ -291,6 +292,16 @@ def test_load_holds_the_design_and_one_block(tmp_path, eol):
     peak = traced_peak(lambda: held.update(ds=load_dataset_csv(source)))
     assert held["ds"].n == n
     assert peak <= held["ds"]._design.nbytes + 2 * 2**20
+
+
+def test_wide_data_is_written_and_loaded_within_the_block_budget(tmp_path):
+    # at q = 50 the writer rebuilds at most _BLOCK_BYTES of feature rows at a time, and the loader parses
+    # at most _BLOCK_BYTES a block: whole 16 384-row blocks peaked at 8.7 MB and at the design + 20.1 MB
+    q, path, held = 50, tmp_path / "wide.csv", {}
+    dataset = generate_gaussian_mixture(20_000, mean_neg=-0.3 * np.ones(q), mean_pos=0.3 * np.ones(q), seed=4)
+    assert traced_peak(lambda: write_dataset_csv(dataset, path)) <= 2 * _BLOCK_BYTES + 2**20
+    assert traced_peak(lambda: held.update(ds=load_dataset_csv(path))) <= dataset._design.nbytes + 4 * _BLOCK_BYTES
+    assert held["ds"]._design.tobytes() == dataset._design.tobytes()
 
 
 @pytest.mark.parametrize("cells", [1, 2, data_io._WRITE_CELLS])

@@ -24,7 +24,7 @@ from irlsvm import (
     risk,
     smoothed_risk,
 )
-from irlsvm.core import _BLOCK_ROWS
+from irlsvm.core import _BLOCK_BYTES, _BLOCK_ROWS
 from irlsvm.engine import (
     DESCENT_SLACK,
     WARM_START_RIDGE_FLOOR,
@@ -550,9 +550,11 @@ def test_extrapolated_update_rejects_a_non_finite_extrapolated_point(loss):
 @pytest.mark.parametrize("loss", list(Loss), ids=lambda k: k.value)
 def test_fits_and_risks_hold_no_copy_of_the_data(n, q, loss):
     # a fit, a risk and check's gates walk the Dataset's own design: besides the
-    # pass buffers (_pass_buffers) they hold nothing that grows with n
+    # pass buffers (_pass_buffers: four rows of a block, and a weighted copy of
+    # one, capped at _BLOCK_BYTES) they hold nothing that grows with n; a q = 50
+    # fit's whole weighted block, 6.4 MiB, peaked at 7.34 MB
     ds = generate_gaussian_mixture(n, mean_neg=-0.3 * np.ones(q), mean_pos=0.3 * np.ones(q), seed=4)
-    bound = (q + 5) * _BLOCK_ROWS * 8 + 2**20
+    bound = 4 * _BLOCK_ROWS * 8 + min((q + 1) * _BLOCK_ROWS * 8, _BLOCK_BYTES) + 2**20
     spec = RiskSpec(loss, Penalty.ELASTIC_NET, lam=0.1, mu=0.1, epsilon=EPS)
     held = {}
     assert traced_peak(lambda: held.update(result=fit(spec, ds))) <= bound
@@ -560,6 +562,16 @@ def test_fits_and_risks_hold_no_copy_of_the_data(n, q, loss):
     assert traced_peak(lambda: risk(spec, result.theta, ds)) <= bound
     assert traced_peak(lambda: smoothed_risk(spec, result.theta, ds)) <= bound
     assert traced_peak(lambda: _violations(spec, result, ds)) <= bound
+
+
+def test_a_hinge_fit_at_q_200_holds_its_weighted_copy_within_the_budget():
+    # the pass buffers, a weighted copy of at most _BLOCK_BYTES and a few (q+1) x (q+1) systems: 4.05 MB
+    # traced; the whole weighted block (26 MB) peaked at 28.3 MB
+    q = 200
+    ds = generate_gaussian_mixture(20_000, mean_neg=-0.3 * np.ones(q), mean_pos=0.3 * np.ones(q), seed=4)
+    bound = 4 * _BLOCK_ROWS * 8 + _BLOCK_BYTES + 8 * (q + 1) ** 2 * 8 + 2**20
+    spec = RiskSpec(Loss.HINGE, Penalty.ELASTIC_NET, lam=0.1, mu=0.1, epsilon=EPS)
+    assert traced_peak(lambda: fit(spec, ds)) <= bound
 
 
 SWEEP_OPTIONS = {"default": FitOptions(), "zero-plain": FitOptions(max_iterations=8, risk_tolerance=0.0, init=Init.ZERO)}
@@ -796,8 +808,8 @@ def test_fits_repeat_at_a_fixed_blas_thread_count_and_agree_across_counts(tmp_pa
     # the two products that reduce over a block's rows (a weighted Gram and a pass's right side)
     # sum in an order that depends on the BLAS thread count, so only a fixed count repeats bit for
     # bit; across 1 and 2 threads these fits kept their update counts, and their iterates differed
-    # by at most 2.2e-11 and their risks by 1.4e-13, relative to 1 + |value| (4.3e-10 and 7.1e-13
-    # with seed 7)
+    # by at most 3.7e-11 and their risks by 9.3e-14, relative to 1 + |value| (3.9e-10 and 7.5e-13
+    # with seed 7), with the weighted Gram formed in sub-blocks of _BLOCK_BYTES
     runs = []
     for threads in (1, 2, 2):
         path = tmp_path / f"run{len(runs)}.npz"

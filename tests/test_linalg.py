@@ -5,6 +5,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from irlsvm import Dataset
+from irlsvm.core import _BLOCK_BYTES, _BLOCK_ROWS
+from irlsvm.engine import _pass_buffers
 from irlsvm.linalg import SingularSystemError, _GramBlocks, solve_spd
 
 from helpers import make_dataset
@@ -47,6 +49,41 @@ def test_unit_weights_give_plain_gram():
     ds = make_dataset(seed=9, n=31, q=4)
     plain = ds._design @ ds._design.T
     assert_allclose(_one_block_gram(ds, np.ones(ds.n)), plain, rtol=1e-14, atol=0)
+
+
+def _blockwise_grams(dataset, weights):
+    """Y'WY accumulated over the design blocks a pass walks, through the engine's budgeted
+    buffer, and as each whole block's (block * w) @ block.T, made symmetric as result() does."""
+    gram = _GramBlocks(_pass_buffers(dataset, update=True)[1])
+    whole = np.zeros((dataset.q + 1, dataset.q + 1))
+    start = 0
+    for block in dataset._blocks():
+        w = weights[start : start + block.shape[1]]
+        gram.add(block, w)
+        whole += (block * w) @ block.T
+        start += block.shape[1]
+    whole *= 0.5
+    whole += whole.T
+    return gram.result(), whole
+
+
+@pytest.mark.parametrize("q", [1, 2, 15])
+def test_gram_blocks_within_the_budget_add_whole_block_products(q):
+    # up to q = 15 a block's weighted copy fits in _BLOCK_BYTES, so each block adds one product, bit for bit
+    ds = make_dataset(seed=12, n=2 * _BLOCK_ROWS + 77, q=q)
+    gram, whole = _blockwise_grams(ds, np.random.default_rng(12).uniform(0, 3, ds.n))
+    assert gram.tobytes() == whole.tobytes()
+
+
+def test_gram_blocks_past_the_budget_add_sub_block_products():
+    # at q = 50 a block's weighted copy is made a few thousand columns at a time: the sum of the
+    # sub-block products differs from the whole block's in rounding only
+    ds = make_dataset(seed=13, n=_BLOCK_ROWS + 77, q=50)
+    work = _pass_buffers(ds, update=True)[1]
+    assert work.nbytes <= _BLOCK_BYTES < (ds.q + 1) * _BLOCK_ROWS * 8
+    gram, whole = _blockwise_grams(ds, np.random.default_rng(13).uniform(0, 3, ds.n))
+    assert_array_equal(gram, gram.T)
+    assert_allclose(gram, whole, rtol=1e-13, atol=1e-13 * np.abs(whole).max())
 
 
 def test_weighted_gram_validation(two_sample):
