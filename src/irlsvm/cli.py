@@ -175,13 +175,13 @@ def _options_from_args(args) -> FitOptions:
     return FitOptions(max_iterations=args.iterations, risk_tolerance=args.tolerance, init=Init(args.init))
 
 
-def _refuse_overwriting(data, outputs) -> None:
-    """A usage error when one of the output paths names the --data file (the
-    same resolved path, or a link to it), which writing would replace."""
-    data = Path(data)
+def _refuse_overwriting(flag, source, outputs) -> None:
+    """A usage error when one of the output paths names the file given as flag
+    (the same resolved path, or a link to it), which writing would replace."""
+    source = Path(source)
     for out in map(Path, outputs):
-        if out.resolve() == data.resolve() or (out.exists() and out.samefile(data)):
-            raise ValueError(f"output {out} is the --data file {data}")
+        if out.resolve() == source.resolve() or (out.exists() and out.samefile(source)):
+            raise ValueError(f"output {out} is the {flag} file {source}")
 
 
 def _cmd_fit(args) -> int:
@@ -189,7 +189,7 @@ def _cmd_fit(args) -> int:
     options = _options_from_args(args)
     dataset = load_dataset_csv(args.data)
     trajectory = Path(args.out).with_suffix(".trajectory.csv")
-    _refuse_overwriting(args.data, [args.out, trajectory])
+    _refuse_overwriting("--data", args.data, [args.out, trajectory])
     result = fit(spec, dataset, options)
     write_model(result, spec, args.out)
     write_trajectory_csv(result, trajectory)
@@ -209,6 +209,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     theta, _spec = read_model(args.model)
+    # an --out that names --data is allowed: the output replaces it once the copy is done
+    _refuse_overwriting("--model", args.model, [args.out])
     count = write_predictions_csv(theta, args.data, args.out)
     print(f"wrote {count} predictions to {args.out}")
     return EXIT_OK
@@ -242,7 +244,7 @@ def _cmd_sweep(args) -> int:
     summary_path = out_dir / "summary.csv"
     hyperplane_path = out_dir / "hyperplanes.csv"
     trajectory_paths = [out_dir / f"trajectory_{param}_{name}.csv" for name in _value_names(grid)]
-    _refuse_overwriting(args.data, [summary_path, hyperplane_path, *trajectory_paths])
+    _refuse_overwriting("--data", args.data, [summary_path, hyperplane_path, *trajectory_paths])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as err:

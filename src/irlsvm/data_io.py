@@ -1,15 +1,17 @@
 """Dataset CSV ingestion, the seeded two-Gaussian generator, and model /
-trajectory persistence.
+trajectory persistence: the package's one file boundary. Every file is read as
+bytes through open_input and decoded in one place (_text), and written through
+open_output, which replaces its path only once the file is written in full.
 
 File conventions: CSVs are comma-separated UTF-8 with a header row and LF
 line endings; the label column is named "y" and holds -1 or 1; a float cell
 is exactly Python's '%.17g' % value, so values round-trip bit-for-bit. Model
 files are flat "key = value" text documents whose keys _model_keys lists.
-Input lines may end at an LF, a CRLF or a lone CR; the loader counts them to
-size a Dataset's design (_line_count). predict opens its input once, parses it,
-then copies its records as bytes from the start, a window at a time, with one
-path for every line ending (_write_labelled_copy), and writes through a
-temporary file (_replacing).
+Input may begin with a byte-order mark, and its lines may end at an LF, a CRLF
+or a lone CR; the loader counts them to size a Dataset's design (_line_count).
+predict opens its input once, parses it, then copies its records as bytes from
+the start, a window at a time, with one path for every line ending
+(_write_labelled_copy).
 
 CSV floats are formatted a block at a time by integer arithmetic
 (_float_cells). A finite x with 1e-11 < |x| < 2**50 is M * 2**e with M a
@@ -25,6 +27,7 @@ or tiny) go through Python's '%' one at a time.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import functools
@@ -54,14 +57,13 @@ class DataError(ValueError):
 
 
 @contextlib.contextmanager
-def open_input(path, binary: bool = False):
-    """Open path for reading UTF-8 text, line endings as they are, or bytes (a pipe's read in
-    full, as the byte readers read theirs twice); an OSError, text that is not UTF-8 or a
-    csv.Error (a cell over csv's field size limit) while opening or reading it becomes a
-    DataError naming Path(path), as the readers' own errors do. Every reader opens its file here."""
+def open_input(path):
+    """Open path for reading bytes (a pipe's read in full, as the CSV readers read theirs twice);
+    an OSError, text that is not UTF-8 or a csv.Error (a cell over csv's field size limit) while
+    opening or reading it becomes a DataError naming Path(path), as the readers' own errors do."""
     try:
-        with Path(path).open("rb") if binary else Path(path).open(newline="", encoding="utf-8") as handle:
-            yield handle if not binary or handle.seekable() else io.BytesIO(handle.read())
+        with Path(path).open("rb") as handle:
+            yield handle if handle.seekable() else io.BytesIO(handle.read())
     except OSError as err:
         raise DataError(f"{Path(path)}: {err.strerror or err}") from err
     except UnicodeDecodeError as err:
@@ -70,24 +72,18 @@ def open_input(path, binary: bool = False):
         raise DataError(f"{Path(path)}: unreadable CSV ({err})") from err
 
 
+def _text(handle) -> io.TextIOWrapper:
+    """The UTF-8 text on handle, line ends kept, after one leading byte-order mark (also after seek(0))."""
+    return io.TextIOWrapper(handle, encoding="utf-8-sig", newline="")
+
+
 @contextlib.contextmanager
 def open_output(path):
-    """Open path for writing bytes; an OSError while opening, writing or
-    closing it becomes a DataError naming path."""
-    try:
-        with Path(path).open("wb") as handle:
-            yield handle
-    except OSError as err:
-        raise DataError(f"{path}: cannot write: {err.strerror or err}") from err
-
-
-@contextlib.contextmanager
-def _replacing(path):
-    """Open for writing bytes a temporary file beside path that replaces path when the
-    block ends without error and is removed when the block raises, so path may name a
-    file the block reads and an error leaves path as it was. A path that names something
-    other than a regular file, such as /dev/null or a pipe, is written in place. An
-    OSError becomes a DataError naming path, as in open_output."""
+    """Open for writing bytes a temporary file beside path that replaces path (a symlink or
+    read-only file too) when the block ends without error and is removed when the block
+    raises, so path may name a file the block reads and an error or interrupt leaves path
+    as it was. A path that names something other than a regular file, such as /dev/null or
+    a pipe, is written in place. An OSError becomes a DataError naming path."""
     path = Path(path)
     in_place = path.exists() and not path.is_file()
     temporary = path if in_place else path.parent / f".{path.name}.{os.getpid()}.tmp"
@@ -106,15 +102,16 @@ def _replacing(path):
 
 
 def _csv_blocks(path, handle, labeled: bool = False):
-    """The header of the CSV text on handle, and a generator of the rows after it
+    """The header of the CSV bytes on handle, and a generator of the rows after it
     as (labels, features) blocks of up to _BLOCK_ROWS rows, fewer where a parsed
     block would exceed _BLOCK_BYTES (core._rows_within); every column but "y"
     is a feature, and labeled=True requires labels of -1 or 1 (else they are None).
-    numpy's C reader parses each block where the last stopped (comments=None keeps
-    a "#" from cutting a row short). At the first block it rejects, or that fails a
-    check, _scan_rows reads handle again to report the bad cell or supply the rest."""
+    numpy's C reader parses each block of their _text where the last stopped (comments=None
+    keeps a "#" from cutting a row short). At the first block it rejects, or that fails a check,
+    _scan_rows reads the text again to report the bad cell or supply the rest. handle stays open."""
+    text = _text(handle)
     try:
-        header = [name.strip() for name in next(csv.reader(handle))]
+        header = [name.strip() for name in next(csv.reader(text))]
     except StopIteration:
         raise DataError(f"{path}: empty file, header required") from None
     if header.count(LABEL_COLUMN) > 1:
@@ -134,7 +131,7 @@ def _csv_blocks(path, handle, labeled: bool = False):
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)  # an empty read is a block of no rows
-                    values = np.loadtxt(handle, delimiter=",", comments=None, quotechar='"', ndmin=2, max_rows=rows)
+                    values = np.loadtxt(text, delimiter=",", comments=None, quotechar='"', ndmin=2, max_rows=rows)
                 values = values.reshape(len(values), len(header))  # another width fails; an empty read is (0, 1)
                 # row-major, as predict_batch's sums depend on the layout and must repeat bit for bit
                 features = values.take(feature_idx, axis=1)
@@ -146,23 +143,24 @@ def _csv_blocks(path, handle, labeled: bool = False):
             except ValueError:
                 checked = False
             if not checked:
-                handle.seek(0)
-                features, labels = _scan_rows(path, handle, header, feature_idx, label_idx)
+                text.seek(0)
+                features, labels = _scan_rows(path, text, header, feature_idx, label_idx)
                 features, labels, count = features[done:], None if labels is None else labels[done:], 0
             yield labels, features
             done += len(features)
+        text.detach()
         if not done:
             raise DataError(f"{path}: no samples")
 
     return header, blocks()
 
 
-def _scan_rows(path: Path, handle, header, feature_idx, label_idx) -> tuple[np.ndarray, np.ndarray | None]:
-    """Read the rows on handle from its start, a cell at a time with Python's float;
+def _scan_rows(path: Path, text, header, feature_idx, label_idx) -> tuple[np.ndarray, np.ndarray | None]:
+    """Read the rows of text from its start, a cell at a time with Python's float;
     a DataError names the first bad row and column. Returns the values of the few
     files that float accepts and numpy's reader does not, such as "1_000" cells, or
     a non-numeric "y" column that an unlabeled read ignores."""
-    reader = csv.reader(handle)
+    reader = csv.reader(text)
     next(reader)
     rows = [(r, row) for r, row in enumerate(reader, start=1) if row]
     features = np.empty((len(rows), len(feature_idx)))
@@ -207,10 +205,10 @@ def _line_count(handle) -> int:
 def load_dataset_csv(path) -> Dataset:
     """Read a labeled dataset; the header must name the label column "y". The file's lines, which
     are at least its records, size the design, and each block is written into it as it comes."""
-    with open_input(path, binary=True) as handle:
+    with open_input(path) as handle:
         rows = _line_count(handle) - 1
         handle.seek(0)
-        header, blocks = _csv_blocks(Path(path), io.TextIOWrapper(handle, encoding="utf-8", newline=""), labeled=True)
+        header, blocks = _csv_blocks(Path(path), handle, labeled=True)
         # the blocks have passed the checks Dataset._fill makes, so its errors cannot arise here
         return Dataset._filled(rows, len(header) - 1, blocks)
 
@@ -408,9 +406,8 @@ def write_predictions_csv(theta: ModelParams, source, path) -> int:
     record's label alone, then read again from its start by the copy, whose output replaces
     path (which may name source) at the end. A non-finite decision value is a DataError
     naming its row among non-blank records."""
-    with open_input(source, binary=True) as handle:
-        text = io.TextIOWrapper(handle, encoding="utf-8", newline="")
-        header, blocks = _csv_blocks(Path(source), text)
+    with open_input(source) as handle:
+        header, blocks = _csv_blocks(Path(source), handle)
         labels, done = [], 0
         for _labels, features in blocks:
             if features.shape[1] != theta.q:
@@ -420,7 +417,7 @@ def write_predictions_csv(theta: ModelParams, source, path) -> int:
             except ValueError as err:
                 raise DataError(f"{source}: {err}") from None
             done += len(features)
-        text.detach().seek(0)
+        handle.seek(0)
         _write_labelled_copy(handle, header, np.concatenate(labels), path)
     return done
 
@@ -431,13 +428,14 @@ _LINE_REST = re.compile(rb"[^\r\n]*[\r\n]*")
 
 def _write_labelled_copy(source, header: list[str], labels, path) -> None:
     """Write the header's cells and "predicted" to path, then each non-blank record of the
-    CSV bytes on the binary handle source after the header with ",<label>" (labels: one -1
-    or 1 each, in order) and an LF ending. A line ends at an LF, a CRLF or a lone CR and is
-    a record, unless a quote on it starts a record that csv.reader ends on a later line. A
-    record's text is what rstrip("\r\n") leaves. The bytes are read and copied in windows
-    of about _WRITE_CELLS * _CELL, so about one window is held."""
+    CSV bytes on the binary handle source after the header (and a byte-order mark before it)
+    with ",<label>" (labels: one -1 or 1 each, in order) and an LF ending. A line ends at an
+    LF, a CRLF or a lone CR and is a record, unless a quote on it starts a record that
+    csv.reader ends on a later line. A record's text is what rstrip("\r\n") leaves. The bytes
+    are read and copied in windows of about _WRITE_CELLS * _CELL, so about one window is held."""
     size, labels, done = _WRITE_CELLS * _CELL, np.asarray(labels), 0
-    data, read = b"", 0  # the bytes in hand, and where in them csv.reader reads on
+    data = source.read(len(codecs.BOM_UTF8))  # the bytes in hand, and where csv.reader reads on
+    read = len(data) if data == codecs.BOM_UTF8 else 0
 
     def lines():  # each line from read on, with the blank lines after it, as csv.reader pulls it
         nonlocal data, read
@@ -452,7 +450,7 @@ def _write_labelled_copy(source, header: list[str], labels, path) -> None:
     records, heading = csv.reader(lines()), io.StringIO()
     next(records)  # the header's, which moves read past it
     csv.writer(heading, lineterminator="\n").writerow(header + ["predicted"])
-    with _replacing(path) as out:
+    with open_output(path) as out:
         out.write(heading.getvalue().encode())
         span = size  # the bytes to hold in hand
         while data := data[read:] + source.read(max(0, span - len(data) + read)):
@@ -617,7 +615,7 @@ def read_model(path) -> tuple[ModelParams, RiskSpec]:
     value after format, loss and penalty a number."""
     path = Path(path)
     with open_input(path) as handle:
-        text = handle.read()
+        text = _text(handle).read()
     scalar_keys = _model_keys(0)
     entries: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -51,3 +51,18 @@ def traced_peak(call):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def interrupt_on_call(monkeypatch, module, name: str, call: int) -> list[int]:
+    """Patch module.name to raise KeyboardInterrupt on its call-th call, as a ^C in the middle of
+    a write would; returns the one-element list that counts the calls."""
+    original, calls = getattr(module, name), [0]
+
+    def interrupted(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == call:
+            raise KeyboardInterrupt
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, interrupted)
+    return calls

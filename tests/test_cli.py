@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import csv
 import dataclasses
 import hashlib
@@ -36,7 +37,7 @@ from irlsvm.cli import MAX_GRID_POINTS, _grid, _options_from_args, _spec_from_ar
 from irlsvm.core import DEFAULT_EPSILON
 from irlsvm.linalg import SingularSystemError
 
-from helpers import ITERATIVE_COMBOS, ITERATIVE_IDS, make_dataset, traced_peak
+from helpers import ITERATIVE_COMBOS, ITERATIVE_IDS, interrupt_on_call, make_dataset, traced_peak
 
 
 @pytest.fixture
@@ -593,6 +594,35 @@ def test_predict_copies_each_record_as_is(tmp_path, monkeypatch, source, records
         assert out.read_bytes() == expected.encode()
 
 
+# a spreadsheet's "CSV UTF-8" export begins with a byte-order mark: the parse and the copy drop it before the header
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        (b"x1,x2,y\n1,2,1\n-1,-2,-1\n", b"x1,x2,y,predicted\n1,2,1,1\n-1,-2,-1,-1\n"),
+        (b'"x\n1",x2\r\n1,2\r\n-1,-2\r\n', b'"x\n1",x2,predicted\n1,2,1\n-1,-2,-1\n'),
+    ],
+    ids=["feature-first", "quoted-header-on-two-lines"],
+)
+def test_predict_reads_a_model_and_data_that_begin_with_a_byte_order_mark(tmp_path, monkeypatch, source, expected):
+    model, data, out = tmp_path / "m.model", tmp_path / "d.csv", tmp_path / "p.csv"
+    model.write_bytes(codecs.BOM_UTF8 + MODEL_X2_MINUS_X1.encode())
+    data.write_bytes(codecs.BOM_UTF8 + source)
+    for cells in (data_io._WRITE_CELLS, 1):
+        monkeypatch.setattr(data_io, "_WRITE_CELLS", cells)
+        assert main(["predict", "--model", str(model), "--data", str(data), "--out", str(out)]) == 0
+        assert out.read_bytes() == expected
+
+
+def test_fit_reads_data_that_begins_with_a_byte_order_mark(tmp_path):
+    # the mark once made the header's first name "\ufeffy", and fit exited 3 with "missing label column 'y'"
+    for name, mark in (("plain", b""), ("marked", codecs.BOM_UTF8)):
+        (tmp_path / f"{name}.csv").write_bytes(mark + b"y,x1\n1,0.5\n-1,-0.5\n")
+        argv = ["fit", "--loss", "hinge", "--penalty", "l2", "--lambda", "0.1", "--data", str(tmp_path / f"{name}.csv")]
+        assert main(argv + ["--out", str(tmp_path / f"{name}.model")]) == 0
+    for suffix in ("model", "trajectory.csv"):
+        assert (tmp_path / f"marked.{suffix}").read_bytes() == (tmp_path / f"plain.{suffix}").read_bytes()
+
+
 def test_sweep_trajectory_names_tell_close_grid_values_apart(data_csv, tmp_path):
     out_dir = tmp_path / "sweep"
     code = main(
@@ -700,6 +730,55 @@ def test_fit_refuses_an_output_linked_to_its_data(data_csv, tmp_path, capsys, li
     assert code == 2
     assert str(model) in capsys.readouterr().err
     assert data_csv.read_bytes() == before
+
+
+@pytest.mark.parametrize("out", ["m.model", "./m.model", "hard", "symbolic"])
+def test_predict_refuses_to_overwrite_its_model(data_csv, tmp_path, capsys, out):
+    # the next predict would read the predictions as a model
+    model = tmp_path / "m.model"
+    assert main(["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data_csv), "--out", str(model)]) == 0
+    link, out = out, tmp_path / ("link.model" if out in ("hard", "symbolic") else out)
+    if link == "hard":
+        out.hardlink_to(model)
+    elif link == "symbolic":
+        out.symlink_to(model)
+    files = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model), "--data", str(data_csv), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: output {out} is the --model file {model}\n"
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == files
+
+
+@pytest.mark.parametrize("existing", [None, b"x1,x2,y\n1,2,1\n"], ids=["new", "existing"])
+def test_an_interrupted_simulate_leaves_its_output_as_it_was(tmp_path, monkeypatch, existing):
+    # simulate writes blocks of 4096 rows, 2730 at most a call: cut at the 5th call, the 8192 rows written are all -1
+    out = tmp_path / "d.csv"
+    if existing is not None:
+        out.write_bytes(existing)
+    calls = interrupt_on_call(monkeypatch, data_io, "_row_bytes", 5)
+    with pytest.raises(KeyboardInterrupt):
+        main(["simulate", "--n", "100000", "--out", str(out)])
+    assert calls == [5]
+    assert sorted(tmp_path.iterdir()) == ([] if existing is None else [out])
+    if existing is not None:
+        assert out.read_bytes() == existing
+
+
+@pytest.mark.parametrize("name, call", [("summary.csv", 1), ("hyperplanes.csv", 2), ("trajectory_lambda_0.1.csv", 4)])
+def test_an_interrupted_sweep_leaves_the_file_it_was_writing_as_it_was(data_csv, tmp_path, monkeypatch, name, call):
+    # each file is one write call: summary, hyperplanes, then the trajectories in grid order
+    out = tmp_path / "sweep"
+    out.mkdir()
+    names = ["summary.csv", "hyperplanes.csv", *(f"trajectory_lambda_{v}.csv" for v in ("0", "0.1", "0.2"))]
+    for other in names:
+        (out / other).write_bytes(b"old\n")
+    interrupt_on_call(monkeypatch, data_io, "_row_bytes", call)
+    with pytest.raises(KeyboardInterrupt):
+        main(["sweep", "--loss", "hinge", "--penalty", "l2", "--lambda-grid", "0:0.1:0.2", "--data", str(data_csv),
+              "--out", str(out)])
+    assert sorted(path.name for path in out.iterdir()) == sorted(names)
+    written = names[: names.index(name)]
+    assert [(out / other).read_bytes() == b"old\n" for other in names] == [other not in written for other in names]
 
 
 @pytest.mark.parametrize("name", ["summary.csv", "hyperplanes.csv", "trajectory_lambda_0.1.csv"])

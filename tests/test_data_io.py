@@ -1,3 +1,5 @@
+import codecs
+import functools
 import hashlib
 import io
 import math
@@ -30,7 +32,7 @@ from irlsvm import (
 from irlsvm import data_io
 from irlsvm.core import _BLOCK_BYTES
 
-from helpers import make_dataset, traced_peak, two_sample_dataset
+from helpers import interrupt_on_call, make_dataset, traced_peak, two_sample_dataset
 
 
 def test_load_two_sample_dataset(tmp_path):
@@ -490,6 +492,58 @@ def test_trajectory_roundtrip_and_descent(tmp_path):
     assert_array_equal(exact, result.exact_risk_trajectory)
     assert_array_equal(smoothed, result.smoothed_risk_trajectory)
     assert (np.diff(exact) <= 1e-10 * (1.0 + np.abs(exact[:-1]))).all()
+
+
+@pytest.mark.parametrize("existing", [None, b"old\n"], ids=["new", "existing"])
+@pytest.mark.parametrize("writer", ["trajectory", "model"])
+def test_an_interrupted_write_leaves_its_path_as_it_was(tmp_path, monkeypatch, writer, existing):
+    spec = RiskSpec(Loss.HINGE, Penalty.L2, lam=0.1)
+    result = fit(spec, make_dataset(seed=43, n=30, q=2))
+    path = tmp_path / "out"
+    if existing is not None:
+        path.write_bytes(existing)
+    if writer == "trajectory":
+        interrupt_on_call(monkeypatch, data_io, "_row_bytes", 1)  # after the header
+        write = functools.partial(write_trajectory_csv, result, path)
+    else:
+        keys = data_io._model_keys
+
+        def interrupted(q):  # five lines, then a ^C
+            yield from keys(q)[:5]
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(data_io, "_model_keys", interrupted)
+        write = functools.partial(write_model, result, spec, path)
+    with pytest.raises(KeyboardInterrupt):
+        write()
+    assert sorted(tmp_path.iterdir()) == ([] if existing is None else [path])
+    if existing is not None:
+        assert path.read_bytes() == existing
+
+
+def test_a_write_replaces_a_symlink_and_leaves_its_target(tmp_path):
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_bytes(b"old\n")
+    link.symlink_to(target)
+    write_trajectory_csv(fit(RiskSpec(Loss.HINGE, Penalty.L2, lam=0.1), make_dataset(seed=43, n=30, q=2)), link)
+    assert not link.is_symlink() and link.read_text().startswith("iteration,")
+    assert target.read_bytes() == b"old\n"
+
+
+def test_csv_readers_drop_one_leading_byte_order_mark(tmp_path):
+    # a spreadsheet's "CSV UTF-8" export begins with one; it is not part of the first header name
+    result = fit(RiskSpec(Loss.HINGE, Penalty.L2, lam=0.1), make_dataset(seed=43, n=30, q=2))
+    trajectory, data = tmp_path / "t.csv", tmp_path / "d.csv"
+    write_trajectory_csv(result, trajectory)
+    trajectory.write_bytes(codecs.BOM_UTF8 + trajectory.read_bytes())
+    _iterations, exact, smoothed = read_trajectory_csv(trajectory)
+    assert_array_equal(exact, result.exact_risk_trajectory)
+    assert_array_equal(smoothed, result.smoothed_risk_trajectory)
+    data.write_bytes(codecs.BOM_UTF8 + b"x1,y\n1_0,1\n-1,-1\n")  # read again from its start, by the cell scan
+    assert_array_equal(load_dataset_csv(data).features, [[10.0], [-1.0]])
+    data.write_bytes(codecs.BOM_UTF8 * 2 + b"y,x1\n1,1\n-1,-1\n")  # one mark only: the second is text
+    with pytest.raises(DataError, match="missing label column 'y'"):
+        load_dataset_csv(data)
 
 
 def test_trajectory_reader_rejects_foreign_files(tmp_path):
