@@ -614,8 +614,8 @@ def read_model(path) -> tuple[ModelParams, RiskSpec]:
     q >= 1, in any order, iterations_run a non-negative integer and every
     value after format, loss and penalty a number."""
     path = Path(path)
-    with open_input(path) as handle:
-        text = _text(handle).read()
+    with open_input(path) as handle, _text(handle) as lines:
+        text = lines.read()
     scalar_keys = _model_keys(0)
     entries: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
