@@ -1,5 +1,4 @@
 import codecs
-import functools
 import hashlib
 import io
 import math
@@ -504,7 +503,6 @@ def test_an_interrupted_write_leaves_its_path_as_it_was(tmp_path, monkeypatch, w
         path.write_bytes(existing)
     if writer == "trajectory":
         interrupt_on_call(monkeypatch, data_io, "_row_bytes", 1)  # after the header
-        write = functools.partial(write_trajectory_csv, result, path)
     else:
         keys = data_io._model_keys
 
@@ -513,9 +511,8 @@ def test_an_interrupted_write_leaves_its_path_as_it_was(tmp_path, monkeypatch, w
             raise KeyboardInterrupt
 
         monkeypatch.setattr(data_io, "_model_keys", interrupted)
-        write = functools.partial(write_model, result, spec, path)
     with pytest.raises(KeyboardInterrupt):
-        write()
+        write_trajectory_csv(result, path) if writer == "trajectory" else write_model(result, spec, path)
     assert sorted(tmp_path.iterdir()) == ([] if existing is None else [path])
     if existing is not None:
         assert path.read_bytes() == existing
