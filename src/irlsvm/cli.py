@@ -26,6 +26,7 @@ from .data_io import (
     _write_samples,
     load_dataset_csv,
     read_model,
+    staged_outputs,
     write_model,
     write_predictions_csv,
     write_trajectory_csv,
@@ -191,8 +192,9 @@ def _cmd_fit(args) -> int:
     trajectory = Path(args.out).with_suffix(".trajectory.csv")
     _refuse_overwriting("--data", args.data, [args.out, trajectory])
     result = fit(spec, dataset, options)
-    write_model(result, spec, args.out)
-    write_trajectory_csv(result, trajectory)
+    with staged_outputs():
+        write_model(result, spec, args.out)
+        write_trajectory_csv(result, trajectory)
     jitter_note = (
         f"; {result.jittered_solves} jittered solves, descent not guaranteed" if result.jittered_solves else ""
     )
@@ -259,26 +261,27 @@ def _cmd_sweep(args) -> int:
         for r in results
     ]
 
-    _write_rows(
-        summary_path,
-        ["parameter", "value", "terminal_exact_risk", "terminal_smoothed_risk", "training_accuracy"],
-        [
+    with staged_outputs():
+        _write_rows(
+            summary_path,
+            ["parameter", "value", "terminal_exact_risk", "terminal_smoothed_risk", "training_accuracy"],
             [
-                param,
-                grid,
-                [r.exact_risk_trajectory[-1] for r in results],
-                [r.smoothed_risk_trajectory[-1] for r in results],
-                accuracies,
-            ]
-        ],
-    )
-    _write_rows(
-        hyperplane_path,
-        ["parameter", "value", "alpha"] + [f"beta_{j + 1}" for j in range(dataset.q)],
-        [[param, grid, [r.theta.alpha for r in results], *np.array([r.theta.beta for r in results]).T]],
-    )
-    for path, result in zip(trajectory_paths, results):
-        write_trajectory_csv(result, path)
+                [
+                    param,
+                    grid,
+                    [r.exact_risk_trajectory[-1] for r in results],
+                    [r.smoothed_risk_trajectory[-1] for r in results],
+                    accuracies,
+                ]
+            ],
+        )
+        _write_rows(
+            hyperplane_path,
+            ["parameter", "value", "alpha"] + [f"beta_{j + 1}" for j in range(dataset.q)],
+            [[param, grid, [r.theta.alpha for r in results], *np.array([r.theta.beta for r in results]).T]],
+        )
+        for path, result in zip(trajectory_paths, results):
+            write_trajectory_csv(result, path)
 
     print(f"swept {param} over {len(grid)} points; wrote {summary_path} and {hyperplane_path}")
     return EXIT_OK

@@ -1,7 +1,8 @@
 """Dataset CSV ingestion, the seeded two-Gaussian generator, and model /
 trajectory persistence: the package's one file boundary. Every file is read as
 bytes through open_input and decoded in one place (_text), and written through
-open_output, which replaces its path only once the file is written in full.
+open_output, which replaces its path only once the file is written in full, and
+inside staged_outputs only once every output of the block is.
 
 File conventions: CSVs are comma-separated UTF-8 with a header row and LF
 line endings; the label column is named "y" and holds -1 or 1; a float cell
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import codecs
 import contextlib
+import contextvars
 import csv
 import functools
 import io
@@ -77,28 +79,64 @@ def _text(handle) -> io.TextIOWrapper:
     return io.TextIOWrapper(handle, encoding="utf-8-sig", newline="")
 
 
+# each path that open_output wrote in the current staged_outputs block, with its temporary file
+_STAGED: contextvars.ContextVar[dict[Path, Path] | None] = contextvars.ContextVar("staged", default=None)
+
+
 @contextlib.contextmanager
 def open_output(path):
     """Open for writing bytes a temporary file beside path that replaces path (a symlink or
-    read-only file too) when the block ends without error and is removed when the block
-    raises, so path may name a file the block reads and an error or interrupt leaves path
-    as it was. A path that names something other than a regular file, such as /dev/null or
-    a pipe, is written in place. An OSError becomes a DataError naming path."""
+    read-only file too) when the block ends without error, or inside staged_outputs when that
+    block does, and is removed when either raises, so path may name a file the block reads and
+    an error or interrupt leaves path as it was. A path that names something other than a
+    regular file, such as /dev/null or a pipe, is written in place. An OSError becomes a
+    DataError naming path."""
+    if _STAGED.get() is None:  # a lone output is staged alone
+        with staged_outputs(), open_output(path) as handle:
+            yield handle
+        return
     path = Path(path)
     in_place = path.exists() and not path.is_file()
     temporary = path if in_place else path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
         with temporary.open("wb") as handle:
             yield handle
-        if not in_place:
-            os.replace(temporary, path)
     except BaseException as err:
         if not in_place:
             with contextlib.suppress(OSError):
                 temporary.unlink()
         if isinstance(err, OSError):
-            raise DataError(f"{path}: cannot write: {err.strerror or err}") from err
+            raise _write_error(path, err) from err
         raise
+    if not in_place:
+        _STAGED.get()[path] = temporary
+
+
+def _write_error(path, err: OSError) -> DataError:
+    return DataError(f"{path}: cannot write: {err.strerror or err}")
+
+
+@contextlib.contextmanager
+def staged_outputs():
+    """Hold back the replacement of every path that open_output writes in the block (a command's
+    outputs) until the block ends without error, then replace them in the order they were written.
+    Every temporary file not renamed by then is removed, so a block that raises leaves every path
+    as it was. The renames are not one atomic step: an error between two leaves the earlier made."""
+    staged: dict[Path, Path] = {}
+    token = _STAGED.set(staged)
+    try:
+        yield
+        for path in list(staged):
+            try:
+                os.replace(staged[path], path)
+            except OSError as err:
+                raise _write_error(path, err) from err
+            del staged[path]
+    finally:
+        _STAGED.reset(token)
+        for temporary in staged.values():
+            with contextlib.suppress(OSError):
+                temporary.unlink()
 
 
 def _csv_blocks(path, handle, labeled: bool = False):
@@ -550,7 +588,7 @@ def generate_gaussian_mixture(n: int, mean_neg=_MEAN_NEG, mean_pos=_MEAN_POS, se
 
     Deterministic given the seed: normals come from a PCG64 stream through
     the polar transform, filled row-major (sample by sample, coordinate by
-    coordinate). Each of _mixture_blocks' stages goes with its labels to the
+    coordinate). Each of _mixture_blocks' blocks goes with its labels to the
     Dataset, which checks it and writes it into its design, so the output is
     never held twice.
     """
@@ -559,9 +597,9 @@ def generate_gaussian_mixture(n: int, mean_neg=_MEAN_NEG, mean_pos=_MEAN_POS, se
 
 def _mixture_blocks(n: int, mean_neg, mean_pos, seed: int):
     """q and a generator of generate_gaussian_mixture's samples as (labels, feature rows) blocks; the
-    arguments are checked first. The normals are staged about _WRITE_CELLS at a time in one row-major
-    buffer, a batch's normals that do not fit carried to the next stage, so each block is a view of
-    that buffer (normal + mean), valid until the next is drawn."""
+    arguments are checked first. Each block is about _WRITE_CELLS of the normals drawn, row-major, a
+    batch's normals beyond it carried to the next block, with the means added in place: an array of
+    its own, which no later block overwrites."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2 or n % 2:
         raise ValueError(f"n must be a positive even integer, got {n!r}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
@@ -574,16 +612,15 @@ def _mixture_blocks(n: int, mean_neg, mean_pos, seed: int):
         raise ValueError("class means must be finite")
     q, half = mean_neg.shape[0], n // 2
     normals = _polar_normals(np.random.Generator(np.random.PCG64(seed)))
-    stage = np.empty((max(1, _WRITE_CELLS // q), q))
+    step = max(1, _WRITE_CELLS // q)
 
     def blocks():
-        left = np.empty(0)  # normals drawn and not yet staged
-        for start in range(0, n, len(stage)):
-            block = stage[: n - start]
-            while left.size < block.size:
+        left = np.empty(0)  # normals drawn and not yet in a block
+        for start in range(0, n, step):
+            size = min(step, n - start) * q
+            while left.size < size:
                 left = np.concatenate((left, next(normals)))
-            block.reshape(-1)[:] = left[: block.size]
-            left = left[block.size :]
+            block, left = left[:size].reshape(-1, q), left[size:]
             negative = max(0, half - start)  # the block's rows of the first class
             block[:negative] += mean_neg
             block[negative:] += mean_pos

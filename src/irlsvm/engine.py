@@ -75,35 +75,22 @@ class FitError(RuntimeError):
         self.smoothed_trajectory = np.asarray(smoothed_trajectory)
 
 
-def _pass_buffers(dataset: Dataset, update: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Block buffers of a pass over the design: the margins and three loss-term
-    rows of a block and, for an update, the q+1 rows of the Gram's weighted copy,
-    as many columns of a block as fit in _BLOCK_BYTES (else None)."""
-    rows = min(dataset.n, _BLOCK_ROWS)
-    k = dataset.q + 1
-    return np.empty((4, rows)), np.empty((k, _rows_within(k, rows))) if update else None
-
-
 def _pass(
-    spec: RiskSpec,
-    vec: np.ndarray,
-    dataset: Dataset,
-    update: bool = True,
-    buffers: tuple[np.ndarray, np.ndarray | None] | None = None,
+    spec: RiskSpec, vec: np.ndarray, dataset: Dataset, update: bool = True
 ) -> tuple[float, float, tuple[np.ndarray, np.ndarray] | None]:
     """One pass over the row blocks of the dataset's design at the (alpha, beta) vector vec:
     the exact and smoothed risks there and, with update, the system (matrix, right-hand side)
     of the normal equations of the surrogate anchored there (else None).
 
-    Every block's margins and loss terms go through the same block-sized
-    buffers (_pass_buffers; fit hands every pass the same ones, so a fit
-    allocates them once), so the pass allocates no n-length array, and an
-    update's weighted copy of a block is at most _BLOCK_BYTES at any q.
+    Every block's margins and loss terms go through the pass's own four
+    block-sized rows, so the pass allocates no n-length array, and an update
+    whose blocks bring weights (the hinge's) weights a copy of a block at
+    most _BLOCK_BYTES at a time, at any q (linalg._GramBlocks).
     """
     k = dataset.q + 1
     if vec.shape[0] != k:
         raise ValueError(f"theta has {vec.shape[0] - 1} features but data has {dataset.q}")
-    rows, work = _pass_buffers(dataset, update) if buffers is None else buffers
+    rows = np.empty((4, min(dataset.n, _BLOCK_ROWS)))
     gram = None
     rhs = np.zeros(k)
     loss_sum = smoothed_sum = 0.0
@@ -118,7 +105,7 @@ def _pass(
             continue
         if weights is not None:
             if gram is None:
-                gram = _GramBlocks(work)
+                gram = _GramBlocks(k, _rows_within(k, rows.shape[1]))
             gram.add(block, weights)
         if rhs_weights is not None:
             # an overflow shows as a non-finite rhs, which solve_spd rejects
@@ -215,17 +202,17 @@ def _initial_theta(options: FitOptions, spec: RiskSpec, dataset: Dataset) -> np.
     return solve_spd(*_normal_equations(Loss.LEAST_SQUARES, dataset, np.zeros(k), None, np.zeros(k), ridge)).x
 
 
-def _update(spec, dataset, anchor, system, anchored, buffers):
+def _update(spec, dataset, anchor, system, anchored):
     """The update anchored at the (alpha, beta) vector anchor, as (anchor, the solution of its system,
     the pass at that solution): a pass at anchor builds the system when it is None, and the solution's
     pass builds that point's system when anchored is set. A pass or solve failure propagates."""
     if system is None:
-        system = _pass(spec, anchor, dataset, buffers=buffers)[2]
+        system = _pass(spec, anchor, dataset)[2]
     solution = solve_spd(*system)
-    return anchor, solution, _pass(spec, solution.x, dataset, anchored, buffers)
+    return anchor, solution, _pass(spec, solution.x, dataset, anchored)
 
 
-def _extrapolated_update(spec, dataset, cycle, risk_bound, buffers, anchored):
+def _extrapolated_update(spec, dataset, cycle, risk_bound, anchored):
     """SQUAREM's step (Varadhan & Roland 2008, scheme S3) from a cycle of
     three iterates x0, x1, x2, each of the two later ones the update of the
     one before: the update anchored at x' = x0 - 2 a r + a^2 v, with
@@ -245,7 +232,7 @@ def _extrapolated_update(spec, dataset, cycle, risk_bound, buffers, anchored):
         if not np.isfinite(anchor).all():
             return None
         try:
-            anchor, solution, image = _update(spec, dataset, anchor, None, anchored, buffers)
+            anchor, solution, image = _update(spec, dataset, anchor, None, anchored)
         except (ValueError, SingularSystemError):
             return None
     return (anchor, solution, image) if image[1] <= risk_bound else None
@@ -278,8 +265,7 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
     steps = 1 if closed_form else options.max_iterations
     # tolerance 0 (the fixed-count protocol) takes plain updates only and never stops early
     accelerated = options.risk_tolerance > 0
-    buffers = _pass_buffers(dataset, update=True)
-    exact, smoothed, system = _pass(spec, theta, dataset, buffers=buffers)
+    exact, smoothed, system = _pass(spec, theta, dataset)
     theta_track = [theta]
     anchor_track = []
     exact_track = [exact]
@@ -298,11 +284,11 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
         # after two plain updates a cycle tries the extrapolated point
         if accelerated and plain_run == 2:
             plain_run = 0
-            step = _extrapolated_update(spec, dataset, theta_track[-3:], smoothed_track[-1], buffers, anchored(0))
+            step = _extrapolated_update(spec, dataset, theta_track[-3:], smoothed_track[-1], anchored(0))
         if step is None:
             plain_run += 1
             try:
-                step = _update(spec, dataset, theta_track[-1], system, anchored(plain_run), buffers)
+                step = _update(spec, dataset, theta_track[-1], system, anchored(plain_run))
             except SingularSystemError as err:
                 raise FitError(str(err), exact_track, smoothed_track) from err
         anchor, solution, (exact, smoothed, system) = step

@@ -35,14 +35,14 @@ class SpdSolution:
 
 
 class _GramBlocks:
-    """Y'WY accumulated one row block at a time through one reused buffer,
-    work (k x r, which the caller may reuse across Grams): a block's weighted
-    copy is made r of its columns at a time, so a block of at most r columns
-    adds one product. Each block's weights are checked as they come."""
+    """The k x k Y'WY accumulated one row block at a time through its own
+    k x columns weighted copy: a block's copy is made that many of its columns
+    at a time, so a block of at most that many adds one product. Each block's
+    weights are checked as they come."""
 
-    def __init__(self, work: np.ndarray):
-        self.gram = np.zeros((work.shape[0], work.shape[0]))
-        self._work = work
+    def __init__(self, k: int, columns: int):
+        self.gram = np.zeros((k, k))
+        self._work = np.empty((k, columns))
 
     def add(self, cols: np.ndarray, weights: np.ndarray) -> None:
         """Add the block whose (q+1) x b columns are cols, weighted by weights."""

@@ -25,7 +25,7 @@ def irls_step(spec: RiskSpec, theta: ModelParams, dataset: Dataset) -> ModelPara
     For the least-squares loss with 2-norm penalty the surrogate is the risk
     itself, so the step returns the closed-form solution directly.
     """
-    return ModelParams.from_vector(_update(spec, dataset, theta.as_vector(), None, False, None)[1].x)
+    return ModelParams.from_vector(_update(spec, dataset, theta.as_vector(), None, False)[1].x)
 
 
 def closed_form_ls_l2(dataset: Dataset, lam: float) -> ModelParams:

@@ -766,7 +766,8 @@ def test_an_interrupted_simulate_leaves_its_output_as_it_was(tmp_path, monkeypat
 
 @pytest.mark.parametrize("name, call", [("summary.csv", 1), ("hyperplanes.csv", 2), ("trajectory_lambda_0.1.csv", 4)])
 def test_an_interrupted_sweep_leaves_the_file_it_was_writing_as_it_was(data_csv, tmp_path, monkeypatch, name, call):
-    # each file is one write call: summary, hyperplanes, then the trajectories in grid order
+    # each file is one write call: summary, hyperplanes, then the trajectories in grid order; the
+    # outputs are renamed together at the end, so the files written before the interrupt are left too
     out = tmp_path / "sweep"
     out.mkdir()
     names = ["summary.csv", "hyperplanes.csv", *(f"trajectory_lambda_{v}.csv" for v in ("0", "0.1", "0.2"))]
@@ -777,8 +778,7 @@ def test_an_interrupted_sweep_leaves_the_file_it_was_writing_as_it_was(data_csv,
         main(["sweep", "--loss", "hinge", "--penalty", "l2", "--lambda-grid", "0:0.1:0.2", "--data", str(data_csv),
               "--out", str(out)])
     assert sorted(path.name for path in out.iterdir()) == sorted(names)
-    written = names[: names.index(name)]
-    assert [(out / other).read_bytes() == b"old\n" for other in names] == [other not in written for other in names]
+    assert [(out / other).read_bytes() for other in names] == [b"old\n"] * len(names)
 
 
 @pytest.mark.parametrize("name", ["summary.csv", "hyperplanes.csv", "trajectory_lambda_0.1.csv"])
@@ -825,6 +825,35 @@ def test_fit_unwritable_trajectory_is_data_error(data_csv, tmp_path, capsys):
     code = main(["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data_csv), "--out", str(tmp_path / "m.model")])
     assert code == 3
     assert str(trajectory) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("existing", [None, b"old\n"], ids=["new", "existing"])
+def test_a_fit_whose_trajectory_cannot_be_written_leaves_its_model_as_it_was(data_csv, tmp_path, capsys, existing):
+    model, trajectory = tmp_path / "m.model", tmp_path / "m.trajectory.csv"
+    if existing is not None:
+        model.write_bytes(existing)
+    trajectory.mkdir()
+    code = main(["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data_csv), "--out", str(model)])
+    assert code == 3
+    assert str(trajectory) in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == sorted([data_csv, trajectory] + ([] if existing is None else [model]))
+    if existing is not None:
+        assert model.read_bytes() == existing
+
+
+def test_a_sweep_whose_last_trajectory_cannot_be_written_leaves_every_output_as_it_was(data_csv, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    out.mkdir()
+    names = ["summary.csv", "hyperplanes.csv", "trajectory_lambda_0.csv", "trajectory_lambda_0.1.csv"]
+    for name in names:
+        (out / name).write_bytes(b"old\n")
+    last = out / "trajectory_lambda_0.2.csv"
+    last.mkdir()  # a directory where the last trajectory goes
+    argv = ["sweep", "--loss", "hinge", "--penalty", "l2", "--lambda-grid", "0:0.1:0.2", "--iterations", "2"]
+    assert main(argv + ["--data", str(data_csv), "--out", str(out)]) == 3
+    assert str(last) in capsys.readouterr().err
+    assert sorted(path.name for path in out.iterdir()) == sorted(names + [last.name])
+    assert [(out / name).read_bytes() for name in names] == [b"old\n"] * len(names)
 
 
 def test_sweep_unwritable_output_is_data_error(data_csv, tmp_path, capsys):

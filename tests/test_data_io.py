@@ -2,6 +2,7 @@ import codecs
 import hashlib
 import io
 import math
+import os
 import pathlib
 import re
 
@@ -151,7 +152,7 @@ def test_generator_rejects_odd_n():
     assert generate_gaussian_mixture(np.int64(10), seed=0).n == 10
     with pytest.raises(ValueError, match="equal length"):
         generate_gaussian_mixture(4, mean_neg=(0.0,), mean_pos=(1.0, 1.0))
-    # q = 0 would divide the stage size by zero: the means are named before any draw
+    # q = 0 would divide the block size by zero: the means are named before any draw
     with pytest.raises(ValueError, match="^class means must be non-empty and of equal length$"):
         generate_gaussian_mixture(4, mean_neg=(), mean_pos=())
     # the Dataset would reject the samples too, but the generator names the argument at fault
@@ -187,7 +188,7 @@ def _marsaglia_normals(seed, count):
 @pytest.mark.parametrize("cells", [None, 1, 3])
 def test_polar_normals_follow_the_stream_pair_by_pair(monkeypatch, cells):
     # one pair per batch meets batches that accept nothing; three pairs per batch put
-    # batch ends inside the generator's one-sample stages
+    # batch ends inside the generator's one-sample blocks
     if cells is not None:
         monkeypatch.setattr(data_io, "_WRITE_CELLS", cells)
     count = 3000
@@ -222,7 +223,7 @@ def test_generator_bytes_are_pinned_at_fifty_features():
     ],
 )
 def test_generator_bytes_are_pinned_at_one_and_two_features(q, expected):
-    # CI's draw (n = 40 000, seed 2017): several batches of pairs, and stages that
+    # CI's draw (n = 40 000, seed 2017): several batches of pairs, and blocks that
     # end inside a batch
     ds = generate_gaussian_mixture(40_000, mean_neg=-np.ones(q), mean_pos=np.ones(q), seed=2017)
     assert hashlib.sha256(ds.features.tobytes() + ds.labels.tobytes()).hexdigest() == expected
@@ -243,9 +244,24 @@ def test_generator_output_does_not_depend_on_its_batch_size(monkeypatch, q):
         assert ds.labels.tobytes() == expected.labels.tobytes()
 
 
+@pytest.mark.parametrize("q", [1, 2, 50])
+def test_generator_blocks_are_their_own_arrays(q):
+    # every block is collected before any is used: three whole blocks and a short one, the
+    # classes meeting inside one, and together they are the generated dataset's design
+    step = data_io._WRITE_CELLS // q
+    n = 3 * step + 2 - step % 2
+    means = -np.ones(q), np.ones(q)
+    _q, blocks = data_io._mixture_blocks(n, *means, seed=q)
+    labels, rows = zip(*blocks)
+    assert len(rows) == 4
+    ds = generate_gaussian_mixture(n, *means, seed=q)
+    assert np.concatenate(rows).tobytes() == ds.features.tobytes()
+    assert np.concatenate(labels).tobytes() == ds.labels.tobytes()
+
+
 @pytest.mark.parametrize("n, q", [(200_000, 2), (20_000, 50)])
 def test_generator_holds_little_besides_its_output(n, q):
-    # the output, which is the Dataset's design, one batch of pairs and one stage; a
+    # the output, which is the Dataset's design, one batch of pairs and one block; a
     # transform over arrays as long as the output held 3.4 and 4.8 times it, and a
     # Dataset that copied the generated features 2 times
     held = {}
@@ -516,6 +532,18 @@ def test_an_interrupted_write_leaves_its_path_as_it_was(tmp_path, monkeypatch, w
     assert sorted(tmp_path.iterdir()) == ([] if existing is None else [path])
     if existing is not None:
         assert path.read_bytes() == existing
+
+
+def test_staged_outputs_replace_their_paths_together_at_the_end(tmp_path):
+    spec = RiskSpec(Loss.HINGE, Penalty.L2, lam=0.1)
+    result = fit(spec, make_dataset(seed=43, n=30, q=2))
+    model, trajectory = tmp_path / "m.model", tmp_path / "m.trajectory.csv"
+    with data_io.staged_outputs():
+        write_model(result, spec, model)
+        write_trajectory_csv(result, trajectory)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [f".{path.name}.{os.getpid()}.tmp" for path in (model, trajectory)]
+    assert sorted(tmp_path.iterdir()) == [model, trajectory]
+    assert read_trajectory_csv(trajectory)[1].tobytes() == result.exact_risk_trajectory.tobytes()
 
 
 def test_a_write_replaces_a_symlink_and_leaves_its_target(tmp_path):

@@ -31,7 +31,6 @@ from irlsvm.engine import (
     _extrapolated,
     _extrapolated_update,
     _pass,
-    _pass_buffers,
     _surrogate_values,
     _violations,
 )
@@ -543,15 +542,15 @@ def test_extrapolated_update_rejects_a_non_finite_extrapolated_point(loss):
     x1 = np.array([0.5, -0.25, 1.0])
     cycle = [np.zeros(3), x1, 2.0 * x1]
     spec = RiskSpec(loss, Penalty.L2, lam=0.1, epsilon=EPS)
-    assert _extrapolated_update(spec, ds, cycle, np.inf, _pass_buffers(ds, update=True), True) is None
+    assert _extrapolated_update(spec, ds, cycle, np.inf, True) is None
 
 
 @pytest.mark.parametrize("n, q", [(200_000, 2), (20_000, 50)], ids=["q2", "q50"])
 @pytest.mark.parametrize("loss", list(Loss), ids=lambda k: k.value)
 def test_fits_and_risks_hold_no_copy_of_the_data(n, q, loss):
     # a fit, a risk and check's gates walk the Dataset's own design: besides the
-    # pass buffers (_pass_buffers: four rows of a block, and a weighted copy of
-    # one, capped at _BLOCK_BYTES) they hold nothing that grows with n; a q = 50
+    # rows each pass allocates (four rows of a block, and for a hinge update a weighted
+    # copy of one, capped at _BLOCK_BYTES) they hold nothing that grows with n; a q = 50
     # fit's whole weighted block, 6.4 MiB, peaked at 7.34 MB
     ds = generate_gaussian_mixture(n, mean_neg=-0.3 * np.ones(q), mean_pos=0.3 * np.ones(q), seed=4)
     bound = 4 * _BLOCK_ROWS * 8 + min((q + 1) * _BLOCK_ROWS * 8, _BLOCK_BYTES) + 2**20
@@ -669,8 +668,8 @@ def _build_every_system(monkeypatch):
 
     original = engine_module._pass
 
-    def full_pass(spec, vec, dataset, update=True, buffers=None):
-        return original(spec, vec, dataset, True, buffers)
+    def full_pass(spec, vec, dataset, update=True):
+        return original(spec, vec, dataset, True)
 
     monkeypatch.setattr(engine_module, "_pass", full_pass)
 
@@ -733,8 +732,8 @@ def _record_passes_and_solves(monkeypatch):
     events = []
     original_pass, original_solve = engine_module._pass, engine_module.solve_spd
 
-    def recording_pass(spec, vec, dataset, update=True, buffers=None):
-        out = original_pass(spec, vec, dataset, update, buffers)
+    def recording_pass(spec, vec, dataset, update=True):
+        out = original_pass(spec, vec, dataset, update)
         system = out[2]
         events.append(("pass", vec.copy(), None if system is None else system[0]))
         return out

@@ -5,8 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from irlsvm import Dataset
-from irlsvm.core import _BLOCK_BYTES, _BLOCK_ROWS
-from irlsvm.engine import _pass_buffers
+from irlsvm.core import _BLOCK_BYTES, _BLOCK_ROWS, _rows_within
 from irlsvm.linalg import SingularSystemError, _GramBlocks, solve_spd
 
 from helpers import make_dataset
@@ -14,7 +13,7 @@ from helpers import make_dataset
 
 def _one_block_gram(dataset, weights):
     """Y'WY of the dataset's whole design accumulated as one block."""
-    gram = _GramBlocks(np.empty((dataset.q + 1, dataset.n)))
+    gram = _GramBlocks(dataset.q + 1, dataset.n)
     gram.add(dataset._design, np.asarray(weights, dtype=float))
     return gram.result()
 
@@ -38,7 +37,7 @@ def test_weighted_gram_exactly_symmetric():
 def test_weighted_gram_near_the_float_limit_stays_finite():
     # each entry is 1.69e308: a symmetrising sum before halving would overflow
     cols = np.full((2, 1), 1.3e154)
-    gram = _GramBlocks(np.empty((2, 1)))
+    gram = _GramBlocks(2, 1)
     gram.add(cols, np.ones(1))
     result = gram.result()
     assert np.isfinite(result).all()
@@ -51,10 +50,15 @@ def test_unit_weights_give_plain_gram():
     assert_allclose(_one_block_gram(ds, np.ones(ds.n)), plain, rtol=1e-14, atol=0)
 
 
-def _blockwise_grams(dataset, weights):
-    """Y'WY accumulated over the design blocks a pass walks, through the engine's budgeted
-    buffer, and as each whole block's (block * w) @ block.T, made symmetric as result() does."""
-    gram = _GramBlocks(_pass_buffers(dataset, update=True)[1])
+def _pass_gram(dataset):
+    """A _GramBlocks as a hinge update's pass builds one, its weighted copy within _BLOCK_BYTES."""
+    k = dataset.q + 1
+    return _GramBlocks(k, _rows_within(k, min(dataset.n, _BLOCK_ROWS)))
+
+
+def _blockwise_grams(gram, dataset, weights):
+    """Y'WY accumulated over the design blocks a pass walks, through the _GramBlocks gram, and
+    as each whole block's (block * w) @ block.T, made symmetric as result() does."""
     whole = np.zeros((dataset.q + 1, dataset.q + 1))
     start = 0
     for block in dataset._blocks():
@@ -71,7 +75,7 @@ def _blockwise_grams(dataset, weights):
 def test_gram_blocks_within_the_budget_add_whole_block_products(q):
     # up to q = 15 a block's weighted copy fits in _BLOCK_BYTES, so each block adds one product, bit for bit
     ds = make_dataset(seed=12, n=2 * _BLOCK_ROWS + 77, q=q)
-    gram, whole = _blockwise_grams(ds, np.random.default_rng(12).uniform(0, 3, ds.n))
+    gram, whole = _blockwise_grams(_pass_gram(ds), ds, np.random.default_rng(12).uniform(0, 3, ds.n))
     assert gram.tobytes() == whole.tobytes()
 
 
@@ -79,9 +83,9 @@ def test_gram_blocks_past_the_budget_add_sub_block_products():
     # at q = 50 a block's weighted copy is made a few thousand columns at a time: the sum of the
     # sub-block products differs from the whole block's in rounding only
     ds = make_dataset(seed=13, n=_BLOCK_ROWS + 77, q=50)
-    work = _pass_buffers(ds, update=True)[1]
-    assert work.nbytes <= _BLOCK_BYTES < (ds.q + 1) * _BLOCK_ROWS * 8
-    gram, whole = _blockwise_grams(ds, np.random.default_rng(13).uniform(0, 3, ds.n))
+    blocks = _pass_gram(ds)
+    assert blocks._work.nbytes <= _BLOCK_BYTES < (ds.q + 1) * _BLOCK_ROWS * 8
+    gram, whole = _blockwise_grams(blocks, ds, np.random.default_rng(13).uniform(0, 3, ds.n))
     assert_array_equal(gram, gram.T)
     assert_allclose(gram, whole, rtol=1e-13, atol=1e-13 * np.abs(whole).max())
 
@@ -90,7 +94,7 @@ def test_weighted_gram_validation(two_sample):
     cols = two_sample._design
     for bad in ([1.0, -1.0], [1.0, np.nan], [np.inf, 1.0]):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            _GramBlocks(np.empty((2, 2))).add(cols, np.array(bad))
+            _GramBlocks(2, 2).add(cols, np.array(bad))
 
 
 def test_solve_spd_identity_and_diagonal():
