@@ -136,6 +136,11 @@ class Dataset:
         """The design's (q+1) x b column blocks of rows samples (fewer in the last), in order."""
         return (self._design[:, start : start + rows] for start in range(0, self.n, rows))
 
+    def _feature_blocks(self):
+        """The samples as (labels, feature rows) blocks, each of at most _BLOCK_BYTES of feature
+        rows, rebuilt from a design block as features rebuilds them: the blocks _fill takes."""
+        return ((block[0], _feature_rows(block)) for block in self._blocks(_rows_within(self.q)))
+
     def __setattr__(self, name, value=None):
         raise AttributeError("Dataset is immutable")
 

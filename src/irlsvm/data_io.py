@@ -425,31 +425,29 @@ def _row_bytes(columns, start: int, stop: int) -> bytes:
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
-    """Write a dataset with columns x1..xq then y, its features computed
-    from the design (Dataset) a block at a time, at most _BLOCK_BYTES of them."""
-    blocks = dataset._blocks(_rows_within(dataset.q))
-    _write_samples(path, dataset.q, ((block[0], block[1:] * block[0]) for block in blocks))
+    """Write a dataset with columns x1..xq then y, its feature rows rebuilt from the
+    design a block at a time, at most _BLOCK_BYTES of them (Dataset._feature_blocks)."""
+    _write_samples(path, dataset.q, dataset._feature_blocks())
 
 
 def _write_samples(path, q: int, blocks) -> None:
-    """Write the samples of (labels, features) blocks, features being q columns of b values
-    each (a q x b array), with columns x1..xq then y."""
+    """Write the samples of (labels, feature rows) blocks, the blocks Dataset._fill takes
+    (b labels and a b x q array), with columns x1..xq then y."""
     header = [f"x{j + 1}" for j in range(q)] + [LABEL_COLUMN]
-    _write_rows(path, header, ([*features, labels] for labels, features in blocks))
+    _write_rows(path, header, ([*features.T, labels] for labels, features in blocks))
 
 
 def write_predictions_csv(theta: ModelParams, source, path) -> int:
     """Copy the CSV at source to path with a "predicted" column of theta's labels and
     return their count. source is opened once: it is parsed a block at a time, keeping each
     record's label alone, then read again from its start by the copy, whose output replaces
-    path (which may name source) at the end. A non-finite decision value is a DataError
-    naming its row among non-blank records."""
+    path (which may name source) at the end. A width other than theta's, or a non-finite
+    decision value, is a DataError (from core._predictions), the latter naming its row among
+    non-blank records."""
     with open_input(source) as handle:
         header, blocks = _csv_blocks(Path(source), handle)
         labels, done = [], 0
         for _labels, features in blocks:
-            if features.shape[1] != theta.q:
-                raise DataError(f"{source}: model expects {theta.q} features, file has {features.shape[1]}")
             try:
                 labels.append(_predictions(theta, features, done + 1).astype(np.int8))
             except ValueError as err:

@@ -67,7 +67,8 @@ class FitOptions:
 
 
 class FitError(RuntimeError):
-    """Solver failure mid-run; carries the trajectory recorded so far."""
+    """A failed solve in fit, the warm start's included; carries the risks recorded so far (none
+    when the warm start fails)."""
 
     def __init__(self, message, exact_trajectory, smoothed_trajectory):
         super().__init__(message)
@@ -190,9 +191,7 @@ def smoothed_risk(spec: RiskSpec, theta: ModelParams, dataset: Dataset) -> float
 
 
 def _initial_theta(options: FitOptions, spec: RiskSpec, dataset: Dataset) -> np.ndarray:
-    if isinstance(options.init, ModelParams):
-        if options.init.q != dataset.q:
-            raise ValueError(f"explicit init has {options.init.q} features, data has {dataset.q}")
+    if isinstance(options.init, ModelParams):  # its width is checked by the first _pass
         return options.init.as_vector()
     if options.init is Init.ZERO:
         return np.zeros(dataset.q + 1)
@@ -205,7 +204,7 @@ def _initial_theta(options: FitOptions, spec: RiskSpec, dataset: Dataset) -> np.
 def _update(spec, dataset, anchor, system, anchored):
     """The update anchored at the (alpha, beta) vector anchor, as (anchor, the solution of its system,
     the pass at that solution): a pass at anchor builds the system when it is None, and the solution's
-    pass builds that point's system when anchored is set. A pass or solve failure propagates."""
+    pass builds that point's system when anchored is set. A failed solve propagates."""
     if system is None:
         system = _pass(spec, anchor, dataset)[2]
     solution = solve_spd(*system)
@@ -233,7 +232,7 @@ def _extrapolated_update(spec, dataset, cycle, risk_bound, anchored):
             return None
         try:
             anchor, solution, image = _update(spec, dataset, anchor, None, anchored)
-        except (ValueError, SingularSystemError):
+        except SingularSystemError:
             return None
     return (anchor, solution, image) if image[1] <= risk_bound else None
 
@@ -257,11 +256,16 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
     cycle starts from the last recorded iterate. So every recorded iterate
     is the image of one update, and no extrapolation raises the recorded
     smoothed risk. Fewer than three updates left run as plain updates. With
-    risk_tolerance 0 every update is anchored at the iterate before it.
+    risk_tolerance 0 every update is anchored at the iterate before it. A
+    system that solve_spd cannot solve (a non-finite one too, from an
+    overflow), the warm start's or a plain update's, raises FitError.
     """
     options = options or FitOptions()
     closed_form = spec.loss is Loss.LEAST_SQUARES and spec.penalty is Penalty.L2
-    theta = _initial_theta(options, spec, dataset)
+    try:
+        theta = _initial_theta(options, spec, dataset)
+    except SingularSystemError as err:
+        raise FitError(str(err), [], []) from err
     steps = 1 if closed_form else options.max_iterations
     # tolerance 0 (the fixed-count protocol) takes plain updates only and never stops early
     accelerated = options.risk_tolerance > 0

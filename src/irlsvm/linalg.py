@@ -37,8 +37,9 @@ class SpdSolution:
 class _GramBlocks:
     """The k x k Y'WY accumulated one row block at a time through its own
     k x columns weighted copy: a block's copy is made that many of its columns
-    at a time, so a block of at most that many adds one product. Each block's
-    weights are checked as they come."""
+    at a time, so a block of at most that many adds one product. The weights
+    are not checked: the hinge's, 1/(4 gamma) with gamma > 0, are never
+    negative or infinite, and a NaN one makes a NaN Gram, which solve_spd rejects."""
 
     def __init__(self, k: int, columns: int):
         self.gram = np.zeros((k, k))
@@ -46,9 +47,6 @@ class _GramBlocks:
 
     def add(self, cols: np.ndarray, weights: np.ndarray) -> None:
         """Add the block whose (q+1) x b columns are cols, weighted by weights."""
-        # min >= 0 is False when any weight is NaN
-        if not (weights.min() >= 0.0 and np.isfinite(weights.max())):
-            raise ValueError("weights must be finite and nonnegative")
         step = self._work.shape[1]
         # an overflow shows as a non-finite Gram, which solve_spd rejects
         with np.errstate(over="ignore", invalid="ignore"):

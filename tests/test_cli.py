@@ -17,6 +17,7 @@ import pytest
 
 from irlsvm import (
     DataError,
+    Dataset,
     FitOptions,
     Init,
     Loss,
@@ -35,7 +36,6 @@ from irlsvm import (
 from irlsvm import data_io
 from irlsvm.cli import MAX_GRID_POINTS, _grid, _options_from_args, _spec_from_args, main, parse_args
 from irlsvm.core import DEFAULT_EPSILON
-from irlsvm.linalg import SingularSystemError
 
 from helpers import ITERATIVE_COMBOS, ITERATIVE_IDS, interrupt_on_call, make_dataset, traced_peak
 
@@ -201,12 +201,14 @@ def test_predict_appends_label_column(data_csv, tmp_path):
     assert [int(r[-1]) for r in rows[1:]] == [int(v) for v in expected]
 
 
-def test_predict_feature_count_mismatch(data_csv, tmp_path):
+def test_predict_feature_count_mismatch(data_csv, tmp_path, capsys):
     model_path = tmp_path / "m.model"
     assert main(["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data_csv), "--out", str(model_path)]) == 0
     bad = tmp_path / "bad.csv"
     bad.write_text("x1,x2,x3,y\n1,2,3,1\n")
     assert main(["predict", "--model", str(model_path), "--data", str(bad), "--out", str(tmp_path / "p.csv")]) == 3
+    assert f"error: {bad}: expected 2 features, got 3" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -331,6 +333,16 @@ def test_simulate_and_predict_outputs_are_pinned_across_read_blocks(tmp_path):
         copy.write_bytes(data.read_bytes().replace(b"\n", eol))
         assert main(["predict", "--model", str(model), "--data", str(copy), "--out", str(copy_predictions)]) == 0
         assert copy_predictions.read_bytes() == predictions.read_bytes()
+
+
+@pytest.mark.parametrize("seed", [2017, 5])
+def test_simulate_writes_the_bytes_of_the_generated_dataset(tmp_path, seed):
+    # 40 000 samples span several generator blocks and three CSV blocks: simulate hands the generator's
+    # blocks to the writer, write_dataset_csv the feature rows rebuilt from the design they fill
+    simulated, written = tmp_path / "simulated.csv", tmp_path / "written.csv"
+    assert main(["simulate", "--n", "40000", "--seed", str(seed), "--out", str(simulated)]) == 0
+    write_dataset_csv(generate_gaussian_mixture(40_000, seed=seed), written)
+    assert simulated.read_bytes() == written.read_bytes()
 
 
 @pytest.mark.parametrize("n", ["7", "0", "-4"])
@@ -496,15 +508,18 @@ def test_fit_summary_counts_updates_from_extrapolated_points(data_csv, tmp_path,
     assert "extrapolated" not in capsys.readouterr().out
 
 
-def test_solver_failure_maps_to_exit_4(data_csv, tmp_path, monkeypatch):
-    import irlsvm.cli as cli_module
-
-    def failing_fit(*args, **kwargs):
-        raise SingularSystemError("injected")
-
-    monkeypatch.setattr(cli_module, "fit", failing_fit)
-    code = main(["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data_csv), "--out", str(tmp_path / "m")])
-    assert code == 4
+def test_solver_failure_maps_to_exit_4(tmp_path, capsys):
+    # features of 1e200 overflow the Gram of every system, the warm start's as well as a first
+    # update's from zero: each failed solve is a FitError, and exit 4, in fit and in check
+    sample = make_dataset(seed=50, n=60, q=2)
+    data, model = tmp_path / "huge.csv", tmp_path / "m.model"
+    write_dataset_csv(Dataset(sample.features * 1e200, sample.labels), data)
+    for verb in ("fit", "check"):
+        for init in ("zero", "warm"):
+            argv = [verb, "--loss", "hinge", "--penalty", "l2", "--lambda", "0.1", "--init", init, "--data", str(data)]
+            assert main(argv + (["--out", str(model)] if verb == "fit" else [])) == 4
+            assert "solver error: system matrix or right-hand side is not finite" in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_fit_accepts_trailing_blank_line(tmp_path):

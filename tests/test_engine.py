@@ -218,8 +218,33 @@ def test_fit_records_theta_trajectory(init):
 
 
 def test_fit_explicit_init_dimension_mismatch(two):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^theta has 3 features but data has 1$"):
         fit(RiskSpec(Loss.HINGE, Penalty.L2), two, FitOptions(init=ModelParams.zeros(3)))
+
+
+@pytest.mark.parametrize("loss", [Loss.HINGE, Loss.SQUARED_HINGE, Loss.LOGISTIC])
+def test_an_overflowing_start_is_a_fit_error(loss):
+    # margins of 2e310 overflow to inf, and to NaN where two such products cancel: the start's risks
+    # are recorded, and the system anchored there is not finite, for the hinge (NaN weights) too
+    ds = Dataset([[1e10, 1e10], [1e10, -1e10], [-1e10, 1e10], [-1e10, -1e10]], [1.0, 1.0, -1.0, -1.0])
+    options = FitOptions(init=ModelParams(alpha=0.0, beta=[1e300, 1e300]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FitError, match="not finite") as info:
+        fit(RiskSpec(loss, Penalty.L2, lam=0.1), ds, options)
+    assert info.value.exact_trajectory.shape == info.value.smoothed_trajectory.shape == (1,)
+
+
+def test_a_failed_warm_start_is_a_fit_error():
+    # features of 1e200 overflow the cached Gram that the ridge start solves: no risk is recorded yet
+    sample = make_dataset(seed=34, n=40, q=3)
+    huge = Dataset(sample.features * 1e200, sample.labels)
+    spec = RiskSpec(Loss.HINGE, Penalty.L2, lam=0.1)
+    with pytest.raises(FitError, match="not finite") as info:
+        fit(spec, huge, FitOptions(init=Init.WARM_START_LS_L2))
+    assert info.value.exact_trajectory.shape == info.value.smoothed_trajectory.shape == (0,)
+    # from zero the start's risks are recorded, and its first update fails
+    with pytest.raises(FitError, match="not finite") as info:
+        fit(spec, huge, FitOptions(init=Init.ZERO))
+    assert info.value.exact_trajectory.shape == (1,)
 
 
 def test_fit_warm_start_is_ridge_solution(two):
