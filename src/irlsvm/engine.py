@@ -83,30 +83,26 @@ def _pass(
     the exact and smoothed risks there and, with update, the system (matrix, right-hand side)
     of the normal equations of the surrogate anchored there (else None).
 
-    Every block's margins and loss terms go through the pass's own four
-    block-sized rows, so the pass allocates no n-length array, and an update
-    whose blocks bring weights (the hinge's) weights a copy of a block at
-    most _BLOCK_BYTES at a time, at any q (linalg._GramBlocks).
+    Each block's margins, and the loss terms _block_terms makes of them, are
+    arrays of one block's length, so the pass allocates no n-length array, and
+    an update whose blocks bring weights (the hinge's) weights a copy of a
+    block at most _BLOCK_BYTES at a time, at any q (linalg._GramBlocks).
     """
     k = dataset.q + 1
     if vec.shape[0] != k:
         raise ValueError(f"theta has {vec.shape[0] - 1} features but data has {dataset.q}")
-    rows = np.empty((4, min(dataset.n, _BLOCK_ROWS)))
     gram = None
     rhs = np.zeros(k)
     loss_sum = smoothed_sum = 0.0
     for block in dataset._blocks():
-        b = block.shape[1]
-        m = np.matmul(block.T, vec, out=rows[0, :b])
-        scratch = rows[1:4, :b]
-        block_loss, block_smoothed, weights, rhs_weights = _block_terms(spec.loss, m, spec.epsilon, scratch, update)
+        block_loss, block_smoothed, weights, rhs_weights = _block_terms(spec.loss, block.T @ vec, spec.epsilon, update)
         loss_sum += block_loss
         smoothed_sum += block_smoothed
         if not update:
             continue
         if weights is not None:
             if gram is None:
-                gram = _GramBlocks(k, _rows_within(k, rows.shape[1]))
+                gram = _GramBlocks(k, _rows_within(k, min(dataset.n, _BLOCK_ROWS)))
             gram.add(block, weights)
         if rhs_weights is not None:
             # an overflow shows as a non-finite rhs, which solve_spd rejects

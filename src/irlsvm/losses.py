@@ -2,11 +2,12 @@
 losses included) each loss feeds into the reweighted normal equations.
 
 Every public function accepts scalars or numpy arrays of margins and is
-pure. The loss, smoothing and sigmoid formulas live in private functions
-that fill a given array; the public functions apply them to whole margin
-vectors, and _block_terms to one row block of the engine's pass at a time,
-in the order its update's algebra needs them; _normal_equations turns a
-pass's block sums into its update's system.
+pure. The loss, smoothing and sigmoid formulas live in private functions,
+each of which allocates the array it fills (0-d for 0-d margins) and works
+in place on it; the public functions apply them to whole margin vectors,
+and _block_terms to one row block of the engine's pass at a time, in the
+order its update's algebra needs them; _normal_equations turns a pass's
+block sums into its update's system.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import numpy as np
 from .core import Loss
 
 
-def _loss_into(kind: Loss, m: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Per-sample loss at margins m, written into out."""
+def _loss(kind: Loss, m: np.ndarray) -> np.ndarray:
+    """Per-sample loss at margins m."""
+    out = np.empty_like(m)
     if kind is Loss.HINGE:
         np.subtract(1.0, m, out=out)
         np.maximum(out, 0.0, out=out)
@@ -39,9 +41,9 @@ def _loss_into(kind: Loss, m: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hinge_gamma(u: np.ndarray, epsilon: float, out: np.ndarray) -> np.ndarray:
-    """gamma = sqrt(u^2 + eps), the smoothed |u| at u = 1 - m, written into out."""
-    np.multiply(u, u, out=out)
+def _hinge_gamma(u: np.ndarray, epsilon: float) -> np.ndarray:
+    """gamma = sqrt(u^2 + eps), the smoothed |u| at u = 1 - m."""
+    out = np.multiply(u, u, out=np.empty_like(u))
     out += epsilon
     return np.sqrt(out, out=out)
 
@@ -49,17 +51,17 @@ def _hinge_gamma(u: np.ndarray, epsilon: float, out: np.ndarray) -> np.ndarray:
 _UNIT_OPEN = (np.finfo(float).tiny, 1.0 - 2.0**-53)
 
 
-def _logistic_pi(m: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Sigmoid pi = 1/(1 + exp(m)), kept strictly inside (0, 1), written into out."""
+def _logistic_pi(m: np.ndarray) -> np.ndarray:
+    """Sigmoid pi = 1/(1 + exp(m)), kept strictly inside (0, 1)."""
     # past m ~ 709 exp overflows to inf and pi to 0, which the clip lifts
     with np.errstate(over="ignore"):
-        np.exp(m, out=out)
+        out = np.exp(m, out=np.empty_like(m))
     out += 1.0
     np.divide(1.0, out, out=out)
     return np.clip(out, *_UNIT_OPEN, out=out)
 
 
-def _block_terms(kind: Loss, m: np.ndarray, epsilon: float, scratch, update: bool):
+def _block_terms(kind: Loss, m: np.ndarray, epsilon: float, update: bool):
     """One row block's share of a pass at its margins m: (sum of the exact
     losses, sum of the smoothed losses, weights, rhs weights).
 
@@ -74,26 +76,23 @@ def _block_terms(kind: Loss, m: np.ndarray, epsilon: float, scratch, update: boo
     - squared hinge: W = I and r = max(m, 1);
     - logistic: W = I and r = m + 4 pi (the curvature bound is 1/4): the
       right side is Y'Y theta + 4 pi'Y.
-    With update False, weights and rhs weights are None. scratch holds three
-    arrays of m's shape, which the results occupy.
+    With update False, weights and rhs weights are None. m is left as it
+    is; the weights are arrays of m's shape that this call allocates.
     """
-    values, gamma, work = scratch
     if kind is Loss.HINGE:
-        u = np.subtract(1.0, m, out=values)
-        _hinge_gamma(u, epsilon, gamma)
+        u = 1.0 - m
+        gamma = _hinge_gamma(u, epsilon)
+        weights = 0.25 / gamma if update else None
         # the smoothed hinge is (gamma + u)/2: max(0, u) = (|u| + u)/2 with |u| smoothed to gamma
-        smoothed_sum = 0.5 * float(np.add(gamma, u, out=work).sum())
+        smoothed_sum = 0.5 * float(np.add(gamma, u, out=gamma).sum())
         loss_sum = float(np.maximum(u, 0.0, out=u).sum())
-        if not update:
-            return loss_sum, smoothed_sum, None, None
-        weights = np.divide(0.25, gamma, out=work)
         return loss_sum, smoothed_sum, weights, weights
-    loss_sum = float(_loss_into(kind, m, values).sum())
+    loss_sum = float(_loss(kind, m).sum())
     if not update or kind is Loss.LEAST_SQUARES:
         return loss_sum, loss_sum, None, None
     if kind is Loss.SQUARED_HINGE:
-        return loss_sum, loss_sum, None, np.maximum(m, 1.0, out=work)
-    pi = _logistic_pi(m, work)
+        return loss_sum, loss_sum, None, np.maximum(m, 1.0)
+    pi = _logistic_pi(m)
     pi *= 4.0
     return loss_sum, loss_sum, None, pi
 
@@ -124,7 +123,7 @@ def _normal_equations(kind: Loss, dataset, vec, gram, rhs, diag) -> tuple[np.nda
 def loss_value(kind: Loss, m):
     """Per-sample loss as a function of the margin m."""
     m = np.asarray(m, dtype=float)
-    out = _loss_into(kind, m, np.empty_like(m))  # a 0-d out stays 0-d
+    out = _loss(kind, m)
     return out if out.ndim else float(out)
 
 
@@ -140,8 +139,7 @@ def majorizer_value(kind: Loss, m, m_ref, epsilon: float):
     # in place from u = 1 - m, so the only temporaries are of m's and m_ref's shapes
     out = np.subtract(1.0, m, out=np.empty(np.broadcast_shapes(m.shape, m_ref.shape)))
     if kind is Loss.HINGE:
-        gamma = np.subtract(1.0, m_ref, out=np.empty_like(m_ref))
-        _hinge_gamma(gamma, epsilon, gamma)
+        gamma = _hinge_gamma(1.0 - m_ref, epsilon)
         # ((u + gamma)^2 + eps) / (4 gamma): the anchor constant eps/(4 gamma)
         # makes the surrogate exactly tangent to the smoothed hinge
         out += gamma
@@ -160,7 +158,7 @@ def majorizer_value(kind: Loss, m, m_ref, epsilon: float):
         d = np.subtract(m, m_ref, out=out)
         curvature = d * d
         curvature /= 8.0
-        np.multiply(d, _logistic_pi(m_ref, np.empty_like(m_ref)), out=out)
+        np.multiply(d, _logistic_pi(m_ref), out=out)
         np.subtract(loss_value(Loss.LOGISTIC, m_ref), out, out=out)
         out += curvature
     return out if out.ndim else float(out)

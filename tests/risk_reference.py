@@ -38,7 +38,7 @@ def smoothed_loss_value(kind: Loss, m, epsilon: float):
     if kind is not Loss.HINGE:
         return loss_value(kind, m)
     u = 1.0 - np.asarray(m, dtype=float)
-    out = (_hinge_gamma(u, epsilon, np.empty_like(u)) + u) * 0.5
+    out = (_hinge_gamma(u, epsilon) + u) * 0.5
     return out if out.ndim else float(out)
 
 

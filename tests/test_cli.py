@@ -2,6 +2,7 @@ import argparse
 import codecs
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -35,7 +36,7 @@ from irlsvm import (
 )
 from irlsvm import data_io
 from irlsvm.cli import MAX_GRID_POINTS, _grid, _options_from_args, _spec_from_args, main, parse_args
-from irlsvm.core import DEFAULT_EPSILON
+from irlsvm.core import _BLOCK_ROWS, DEFAULT_EPSILON
 
 from helpers import ITERATIVE_COMBOS, ITERATIVE_IDS, interrupt_on_call, make_dataset, traced_peak
 
@@ -129,6 +130,37 @@ def test_grid_point_count_is_capped_before_the_grid_is_built():
     for text in ("0:5e-324:1", "-1e308:1e-10:1e308"):
         with pytest.raises(argparse.ArgumentTypeError, match="too many points to count"):
             _grid(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a:b:c", "grid 'a:b:c' is not numeric"),
+        ("0.1:0:0.2", "grid step is 0 but end differs from start"),
+        ("0:1", "grid must be start:step:end"),
+        ("-0.1", "grid values must be >= 0"),
+        ("0:-0.1:-0.2", "grid values must be >= 0"),
+    ],
+    ids=["non-numeric", "zero-step-to-another-end", "two-parts", "negative-point", "negative-steps"],
+)
+def test_malformed_grid_is_usage_error_with_its_message(data_csv, tmp_path, capsys, text, message):
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep", "--loss", "hinge", "--penalty", "l2", f"--lambda-grid={text}"]
+    assert main(argv + ["--data", str(data_csv), "--out", str(out_dir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_a_zero_step_grid_that_ends_at_its_start_sweeps_one_point(data_csv, tmp_path):
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep", "--loss", "hinge", "--penalty", "l2", "--lambda-grid", "0.1:0:0.1", "--iterations", "2"]
+    assert main(argv + ["--data", str(data_csv), "--out", str(out_dir)]) == 0
+    with (out_dir / "summary.csv").open() as handle:
+        rows = list(csv.reader(handle))
+    assert len(rows) == 2 and rows[1][0] == "lambda" and float(rows[1][1]) == 0.1
+    assert sorted(path.name for path in out_dir.iterdir()) == [
+        "hyperplanes.csv", "summary.csv", "trajectory_lambda_0.1.csv"
+    ]
 
 
 def test_overlong_grid_is_usage_error(data_csv, tmp_path, capsys):
@@ -394,6 +426,31 @@ def test_sweep_holds_its_design_and_little_more(tmp_path):
     assert peak <= 3 * 200_000 * 8 + 2 * 2**20
 
 
+@pytest.fixture(scope="module")
+def three_block_data(tmp_path_factory):
+    """A q = 2 dataset of three blocks and two samples, and its CSV."""
+    dataset = generate_gaussian_mixture(3 * _BLOCK_ROWS + 2, seed=5)
+    path = tmp_path_factory.mktemp("three-blocks") / "d.csv"
+    write_dataset_csv(dataset, path)
+    return dataset, path
+
+
+@pytest.mark.parametrize("penalty", [Penalty.L2, Penalty.ELASTIC_NET], ids=lambda p: p.value)
+@pytest.mark.parametrize("loss", list(Loss), ids=lambda k: k.value)
+def test_fit_and_check_hold_the_design_and_at_most_2_5_mib_more(three_block_data, capsys, loss, penalty):
+    # README's memory budget: each pass's block-sized arrays, a hinge update's weighted copy and
+    # check's surrogate rows; at q = 2 a hinge fit peaked at 1.01 MiB, and a check, which loads its
+    # CSV as well, at 1.41 MiB beyond the design
+    dataset, data = three_block_data
+    budget = 5 * 2**19
+    assert traced_peak(lambda: fit(RiskSpec(loss, penalty, lam=0.1, mu=0.1), dataset)) <= budget
+    argv = ["check", "--loss", loss.value, "--penalty", penalty.value, "--lambda", "0.1", "--mu", "0.1"]
+    codes = []
+    peak = traced_peak(lambda: codes.append(main(argv + ["--data", str(data)])))
+    assert codes == [0], capsys.readouterr().out
+    assert peak <= dataset._design.nbytes + budget
+
+
 def test_sweep_matches_independent_fits(data_csv, tmp_path):
     out_dir = tmp_path / "sweep"
     assert main(
@@ -607,6 +664,16 @@ def test_predict_copies_each_record_as_is(tmp_path, monkeypatch, source, records
         monkeypatch.setattr(data_io, "_WRITE_CELLS", cells)
         assert main(["predict", "--model", str(model_path), "--data", str(path), "--out", str(out)]) == 0
         assert out.read_bytes() == expected.encode()
+
+
+def test_predict_copies_a_quoted_cell_left_open_to_the_end_of_the_file(tmp_path):
+    # csv.reader reads the open cell to the end of the file, where the copy's line source runs out
+    model, data, out = tmp_path / "m.model", tmp_path / "d.csv", tmp_path / "p.csv"
+    # alpha = 1 and beta = (0): every record is labelled 1
+    model.write_text(MODEL_X2_MINUS_X1.replace("alpha = 0", "alpha = 1").replace("beta_1 = -1\nbeta_2 = 1\n", "beta_1 = 0\n"))
+    data.write_bytes(b'x1\n"1\n')
+    assert main(["predict", "--model", str(model), "--data", str(data), "--out", str(out)]) == 0
+    assert out.read_bytes() == b'x1,predicted\n"1,1\n'
 
 
 # a spreadsheet's "CSV UTF-8" export begins with a byte-order mark: the parse and the copy drop it before the header
@@ -869,6 +936,29 @@ def test_a_sweep_whose_last_trajectory_cannot_be_written_leaves_every_output_as_
     assert str(last) in capsys.readouterr().err
     assert sorted(path.name for path in out.iterdir()) == sorted(names + [last.name])
     assert [(out / name).read_bytes() for name in names] == [b"old\n"] * len(names)
+
+
+def test_a_refused_second_rename_leaves_the_first_made(data_csv, tmp_path, monkeypatch, capsys):
+    # the renames at a command's end are not one atomic step: the model is replaced before the
+    # trajectory's rename is refused, and the trajectory's temporary file is removed
+    model, trajectory = tmp_path / "m.model", tmp_path / "m.trajectory.csv"
+    model.write_bytes(b"old model\n")
+    trajectory.write_bytes(b"old trajectory\n")
+    original, calls = os.replace, []
+
+    def replace(source, target):
+        calls.append(target)
+        if len(calls) == 2:
+            raise PermissionError(errno.EACCES, "Permission denied")
+        original(source, target)
+
+    monkeypatch.setattr(data_io.os, "replace", replace)
+    assert main(["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data_csv), "--out", str(model)]) == 3
+    assert f"error: {trajectory}: cannot write: Permission denied" in capsys.readouterr().err
+    assert calls == [model, trajectory]
+    assert model.read_bytes().startswith(b"format = irlsvm-model/1\n")
+    assert trajectory.read_bytes() == b"old trajectory\n"
+    assert sorted(tmp_path.iterdir()) == sorted([data_csv, model, trajectory])
 
 
 def test_sweep_unwritable_output_is_data_error(data_csv, tmp_path, capsys):

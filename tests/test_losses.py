@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from irlsvm import Loss
-from irlsvm.losses import _block_terms, _logistic_pi, loss_value, majorizer_value
+from irlsvm.losses import _block_terms, _hinge_gamma, _logistic_pi, loss_value, majorizer_value
 
 from risk_reference import smoothed_loss_value
 
@@ -12,19 +12,17 @@ TINY = 1e-300  # stands in for the eps -> 0 limit
 
 
 def _update_terms(kind, m, epsilon=EPS):
-    """The block rule's scratch row holding the hinge's gamma, its weights and
-    its rhs weights for an update at margins m."""
-    m = np.asarray(m, dtype=float)
-    scratch = np.empty((3,) + m.shape)
-    _loss, _smoothed, weights, rhs_weights = _block_terms(kind, m, epsilon, scratch, True)
-    return scratch[1], weights, rhs_weights
+    """The block rule's weights and rhs weights for an update at margins m."""
+    _loss, _smoothed, weights, rhs_weights = _block_terms(kind, np.asarray(m, dtype=float), epsilon, True)
+    return weights, rhs_weights
 
 
 def _hinge_reweighting(m, epsilon):
     """gamma, weights and targets of the hinge update at margins m; the block
     rule weights the right side by w r = w + 1/4, which gives the targets r."""
-    gamma, weights, rhs_weights = _update_terms(Loss.HINGE, m, epsilon)
+    weights, rhs_weights = _update_terms(Loss.HINGE, m, epsilon)
     assert rhs_weights is weights
+    gamma = _hinge_gamma(1.0 - np.asarray(m, dtype=float), epsilon)
     return gamma, weights, (rhs_weights + 0.25) / weights
 
 
@@ -33,7 +31,7 @@ def _targets(kind, m):
     rhs weights plus the part of Y'r that _normal_equations adds once per
     pass, 1'Y (r = 1) for least squares and Y'Y theta (r = m) for the logistic."""
     m = np.asarray(m, dtype=float)
-    _gamma, weights, rhs_weights = _update_terms(kind, m)
+    weights, rhs_weights = _update_terms(kind, m)
     assert weights is None
     if kind is Loss.LEAST_SQUARES:
         assert rhs_weights is None
@@ -42,8 +40,7 @@ def _targets(kind, m):
 
 
 def _pi(m):
-    m = np.asarray(m, dtype=float)
-    return _logistic_pi(m, np.empty_like(m))
+    return _logistic_pi(np.asarray(m, dtype=float))
 
 
 def test_loss_value_examples():
