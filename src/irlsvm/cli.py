@@ -17,8 +17,6 @@ import numpy as np
 
 from .core import DEFAULT_EPSILON, Loss, Penalty, RiskSpec, monitor_kind, predict_batch
 from .data_io import (
-    _MEAN_NEG,
-    _MEAN_POS,
     DataError,
     _mixture_blocks,
     _write_rows,
@@ -88,8 +86,8 @@ def _value_names(grid) -> list[str]:
 def _add_risk_flags(parser):
     parser.add_argument("--loss", required=True, choices=[l.value for l in Loss])
     parser.add_argument("--penalty", required=True, choices=[p.value for p in Penalty])
-    parser.add_argument("--lambda", dest="lam", type=float, default=0.0, help="2-norm penalty constant")
-    parser.add_argument("--mu", type=float, default=0.0, help="1-norm penalty constant")
+    parser.add_argument("--lambda", dest="lam", type=float, default=RiskSpec.lam, help="2-norm penalty constant")
+    parser.add_argument("--mu", type=float, default=RiskSpec.mu, help="1-norm penalty constant")
     parser.add_argument(
         "--epsilon", type=float, default=DEFAULT_EPSILON, help="smoothing constant (default %(default)s)"
     )
@@ -106,10 +104,6 @@ def _add_fit_flags(parser):
         help="relative monitored-risk change that stops early; 0 runs all iterations (default %(default)s)",
     )
     parser.add_argument("--init", choices=[i.value for i in Init], default=FitOptions.init.value)
-
-
-def parse_args(argv=None) -> argparse.Namespace:
-    return _parser().parse_args(argv)
 
 
 @functools.cache
@@ -219,7 +213,7 @@ def _cmd_predict(args) -> int:
 def _cmd_simulate(args) -> int:
     # each block is written as it comes: no design is built, and no check is needed, as a normal
     # of the polar transform is at most sqrt(-2 ln 2**-104) < 12.01 in size and the means are +-1
-    _write_samples(args.out, *_mixture_blocks(args.n, _MEAN_NEG, _MEAN_POS, args.seed))
+    _write_samples(args.out, *_mixture_blocks(args.n, seed=args.seed))
     print(f"wrote {args.n} samples ({args.n // 2} per class) to {args.out}")
     return EXIT_OK
 
@@ -228,28 +222,30 @@ def _cmd_sweep(args) -> int:
     spec_base = _spec_from_args(args)
     options = _options_from_args(args)
     param = "lambda" if args.lambda_grid is not None else "mu"
-    grid = args.lambda_grid if param == "lambda" else args.mu_grid
-    # RiskSpec sets the constant a penalty does not use to 0, so its grid would repeat one fit
-    if param == {Penalty.L2: "mu", Penalty.L1: "lambda"}.get(spec_base.penalty):
+    field, grid = ("lam", args.lambda_grid) if param == "lambda" else ("mu", args.mu_grid)
+    # RiskSpec zeroes the constant a penalty does not use, so its grid would repeat one fit
+    if getattr(dataclasses.replace(spec_base, **{field: 1.0}), field) == 0.0:
         raise ValueError(f"--{param}-grid sweeps {param}, which penalty {spec_base.penalty.value} does not use")
+    if getattr(args, field) != getattr(RiskSpec, field):
+        raise ValueError(f"--{param} {getattr(args, field):g} is overridden by --{param}-grid")
     dataset = load_dataset_csv(args.data)
     out_dir = Path(args.out)
     summary_path = out_dir / "summary.csv"
     hyperplane_path = out_dir / "hyperplanes.csv"
     trajectory_paths = [out_dir / f"trajectory_{param}_{name}.csv" for name in _value_names(grid)]
     _refuse_overwriting("--data", args.data, [summary_path, hyperplane_path, *trajectory_paths])
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise DataError(f"{out_dir}: cannot create directory: {err.strerror or err}") from err
 
-    field = "lam" if param == "lambda" else "mu"
     results = [fit(dataclasses.replace(spec_base, **{field: value}), dataset, options) for value in grid]
     accuracies = [
         sum(np.count_nonzero(predict_batch(r.theta, rows) == y) for y, rows in dataset._feature_blocks()) / dataset.n
         for r in results
     ]
 
+    # made only now, so that a failed fit leaves no directory behind
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise DataError(f"{out_dir}: cannot create directory: {err.strerror or err}") from err
     with staged_outputs():
         _write_rows(
             summary_path,
@@ -298,7 +294,7 @@ def _cmd_check(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -593,11 +593,11 @@ def generate_gaussian_mixture(n: int, mean_neg=_MEAN_NEG, mean_pos=_MEAN_POS, se
     return Dataset._filled(n, *_mixture_blocks(n, mean_neg, mean_pos, seed))
 
 
-def _mixture_blocks(n: int, mean_neg, mean_pos, seed: int):
-    """q and a generator of generate_gaussian_mixture's samples as (labels, feature rows) blocks; the
-    arguments are checked first. Each block is about _WRITE_CELLS of the normals drawn, row-major, a
-    batch's normals beyond it carried to the next block, with the means added in place: an array of
-    its own, which no later block overwrites."""
+def _mixture_blocks(n: int, mean_neg=_MEAN_NEG, mean_pos=_MEAN_POS, seed: int = 0):
+    """q and a generator of generate_gaussian_mixture's samples, with its defaults, as (labels, feature
+    rows) blocks; the arguments are checked first. Each block is about _WRITE_CELLS of the normals
+    drawn, row-major, a batch's normals beyond it carried to the next block, with the means added in
+    place: an array of its own, which no later block overwrites."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2 or n % 2:
         raise ValueError(f"n must be a positive even integer, got {n!r}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:

@@ -9,9 +9,9 @@ penalty term. A fit with a risk tolerance also extrapolates (SQUAREM) from
 two updates and keeps the update from the extrapolated point only if it
 does not raise the smoothed risk.
 
-Every pass walks the dataset's design in blocks of _BLOCK_ROWS samples
-(Dataset._blocks); fit's passes build normal equations only at points where
-an update may be anchored.
+Every pass walks the dataset's design in the row blocks of Dataset._blocks,
+each array it makes of a block sized by that block; fit's passes build
+normal equations only at points where an update may be anchored.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import _BLOCK_ROWS, Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec, TerminationReason
-from .core import _constant, _rows_within
+from .core import Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec, TerminationReason, _constant
 from .linalg import SingularSystemError, _GramBlocks, solve_spd
 from .losses import _block_terms, _normal_equations, majorizer_value
 from .penalties import _penalty_terms, penalty_majorizer_value
@@ -84,9 +83,9 @@ def _pass(
     of the normal equations of the surrogate anchored there (else None).
 
     Each block's margins, and the loss terms _block_terms makes of them, are
-    arrays of one block's length, so the pass allocates no n-length array, and
-    an update whose blocks bring weights (the hinge's) weights a copy of a
-    block at most _BLOCK_BYTES at a time, at any q (linalg._GramBlocks).
+    arrays of one block's length, held for one block at a time, so the pass
+    allocates no n-length array, and an update whose blocks bring weights (the
+    hinge's) weights a copy of each block in parts that linalg._GramBlocks sizes.
     """
     k = dataset.q + 1
     if vec.shape[0] != k:
@@ -95,6 +94,7 @@ def _pass(
     rhs = np.zeros(k)
     loss_sum = smoothed_sum = 0.0
     for block in dataset._blocks():
+        weights = rhs_weights = None  # the last block's terms go before this block's are made
         block_loss, block_smoothed, weights, rhs_weights = _block_terms(spec.loss, block.T @ vec, spec.epsilon, update)
         loss_sum += block_loss
         smoothed_sum += block_smoothed
@@ -102,7 +102,7 @@ def _pass(
             continue
         if weights is not None:
             if gram is None:
-                gram = _GramBlocks(k, _rows_within(k, min(dataset.n, _BLOCK_ROWS)))
+                gram = _GramBlocks(k)
             gram.add(block, weights)
         if rhs_weights is not None:
             # an overflow shows as a non-finite rhs, which solve_spd rejects
@@ -126,16 +126,15 @@ def _surrogate_values(
     Returns (at, after): at[t] is the surrogate anchored at anchors[t]
     evaluated there, which equals the monitored risk there, and after[t] the
     same surrogate at images[t]. Each row block computes the margins of
-    update t's anchor and of its image into two block-sized rows,
+    update t's anchor and of its image into two rows of the block's length,
     majorizer_value is summed over the pair, and penalty_majorizer_value
     adds the penalty parts. No update rule is involved, so the values check
     the updates independently.
     """
     count = anchors.shape[0]
-    pair = np.empty((2, min(dataset.n, _BLOCK_ROWS)))
     loss = np.zeros((count, 2))  # row t: the loss sums at update t's anchor and image
     for block in dataset._blocks():
-        m = pair[:, : block.shape[1]]
+        m = np.empty((2, block.shape[1]))
         for t in range(count):
             np.matmul(block.T, anchors[t], out=m[0])
             np.matmul(block.T, images[t], out=m[1])

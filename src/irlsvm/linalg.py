@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _rows_within
+
 # Ridge fallback for singular systems: delta = JITTER_SCALE * mean(diag),
 # multiplied by JITTER_GROWTH after each of JITTER_RETRIES failed retries.
 JITTER_SCALE = 1e-10
@@ -36,14 +38,14 @@ class SpdSolution:
 
 class _GramBlocks:
     """The k x k Y'WY accumulated one row block at a time through its own
-    k x columns weighted copy: a block's copy is made that many of its columns
-    at a time, so a block of at most that many adds one product. The weights
+    weighted copy of core._rows_within(k) columns: a block's copy is made that
+    many of its columns at a time, so a block of at most that many adds one product. The weights
     are not checked: the hinge's, 1/(4 gamma) with gamma > 0, are never
     negative or infinite, and a NaN one makes a NaN Gram, which solve_spd rejects."""
 
-    def __init__(self, k: int, columns: int):
+    def __init__(self, k: int):
         self.gram = np.zeros((k, k))
-        self._work = np.empty((k, columns))
+        self._work = np.empty((k, _rows_within(k)))
 
     def add(self, cols: np.ndarray, weights: np.ndarray) -> None:
         """Add the block whose (q+1) x b columns are cols, weighted by weights."""
@@ -111,5 +113,5 @@ def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> SpdSolution:
         jitter = JITTER_SCALE * np.trace(a) / a.shape[0] * JITTER_GROWTH**attempt
     smallest = float(np.linalg.eigvalsh(a)[0])
     raise SingularSystemError(
-        f"system is singular after {JITTER_RETRIES} jitter retries (smallest pivot {smallest:.3e})"
+        f"system is singular after {JITTER_RETRIES} jitter retries (smallest eigenvalue {smallest:.3e})"
     )

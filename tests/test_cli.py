@@ -35,7 +35,7 @@ from irlsvm import (
     write_dataset_csv,
 )
 from irlsvm import data_io
-from irlsvm.cli import MAX_GRID_POINTS, _grid, _options_from_args, _spec_from_args, main, parse_args
+from irlsvm.cli import MAX_GRID_POINTS, _grid, _options_from_args, _parser, _spec_from_args, main
 from irlsvm.core import _BLOCK_ROWS, DEFAULT_EPSILON
 
 from helpers import ITERATIVE_COMBOS, ITERATIVE_IDS, interrupt_on_call, make_dataset, traced_peak
@@ -49,7 +49,7 @@ def data_csv(tmp_path):
 
 
 def test_parse_fit_flags():
-    args = parse_args(
+    args = _parser().parse_args(
         ["fit", "--loss", "hinge", "--penalty", "l2", "--lambda", "0.4", "--data", "d.csv", "--out", "m.model"]
     )
     assert args.verb == "fit"
@@ -61,7 +61,7 @@ def test_parse_fit_flags():
 def test_fit_flag_defaults_are_the_library_defaults(verb):
     argv = [verb, "--loss", "hinge", "--penalty", "l2", "--data", "d.csv"]
     argv += {"fit": ["--out", "m.model"], "sweep": ["--out", "s", "--lambda-grid", "0.1"], "check": []}[verb]
-    args = parse_args(argv)
+    args = _parser().parse_args(argv)
     assert _options_from_args(args) == FitOptions()
     assert _spec_from_args(args) == RiskSpec(Loss.HINGE, Penalty.L2)
     assert args.epsilon == DEFAULT_EPSILON
@@ -108,7 +108,7 @@ def test_zero_epsilon_is_usage_error():
 
 
 def test_grid_parsing():
-    args = parse_args(
+    args = _parser().parse_args(
         ["sweep", "--loss", "squared-hinge", "--penalty", "l2", "--lambda-grid", "0:0.1:0.4", "--data", "d", "--out", "o"]
     )
     assert len(args.lambda_grid) == 5
@@ -198,6 +198,50 @@ def test_sweep_over_a_constant_the_penalty_discards_is_usage_error(data_csv, tmp
     err = capsys.readouterr().err
     assert grid in err and f"penalty {penalty}" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "penalty, flags",
+    [
+        ("l2", ["--lambda", "5", "--lambda-grid", "0.1:0.1:0.2"]),
+        ("l1", ["--mu", "5", "--mu-grid", "0.1:0.1:0.2"]),
+        ("elastic", ["--lambda", "5", "--lambda-grid", "0.1:0.1:0.2"]),
+        ("elastic", ["--mu", "0.5", "--mu-grid", "0.1"]),
+    ],
+    ids=["l2-lambda", "l1-mu", "elastic-lambda", "elastic-mu"],
+)
+def test_sweep_refuses_a_constant_its_grid_overrides(data_csv, tmp_path, capsys, penalty, flags):
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep", "--loss", "hinge", "--penalty", penalty, *flags, "--data", str(data_csv), "--out", str(out_dir)]
+    assert main(argv) == 2
+    assert f"{flags[0]} {flags[1]} is overridden by {flags[2]}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_sweep_takes_the_constant_its_grid_does_not_sweep(data_csv, tmp_path):
+    # an elastic-net lambda beside a mu grid is fitted with, and a grid's constant may be given at its default
+    flags = ["--loss", "hinge", "--penalty", "elastic", "--lambda", "0.5", "--iterations", "2", "--data", str(data_csv)]
+    assert main(["sweep", *flags, "--mu-grid", "0.1", "--out", str(tmp_path / "mu")]) == 0
+    assert main(["fit", *flags, "--mu", "0.1", "--out", str(tmp_path / "m.model")]) == 0
+    assert (tmp_path / "mu" / "trajectory_mu_0.1.csv").read_bytes() == (tmp_path / "m.trajectory.csv").read_bytes()
+    argv = ["sweep", "--loss", "hinge", "--penalty", "l2", "--lambda", "0", "--lambda-grid", "0.1", "--iterations", "2"]
+    assert main(argv + ["--data", str(data_csv), "--out", str(tmp_path / "lambda")]) == 0
+
+
+def test_a_failed_sweep_creates_no_output_directory(tmp_path, capsys):
+    # two samples of 1e200 overflow every system: the first fit fails, before any output is made
+    data = tmp_path / "big.csv"
+    data.write_text("x1,y\n1e200,1\n-1e200,-1\n")
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep", "--loss", "hinge", "--penalty", "l2", "--lambda-grid", "0:0.1:0.2", "--data", str(data)]
+    assert main(argv + ["--out", str(out_dir)]) == 4
+    assert "not finite" in capsys.readouterr().err
+    assert not out_dir.exists()
+    out_dir.mkdir()
+    (out_dir / "summary.csv").write_text("old summary\n")
+    assert main(argv + ["--out", str(out_dir)]) == 4
+    assert [p.name for p in out_dir.iterdir()] == ["summary.csv"]
+    assert (out_dir / "summary.csv").read_text() == "old summary\n"
 
 
 def test_fit_writes_model_and_trajectory(data_csv, tmp_path):

@@ -598,6 +598,16 @@ def test_a_hinge_fit_at_q_200_holds_its_weighted_copy_within_the_budget():
     assert traced_peak(lambda: fit(spec, ds)) <= bound
 
 
+def test_a_hinge_pass_holds_one_blocks_terms_at_a_time():
+    # four rows of a block (margins, u, gamma and the weights), the 384 KiB weighted copy and 64 KiB
+    # of slack: 0.880 MiB traced; with the last block's weights held while the next block's were
+    # made, 1.005 MiB
+    ds = generate_gaussian_mixture(2 * _BLOCK_ROWS + 2, seed=5)
+    bound = 4 * _BLOCK_ROWS * 8 + (ds.q + 1) * _BLOCK_ROWS * 8 + 2**16
+    spec = RiskSpec(Loss.HINGE, Penalty.L2, lam=0.1)
+    assert traced_peak(lambda: fit(spec, ds, FitOptions(max_iterations=3))) <= bound
+
+
 SWEEP_OPTIONS = {"default": FitOptions(), "zero-plain": FitOptions(max_iterations=8, risk_tolerance=0.0, init=Init.ZERO)}
 
 

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from irlsvm import Dataset
-from irlsvm.core import _BLOCK_BYTES, _BLOCK_ROWS, _rows_within
+from irlsvm.core import _BLOCK_BYTES, _BLOCK_ROWS
 from irlsvm.linalg import SingularSystemError, _GramBlocks, solve_spd
 
 from helpers import make_dataset
@@ -13,7 +13,7 @@ from helpers import make_dataset
 
 def _one_block_gram(dataset, weights):
     """Y'WY of the dataset's whole design accumulated as one block."""
-    gram = _GramBlocks(dataset.q + 1, dataset.n)
+    gram = _GramBlocks(dataset.q + 1)
     gram.add(dataset._design, np.asarray(weights, dtype=float))
     return gram.result()
 
@@ -37,7 +37,7 @@ def test_weighted_gram_exactly_symmetric():
 def test_weighted_gram_near_the_float_limit_stays_finite():
     # each entry is 1.69e308: a symmetrising sum before halving would overflow
     cols = np.full((2, 1), 1.3e154)
-    gram = _GramBlocks(2, 1)
+    gram = _GramBlocks(2)
     gram.add(cols, np.ones(1))
     result = gram.result()
     assert np.isfinite(result).all()
@@ -52,8 +52,7 @@ def test_unit_weights_give_plain_gram():
 
 def _pass_gram(dataset):
     """A _GramBlocks as a hinge update's pass builds one, its weighted copy within _BLOCK_BYTES."""
-    k = dataset.q + 1
-    return _GramBlocks(k, _rows_within(k, min(dataset.n, _BLOCK_ROWS)))
+    return _GramBlocks(dataset.q + 1)
 
 
 def _blockwise_grams(gram, dataset, weights):
@@ -163,7 +162,7 @@ def test_solve_spd_residual_bound_on_conditioned_instances():
 
 def test_solve_spd_reports_unrecoverable_singularity():
     # indefinite with zero trace: the jitter scale is zero, so retries cannot help
-    with pytest.raises(SingularSystemError, match="pivot"):
+    with pytest.raises(SingularSystemError, match="smallest eigenvalue"):
         solve_spd(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 1.0]))
 
 
@@ -171,7 +170,7 @@ def test_solve_spd_overflowing_solution_is_singular_without_a_warning():
     # the factor exists, but x = 1e10 / 1e-300 is beyond float range at every jitter
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(SingularSystemError, match="pivot"):
+        with pytest.raises(SingularSystemError, match="smallest eigenvalue"):
             solve_spd(np.array([[1e-300]]), np.array([1e10]))
 
 
