@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -234,6 +236,10 @@ def _cmd_sweep(args) -> int:
     hyperplane_path = out_dir / "hyperplanes.csv"
     trajectory_paths = [out_dir / f"trajectory_{param}_{name}.csv" for name in _value_names(grid)]
     _refuse_overwriting("--data", args.data, [summary_path, hyperplane_path, *trajectory_paths])
+    # an --out that can never be a directory is refused before any fit, as its creation would refuse it
+    existing = next(path for path in (out_dir, *out_dir.parents) if os.path.exists(path))
+    if not os.path.isdir(existing):
+        raise _creation_error(out_dir, os.strerror(errno.EEXIST if existing == out_dir else errno.ENOTDIR))
 
     results = [fit(dataclasses.replace(spec_base, **{field: value}), dataset, options) for value in grid]
     accuracies = [
@@ -245,7 +251,7 @@ def _cmd_sweep(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
-        raise DataError(f"{out_dir}: cannot create directory: {err.strerror or err}") from err
+        raise _creation_error(out_dir, err.strerror or str(err)) from err
     with staged_outputs():
         _write_rows(
             summary_path,
@@ -270,6 +276,10 @@ def _cmd_sweep(args) -> int:
 
     print(f"swept {param} over {len(grid)} points; wrote {summary_path} and {hyperplane_path}")
     return EXIT_OK
+
+
+def _creation_error(out_dir: Path, reason: str) -> DataError:
+    return DataError(f"{out_dir}: cannot create directory: {reason}")
 
 
 def _cmd_check(args) -> int:

@@ -9,10 +9,20 @@ line endings; the label column is named "y" and holds -1 or 1; a float cell
 is exactly Python's '%.17g' % value, so values round-trip bit-for-bit. Model
 files are flat "key = value" text documents whose keys _model_keys lists.
 Input may begin with a byte-order mark, and its lines may end at an LF, a CRLF
-or a lone CR; the loader counts them to size a Dataset's design (_line_count).
-predict opens its input once, parses it, then copies its records as bytes from
-the start, a window at a time, with one path for every line ending
-(_write_labelled_copy).
+or a lone CR; every CSV read counts them, and the loader sizes a Dataset's
+design by them (_line_count). predict opens its input once, parses it, then
+copies its records as bytes from the start, a window at a time, with one path
+for every line ending (_write_labelled_copy).
+
+Every CSV is parsed by one block reader (_csv_blocks), serially or, where it can
+gain, in two processes: a regular file of more lines than one parse block, with
+no quote byte and an LF after its middle byte, read where fork works and a second
+CPU is usable, is parsed up to that LF here while a forked child parses the rest
+through the same descriptor and sends its values back through a pipe as float64
+(_split_blocks). Both halves' blocks go through the same checks in sample order,
+cut as a serial read cuts them, and any failure, the child's included, falls back
+to the serial read's cell-by-cell scan, so every value and error is the serial
+read's.
 
 CSV floats are formatted a block at a time by integer arithmetic
 (_float_cells). A finite x with 1e-11 < |x| < 2**50 is M * 2**e with M a
@@ -38,6 +48,8 @@ import math
 import numbers
 import os
 import re
+import signal
+import stat
 import warnings
 from pathlib import Path
 
@@ -139,14 +151,19 @@ def staged_outputs():
                 temporary.unlink()
 
 
+@contextlib.contextmanager
 def _csv_blocks(path, handle, labeled: bool = False):
-    """The header of the CSV bytes on handle, and a generator of the rows after it
-    as (labels, features) blocks of up to _BLOCK_ROWS rows, fewer where a parsed
-    block would exceed _BLOCK_BYTES (core._rows_within); every column but "y"
-    is a feature, and labeled=True requires labels of -1 or 1 (else they are None).
-    numpy's C reader parses each block of their _text where the last stopped (comments=None
-    keeps a "#" from cutting a row short). At the first block it rejects, or that fails a check,
-    _scan_rows reads the text again to report the bad cell or supply the rest. handle stays open."""
+    """Read the CSV bytes on handle: a block yielding its header, the count of its lines but the
+    header's (at least its records), and a generator of the rows after the header as (labels,
+    features) blocks of up to _BLOCK_ROWS rows, fewer where a parsed block would exceed _BLOCK_BYTES
+    (core._rows_within); every column but "y" is a feature, and labeled=True requires labels of -1
+    or 1 (else they are None). numpy's C reader parses the blocks (_value_blocks), in two processes
+    where _halves finds the file worth it (_split_blocks), and every block is checked here in sample
+    order. At the first block it rejects, or that fails a check, or that a failed child did not
+    send, _scan_rows reads the text from its start to report the bad cell or supply the rest. The
+    child, if any, is ended and reaped when the block ends; handle stays open."""
+    lines, quoted = _line_count(handle)
+    handle.seek(0)
     text = _text(handle)
     try:
         header = [name.strip() for name in next(csv.reader(text))]
@@ -161,36 +178,182 @@ def _csv_blocks(path, handle, labeled: bool = False):
     if not feature_idx:
         raise DataError(f"{path}: no feature columns")
 
-    rows = _rows_within(len(header), _BLOCK_ROWS)
+    rows, width = _rows_within(len(header), _BLOCK_ROWS), len(header)
+    halves = _halves(handle, lines, quoted, rows)
 
-    def blocks():
-        done, count = 0, rows
-        while count == rows:  # a short block is the last
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)  # an empty read is a block of no rows
-                    values = np.loadtxt(text, delimiter=",", comments=None, quotechar='"', ndmin=2, max_rows=rows)
-                values = values.reshape(len(values), len(header))  # another width fails; an empty read is (0, 1)
+    def blocks(parsed):
+        done = 0
+        for values in parsed:
+            checked = values is not None
+            if checked:
                 # row-major, as predict_batch's sums depend on the layout and must repeat bit for bit
                 features = values.take(feature_idx, axis=1)
                 labels = None if label_idx is None else values[:, label_idx].copy()
-                count = len(values)
+                del values  # the next block is parsed without it
                 checked = np.isfinite(features).all() and (labels is None or np.isin(labels, (-1.0, 1.0)).all())
-            except UnicodeDecodeError:  # for open_input to report
-                raise
-            except ValueError:
-                checked = False
             if not checked:
                 text.seek(0)
                 features, labels = _scan_rows(path, text, header, feature_idx, label_idx)
-                features, labels, count = features[done:], None if labels is None else labels[done:], 0
+                features, labels = features[done:], None if labels is None else labels[done:]
             yield labels, features
             done += len(features)
+            if not checked:
+                break
         text.detach()
         if not done:
             raise DataError(f"{path}: no samples")
 
-    return header, blocks()
+    if halves is None:
+        parse = contextlib.nullcontext(_all_blocks(text, rows, width))
+    else:
+        parse = _split_blocks(handle.fileno(), *halves, rows, width)
+    with parse as parsed:
+        yield header, lines - 1, blocks(parsed)
+
+
+def _value_blocks(text, rows: int, width: int):
+    """Parse the rows of text from where it stands with numpy's C reader (comments=None keeps a "#"
+    from cutting a row short) into arrays of rows x width values: yield each block of rows rows,
+    and return the first of fewer, or None where the reader rejects a block."""
+    while True:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty read is a block of no rows
+                values = np.loadtxt(text, delimiter=",", comments=None, quotechar='"', ndmin=2, max_rows=rows)
+            values = values.reshape(len(values), width)  # another width fails; an empty read is (0, 1)
+        except UnicodeDecodeError:  # for open_input to report
+            raise
+        except ValueError:
+            return None
+        if len(values) < rows:
+            return values
+        yield values
+        del values  # the next block is parsed without it
+
+
+def _all_blocks(text, rows: int, width: int):
+    """The blocks of _value_blocks, then the one it returns."""
+    yield (yield from _value_blocks(text, rows, width))
+
+
+def _halves(handle, lines: int, quoted: bool, rows: int) -> tuple[int, int] | None:
+    """(split, size) where the read of the CSV bytes on handle is parsed in two processes, the
+    parent's up to the LF at split and a child's from it, else None: the bytes are a regular file
+    of size bytes (not a pipe's, held in a BytesIO) with more lines than one block of rows, no quote
+    (so the LF ends a record and no quoted cell runs across it) and an LF at or after its middle
+    byte (split is the first), and fork can start a child that another CPU runs."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    if quoted or lines <= rows or not hasattr(os, "fork") or len(cpus) < 2:
+        return None
+    try:
+        fd = handle.fileno()
+    except io.UnsupportedOperation:
+        return None
+    info, step = os.fstat(fd), _WRITE_CELLS * _CELL
+    if not stat.S_ISREG(info.st_mode):
+        return None
+    for start in range(info.st_size // 2, info.st_size, step):
+        if (found := os.pread(fd, step, start).find(b"\n")) >= 0:
+            return start + found, info.st_size
+    return None
+
+
+class _Span(io.RawIOBase):
+    """The bytes from start to stop of the file open on the descriptor fd, read with os.pread,
+    which leaves the descriptor's offset where it is."""
+
+    def __init__(self, fd: int, start: int, stop: int):
+        self._fd, self._at, self._stop = fd, start, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = os.pread(self._fd, min(len(buffer), self._stop - self._at), self._at)
+        buffer[: len(data)] = data
+        self._at += len(data)
+        return len(data)
+
+
+@contextlib.contextmanager
+def _split_blocks(fd: int, split: int, size: int, rows: int, width: int):
+    """The value blocks of a CSV file's rows as _value_blocks gives them, parsed in two processes: a
+    block yielding the parent's blocks, up to and with the LF at split, then the child's, from that
+    LF (a blank line) to size, which a forked child parsed meanwhile (_parse_in_child); they are
+    re-cut as a serial read cuts them, so each but the last has rows rows. A block the parent's
+    reader rejects ends them as None, and so does a child that failed (sent no rows). The child is
+    killed, if it is still running, and reaped when the block ends."""
+    read_end, write_end = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 warns of a fork in a process with threads (BLAS's): the child runs only numpy's parser
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:  # no process to spare: the pipe ends unwritten, as a failed child's does
+        pid = None
+    if pid == 0:
+        _parse_in_child(fd, split, size, rows, width, write_end)
+    os.close(write_end)
+    try:
+        part = _text(io.BufferedReader(_Span(fd, 0, split + 1)))
+        next(csv.reader(part))  # the header, which _csv_blocks has read
+        yield _joined(part, read_end, rows, width)
+    finally:
+        os.close(read_end)  # a child still writing meets a broken pipe
+        if pid:
+            os.kill(pid, signal.SIGKILL)  # a child that has sent its rows is ending anyway
+            os.waitpid(pid, 0)
+
+
+def _parse_in_child(fd: int, start: int, stop: int, rows: int, width: int, write_end: int):
+    """The forked child's whole work: parse the bytes of fd from start to stop into blocks
+    (_value_blocks), holding them all so that the parent's parse goes on meanwhile, then, if none
+    was rejected, write their row count (an int64) and their values (float64, row by row) to
+    write_end, and end the process without returning."""
+    try:
+        blocks = list(_all_blocks(_text(io.BufferedReader(_Span(fd, start, stop))), rows, width))
+        if blocks[-1] is not None:
+            for array in [np.array([sum(map(len, blocks))], np.int64), *blocks]:
+                view = memoryview(array.reshape(-1).view(np.uint8))
+                while view:
+                    view = view[os.write(write_end, view) :]
+    finally:
+        os._exit(0)
+
+
+def _joined(part, read_end: int, rows: int, width: int):
+    """The parent's value blocks of the text part, then, from its last (of fewer than rows rows) on,
+    the child's rows read from read_end a block at a time, in blocks of rows rows but the last; None
+    in place of the rest where the parent's reader rejects a block or the pipe ends before the
+    child's row count or rows do."""
+    values = yield from _value_blocks(part, rows, width)
+    count = np.empty(1, np.int64)
+    if values is None or not _received(read_end, count):
+        yield None
+        return
+    left = int(count[0])
+    while True:
+        block = np.empty((min(rows, len(values) + left), width))
+        block[: len(values)] = values
+        if not _received(read_end, block[len(values) :]):
+            yield None
+            return
+        left -= len(block) - len(values)
+        values = block[:0].copy()  # the parent's last rows are not held on
+        yield block
+        if len(block) < rows:
+            return
+        del block  # the next block is read without it
+
+
+def _received(read_end: int, array: np.ndarray) -> bool:
+    """Fill array with the bytes read from the pipe read_end; False if it ends first."""
+    view = memoryview(array.reshape(-1).view(np.uint8))
+    while view:
+        if not (size := os.readv(read_end, [view])):
+            return False
+        view = view[size:]
+    return True
 
 
 def _scan_rows(path: Path, text, header, feature_idx, label_idx) -> tuple[np.ndarray, np.ndarray | None]:
@@ -225,28 +388,27 @@ def _scan_rows(path: Path, text, header, feature_idx, label_idx) -> tuple[np.nda
     return features, labels
 
 
-def _line_count(handle) -> int:
+def _line_count(handle) -> tuple[int, bool]:
     """The lines of the bytes read from handle as csv counts them, each ended by an LF, a CRLF, a lone
-    CR or the end of the bytes; they are read _WRITE_CELLS * _CELL at a time into one buffer."""
+    CR or the end of the bytes, and whether a quote is among the bytes; they are read _WRITE_CELLS *
+    _CELL at a time into one buffer."""
     buffer = bytearray(_WRITE_CELLS * _CELL)
-    chunks, lines, last = np.frombuffer(buffer, np.uint8), 0, ord("\n")
+    chunks, lines, last, quoted = np.frombuffer(buffer, np.uint8), 0, ord("\n"), False
     while size := handle.readinto(buffer):
         chunk = chunks[:size]
         lines += np.count_nonzero(chunk == ord("\n")) - (last == ord("\r") and buffer[0] == ord("\n"))
         if buffer.find(b"\r", 0, size) >= 0:  # a CR ends a line unless an LF follows it
             cr = chunk == ord("\r")
             lines += np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & (chunk[1:] == ord("\n")))
+        quoted = quoted or buffer.find(b'"', 0, size) >= 0
         last = buffer[size - 1]
-    return lines + (last not in b"\r\n")
+    return lines + (last not in b"\r\n"), quoted
 
 
 def load_dataset_csv(path) -> Dataset:
     """Read a labeled dataset; the header must name the label column "y". The file's lines, which
     are at least its records, size the design, and each block is written into it as it comes."""
-    with open_input(path) as handle:
-        rows = _line_count(handle) - 1
-        handle.seek(0)
-        header, blocks = _csv_blocks(Path(path), handle, labeled=True)
+    with open_input(path) as handle, _csv_blocks(Path(path), handle, labeled=True) as (header, rows, blocks):
         # the blocks have passed the checks Dataset._fill makes, so its errors cannot arise here
         return Dataset._filled(rows, len(header) - 1, blocks)
 
@@ -439,20 +601,20 @@ def _write_samples(path, q: int, blocks) -> None:
 
 def write_predictions_csv(theta: ModelParams, source, path) -> int:
     """Copy the CSV at source to path with a "predicted" column of theta's labels and
-    return their count. source is opened once: it is parsed a block at a time, keeping each
-    record's label alone, then read again from its start by the copy, whose output replaces
+    return their count. source is opened once: its lines are counted, it is parsed a block at a
+    time, keeping each record's label alone, then read again from its start by the copy, whose output replaces
     path (which may name source) at the end. A width other than theta's, or a non-finite
     decision value, is a DataError (from core._predictions), the latter naming its row among
     non-blank records."""
     with open_input(source) as handle:
-        header, blocks = _csv_blocks(Path(source), handle)
-        labels, done = [], 0
-        for _labels, features in blocks:
-            try:
-                labels.append(_predictions(theta, features, done + 1).astype(np.int8))
-            except ValueError as err:
-                raise DataError(f"{source}: {err}") from None
-            done += len(features)
+        with _csv_blocks(Path(source), handle) as (header, _rows, blocks):
+            labels, done = [], 0
+            for _labels, features in blocks:
+                try:
+                    labels.append(_predictions(theta, features, done + 1).astype(np.int8))
+                except ValueError as err:
+                    raise DataError(f"{source}: {err}") from None
+                done += len(features)
         handle.seek(0)
         _write_labelled_copy(handle, header, np.concatenate(labels), path)
     return done
@@ -704,8 +866,7 @@ def write_trajectory_csv(result: FitResult, path) -> None:
 def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read back a trajectory file: (iterations, exact risks, smoothed risks).
     The iteration column must count 0, 1, ..., n - 1 over the non-blank rows."""
-    with open_input(path) as handle:
-        header, blocks = _csv_blocks(Path(path), handle)
+    with open_input(path) as handle, _csv_blocks(Path(path), handle) as (header, _rows, blocks):
         values = np.concatenate([features for _labels, features in blocks])
     if header != _TRAJECTORY_HEADER:
         raise DataError(f"{path}: unexpected trajectory header {header}")

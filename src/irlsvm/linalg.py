@@ -38,17 +38,21 @@ class SpdSolution:
 
 class _GramBlocks:
     """The k x k Y'WY accumulated one row block at a time through its own
-    weighted copy of core._rows_within(k) columns: a block's copy is made that
-    many of its columns at a time, so a block of at most that many adds one product. The weights
+    weighted copy, made at the first add with as many columns as that block has,
+    at most core._rows_within(k): a block's copy is made that many of its columns
+    at a time, so a block of at most that many adds one product. The weights
     are not checked: the hinge's, 1/(4 gamma) with gamma > 0, are never
     negative or infinite, and a NaN one makes a NaN Gram, which solve_spd rejects."""
 
     def __init__(self, k: int):
         self.gram = np.zeros((k, k))
-        self._work = np.empty((k, _rows_within(k)))
+        self._work = None
 
     def add(self, cols: np.ndarray, weights: np.ndarray) -> None:
         """Add the block whose (q+1) x b columns are cols, weighted by weights."""
+        if self._work is None:  # the first block is a pass's longest
+            k = self.gram.shape[0]
+            self._work = np.empty((k, min(_rows_within(k), weights.shape[0])))
         step = self._work.shape[1]
         # an overflow shows as a non-finite Gram, which solve_spd rejects
         with np.errstate(over="ignore", invalid="ignore"):

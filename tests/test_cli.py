@@ -34,7 +34,7 @@ from irlsvm import (
     smoothed_risk,
     write_dataset_csv,
 )
-from irlsvm import data_io
+from irlsvm import cli, data_io
 from irlsvm.cli import MAX_GRID_POINTS, _grid, _options_from_args, _parser, _spec_from_args, main
 from irlsvm.core import _BLOCK_ROWS, DEFAULT_EPSILON
 
@@ -1005,14 +1005,23 @@ def test_a_refused_second_rename_leaves_the_first_made(data_csv, tmp_path, monke
     assert sorted(tmp_path.iterdir()) == sorted([data_csv, model, trajectory])
 
 
-def test_sweep_unwritable_output_is_data_error(data_csv, tmp_path, capsys):
-    out_dir = data_csv / "sweep"  # under a regular file
+@pytest.mark.parametrize("where, reason", [("under", "Not a directory"), ("at", "File exists")], ids=["under", "at"])
+def test_sweep_unwritable_output_is_data_error(data_csv, tmp_path, capsys, monkeypatch, where, reason):
+    # an --out under or at a regular file can never be a directory: it is refused before any fit
+    out_dir = data_csv / "sweep" if where == "under" else tmp_path / "file"
+    if where == "at":
+        out_dir.write_bytes(b"")
+
+    def no_fit(*args):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(cli, "fit", no_fit)
     code = main(
         ["sweep", "--loss", "hinge", "--penalty", "l2", "--lambda-grid", "0.1", "--iterations", "2",
          "--data", str(data_csv), "--out", str(out_dir)]
     )
     assert code == 3
-    assert str(out_dir) in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {out_dir}: cannot create directory: {reason}\n"
 
 
 def test_predict_unwritable_output_is_data_error(data_csv, tmp_path, capsys):

@@ -94,8 +94,7 @@ def _outcome(load, path):
 
 def _load_features(path):
     """The unlabeled read of predict and the trajectory reader: header, features, labels."""
-    with open_input(path) as handle:
-        header, blocks = _csv_blocks(path, handle, labeled=False)
+    with open_input(path) as handle, _csv_blocks(path, handle, labeled=False) as (header, _rows, blocks):
         blocks = list(blocks)
     assert all(labels is None for labels, _ in blocks)
     return header, np.concatenate([features for _, features in blocks]), None

@@ -1,10 +1,13 @@
 import codecs
+import contextlib
+import errno
 import hashlib
 import io
 import math
 import os
 import pathlib
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -330,7 +333,8 @@ def test_line_count_counts_the_lines_csv_reads(cells, monkeypatch):
     texts += [b"x" * k + end + b"y" * tail for k in range(100) for end in (b"\r\n", b"\r", b"\r\r\n") for tail in (0, 1)]
     for text in texts:
         lines = sum(1 for _ in io.TextIOWrapper(io.BytesIO(text), encoding="utf-8", newline=""))
-        assert data_io._line_count(io.BytesIO(text)) == lines, text
+        assert data_io._line_count(io.BytesIO(text)) == (lines, False), text
+        assert data_io._line_count(io.BytesIO(text + b'"')) == (lines + (text[-1:] in b"\r\n"), True), text
 
 
 # lines that hold no record of their own: blank lines, line breaks in quoted cells; a design sized by
@@ -615,3 +619,196 @@ def test_load_rejects_blank_only_body(tmp_path):
     with pytest.raises(DataError, match="no samples"):
         load_dataset_csv(path)
 
+
+
+# A read of a regular file of more lines than one parse block (16 384 rows at q = 2), with no quote byte,
+# on more than one CPU, is parsed in two processes: a forked child parses from the first LF after the
+# file's middle byte on. Its result must be the serial read's in every value, block and error.
+SPLIT_N = 40_000
+THETA = ModelParams(alpha=0.25, beta=[1.0, -0.5])
+
+
+@pytest.fixture(scope="module")
+def split_lines(tmp_path_factory):
+    """The header and the records of a generated dataset of SPLIT_N samples, without line ends."""
+    path = tmp_path_factory.mktemp("split") / "d.csv"
+    write_dataset_csv(generate_gaussian_mixture(SPLIT_N, seed=3), path)
+    return path.read_bytes().split(b"\n")[:-1]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children os.fork starts in the test."""
+    started, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return started
+
+
+@contextlib.contextmanager
+def _one_cpu(monkeypatch):
+    """A block in which one CPU is usable, so that every read is serial."""
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        yield
+
+
+def _read(path, out):
+    """What fit and predict read of path: the design's bytes and the predictions file, or the error."""
+    try:
+        design = load_dataset_csv(path)._design.tobytes()
+    except DataError as err:
+        design = str(err)
+    try:
+        data_io.write_predictions_csv(THETA, path, out)
+        return design, out.read_bytes()
+    except DataError as err:
+        return design, str(err)
+
+
+def _block_rows(path):
+    """The rows of each block that the reader gives fit and predict."""
+    with data_io.open_input(path) as handle, data_io._csv_blocks(path, handle) as (_header, _rows, blocks):
+        return [len(features) for _labels, features in blocks]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("blank", [None, 5_000, 35_000], ids=["no-blank", "blank-in-first-half", "blank-in-second-half"])
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["no-bom", "bom"])
+@pytest.mark.parametrize("eol", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+def test_split_read_matches_the_serial_read_of_a_quoted_header_copy(tmp_path, split_lines, forks, eol, bom, blank):
+    lines = list(split_lines)
+    if blank is not None:
+        lines[blank:blank] = [b"", b""]
+    split, serial = tmp_path / "split.csv", tmp_path / "serial.csv"
+    split.write_bytes(bom + eol.join(lines) + eol)
+    # a quote byte anywhere keeps a read serial
+    serial.write_bytes(bom + eol.join([b'"x1",x2,y', *lines[1:]]) + eol)
+    got = _read(split, tmp_path / "split-p.csv")
+    assert len(forks) == 2
+    assert got == _read(serial, tmp_path / "serial-p.csv")
+    # the blocks a serial read cuts: two of 16 384 rows, then the rest
+    assert _block_rows(split) == _block_rows(serial) == [16_384, 16_384, SPLIT_N - 2 * 16_384]
+    assert len(forks) == 3
+    assert got[1].count(b"\n") == SPLIT_N + 1
+    _no_child_left()
+
+
+BAD_RECORDS = {
+    "non-numeric": b"0.5,oops,1",
+    "non-finite": b"0.5,inf,-1",
+    "label-2": b"0.5,0.5,2",
+    "short-row": b"0.5,1",
+    "non-utf8": b"0.5,\xff,1",
+}
+
+
+@pytest.mark.parametrize("record", BAD_RECORDS.values(), ids=BAD_RECORDS.keys())
+def test_a_bad_record_in_the_childs_half_gives_the_serial_error(tmp_path, split_lines, forks, monkeypatch, record):
+    lines = list(split_lines)
+    lines[30_000] = record  # past the middle byte
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    got = _read(path, tmp_path / "p.csv")
+    assert len(forks) == 2
+    with _one_cpu(monkeypatch):
+        assert got == _read(path, tmp_path / "p.csv")
+    assert len(forks) == 2
+    assert "row 30000" in got[0] or "not UTF-8" in got[0]
+    _no_child_left()
+
+
+def test_a_character_cut_short_by_the_split_lf_gives_the_serial_error(tmp_path, split_lines, forks, monkeypatch):
+    # the first byte of a 3-byte character, then the LF the child's half starts at: the parent's half
+    # ends with that LF, so its decoder meets the same "invalid continuation byte" as a serial read's
+    data = b"\n".join(split_lines) + b"\n"
+    split = data.index(b"\n", len(data) // 2)
+    path = tmp_path / "d.csv"
+    path.write_bytes(data[:split] + b"\xe2" + data[split:])
+    got = _read(path, tmp_path / "p.csv")
+    assert len(forks) == 2
+    with _one_cpu(monkeypatch):
+        assert got == _read(path, tmp_path / "p.csv")
+    assert got[0] == f"{path}: not UTF-8 text (invalid continuation byte)"
+
+
+def test_a_child_killed_before_it_writes_falls_back_to_the_serial_result(tmp_path, split_lines, forks, monkeypatch):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"\n".join(split_lines) + b"\n")
+    with _one_cpu(monkeypatch):
+        serial = _read(path, tmp_path / "p.csv")
+    parent, loadtxt, scans, scan_rows = os.getpid(), np.loadtxt, [], data_io._scan_rows
+
+    def killed_in_the_child(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return loadtxt(*args, **kwargs)
+
+    def counted_scan_rows(*args):
+        scans.append(args)
+        return scan_rows(*args)
+
+    monkeypatch.setattr(np, "loadtxt", killed_in_the_child)
+    monkeypatch.setattr(data_io, "_scan_rows", counted_scan_rows)
+    assert _read(path, tmp_path / "p.csv") == serial
+    assert len(forks) == len(scans) == 2
+    _no_child_left()
+
+
+def test_a_fork_that_fails_falls_back_to_the_serial_result(tmp_path, split_lines, monkeypatch):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"\n".join(split_lines) + b"\n")
+    with _one_cpu(monkeypatch):
+        serial = _read(path, tmp_path / "p.csv")
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _read(path, tmp_path / "p.csv") == serial
+
+
+def test_no_child_outlives_a_read(tmp_path, split_lines, forks):
+    path, bad = tmp_path / "d.csv", tmp_path / "bad.csv"
+    path.write_bytes(b"\n".join(split_lines) + b"\n")
+    bad.write_bytes(b"\n".join([*split_lines[:30_000], b"0.5,oops,1", *split_lines[30_001:]]) + b"\n")
+    assert load_dataset_csv(path).n == SPLIT_N
+    _no_child_left()
+    with pytest.raises(DataError, match="non-numeric cell at row 30000"):
+        load_dataset_csv(bad)
+    _no_child_left()
+    # the width is checked at the first block, while the child still parses
+    with pytest.raises(DataError, match="expected 3 features, got 2"):
+        data_io.write_predictions_csv(ModelParams(alpha=0.0, beta=[1.0, 1.0, 1.0]), path, tmp_path / "p.csv")
+    _no_child_left()
+    assert len(forks) == 3
+
+
+def test_a_read_is_split_only_where_a_second_cpu_can_gain(tmp_path, split_lines, forks, monkeypatch):
+    rows = data_io._rows_within(3)
+    files = {
+        "split": b"\n".join(split_lines) + b"\n",
+        "quoted": b"\n".join(split_lines) + b'\n0.5,0.5,"1"\n',
+        "one-block": b"\n".join(split_lines[:rows]) + b"\n",
+        "no-lf-after-the-middle": b"\n".join(split_lines[:10_000]) + b"\r" + b"\r".join(split_lines[10_000:]) + b"\r",
+    }
+    for name, data in files.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(data)
+        assert load_dataset_csv(path).n == data.count(b"\n") + data.count(b"\r") - 1
+        assert len(forks) == 1, name
+    with _one_cpu(monkeypatch):
+        assert load_dataset_csv(tmp_path / "split.csv").n == SPLIT_N
+    # a pipe's bytes, which open_input holds in a BytesIO
+    assert data_io._halves(io.BytesIO(files["split"]), SPLIT_N + 1, False, rows) is None
+    assert len(forks) == 1

@@ -608,6 +608,14 @@ def test_a_hinge_pass_holds_one_blocks_terms_at_a_time():
     assert traced_peak(lambda: fit(spec, ds, FitOptions(max_iterations=3))) <= bound
 
 
+def test_a_hinge_fit_of_a_small_dataset_sizes_its_weighted_copy_by_the_dataset():
+    # four rows and a weighted copy of 2000 samples and 64 KiB of slack: 119 KiB traced; a copy
+    # of a whole block's 16 384 columns, made whatever the dataset's size, peaked at 505 KiB
+    ds = generate_gaussian_mixture(2000, seed=1)
+    bound = 4 * ds.n * 8 + (ds.q + 1) * ds.n * 8 + 2**16
+    assert traced_peak(lambda: fit(RiskSpec(Loss.HINGE, Penalty.L2, lam=0.1), ds)) <= bound
+
+
 SWEEP_OPTIONS = {"default": FitOptions(), "zero-plain": FitOptions(max_iterations=8, risk_tolerance=0.0, init=Init.ZERO)}
 
 

@@ -83,8 +83,8 @@ def test_gram_blocks_past_the_budget_add_sub_block_products():
     # sub-block products differs from the whole block's in rounding only
     ds = make_dataset(seed=13, n=_BLOCK_ROWS + 77, q=50)
     blocks = _pass_gram(ds)
-    assert blocks._work.nbytes <= _BLOCK_BYTES < (ds.q + 1) * _BLOCK_ROWS * 8
     gram, whole = _blockwise_grams(blocks, ds, np.random.default_rng(13).uniform(0, 3, ds.n))
+    assert blocks._work.nbytes <= _BLOCK_BYTES < (ds.q + 1) * _BLOCK_ROWS * 8
     assert_array_equal(gram, gram.T)
     assert_allclose(gram, whole, rtol=1e-13, atol=1e-13 * np.abs(whole).max())
 
