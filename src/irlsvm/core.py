@@ -1,5 +1,7 @@
 """Shared domain types: datasets, hyperplane parameters, risk
-specifications, and fit results.
+specifications, and fit results; and the one way the package runs work in a
+second process (_forked), which data_io's split read and engine's pass worker
+take.
 
 All types are immutable after construction (arrays are marked read-only) and
 safe to share across threads. The operations here are pure functions.
@@ -7,8 +9,12 @@ safe to share across threads. The operations here are pure functions.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
+import os
+import signal
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -55,6 +61,71 @@ _BLOCK_BYTES = 1 << 21
 def _rows_within(width: int, rows: int = _BLOCK_ROWS) -> int:
     """The rows of a buffer of width doubles a row: rows, or as many as fit in _BLOCK_BYTES if fewer (at least 1)."""
     return max(1, min(rows, _BLOCK_BYTES // (8 * width)))
+
+
+def _second_cpu() -> bool:
+    """Whether a forked child can gain: fork exists and a second CPU is usable, so that the child
+    runs beside this process rather than in turns with it."""
+    if not hasattr(os, "fork"):
+        return False
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    return len(cpus) > 1
+
+
+@contextlib.contextmanager
+def _forked(work, *args):
+    """A block yielding (receive, send), the parent's ends of two pipes to a forked child that runs
+    work(*args, receive, send) with its own ends and then ends, whether work returns or raises: the
+    parent reads on receive what the child writes to its send, and writes to send what the child
+    reads on its receive. A fork that fails (no process to spare) gives the pipes of a child that
+    ended at once, so that the caller's path for a failed child is its serial fallback: receive
+    reads their end, and a write to send raises BrokenPipeError. When the block ends, both ends
+    are closed (a child still writing meets a broken pipe), and the child is killed, if it still
+    runs, and reaped."""
+    child_receive, send = os.pipe()
+    receive, child_send = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 warns of a fork in a process with threads (BLAS's): a child runs numpy on its own pipes
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        pid = None
+    if pid == 0:
+        try:
+            os.close(receive)  # so that the child's pipes end when the parent's ends close
+            os.close(send)
+            work(*args, child_receive, child_send)
+        finally:
+            os._exit(0)
+    os.close(child_receive)
+    os.close(child_send)
+    try:
+        yield receive, send
+    finally:
+        os.close(send)
+        os.close(receive)
+        if pid:
+            os.kill(pid, signal.SIGKILL)  # a child that has sent its work is ending anyway
+            os.waitpid(pid, 0)
+
+
+def _received(fd: int, array: np.ndarray) -> bool:
+    """Fill array with the bytes read from the pipe fd; False if the pipe ends first."""
+    view = memoryview(array.reshape(-1).view(np.uint8))
+    while view:
+        if not (size := os.readv(fd, [view])):
+            return False
+        view = view[size:]
+    return True
+
+
+def _sent(fd: int, *arrays: np.ndarray) -> None:
+    """Write the bytes of each array to the pipe fd, whole and in order."""
+    for array in arrays:
+        view = memoryview(array.reshape(-1).view(np.uint8))
+        while view:
+            view = view[os.write(fd, view) :]
 
 
 def _check_finite_rows(values: np.ndarray, first: int = 0, what: str = "feature") -> None:

@@ -19,10 +19,11 @@ gain, in two processes: a regular file of more lines than one parse block, with
 no quote byte and an LF after its middle byte, read where fork works and a second
 CPU is usable, is parsed up to that LF here while a forked child parses the rest
 through the same descriptor and sends its values back through a pipe as float64
-(_split_blocks). Both halves' blocks go through the same checks in sample order,
-cut as a serial read cuts them, and any failure, the child's included, falls back
-to the serial read's cell-by-cell scan, so every value and error is the serial
-read's.
+(_split_blocks). The child runs through core's one fork helper (_forked), which
+engine's pass worker shares. Both halves' blocks go through the same checks in
+sample order, cut as a serial read cuts them, and any failure, the child's or the
+fork's included, falls back to the serial read's cell-by-cell scan, so every value
+and error is the serial read's.
 
 CSV floats are formatted a block at a time by integer arithmetic
 (_float_cells). A finite x with 1e-11 < |x| < 2**50 is M * 2**e with M a
@@ -48,7 +49,6 @@ import math
 import numbers
 import os
 import re
-import signal
 import stat
 import warnings
 from pathlib import Path
@@ -56,6 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import _BLOCK_ROWS, Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec, _predictions, _rows_within
+from .core import _forked, _received, _second_cpu, _sent
 
 MODEL_FORMAT = "irlsvm-model/1"
 LABEL_COLUMN = "y"
@@ -241,9 +242,8 @@ def _halves(handle, lines: int, quoted: bool, rows: int) -> tuple[int, int] | No
     parent's up to the LF at split and a child's from it, else None: the bytes are a regular file
     of size bytes (not a pipe's, held in a BytesIO) with more lines than one block of rows, no quote
     (so the LF ends a record and no quoted cell runs across it) and an LF at or after its middle
-    byte (split is the first), and fork can start a child that another CPU runs."""
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
-    if quoted or lines <= rows or not hasattr(os, "fork") or len(cpus) < 2:
+    byte (split is the first), and a forked child can gain (core._second_cpu)."""
+    if quoted or lines <= rows or not _second_cpu():
         return None
     try:
         fd = handle.fileno()
@@ -281,44 +281,21 @@ def _split_blocks(fd: int, split: int, size: int, rows: int, width: int):
     block yielding the parent's blocks, up to and with the LF at split, then the child's, from that
     LF (a blank line) to size, which a forked child parsed meanwhile (_parse_in_child); they are
     re-cut as a serial read cuts them, so each but the last has rows rows. A block the parent's
-    reader rejects ends them as None, and so does a child that failed (sent no rows). The child is
-    killed, if it is still running, and reaped when the block ends."""
-    read_end, write_end = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12 warns of a fork in a process with threads (BLAS's): the child runs only numpy's parser
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:  # no process to spare: the pipe ends unwritten, as a failed child's does
-        pid = None
-    if pid == 0:
-        _parse_in_child(fd, split, size, rows, width, write_end)
-    os.close(write_end)
-    try:
+    reader rejects ends them as None, and so does a child that failed or was not started (sent no
+    rows). The child runs through core._forked, which ends it when the block ends."""
+    with _forked(_parse_in_child, fd, split, size, rows, width) as (read_end, _):
         part = _text(io.BufferedReader(_Span(fd, 0, split + 1)))
         next(csv.reader(part))  # the header, which _csv_blocks has read
         yield _joined(part, read_end, rows, width)
-    finally:
-        os.close(read_end)  # a child still writing meets a broken pipe
-        if pid:
-            os.kill(pid, signal.SIGKILL)  # a child that has sent its rows is ending anyway
-            os.waitpid(pid, 0)
 
 
-def _parse_in_child(fd: int, start: int, stop: int, rows: int, width: int, write_end: int):
+def _parse_in_child(fd: int, start: int, stop: int, rows: int, width: int, _receive: int, send: int):
     """The forked child's whole work: parse the bytes of fd from start to stop into blocks
     (_value_blocks), holding them all so that the parent's parse goes on meanwhile, then, if none
-    was rejected, write their row count (an int64) and their values (float64, row by row) to
-    write_end, and end the process without returning."""
-    try:
-        blocks = list(_all_blocks(_text(io.BufferedReader(_Span(fd, start, stop))), rows, width))
-        if blocks[-1] is not None:
-            for array in [np.array([sum(map(len, blocks))], np.int64), *blocks]:
-                view = memoryview(array.reshape(-1).view(np.uint8))
-                while view:
-                    view = view[os.write(write_end, view) :]
-    finally:
-        os._exit(0)
+    was rejected, write their row count (an int64) and their values (float64, row by row) to send."""
+    blocks = list(_all_blocks(_text(io.BufferedReader(_Span(fd, start, stop))), rows, width))
+    if blocks[-1] is not None:
+        _sent(send, np.array([sum(map(len, blocks))], np.int64), *blocks)
 
 
 def _joined(part, read_end: int, rows: int, width: int):
@@ -344,16 +321,6 @@ def _joined(part, read_end: int, rows: int, width: int):
         if len(block) < rows:
             return
         del block  # the next block is read without it
-
-
-def _received(read_end: int, array: np.ndarray) -> bool:
-    """Fill array with the bytes read from the pipe read_end; False if it ends first."""
-    view = memoryview(array.reshape(-1).view(np.uint8))
-    while view:
-        if not (size := os.readv(read_end, [view])):
-            return False
-        view = view[size:]
-    return True
 
 
 def _scan_rows(path: Path, text, header, feature_idx, label_idx) -> tuple[np.ndarray, np.ndarray | None]:

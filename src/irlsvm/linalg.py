@@ -37,39 +37,38 @@ class SpdSolution:
 
 
 class _GramBlocks:
-    """The k x k Y'WY accumulated one row block at a time through its own
-    weighted copy, made at the first add with as many columns as that block has,
-    at most core._rows_within(k): a block's copy is made that many of its columns
-    at a time, so a block of at most that many adds one product. The weights
-    are not checked: the hinge's, 1/(4 gamma) with gamma > 0, are never
-    negative or infinite, and a NaN one makes a NaN Gram, which solve_spd rejects."""
+    """The products whose sum is Y'WY, made one row block at a time through a weighted copy of
+    its own, made at the first block with as many columns as that block has, at most
+    core._rows_within(k): a block's copy is made that many of its columns at a time, so a block of
+    at most that many makes one product. The weights are not checked: the hinge's,
+    1/(4 gamma) with gamma > 0, are never negative or infinite, and a NaN one makes a NaN
+    product. An overflow shows as a non-finite product, which the caller's numpy error state
+    reports or not (the engine's pass does not: solve_spd rejects the system)."""
 
     def __init__(self, k: int):
-        self.gram = np.zeros((k, k))
+        self._k = k
         self._work = None
 
-    def add(self, cols: np.ndarray, weights: np.ndarray) -> None:
-        """Add the block whose (q+1) x b columns are cols, weighted by weights."""
+    def products(self, cols: np.ndarray, weights: np.ndarray):
+        """The k x k products of the block whose (q+1) x b columns are cols, weighted by weights,
+        one part of the weighted copy's columns at a time, in order: each is made as it is taken."""
         if self._work is None:  # the first block is a pass's longest
-            k = self.gram.shape[0]
-            self._work = np.empty((k, min(_rows_within(k), weights.shape[0])))
+            self._work = np.empty((self._k, min(_rows_within(self._k), weights.shape[0])))
         step = self._work.shape[1]
-        # an overflow shows as a non-finite Gram, which solve_spd rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, weights.shape[0], step):
-                part = cols[:, start : start + step]
-                weighted = np.multiply(part, weights[start : start + step], out=self._work[:, : part.shape[1]])
-                self.gram += weighted @ part.T
+        for start in range(0, weights.shape[0], step):
+            part = cols[:, start : start + step]
+            weighted = np.multiply(part, weights[start : start + step], out=self._work[:, : part.shape[1]])
+            yield weighted @ part.T
 
-    def result(self) -> np.ndarray:
-        """The sum so far, made exactly symmetric as the mean of it and its
-        transpose (floating-point addition commutes), halved first so that
-        the sum cannot overflow."""
-        self.gram *= 0.5
-        # +inf against -inf gives NaN, which solve_spd rejects
-        with np.errstate(invalid="ignore"):
-            self.gram += self.gram.T
-        return self.gram
+
+def _symmetric(gram: np.ndarray) -> np.ndarray:
+    """gram, a sum of _GramBlocks products, made exactly symmetric in place as the mean of it and
+    its transpose (floating-point addition commutes), halved first so that the sum cannot overflow."""
+    gram *= 0.5
+    # +inf against -inf gives NaN, which solve_spd rejects
+    with np.errstate(invalid="ignore"):
+        gram += gram.T
+    return gram
 
 
 def _forward_substitution(lower: np.ndarray, b: np.ndarray) -> np.ndarray:

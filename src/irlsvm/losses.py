@@ -99,8 +99,9 @@ def _block_terms(kind: Loss, m: np.ndarray, epsilon: float, update: bool):
 
 def _normal_equations(kind: Loss, dataset, vec, gram, rhs, diag) -> tuple[np.ndarray, np.ndarray]:
     """The update's normal equations (matrix, right side) at vec from a pass's
-    block sums (see _block_terms): gram's weighted Gram (a linalg._GramBlocks),
-    or the cached Y'Y when gram is None (unit weights), plus the penalty
+    block sums (see _block_terms): the weighted Gram gram (summed from
+    linalg._GramBlocks products and made symmetric by linalg._symmetric, in
+    place), or the cached Y'Y when gram is None (unit weights), plus the penalty
     diagonal diag times n, or 8n to clear the logistic surrogate's 1/(8n); and
     rhs plus, in place, the part of the right side that no block adds."""
     if kind is Loss.HINGE:
@@ -112,7 +113,7 @@ def _normal_equations(kind: Loss, dataset, vec, gram, rhs, diag) -> tuple[np.nda
         with np.errstate(over="ignore", invalid="ignore"):
             offset = dataset._gram @ vec
         rhs += offset
-    a = dataset._gram.copy() if gram is None else gram.result()
+    a = dataset._gram.copy() if gram is None else gram
     k = a.shape[0]
     scale = 8.0 if kind is Loss.LOGISTIC else 1.0
     # the diagonal entries of beta, through a strided view of the C-ordered matrix

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import settings
 
@@ -15,3 +17,18 @@ def two_sample():
 @pytest.fixture
 def random_dataset():
     return make_dataset(seed=7)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children os.fork starts in the test."""
+    started, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return started

@@ -1,8 +1,10 @@
 """Shared test fixtures/constants."""
 
+import os
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from irlsvm import Dataset, Loss, ModelParams, Penalty, RiskSpec
 from irlsvm.engine import _update
@@ -66,3 +68,9 @@ def interrupt_on_call(monkeypatch, module, name: str, call: int) -> list[int]:
 
     monkeypatch.setattr(module, name, interrupted)
     return calls
+
+
+def no_child_left():
+    """Assert that this process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

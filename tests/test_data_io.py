@@ -35,7 +35,7 @@ from irlsvm import (
 from irlsvm import data_io
 from irlsvm.core import _BLOCK_BYTES
 
-from helpers import interrupt_on_call, make_dataset, traced_peak, two_sample_dataset
+from helpers import interrupt_on_call, make_dataset, no_child_left, traced_peak, two_sample_dataset
 
 
 def test_load_two_sample_dataset(tmp_path):
@@ -636,21 +636,6 @@ def split_lines(tmp_path_factory):
     return path.read_bytes().split(b"\n")[:-1]
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children os.fork starts in the test."""
-    started, fork = [], os.fork
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            started.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return started
-
-
 @contextlib.contextmanager
 def _one_cpu(monkeypatch):
     """A block in which one CPU is usable, so that every read is serial."""
@@ -678,11 +663,6 @@ def _block_rows(path):
         return [len(features) for _labels, features in blocks]
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("blank", [None, 5_000, 35_000], ids=["no-blank", "blank-in-first-half", "blank-in-second-half"])
 @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["no-bom", "bom"])
 @pytest.mark.parametrize("eol", [b"\n", b"\r\n"], ids=["lf", "crlf"])
@@ -701,7 +681,7 @@ def test_split_read_matches_the_serial_read_of_a_quoted_header_copy(tmp_path, sp
     assert _block_rows(split) == _block_rows(serial) == [16_384, 16_384, SPLIT_N - 2 * 16_384]
     assert len(forks) == 3
     assert got[1].count(b"\n") == SPLIT_N + 1
-    _no_child_left()
+    no_child_left()
 
 
 BAD_RECORDS = {
@@ -725,7 +705,7 @@ def test_a_bad_record_in_the_childs_half_gives_the_serial_error(tmp_path, split_
         assert got == _read(path, tmp_path / "p.csv")
     assert len(forks) == 2
     assert "row 30000" in got[0] or "not UTF-8" in got[0]
-    _no_child_left()
+    no_child_left()
 
 
 def test_a_character_cut_short_by_the_split_lf_gives_the_serial_error(tmp_path, split_lines, forks, monkeypatch):
@@ -762,7 +742,7 @@ def test_a_child_killed_before_it_writes_falls_back_to_the_serial_result(tmp_pat
     monkeypatch.setattr(data_io, "_scan_rows", counted_scan_rows)
     assert _read(path, tmp_path / "p.csv") == serial
     assert len(forks) == len(scans) == 2
-    _no_child_left()
+    no_child_left()
 
 
 def test_a_fork_that_fails_falls_back_to_the_serial_result(tmp_path, split_lines, monkeypatch):
@@ -783,14 +763,14 @@ def test_no_child_outlives_a_read(tmp_path, split_lines, forks):
     path.write_bytes(b"\n".join(split_lines) + b"\n")
     bad.write_bytes(b"\n".join([*split_lines[:30_000], b"0.5,oops,1", *split_lines[30_001:]]) + b"\n")
     assert load_dataset_csv(path).n == SPLIT_N
-    _no_child_left()
+    no_child_left()
     with pytest.raises(DataError, match="non-numeric cell at row 30000"):
         load_dataset_csv(bad)
-    _no_child_left()
+    no_child_left()
     # the width is checked at the first block, while the child still parses
     with pytest.raises(DataError, match="expected 3 features, got 2"):
         data_io.write_predictions_csv(ModelParams(alpha=0.0, beta=[1.0, 1.0, 1.0]), path, tmp_path / "p.csv")
-    _no_child_left()
+    no_child_left()
     assert len(forks) == 3
 
 

@@ -1,4 +1,6 @@
+import errno
 import os
+import signal
 import subprocess
 import sys
 
@@ -24,6 +26,7 @@ from irlsvm import (
     risk,
     smoothed_risk,
 )
+import irlsvm.engine as engine_module
 from irlsvm.core import _BLOCK_BYTES, _BLOCK_ROWS
 from irlsvm.engine import (
     DESCENT_SLACK,
@@ -34,6 +37,7 @@ from irlsvm.engine import (
     _surrogate_values,
     _violations,
 )
+from irlsvm.linalg import SingularSystemError
 from irlsvm.losses import loss_value, majorizer_value
 from irlsvm.penalties import penalty_majorizer_value
 
@@ -45,6 +49,7 @@ from helpers import (
     closed_form_ls_l2,
     irls_step,
     make_dataset,
+    no_child_left,
     traced_peak,
     two_sample_dataset,
 )
@@ -228,7 +233,8 @@ def test_an_overflowing_start_is_a_fit_error(loss):
     # are recorded, and the system anchored there is not finite, for the hinge (NaN weights) too
     ds = Dataset([[1e10, 1e10], [1e10, -1e10], [-1e10, 1e10], [-1e10, -1e10]], [1.0, 1.0, -1.0, -1.0])
     options = FitOptions(init=ModelParams(alpha=0.0, beta=[1e300, 1e300]))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FitError, match="not finite") as info:
+    # and warns of nothing: the suite's filter raises a RuntimeWarning
+    with pytest.raises(FitError, match="not finite") as info:
         fit(RiskSpec(loss, Penalty.L2, lam=0.1), ds, options)
     assert info.value.exact_trajectory.shape == info.value.smoothed_trajectory.shape == (1,)
 
@@ -711,8 +717,8 @@ def _build_every_system(monkeypatch):
 
     original = engine_module._pass
 
-    def full_pass(spec, vec, dataset, update=True):
-        return original(spec, vec, dataset, True)
+    def full_pass(spec, vec, dataset, update=True, worker=None):
+        return original(spec, vec, dataset, True, worker)
 
     monkeypatch.setattr(engine_module, "_pass", full_pass)
 
@@ -775,8 +781,8 @@ def _record_passes_and_solves(monkeypatch):
     events = []
     original_pass, original_solve = engine_module._pass, engine_module.solve_spd
 
-    def recording_pass(spec, vec, dataset, update=True):
-        out = original_pass(spec, vec, dataset, update)
+    def recording_pass(spec, vec, dataset, update=True, worker=None):
+        out = original_pass(spec, vec, dataset, update, worker)
         system = out[2]
         events.append(("pass", vec.copy(), None if system is None else system[0]))
         return out
@@ -827,6 +833,150 @@ def test_a_warm_start_fit_of_one_update_makes_two_passes(mixture, monkeypatch):
     passes = [matrix is None for kind, _, matrix in events if kind == "pass"]
     assert [kind for kind, _, _ in events] == ["solve", "pass", "solve", "pass"]
     assert passes == [False, True]
+
+
+# On a narrow design of enough row blocks, where a second CPU is usable, fit walks the later half
+# of each pass's blocks in a forked child. These tests let a design of 2 blocks or more qualify, so
+# that 40 000 rows (three blocks of 16 384 rows; the child walks the last two) fork a worker.
+SPLIT_N = 40_000
+SPLIT_OPTIONS = {"default": FitOptions(), "zero-plain": FitOptions(risk_tolerance=0.0, init=Init.ZERO)}
+
+
+@pytest.fixture(scope="module", params=[2, 15], ids=["q2", "q15"])
+def split_data(request):
+    """40 000 samples at q = 2, and at q = 15, the widest design fit splits (q + 1 = 16)."""
+    mean = 0.3 * np.ones(request.param)
+    return generate_gaussian_mixture(SPLIT_N, mean_neg=-mean, mean_pos=mean, seed=38)
+
+
+@pytest.fixture
+def split(monkeypatch, forks):
+    """The pids of the children the test forks, where every design of two blocks or more splits."""
+    monkeypatch.setattr(engine_module, "_SPLIT_BLOCKS", 2)
+    return forks
+
+
+def _counted_block_terms(monkeypatch):
+    """Count the blocks this process walks (a child counts in its own copy of the list)."""
+    walked, original = [], engine_module._block_terms
+
+    def counted(*args):
+        walked.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(engine_module, "_block_terms", counted)
+    return walked
+
+
+def _serial_fit(monkeypatch, spec, dataset, options=None):
+    """fit with the fork helper declining, as on one CPU: (its record, the blocks it walked)."""
+    walked = _counted_block_terms(monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_module, "_second_cpu", lambda: False)
+        return _fit_record(fit(spec, dataset, options)), len(walked)
+
+
+@pytest.mark.parametrize("options", SPLIT_OPTIONS.values(), ids=SPLIT_OPTIONS.keys())
+@pytest.mark.parametrize("loss, pen", ALL_COMBOS, ids=COMBO_IDS)
+def test_a_split_fit_equals_the_serial_fit_bit_for_bit(split_data, loss, pen, options, split, monkeypatch):
+    spec = RiskSpec(loss, pen, lam=0.1, mu=0.1, epsilon=EPS)
+    serial, serial_walked = _serial_fit(monkeypatch, spec, split_data, options)
+    walked = _counted_block_terms(monkeypatch)
+    assert _fit_record(fit(spec, split_data, options)) == serial
+    if (loss, pen) == (Loss.LEAST_SQUARES, Penalty.L2):
+        # the closed form makes two passes, too few to repay a fork
+        assert not split and len(walked) == serial_walked
+    else:
+        # this process walked the first of each pass's three blocks, and the child the rest
+        assert len(split) == 1 and 3 * len(walked) == serial_walked
+    no_child_left()
+
+
+def test_a_split_fit_whose_child_is_killed_between_passes_gives_the_serial_result(monkeypatch, split):
+    dataset = generate_gaussian_mixture(SPLIT_N, seed=38)
+    spec = RiskSpec(Loss.HINGE, Penalty.L2, lam=0.1)
+    serial, serial_walked = _serial_fit(monkeypatch, spec, dataset)
+    walked, passes, original = _counted_block_terms(monkeypatch), [], engine_module._pass
+
+    def killing_pass(*args):
+        if len(passes) == 2:
+            os.kill(split[0], signal.SIGKILL)
+        passes.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(engine_module, "_pass", killing_pass)
+    assert _fit_record(fit(spec, dataset)) == serial
+    # two passes split, then this process walked every block of the rest
+    assert len(split) == 1 and len(walked) == 2 + (serial_walked - 2 * 3)
+    no_child_left()
+
+
+def test_a_fit_whose_fork_fails_gives_the_serial_result(monkeypatch, split):
+    dataset = generate_gaussian_mixture(SPLIT_N, seed=38)
+    spec = RiskSpec(Loss.LOGISTIC, Penalty.ELASTIC_NET, lam=0.1, mu=0.1)
+    serial, serial_walked = _serial_fit(monkeypatch, spec, dataset)
+    walked = _counted_block_terms(monkeypatch)
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _fit_record(fit(spec, dataset)) == serial
+    assert len(walked) == serial_walked
+
+
+def test_no_child_outlives_a_fit(monkeypatch, split):
+    dataset = generate_gaussian_mixture(SPLIT_N, seed=38)
+    spec = RiskSpec(Loss.HINGE, Penalty.L2, lam=0.1)
+    fit(spec, dataset)
+    no_child_left()
+    def failing_solve(matrix, rhs):
+        raise SingularSystemError("injected failure")
+
+    # the first update's solve fails, once the first pass has split
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_module, "solve_spd", failing_solve)
+        with pytest.raises(FitError, match="injected failure"):
+            fit(spec, dataset, FitOptions(init=Init.ZERO))
+    no_child_left()
+    # a ^C while this process walks its half of a pass, whose child's reply is then not read
+    parent, calls, original = os.getpid(), [], engine_module._block_terms
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            calls.append(1)
+            if len(calls) == 5:
+                raise KeyboardInterrupt
+        return original(*args)
+
+    monkeypatch.setattr(engine_module, "_block_terms", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        fit(spec, dataset)
+    no_child_left()
+    assert len(split) == 3
+
+
+def test_a_fit_forks_no_worker_where_a_child_cannot_gain(monkeypatch, split):
+    narrow = generate_gaussian_mixture(SPLIT_N, seed=38)
+    spec = RiskSpec(Loss.HINGE, Penalty.ELASTIC_NET, lam=0.1, mu=0.1)
+    asked = []
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_module, "_second_cpu", lambda: asked.append(1) or True)
+        # a fit of one update, of one block (paper-sweep's 10^4 rows), or of a q = 50 design of three
+        # blocks: each is decided before the helper's test of the CPUs, a system call
+        fit(spec, narrow, FitOptions(max_iterations=1))
+        fit(spec, generate_gaussian_mixture(10_000, seed=38))
+        mean = 0.2 * np.ones(50)
+        fit(spec, generate_gaussian_mixture(SPLIT_N, mean_neg=-mean, mean_pos=mean, seed=38), FitOptions(max_iterations=2))
+        assert not asked
+    # one usable CPU
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        fit(spec, narrow, FitOptions(max_iterations=2))
+    assert not split
+    fit(spec, narrow, FitOptions(max_iterations=2))
+    assert len(split) == 1
+    no_child_left()
 
 
 # two q = 50 fits of 2·10^4 samples (two row blocks), run under a given BLAS thread count

@@ -6,16 +6,22 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from irlsvm import Dataset
 from irlsvm.core import _BLOCK_BYTES, _BLOCK_ROWS
-from irlsvm.linalg import SingularSystemError, _GramBlocks, solve_spd
+from irlsvm.linalg import SingularSystemError, _GramBlocks, _symmetric, solve_spd
 
 from helpers import make_dataset
 
 
+def _summed(blocks, cols, weights, gram=None):
+    """gram (zeros if None) plus the _GramBlocks products of cols weighted by weights, as a pass adds them."""
+    gram = np.zeros((cols.shape[0], cols.shape[0])) if gram is None else gram
+    for product in blocks.products(cols, weights):
+        gram += product
+    return gram
+
+
 def _one_block_gram(dataset, weights):
     """Y'WY of the dataset's whole design accumulated as one block."""
-    gram = _GramBlocks(dataset.q + 1)
-    gram.add(dataset._design, np.asarray(weights, dtype=float))
-    return gram.result()
+    return _symmetric(_summed(_GramBlocks(dataset.q + 1), dataset._design, np.asarray(weights, dtype=float)))
 
 
 def test_weighted_gram_examples(two_sample):
@@ -37,9 +43,7 @@ def test_weighted_gram_exactly_symmetric():
 def test_weighted_gram_near_the_float_limit_stays_finite():
     # each entry is 1.69e308: a symmetrising sum before halving would overflow
     cols = np.full((2, 1), 1.3e154)
-    gram = _GramBlocks(2)
-    gram.add(cols, np.ones(1))
-    result = gram.result()
+    result = _symmetric(_summed(_GramBlocks(2), cols, np.ones(1)))
     assert np.isfinite(result).all()
     assert_array_equal(result, result.T)
 
@@ -55,19 +59,21 @@ def _pass_gram(dataset):
     return _GramBlocks(dataset.q + 1)
 
 
-def _blockwise_grams(gram, dataset, weights):
-    """Y'WY accumulated over the design blocks a pass walks, through the _GramBlocks gram, and
-    as each whole block's (block * w) @ block.T, made symmetric as result() does."""
+def _blockwise_grams(blocks, dataset, weights):
+    """Y'WY accumulated over the design blocks a pass walks, through the _GramBlocks blocks'
+    products made symmetric by _symmetric, and as each whole block's (block * w) @ block.T, made
+    symmetric as _symmetric makes it."""
+    gram = np.zeros((dataset.q + 1, dataset.q + 1))
     whole = np.zeros((dataset.q + 1, dataset.q + 1))
     start = 0
     for block in dataset._blocks():
         w = weights[start : start + block.shape[1]]
-        gram.add(block, w)
+        _summed(blocks, block, w, gram)
         whole += (block * w) @ block.T
         start += block.shape[1]
     whole *= 0.5
     whole += whole.T
-    return gram.result(), whole
+    return _symmetric(gram), whole
 
 
 @pytest.mark.parametrize("q", [1, 2, 15])
