@@ -182,6 +182,8 @@ def _refuse_overwriting(flag, source, outputs) -> None:
 def _cmd_fit(args) -> int:
     spec = _spec_from_args(args)
     options = _options_from_args(args)
+    if os.path.isdir(args.out):  # refused before any work, with the error its write would meet
+        raise DataError(f"{Path(args.out)}: cannot write: {os.strerror(errno.EISDIR)}")
     dataset = load_dataset_csv(args.data)
     trajectory = Path(args.out).with_suffix(".trajectory.csv")
     _refuse_overwriting("--data", args.data, [args.out, trajectory])

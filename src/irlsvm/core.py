@@ -4,7 +4,8 @@ second process (_forked), which data_io's split read and engine's pass worker
 take.
 
 All types are immutable after construction (arrays are marked read-only) and
-safe to share across threads. The operations here are pure functions.
+safe to share across threads. The operations here are pure functions, run in
+their caller's numpy error state (see engine) but for prediction, which sets its own.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ _BLOCK_ROWS = 1 << 14
 _BLOCK_BYTES = 1 << 21
 
 
-def _rows_within(width: int, rows: int = _BLOCK_ROWS) -> int:
-    """The rows of a buffer of width doubles a row: rows, or as many as fit in _BLOCK_BYTES if fewer (at least 1)."""
-    return max(1, min(rows, _BLOCK_BYTES // (8 * width)))
+def _rows_within(width: int) -> int:
+    """The rows of a buffer of width doubles a row: _BLOCK_ROWS, or fewer to fit in _BLOCK_BYTES (at least 1)."""
+    return max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // (8 * width)))
 
 
 def _second_cpu() -> bool:
@@ -239,19 +240,15 @@ class Dataset:
     @cached_property
     def _gram(self) -> np.ndarray:
         """Unit-weight Gram matrix Y'Y, cached (it is iteration-independent);
-        exactly symmetric. An overflow shows as a non-finite entry, which
-        solve_spd rejects."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = self._design @ self._design.T
+        exactly symmetric."""
+        g = self._design @ self._design.T
         g.flags.writeable = False
         return g
 
     @cached_property
     def _column_sums(self) -> np.ndarray:
-        """Column sums 1'Y, cached like the Gram; an overflow shows as a
-        non-finite entry, which solve_spd rejects."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = self._design.sum(axis=1)
+        """Column sums 1'Y, cached like the Gram."""
+        s = self._design.sum(axis=1)
         s.flags.writeable = False
         return s
 
@@ -398,7 +395,7 @@ def _predictions(theta: ModelParams, t: np.ndarray, first: int = 0) -> np.ndarra
     if t.shape[1] != theta.q:
         raise ValueError(f"expected {theta.q} features, got {t.shape[1]}")
     _check_finite_rows(t, first)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported as a non-finite value
+    with np.errstate(over="ignore", invalid="ignore"):  # predict's own: an overflow is a non-finite value
         scores = theta.alpha + t @ theta.beta
     _check_finite_rows(scores[:, None], first, "decision value")
     return np.where(scores >= 0, 1.0, -1.0)

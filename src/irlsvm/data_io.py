@@ -55,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _BLOCK_ROWS, Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec, _predictions, _rows_within
+from .core import Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec, _predictions, _rows_within
 from .core import _forked, _received, _second_cpu, _sent
 
 MODEL_FORMAT = "irlsvm-model/1"
@@ -179,7 +179,7 @@ def _csv_blocks(path, handle, labeled: bool = False):
     if not feature_idx:
         raise DataError(f"{path}: no feature columns")
 
-    rows, width = _rows_within(len(header), _BLOCK_ROWS), len(header)
+    rows, width = _rows_within(len(header)), len(header)
     halves = _halves(handle, lines, quoted, rows)
 
     def blocks(parsed):

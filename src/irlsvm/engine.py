@@ -16,6 +16,11 @@ sum of independent block shares: on a narrow design of enough blocks, where a
 second CPU is usable, fit walks the later half of each pass's blocks in a forked
 child (_PassWorker) and adds its shares in block order, so every result is the
 serial walk's bit for bit.
+
+Numpy's error state is set where the engine is entered, and below that only where a comment gives
+the reason: fit (its warm start, passes, extrapolated steps, and the pass worker's child, to which
+the fork copies it), _pass (risk, smoothed_risk, check's anchor passes) and _violations (check's
+gates) ignore overflow and invalid operations, whose results fit records or solve_spd rejects.
 """
 
 from __future__ import annotations
@@ -120,23 +125,22 @@ def _pass(
 
     The pass adds the blocks' shares (_shares) in block order: with a worker, this process
     walks the blocks before the worker's first while the worker's child walks the rest, and its
-    shares are added after. The pass allocates no n-length array. It is evaluated with
-    overflows ignored: an overflow shows as a non-finite risk, which fit records, or system,
-    which solve_spd rejects. A pass that raises ends the worker, whose reply is then not read.
+    shares are added after. The pass allocates no n-length array, and sets the engine's error
+    state. A pass that raises ends the worker, whose reply is then not read.
     """
     k = dataset.q + 1
     if vec.shape[0] != k:
         raise ValueError(f"theta has {vec.shape[0] - 1} features but data has {dataset.q}")
-    if worker is not None and worker.ask(vec, update):
-        own = _shares(spec, vec, islice(dataset._blocks(), worker.first), update)
-        shares = chain(own, worker.shares(spec, vec, dataset, update))
-    else:
-        shares = _shares(spec, vec, dataset._blocks(), update)
-    gram = None
-    rhs = np.zeros(k)
-    loss_sum = smoothed_sum = 0.0
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if worker is not None and worker.ask(vec, update):
+            own = _shares(spec, vec, islice(dataset._blocks(), worker.first), update)
+            shares = chain(own, worker.shares(spec, vec, dataset, update))
+        else:
+            shares = _shares(spec, vec, dataset._blocks(), update)
+        gram = None
+        rhs = np.zeros(k)
+        loss_sum = smoothed_sum = 0.0
+        try:
             for block_loss, block_smoothed, products, rhs_part in shares:
                 loss_sum += block_loss
                 smoothed_sum += block_smoothed
@@ -147,17 +151,17 @@ def _pass(
                 if rhs_part is not None:
                     rhs += rhs_part
             penalty, smoothed_penalty, diag = _penalty_terms(vec[1:], spec.lam, spec.mu, spec.epsilon)
-    except BaseException:
-        if worker is not None:
-            worker.end()
-        raise
-    n = dataset.n
-    exact = loss_sum / n + penalty
-    smoothed = smoothed_sum / n + smoothed_penalty
-    if not update:
-        return exact, smoothed, None
-    gram = None if gram is None else _symmetric(gram)
-    return exact, smoothed, _normal_equations(spec.loss, dataset, vec, gram, rhs, diag)
+        except BaseException:
+            if worker is not None:
+                worker.end()
+            raise
+        n = dataset.n
+        exact = loss_sum / n + penalty
+        smoothed = smoothed_sum / n + smoothed_penalty
+        if not update:
+            return exact, smoothed, None
+        gram = None if gram is None else _symmetric(gram)
+        return exact, smoothed, _normal_equations(spec.loss, dataset, vec, gram, rhs, diag)
 
 
 class _PassWorker:
@@ -212,13 +216,11 @@ def _serve_passes(spec: RiskSpec, dataset: Dataset, first: int, receive: int, se
     while _received(receive, request):
         vec, update = request[1:].copy(), bool(request[0])
         rows = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for block_loss, block_smoothed, products, rhs_part in _shares(
-                spec, vec, islice(dataset._blocks(), first, None), update
-            ):
-                products = [product.reshape(-1) for product in products]
-                rhs_parts = [] if rhs_part is None else [rhs_part]
-                rows.append(np.concatenate([[block_loss, block_smoothed], *products, *rhs_parts]))
+        shares = _shares(spec, vec, islice(dataset._blocks(), first, None), update)
+        for block_loss, block_smoothed, products, rhs_part in shares:
+            products = [product.reshape(-1) for product in products]
+            rhs_parts = [] if rhs_part is None else [rhs_part]
+            rows.append(np.concatenate([[block_loss, block_smoothed], *products, *rhs_parts]))
         # every block of a pass has the last one's layout (one product at most, at q + 1 <= 16)
         _sent(send, np.array([len(rows), len(products), len(rhs_parts)], np.int64), np.concatenate(rows))
 
@@ -282,18 +284,19 @@ def _extrapolated(result: FitResult) -> np.ndarray:
 def _violations(spec: RiskSpec, result: FitResult, dataset: Dataset) -> tuple[float, float, float]:
     """check's three gates on fit's record, as worst relative violations: a
     rise of the monitored risk, a surrogate off the risk at its anchor, a rise of a surrogate."""
-    # the smoothed risk is the monitored risk (see fit)
-    track = result.smoothed_risk_trajectory
-    descent = float(np.max(np.diff(track) / (1.0 + np.abs(track[:-1]))))
-    # each recorded update against the surrogate anchored at its own anchor:
-    # the iterate before it, whose risk is recorded, or an extrapolated point
-    anchors = result.anchor_trajectory
-    at, after = _surrogate_values(spec, anchors, result.theta_trajectory[1:], dataset)
-    anchor_risk = track[:-1].copy()
-    for t in np.flatnonzero(_extrapolated(result)):
-        anchor_risk[t] = _pass(spec, anchors[t], dataset, update=False)[1]
-    anchor = float(np.max(np.abs(at - anchor_risk) / (1.0 + np.abs(anchor_risk))))
-    surrogate = float(np.max((after - at) / (1.0 + np.abs(at))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the smoothed risk is the monitored risk (see fit)
+        track = result.smoothed_risk_trajectory
+        descent = float(np.max(np.diff(track) / (1.0 + np.abs(track[:-1]))))
+        # each recorded update against the surrogate anchored at its own anchor:
+        # the iterate before it, whose risk is recorded, or an extrapolated point
+        anchors = result.anchor_trajectory
+        at, after = _surrogate_values(spec, anchors, result.theta_trajectory[1:], dataset)
+        anchor_risk = track[:-1].copy()
+        for t in np.flatnonzero(_extrapolated(result)):
+            anchor_risk[t] = _pass(spec, anchors[t], dataset, update=False)[1]
+        anchor = float(np.max(np.abs(at - anchor_risk) / (1.0 + np.abs(anchor_risk))))
+        surrogate = float(np.max((after - at) / (1.0 + np.abs(at))))
     return descent, anchor, surrogate
 
 
@@ -344,7 +347,7 @@ def _extrapolated_update(spec, dataset, cycle, risk_bound, anchored, worker=None
     x0, x1, x2 = cycle
     r = x1 - x0
     v = x2 - x1 - r
-    # a step that overflows or fails is discarded, so its floating-point flags say nothing
+    # a step that overflows, divides by a zero |v| or fails is discarded, its flags too, also outside fit
     with np.errstate(all="ignore"):
         a = min(-np.linalg.norm(r) / np.linalg.norm(v), -1.0)
         anchor = x0 - 2.0 * a * r + a * a * v
@@ -363,7 +366,7 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
     Records every iterate and its exact and smoothed risk (initial point
     included), and the anchor of each update. Stops on max_iterations
     recorded updates or when the monitored risk changes by at most
-    risk_tolerance * (1 + |previous|). The monitored risk is read as the
+    risk_tolerance * (1 + |previous|), previous finite. The monitored risk is read as the
     smoothed risk: for the combinations whose monitor is the exact risk the
     loss and penalty contain no absolute value, so their exact and smoothed
     risks are the same sums and equal bit for bit. The
@@ -386,14 +389,14 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
     """
     options = options or FitOptions()
     closed_form = spec.loss is Loss.LEAST_SQUARES and spec.penalty is Penalty.L2
-    try:
-        theta = _initial_theta(options, spec, dataset)
-    except SingularSystemError as err:
-        raise FitError(str(err), [], []) from err
     steps = 1 if closed_form else options.max_iterations
     # tolerance 0 (the fixed-count protocol) takes plain updates only and never stops early
     accelerated = options.risk_tolerance > 0
-    with _pass_worker(spec, dataset, steps) as worker:
+    with np.errstate(over="ignore", invalid="ignore"), _pass_worker(spec, dataset, steps) as worker:
+        try:
+            theta = _initial_theta(options, spec, dataset)
+        except SingularSystemError as err:
+            raise FitError(str(err), [], []) from err
         exact, smoothed, system = _pass(spec, theta, dataset, True, worker)
         theta_track = [theta]
         anchor_track = []
@@ -427,7 +430,8 @@ def fit(spec: RiskSpec, dataset: Dataset, options: FitOptions | None = None) -> 
             exact_track.append(exact)
             smoothed_track.append(smoothed)
             previous = smoothed_track[-2]
-            if accelerated and abs(smoothed - previous) <= options.risk_tolerance * (1.0 + abs(previous)):
+            converged = abs(smoothed - previous) <= options.risk_tolerance * (1.0 + abs(previous))
+            if accelerated and converged and np.isfinite(previous):  # from inf, any change is within tolerance
                 reason = TerminationReason.RISK_TOLERANCE
                 break
 

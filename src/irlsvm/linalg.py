@@ -4,7 +4,8 @@ Every update in the engine solves a system of the form
 (Y'WY + diagonal) theta = Y'W r; this module owns that plumbing. A solve
 factors the matrix with numpy's Cholesky and substitutes forward and back on
 the factor with two whole-array LAPACK solves, so its Python cost does not
-grow with the number of features, and the package needs no scipy.
+grow with the number of features, and the package needs no scipy. It sets no
+numpy error state (see engine): a non-finite system is solve_spd's error.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ class _GramBlocks:
     core._rows_within(k): a block's copy is made that many of its columns at a time, so a block of
     at most that many makes one product. The weights are not checked: the hinge's,
     1/(4 gamma) with gamma > 0, are never negative or infinite, and a NaN one makes a NaN
-    product. An overflow shows as a non-finite product, which the caller's numpy error state
-    reports or not (the engine's pass does not: solve_spd rejects the system)."""
+    product, as an overflow makes a non-finite one."""
 
     def __init__(self, k: int):
         self._k = k
@@ -65,9 +65,7 @@ def _symmetric(gram: np.ndarray) -> np.ndarray:
     """gram, a sum of _GramBlocks products, made exactly symmetric in place as the mean of it and
     its transpose (floating-point addition commutes), halved first so that the sum cannot overflow."""
     gram *= 0.5
-    # +inf against -inf gives NaN, which solve_spd rejects
-    with np.errstate(invalid="ignore"):
-        gram += gram.T
+    gram += gram.T
     return gram
 
 

@@ -7,7 +7,8 @@ each of which allocates the array it fills (0-d for 0-d margins) and works
 in place on it; the public functions apply them to whole margin vectors,
 and _block_terms to one row block of the engine's pass at a time, in the
 order its update's algebra needs them; _normal_equations turns a pass's
-block sums into its update's system.
+block sums into its update's system, in the engine pass's error state (see
+engine); only _logistic_pi sets one, for the overflow its sigmoid intends.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ _UNIT_OPEN = (np.finfo(float).tiny, 1.0 - 2.0**-53)
 
 def _logistic_pi(m: np.ndarray) -> np.ndarray:
     """Sigmoid pi = 1/(1 + exp(m)), kept strictly inside (0, 1)."""
-    # past m ~ 709 exp overflows to inf and pi to 0, which the clip lifts
+    # past m ~ 709 exp overflows, as intended, and pi goes to 0, which the clip lifts; also outside the engine
     with np.errstate(over="ignore"):
         out = np.exp(m, out=np.empty_like(m))
     out += 1.0
@@ -109,10 +110,7 @@ def _normal_equations(kind: Loss, dataset, vec, gram, rhs, diag) -> tuple[np.nda
     elif kind is Loss.LEAST_SQUARES:
         rhs += dataset._column_sums
     elif kind is Loss.LOGISTIC:
-        # an overflow shows as a non-finite right side, which solve_spd rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            offset = dataset._gram @ vec
-        rhs += offset
+        rhs += dataset._gram @ vec
     a = dataset._gram.copy() if gram is None else gram
     k = a.shape[0]
     scale = 8.0 if kind is Loss.LOGISTIC else 1.0

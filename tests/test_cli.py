@@ -858,6 +858,26 @@ def test_fit_refuses_an_output_linked_to_its_data(data_csv, tmp_path, capsys, li
     assert data_csv.read_bytes() == before
 
 
+@pytest.mark.parametrize("out", [".", "/", "..", "existing"])
+def test_fit_refuses_a_directory_as_its_model_before_any_work(data_csv, tmp_path, capsys, monkeypatch, out):
+    # each names a directory, which can never be written as a model: a data error before the load
+    work = tmp_path / "work"
+    work.mkdir()
+    (tmp_path / "existing").mkdir()
+    monkeypatch.chdir(work)
+    out = str(tmp_path / out) if out == "existing" else out
+
+    def no_work(*args):
+        raise AssertionError("the data was loaded or fitted")
+
+    monkeypatch.setattr(cli, "load_dataset_csv", no_work)
+    monkeypatch.setattr(cli, "fit", no_work)
+    before, root = sorted(tmp_path.rglob("*")), sorted(os.listdir("/"))
+    assert main(["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data_csv), "--out", out]) == 3
+    assert capsys.readouterr().err == f"error: {out}: cannot write: Is a directory\n"
+    assert sorted(tmp_path.rglob("*")) == before and sorted(os.listdir("/")) == root
+
+
 @pytest.mark.parametrize("out", ["m.model", "./m.model", "hard", "symbolic"])
 def test_predict_refuses_to_overwrite_its_model(data_csv, tmp_path, capsys, out):
     # the next predict would read the predictions as a model

@@ -16,7 +16,7 @@ from numpy.testing import assert_array_equal
 
 import csv_reference as ref
 from irlsvm import DataError, load_dataset_csv
-from irlsvm import data_io
+from irlsvm import core, data_io
 from irlsvm.data_io import _csv_blocks, _write_labelled_copy, open_input
 
 SETTINGS = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -152,13 +152,13 @@ def test_feature_loader_and_predict_writer_match_reference(tmp_path, text):
 
 @_property
 def test_dataset_loader_matches_reference_in_blocks_of_two_rows(tmp_path, monkeypatch, text):
-    monkeypatch.setattr(data_io, "_BLOCK_ROWS", 2)
+    monkeypatch.setattr(core, "_BLOCK_ROWS", 2)
     _check_dataset_loader(tmp_path, text)
 
 
 @_property
 def test_feature_loader_and_predict_writer_match_reference_in_blocks_of_two_rows(tmp_path, monkeypatch, text):
-    monkeypatch.setattr(data_io, "_BLOCK_ROWS", 2)
+    monkeypatch.setattr(core, "_BLOCK_ROWS", 2)
     _check_feature_loader_and_predict_writer(tmp_path, text)
 
 

@@ -32,7 +32,7 @@ from irlsvm import (
     write_model,
     write_trajectory_csv,
 )
-from irlsvm import data_io
+from irlsvm import core, data_io
 from irlsvm.core import _BLOCK_BYTES
 
 from helpers import interrupt_on_call, make_dataset, no_child_left, traced_peak, two_sample_dataset
@@ -364,8 +364,8 @@ def test_line_count_counts_the_lines_csv_reads(cells, monkeypatch):
 def test_load_copies_a_design_sized_by_lines_down_to_its_records(tmp_path, monkeypatch, text, expected):
     path = tmp_path / "d.csv"
     path.write_bytes(text.encode())
-    for block_rows, cells in [(data_io._BLOCK_ROWS, data_io._WRITE_CELLS), (2, 1)]:
-        monkeypatch.setattr(data_io, "_BLOCK_ROWS", block_rows)
+    for block_rows, cells in [(core._BLOCK_ROWS, data_io._WRITE_CELLS), (2, 1)]:
+        monkeypatch.setattr(core, "_BLOCK_ROWS", block_rows)
         monkeypatch.setattr(data_io, "_WRITE_CELLS", cells)
         if isinstance(expected, str):
             with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {expected}')}$"):

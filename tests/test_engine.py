@@ -202,6 +202,19 @@ def test_fit_stops_on_risk_tolerance():
     assert result.theta_trajectory.shape == (result.iterations_run + 1, 3)
 
 
+def test_a_change_from_an_infinite_risk_never_stops_a_fit():
+    # the start's penalty overflows: any change from its inf is within tolerance * (1 + inf), so the
+    # fit stopped after one update, at smoothed risk 1.5165; it goes on to the minimum a fit from zero finds
+    spec = RiskSpec(Loss.HINGE, Penalty.L2, lam=0.1)
+    dataset = generate_gaussian_mixture(2000, seed=1)
+    result = fit(spec, dataset, FitOptions(init=ModelParams(0.0, [1e200, 1e200])))
+    track = result.smoothed_risk_trajectory
+    assert np.isinf(track[0]) and np.isfinite(track[1:]).all()
+    assert result.termination_reason is TerminationReason.RISK_TOLERANCE and result.iterations_run > 2
+    from_zero = fit(spec, dataset, FitOptions(init=Init.ZERO)).smoothed_risk_trajectory[-1]
+    assert_allclose(track[-1], from_zero, rtol=1e-7)
+
+
 @pytest.mark.parametrize("init", [Init.ZERO, Init.WARM_START_LS_L2], ids=["zero", "warm"])
 def test_fit_records_theta_trajectory(init):
     ds = make_dataset(seed=30, n=50, q=3)
@@ -227,16 +240,40 @@ def test_fit_explicit_init_dimension_mismatch(two):
         fit(RiskSpec(Loss.HINGE, Penalty.L2), two, FitOptions(init=ModelParams.zeros(3)))
 
 
-@pytest.mark.parametrize("loss", [Loss.HINGE, Loss.SQUARED_HINGE, Loss.LOGISTIC])
-def test_an_overflowing_start_is_a_fit_error(loss):
-    # margins of 2e310 overflow to inf, and to NaN where two such products cancel: the start's risks
-    # are recorded, and the system anchored there is not finite, for the hinge (NaN weights) too
-    ds = Dataset([[1e10, 1e10], [1e10, -1e10], [-1e10, 1e10], [-1e10, -1e10]], [1.0, 1.0, -1.0, -1.0])
-    options = FitOptions(init=ModelParams(alpha=0.0, beta=[1e300, 1e300]))
+# margins of 2e310 overflow to inf, and to NaN where two such products cancel: the start's risks
+# are recorded, and the system anchored there is not finite, for the hinge (NaN weights) too
+_WIDE_MARGINS = (
+    [[1e10, 1e10], [1e10, -1e10], [-1e10, 1e10], [-1e10, -1e10]],
+    [1.0, 1.0, -1.0, -1.0],
+    ModelParams(alpha=0.0, beta=[1e300, 1e300]),
+)
+# finite margins whose cached Gram overflows: the logistic right side Y'Y theta adds inf to -inf
+_HUGE_GRAM = ([[1e308], [1e308], [-1e308], [-1e308]], [1.0, -1.0, 1.0, -1.0], ModelParams(alpha=-1e-300, beta=[-1.0]))
+_OVERFLOWING_LOSSES = (Loss.HINGE, Loss.SQUARED_HINGE, Loss.LOGISTIC)
+
+
+@pytest.mark.parametrize(
+    "loss, pen, case",
+    [(loss, Penalty.L2, _WIDE_MARGINS) for loss in _OVERFLOWING_LOSSES]
+    + [(Loss.LOGISTIC, pen, _HUGE_GRAM) for pen in Penalty],
+    ids=[str(loss) for loss in _OVERFLOWING_LOSSES] + [f"{Loss.LOGISTIC}-{pen}-huge-gram" for pen in Penalty],
+)
+def test_an_overflowing_start_is_a_fit_error(loss, pen, case):
+    features, labels, start = case
     # and warns of nothing: the suite's filter raises a RuntimeWarning
     with pytest.raises(FitError, match="not finite") as info:
-        fit(RiskSpec(loss, Penalty.L2, lam=0.1), ds, options)
+        fit(RiskSpec(loss, pen, lam=0.1, mu=0.1), Dataset(features, labels), FitOptions(init=start))
     assert info.value.exact_trajectory.shape == info.value.smoothed_trajectory.shape == (1,)
+
+
+def test_check_gates_on_a_fit_from_an_overflowing_start_warn_of_nothing():
+    # the start's risk is inf and the first update's finite: the descent gate divides inf by inf,
+    # and the surrogates at the start overflow, but the gates report, under the suite's filter
+    spec = RiskSpec(Loss.HINGE, Penalty.L2, lam=0.1)
+    dataset = make_dataset(seed=39, n=40, q=2)
+    result = fit(spec, dataset, FitOptions(max_iterations=2, init=ModelParams(0.0, [1e200, 1e200])))
+    assert np.isinf(result.smoothed_risk_trajectory[0]) and np.isfinite(result.smoothed_risk_trajectory[1:]).all()
+    assert all(isinstance(gate, float) for gate in _violations(spec, result, dataset))
 
 
 def test_a_failed_warm_start_is_a_fit_error():
@@ -954,6 +991,20 @@ def test_no_child_outlives_a_fit(monkeypatch, split):
         fit(spec, dataset)
     no_child_left()
     assert len(split) == 3
+
+
+def test_a_split_fit_from_an_overflowing_start_warns_in_neither_process(monkeypatch, split, capfd):
+    # the child walks its blocks in fit's error state, which the fork copies: a warning there, which the
+    # suite's filter raises, would end the child silently, and this process would walk its blocks
+    dataset = generate_gaussian_mixture(SPLIT_N, seed=38)
+    walked = _counted_block_terms(monkeypatch)
+    options = FitOptions(init=ModelParams(0.0, [1e308, -1e308]))  # margins of most rows overflow
+    with pytest.raises(FitError, match="not finite"):
+        fit(RiskSpec(Loss.HINGE, Penalty.L2, lam=0.1), dataset, options)
+    # the start's pass split, and its first solve failed
+    assert len(split) == 1 and len(walked) == 1
+    no_child_left()
+    assert capfd.readouterr().err == ""
 
 
 def test_a_fit_forks_no_worker_where_a_child_cannot_gain(monkeypatch, split):
