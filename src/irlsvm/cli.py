@@ -172,10 +172,11 @@ def _options_from_args(args) -> FitOptions:
 
 def _refuse_overwriting(flag, source, outputs) -> None:
     """A usage error when one of the output paths names the file given as flag
-    (the same resolved path, or a link to it), which writing would replace."""
+    (the same path, or a link to it), which writing would replace; paths of which
+    one does not exist are left to the read or the write that meets them."""
     source = Path(source)
     for out in map(Path, outputs):
-        if out.resolve() == source.resolve() or (out.exists() and out.samefile(source)):
+        if os.path.exists(out) and os.path.exists(source) and os.path.samefile(out, source):
             raise ValueError(f"output {out} is the {flag} file {source}")
 
 
@@ -184,10 +185,9 @@ def _cmd_fit(args) -> int:
     options = _options_from_args(args)
     if os.path.isdir(args.out):  # refused before any work, with the error its write would meet
         raise DataError(f"{Path(args.out)}: cannot write: {os.strerror(errno.EISDIR)}")
-    dataset = load_dataset_csv(args.data)
     trajectory = Path(args.out).with_suffix(".trajectory.csv")
     _refuse_overwriting("--data", args.data, [args.out, trajectory])
-    result = fit(spec, dataset, options)
+    result = fit(spec, load_dataset_csv(args.data), options)
     with staged_outputs():
         write_model(result, spec, args.out)
         write_trajectory_csv(result, trajectory)
@@ -232,7 +232,6 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"--{param}-grid sweeps {param}, which penalty {spec_base.penalty.value} does not use")
     if getattr(args, field) != getattr(RiskSpec, field):
         raise ValueError(f"--{param} {getattr(args, field):g} is overridden by --{param}-grid")
-    dataset = load_dataset_csv(args.data)
     out_dir = Path(args.out)
     summary_path = out_dir / "summary.csv"
     hyperplane_path = out_dir / "hyperplanes.csv"
@@ -243,6 +242,7 @@ def _cmd_sweep(args) -> int:
     if not os.path.isdir(existing):
         raise _creation_error(out_dir, os.strerror(errno.EEXIST if existing == out_dir else errno.ENOTDIR))
 
+    dataset = load_dataset_csv(args.data)
     results = [fit(dataclasses.replace(spec_base, **{field: value}), dataset, options) for value in grid]
     accuracies = [
         sum(np.count_nonzero(predict_batch(r.theta, rows) == y) for y, rows in dataset._feature_blocks()) / dataset.n

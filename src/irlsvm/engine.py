@@ -11,11 +11,11 @@ does not raise the smoothed risk.
 
 Every pass walks the dataset's design in the row blocks of Dataset._blocks,
 each array it makes of a block sized by that block; fit's passes build
-normal equations only at points where an update may be anchored. A pass is a
-sum of independent block shares: on a narrow design of enough blocks, where a
-second CPU is usable, fit walks the later half of each pass's blocks in a forked
-child (_PassWorker) and adds its shares in block order, so every result is the
-serial walk's bit for bit.
+normal equations only at points where an update may be anchored. A pass sums
+one stream of independent block shares in block order: on a narrow design of
+enough blocks, where a second CPU is usable, fit's pass worker (_PassWorker)
+makes that stream of this process's shares of the earlier half of the blocks
+and a forked child's of the rest, so every result is the serial walk's bit for bit.
 
 Numpy's error state is set where the engine is entered, and below that only where a comment gives
 the reason: fit (its warm start, passes, extrapolated steps, and the pass worker's child, to which
@@ -29,13 +29,13 @@ import contextlib
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
 from .core import Dataset, FitResult, Loss, ModelParams, Penalty, RiskSpec, TerminationReason, _constant
 from .core import _forked, _received, _second_cpu, _sent
-from .linalg import SingularSystemError, _GramBlocks, _symmetric, solve_spd
+from .linalg import SingularSystemError, _gram_products, _symmetric, solve_spd
 from .losses import _block_terms, _normal_equations, majorizer_value
 from .penalties import _penalty_terms, penalty_majorizer_value
 
@@ -48,10 +48,10 @@ SURROGATE_SLACK = 1e-12
 
 # fit splits its passes with a forked child (_pass_worker) only where the child repays its fork,
 # about 6 ms with its first pass and its reaping on 2 vCPUs: on a design of q + 1 up to
-# _SPLIT_WIDTH, never above 16, so that each block makes one _GramBlocks product (the child sends
-# one a block), and of at least _SPLIT_BLOCKS row blocks. There a hinge pass at q = 15 went from 39
-# to 23 ms (n = 5*10^5), and default-flag hinge, logistic and squared-hinge fits at q = 2 gained
-# 20 to 33% at 32 blocks (2^19 rows), but not all at 24 blocks or fewer.
+# _SPLIT_WIDTH, never above 16, so that each block makes one _gram_products product (the child
+# sends one a block), and of at least _SPLIT_BLOCKS row blocks. There a hinge pass at q = 15 went
+# from 39 to 23 ms (n = 5*10^5), and default-flag hinge, logistic and squared-hinge fits at q = 2
+# gained 20 to 33% at 32 blocks (2^19 rows), but not all at 24 blocks or fewer.
 _SPLIT_WIDTH = 16
 _SPLIT_BLOCKS = 32
 
@@ -100,18 +100,15 @@ def _shares(spec: RiskSpec, vec: np.ndarray, blocks, update: bool):
     """Each block's share of a pass at the (alpha, beta) vector vec, in block order: (the sum of
     its exact losses, the sum of its smoothed losses, the k x k products it adds to the weighted
     Gram, the k-vector it adds to the right side or None). The products are the block's
-    linalg._GramBlocks products, made as they are taken, through one weighted copy, when its
-    terms bring weights (the hinge's, with update), and none else; the right side's part is
-    rhs_weights' Y_b. Each block's margins, and the loss terms _block_terms makes of them, are
-    arrays of one block's length, held for one block at a time (the caller takes a share's
-    products before the next share is made)."""
-    gram = None
+    linalg._gram_products, made as they are taken, when its terms bring weights (the hinge's,
+    with update), and none else; the right side's part is rhs_weights' Y_b. Each block's
+    margins, and the loss terms _block_terms makes of them, are arrays of one block's length,
+    held for one block at a time (the caller takes a share's products before the next share is
+    made)."""
     for block in blocks:
         weights = rhs_weights = None  # the last block's terms go before this block's are made
         block_loss, block_smoothed, weights, rhs_weights = _block_terms(spec.loss, block.T @ vec, spec.epsilon, update)
-        if weights is not None and gram is None:
-            gram = _GramBlocks(vec.shape[0])
-        products = () if weights is None else gram.products(block, weights)
+        products = () if weights is None else _gram_products(block, weights)
         rhs_part = None if rhs_weights is None else rhs_weights @ block.T
         yield block_loss, block_smoothed, products, rhs_part
 
@@ -123,38 +120,31 @@ def _pass(
     the exact and smoothed risks there and, with update, the system (matrix, right-hand side)
     of the normal equations of the surrogate anchored there (else None).
 
-    The pass adds the blocks' shares (_shares) in block order: with a worker, this process
-    walks the blocks before the worker's first while the worker's child walks the rest, and its
-    shares are added after. The pass allocates no n-length array, and sets the engine's error
-    state. A pass that raises ends the worker, whose reply is then not read.
+    The pass adds the blocks' shares in block order, as _shares gives them or, with a worker,
+    as its shares gives them. The pass allocates no n-length array, and sets the engine's error
+    state.
     """
     k = dataset.q + 1
     if vec.shape[0] != k:
         raise ValueError(f"theta has {vec.shape[0] - 1} features but data has {dataset.q}")
     with np.errstate(over="ignore", invalid="ignore"):
-        if worker is not None and worker.ask(vec, update):
-            own = _shares(spec, vec, islice(dataset._blocks(), worker.first), update)
-            shares = chain(own, worker.shares(spec, vec, dataset, update))
-        else:
+        if worker is None:
             shares = _shares(spec, vec, dataset._blocks(), update)
+        else:
+            shares = worker.shares(spec, vec, dataset, update)
         gram = None
         rhs = np.zeros(k)
         loss_sum = smoothed_sum = 0.0
-        try:
-            for block_loss, block_smoothed, products, rhs_part in shares:
-                loss_sum += block_loss
-                smoothed_sum += block_smoothed
-                for product in products:
-                    if gram is None:
-                        gram = np.zeros((k, k))
-                    gram += product
-                if rhs_part is not None:
-                    rhs += rhs_part
-            penalty, smoothed_penalty, diag = _penalty_terms(vec[1:], spec.lam, spec.mu, spec.epsilon)
-        except BaseException:
-            if worker is not None:
-                worker.end()
-            raise
+        for block_loss, block_smoothed, products, rhs_part in shares:
+            loss_sum += block_loss
+            smoothed_sum += block_smoothed
+            for product in products:
+                if gram is None:
+                    gram = np.zeros((k, k))
+                gram += product
+            if rhs_part is not None:
+                rhs += rhs_part
+        penalty, smoothed_penalty, diag = _penalty_terms(vec[1:], spec.lam, spec.mu, spec.epsilon)
         n = dataset.n
         exact = loss_sum / n + penalty
         smoothed = smoothed_sum / n + smoothed_penalty
@@ -167,40 +157,36 @@ def _pass(
 class _PassWorker:
     """The parent's side of fit's pass worker: a forked child (_serve_passes) that walks each
     pass's blocks from first on, while the parent walks those before, and sends their shares
-    through a pipe. Once the child has ended (killed, failed, or never started) or a pass
-    has raised, the parent walks every block itself for the rest of the fit."""
+    through a pipe. Once the child has ended (killed, failed, or never started) or a pass has
+    stopped before its reply was read, the parent walks every block itself for the rest of the fit."""
 
-    def __init__(self, receive: int, send: int, first: int, k: int):
+    def __init__(self, receive: int, send: int, first: int):
         self._receive, self._send = receive, send
-        self.first = first
-        self._k = k
+        self._first = first
         self._live = True
 
-    def ask(self, vec: np.ndarray, update: bool) -> bool:
-        """Ask the child for its shares of the pass at vec; False if it has ended."""
-        if self._live:
+    def shares(self, spec: RiskSpec, vec: np.ndarray, dataset: Dataset, update: bool):
+        """Every share of the pass at vec, in block order, as _shares gives them: this process's
+        of the blocks before first, then the child's of the rest, or this process's own of them
+        where the child ends before it has sent them all. The worker counts as ended until the
+        child's reply has been read in full, so that a pass stopped before then leaves it serial."""
+        k, blocks = vec.shape[0], dataset._blocks()
+        asked, self._live = self._live, False
+        if asked:
             try:
                 _sent(self._send, np.concatenate(([float(update)], vec)))
             except BrokenPipeError:
-                self._live = False
-        return self._live
-
-    def end(self) -> None:
-        self._live = False
-
-    def shares(self, spec: RiskSpec, vec: np.ndarray, dataset: Dataset, update: bool):
-        """The child's shares of the pass asked for, as _shares gives them, or the parent's own
-        of the same blocks where the child ends before it has sent them all."""
-        k, head = self._k, np.empty(3, np.int64)
-        rows = None
-        if _received(self._receive, head):
-            count, products, with_rhs = head.tolist()
-            rows = np.empty((count, 2 + products * k * k + with_rhs * k))
-            if not _received(self._receive, rows):
-                rows = None
-        if rows is None:
-            self._live = False
-            yield from _shares(spec, vec, islice(dataset._blocks(), self.first, None), update)
+                asked = False
+        if asked:
+            # islice stops at the split, so that blocks goes on from there
+            yield from _shares(spec, vec, islice(blocks, self._first), update)
+            head = np.empty(3, np.int64)
+            if _received(self._receive, head):
+                count, products, with_rhs = head.tolist()
+                rows = np.empty((count, 2 + products * k * k + with_rhs * k))
+                self._live = _received(self._receive, rows)
+        if not self._live:
+            yield from _shares(spec, vec, blocks, update)
             return
         for row in rows:
             grams = row[2 : 2 + products * k * k].reshape(products, k, k)
@@ -239,7 +225,7 @@ def _pass_worker(spec: RiskSpec, dataset: Dataset, updates: int):
         yield None
     else:
         with _forked(_serve_passes, spec, dataset, count // 2) as (receive, send):
-            yield _PassWorker(receive, send, count // 2, k)
+            yield _PassWorker(receive, send, count // 2)
 
 
 def _surrogate_values(

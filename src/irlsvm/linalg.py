@@ -5,7 +5,8 @@ Every update in the engine solves a system of the form
 factors the matrix with numpy's Cholesky and substitutes forward and back on
 the factor with two whole-array LAPACK solves, so its Python cost does not
 grow with the number of features, and the package needs no scipy. It sets no
-numpy error state (see engine): a non-finite system is solve_spd's error.
+numpy error state (see engine): a non-finite system is solve_spd's error. It
+holds no buffer between calls: each call allocates the arrays it fills.
 """
 
 from __future__ import annotations
@@ -37,32 +38,23 @@ class SpdSolution:
     jitter: float
 
 
-class _GramBlocks:
-    """The products whose sum is Y'WY, made one row block at a time through a weighted copy of
-    its own, made at the first block with as many columns as that block has, at most
-    core._rows_within(k): a block's copy is made that many of its columns at a time, so a block of
-    at most that many makes one product. The weights are not checked: the hinge's,
-    1/(4 gamma) with gamma > 0, are never negative or infinite, and a NaN one makes a NaN
-    product, as an overflow makes a non-finite one."""
-
-    def __init__(self, k: int):
-        self._k = k
-        self._work = None
-
-    def products(self, cols: np.ndarray, weights: np.ndarray):
-        """The k x k products of the block whose (q+1) x b columns are cols, weighted by weights,
-        one part of the weighted copy's columns at a time, in order: each is made as it is taken."""
-        if self._work is None:  # the first block is a pass's longest
-            self._work = np.empty((self._k, min(_rows_within(self._k), weights.shape[0])))
-        step = self._work.shape[1]
-        for start in range(0, weights.shape[0], step):
-            part = cols[:, start : start + step]
-            weighted = np.multiply(part, weights[start : start + step], out=self._work[:, : part.shape[1]])
-            yield weighted @ part.T
+def _gram_products(cols: np.ndarray, weights: np.ndarray):
+    """The k x k products whose sum is the (q+1) x b block cols' share of Y'WY, weighted by weights,
+    made as they are taken through a weighted copy of at most core._rows_within(k) columns that
+    this call allocates: a block of at most that many columns makes one product. The weights are
+    not checked: the hinge's, 1/(4 gamma) with gamma > 0, are never negative or infinite, and a NaN
+    one makes a NaN product, as an overflow makes a non-finite one."""
+    k, b = cols.shape
+    step = min(_rows_within(k), b)
+    work = np.empty((k, step))
+    for start in range(0, b, step):
+        part = cols[:, start : start + step]
+        weighted = np.multiply(part, weights[start : start + step], out=work[:, : part.shape[1]])
+        yield weighted @ part.T
 
 
 def _symmetric(gram: np.ndarray) -> np.ndarray:
-    """gram, a sum of _GramBlocks products, made exactly symmetric in place as the mean of it and
+    """gram, a sum of _gram_products products, made exactly symmetric in place as the mean of it and
     its transpose (floating-point addition commutes), halved first so that the sum cannot overflow."""
     gram *= 0.5
     gram += gram.T

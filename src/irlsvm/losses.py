@@ -101,7 +101,7 @@ def _block_terms(kind: Loss, m: np.ndarray, epsilon: float, update: bool):
 def _normal_equations(kind: Loss, dataset, vec, gram, rhs, diag) -> tuple[np.ndarray, np.ndarray]:
     """The update's normal equations (matrix, right side) at vec from a pass's
     block sums (see _block_terms): the weighted Gram gram (summed from
-    linalg._GramBlocks products and made symmetric by linalg._symmetric, in
+    linalg._gram_products' products and made symmetric by linalg._symmetric, in
     place), or the cached Y'Y when gram is None (unit weights), plus the penalty
     diagonal diag times n, or 8n to clear the logistic surrogate's 1/(8n); and
     rhs plus, in place, the part of the right side that no block adds."""

@@ -858,6 +858,32 @@ def test_fit_refuses_an_output_linked_to_its_data(data_csv, tmp_path, capsys, li
     assert data_csv.read_bytes() == before
 
 
+@pytest.mark.parametrize(
+    "verb, data_name, out_name, code",
+    [
+        ("fit", "d.csv", "d.csv", 2),
+        ("sweep", "trajectory_lambda_0.1.csv", ".", 2),
+        ("fit", "missing.csv", "m.model", 3),
+    ],
+    ids=["fit-out-data", "sweep-trajectory-data", "fit-missing-data"],
+)
+def test_outputs_are_refused_before_the_load(tmp_path, capsys, monkeypatch, verb, data_name, out_name, code):
+    # an output that names --data is refused with no load; a missing --data beside an existing
+    # --out is still the load's data error
+    (tmp_path / "m.model").write_bytes(b"old model\n")
+    if data_name != "missing.csv":
+        write_dataset_csv(make_dataset(seed=50, n=60, q=2), tmp_path / data_name)
+    files = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    loads, load = [], cli.load_dataset_csv
+    monkeypatch.setattr(cli, "load_dataset_csv", lambda path: loads.append(path) or load(path))
+    grid = ["--lambda-grid", "0:0.1:0.2"] if verb == "sweep" else []
+    data, out = str(tmp_path / data_name), str(tmp_path / out_name)
+    assert main([verb, "--loss", "hinge", "--penalty", "l2", *grid, "--data", data, "--out", out]) == code
+    assert data in capsys.readouterr().err
+    assert loads == ([data] if code == 3 else [])
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == files
+
+
 @pytest.mark.parametrize("out", [".", "/", "..", "existing"])
 def test_fit_refuses_a_directory_as_its_model_before_any_work(data_csv, tmp_path, capsys, monkeypatch, out):
     # each names a directory, which can never be written as a model: a data error before the load

@@ -993,6 +993,27 @@ def test_no_child_outlives_a_fit(monkeypatch, split):
     assert len(split) == 3
 
 
+@pytest.mark.parametrize("drawn, walked_next", [(1, 3), (2, 1)], ids=["in-this-half", "after-the-reply"])
+def test_a_pass_stopped_before_the_reply_leaves_the_worker_serial(monkeypatch, split, drawn, walked_next):
+    # of three blocks this process walks the first and the child the last two: a consumer that stops
+    # after one share has not had the child's reply read, and one that stops after two has
+    dataset = generate_gaussian_mixture(SPLIT_N, seed=38)
+    spec = RiskSpec(Loss.HINGE, Penalty.ELASTIC_NET, lam=0.1, mu=0.1)
+    vec = np.array([0.1, 0.5, -0.3])
+    exact, smoothed, (matrix, rhs) = _pass(spec, vec, dataset)
+    with engine_module._pass_worker(spec, dataset, 2) as worker:
+        stream = worker.shares(spec, vec, dataset, True)
+        for _ in range(drawn):
+            next(stream)
+        stream.close()
+        walked = _counted_block_terms(monkeypatch)
+        following = _pass(spec, vec, dataset, True, worker)
+    assert len(split) == 1 and len(walked) == walked_next
+    assert following[:2] == (exact, smoothed)
+    assert following[2][0].tobytes() == matrix.tobytes() and following[2][1].tobytes() == rhs.tobytes()
+    no_child_left()
+
+
 def test_a_split_fit_from_an_overflowing_start_warns_in_neither_process(monkeypatch, split, capfd):
     # the child walks its blocks in fit's error state, which the fork copies: a warning there, which the
     # suite's filter raises, would end the child silently, and this process would walk its blocks

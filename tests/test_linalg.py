@@ -5,23 +5,23 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from irlsvm import Dataset
-from irlsvm.core import _BLOCK_BYTES, _BLOCK_ROWS
-from irlsvm.linalg import SingularSystemError, _GramBlocks, _symmetric, solve_spd
+from irlsvm.core import _BLOCK_ROWS
+from irlsvm.linalg import SingularSystemError, _gram_products, _symmetric, solve_spd
 
-from helpers import make_dataset
+from helpers import make_dataset, traced_peak
 
 
-def _summed(blocks, cols, weights, gram=None):
-    """gram (zeros if None) plus the _GramBlocks products of cols weighted by weights, as a pass adds them."""
+def _summed(cols, weights, gram=None):
+    """gram (zeros if None) plus the _gram_products of cols weighted by weights, as a pass adds them."""
     gram = np.zeros((cols.shape[0], cols.shape[0])) if gram is None else gram
-    for product in blocks.products(cols, weights):
+    for product in _gram_products(cols, weights):
         gram += product
     return gram
 
 
 def _one_block_gram(dataset, weights):
     """Y'WY of the dataset's whole design accumulated as one block."""
-    return _symmetric(_summed(_GramBlocks(dataset.q + 1), dataset._design, np.asarray(weights, dtype=float)))
+    return _symmetric(_summed(dataset._design, np.asarray(weights, dtype=float)))
 
 
 def test_weighted_gram_examples(two_sample):
@@ -43,7 +43,7 @@ def test_weighted_gram_exactly_symmetric():
 def test_weighted_gram_near_the_float_limit_stays_finite():
     # each entry is 1.69e308: a symmetrising sum before halving would overflow
     cols = np.full((2, 1), 1.3e154)
-    result = _symmetric(_summed(_GramBlocks(2), cols, np.ones(1)))
+    result = _symmetric(_summed(cols, np.ones(1)))
     assert np.isfinite(result).all()
     assert_array_equal(result, result.T)
 
@@ -54,21 +54,16 @@ def test_unit_weights_give_plain_gram():
     assert_allclose(_one_block_gram(ds, np.ones(ds.n)), plain, rtol=1e-14, atol=0)
 
 
-def _pass_gram(dataset):
-    """A _GramBlocks as a hinge update's pass builds one, its weighted copy within _BLOCK_BYTES."""
-    return _GramBlocks(dataset.q + 1)
-
-
-def _blockwise_grams(blocks, dataset, weights):
-    """Y'WY accumulated over the design blocks a pass walks, through the _GramBlocks blocks'
-    products made symmetric by _symmetric, and as each whole block's (block * w) @ block.T, made
+def _blockwise_grams(dataset, weights):
+    """Y'WY accumulated over the design blocks a pass walks, through each block's _gram_products
+    made symmetric by _symmetric, and as each whole block's (block * w) @ block.T, made
     symmetric as _symmetric makes it."""
     gram = np.zeros((dataset.q + 1, dataset.q + 1))
     whole = np.zeros((dataset.q + 1, dataset.q + 1))
     start = 0
     for block in dataset._blocks():
         w = weights[start : start + block.shape[1]]
-        _summed(blocks, block, w, gram)
+        _summed(block, w, gram)
         whole += (block * w) @ block.T
         start += block.shape[1]
     whole *= 0.5
@@ -80,7 +75,7 @@ def _blockwise_grams(blocks, dataset, weights):
 def test_gram_blocks_within_the_budget_add_whole_block_products(q):
     # up to q = 15 a block's weighted copy fits in _BLOCK_BYTES, so each block adds one product, bit for bit
     ds = make_dataset(seed=12, n=2 * _BLOCK_ROWS + 77, q=q)
-    gram, whole = _blockwise_grams(_pass_gram(ds), ds, np.random.default_rng(12).uniform(0, 3, ds.n))
+    gram, whole = _blockwise_grams(ds, np.random.default_rng(12).uniform(0, 3, ds.n))
     assert gram.tobytes() == whole.tobytes()
 
 
@@ -88,9 +83,12 @@ def test_gram_blocks_past_the_budget_add_sub_block_products():
     # at q = 50 a block's weighted copy is made a few thousand columns at a time: the sum of the
     # sub-block products differs from the whole block's in rounding only
     ds = make_dataset(seed=13, n=_BLOCK_ROWS + 77, q=50)
-    blocks = _pass_gram(ds)
-    gram, whole = _blockwise_grams(blocks, ds, np.random.default_rng(13).uniform(0, 3, ds.n))
-    assert blocks._work.nbytes <= _BLOCK_BYTES < (ds.q + 1) * _BLOCK_ROWS * 8
+    weights = np.random.default_rng(13).uniform(0, 3, ds.n)
+    gram, whole = _blockwise_grams(ds, weights)
+    # drawing a block's products holds a part of its weighted copy at a time, not the whole block's
+    block = next(ds._blocks())
+    peak = traced_peak(lambda: sum(_gram_products(block, weights[: block.shape[1]])))
+    assert peak < (ds.q + 1) * _BLOCK_ROWS * 8
     assert_array_equal(gram, gram.T)
     assert_allclose(gram, whole, rtol=1e-13, atol=1e-13 * np.abs(whole).max())
 
