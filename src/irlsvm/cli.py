@@ -172,11 +172,13 @@ def _options_from_args(args) -> FitOptions:
 
 def _refuse_overwriting(flag, source, outputs) -> None:
     """A usage error when one of the output paths names the file given as flag
-    (the same path, or a link to it), which writing would replace; paths of which
-    one does not exist are left to the read or the write that meets them."""
+    (the same resolved path, or a link to it), which writing would replace; a
+    missing flag file is left to the read that meets it."""
     source = Path(source)
+    if not source.exists():
+        return
     for out in map(Path, outputs):
-        if os.path.exists(out) and os.path.exists(source) and os.path.samefile(out, source):
+        if out.resolve() == source.resolve() or (out.exists() and out.samefile(source)):
             raise ValueError(f"output {out} is the {flag} file {source}")
 
 

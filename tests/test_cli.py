@@ -835,14 +835,18 @@ def test_predict_can_overwrite_its_input(data_csv, tmp_path):
 
 
 @pytest.mark.parametrize("out_name", ["d.csv", "d.model"])
-def test_fit_refuses_to_overwrite_its_data(tmp_path, capsys, out_name):
-    # --out d.model puts the trajectory at d.trajectory.csv, the data file of that case
+def test_fit_refuses_to_overwrite_its_data(tmp_path, capsys, monkeypatch, out_name):
+    # --out d.model puts the trajectory at d.trajectory.csv, the data file of that case; the
+    # refusal comes before the data is loaded
     data = tmp_path / ("d.csv" if out_name == "d.csv" else "d.trajectory.csv")
     write_dataset_csv(make_dataset(seed=50, n=60, q=2), data)
     before = data.read_bytes()
+    loads, load = [], cli.load_dataset_csv
+    monkeypatch.setattr(cli, "load_dataset_csv", lambda path: loads.append(path) or load(path))
     code = main(["fit", "--loss", "hinge", "--penalty", "l2", "--data", str(data), "--out", str(tmp_path / out_name)])
     assert code == 2
     assert str(data) in capsys.readouterr().err
+    assert loads == []
     assert data.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [data.name]
 
@@ -861,15 +865,17 @@ def test_fit_refuses_an_output_linked_to_its_data(data_csv, tmp_path, capsys, li
 @pytest.mark.parametrize(
     "verb, data_name, out_name, code",
     [
-        ("fit", "d.csv", "d.csv", 2),
         ("sweep", "trajectory_lambda_0.1.csv", ".", 2),
+        ("sweep", "trajectory_lambda_0.1.csv", "new/..", 2),
         ("fit", "missing.csv", "m.model", 3),
+        ("fit", "missing.csv", "missing.csv", 3),
     ],
-    ids=["fit-out-data", "sweep-trajectory-data", "fit-missing-data"],
+    ids=["sweep-trajectory-data", "sweep-via-missing-directory", "fit-missing-data", "fit-out-missing-data"],
 )
 def test_outputs_are_refused_before_the_load(tmp_path, capsys, monkeypatch, verb, data_name, out_name, code):
-    # an output that names --data is refused with no load; a missing --data beside an existing
-    # --out is still the load's data error
+    # a sweep output that names --data is refused with no load, also through a directory the
+    # sweep would make (new/.. is the data's directory once new exists); a missing --data is
+    # still the load's data error, whatever --out names
     (tmp_path / "m.model").write_bytes(b"old model\n")
     if data_name != "missing.csv":
         write_dataset_csv(make_dataset(seed=50, n=60, q=2), tmp_path / data_name)

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from irlsvm import Dataset
-from irlsvm.core import _BLOCK_ROWS
+from irlsvm.core import _BLOCK_BYTES, _BLOCK_ROWS
 from irlsvm.linalg import SingularSystemError, _gram_products, _symmetric, solve_spd
 
 from helpers import make_dataset, traced_peak
@@ -85,10 +85,11 @@ def test_gram_blocks_past_the_budget_add_sub_block_products():
     ds = make_dataset(seed=13, n=_BLOCK_ROWS + 77, q=50)
     weights = np.random.default_rng(13).uniform(0, 3, ds.n)
     gram, whole = _blockwise_grams(ds, weights)
-    # drawing a block's products holds a part of its weighted copy at a time, not the whole block's
+    # drawing a block's products holds a part of its weighted copy at a time, within _BLOCK_BYTES,
+    # and not the whole block's
     block = next(ds._blocks())
     peak = traced_peak(lambda: sum(_gram_products(block, weights[: block.shape[1]])))
-    assert peak < (ds.q + 1) * _BLOCK_ROWS * 8
+    assert peak < 2 * _BLOCK_BYTES < (ds.q + 1) * _BLOCK_ROWS * 8
     assert_array_equal(gram, gram.T)
     assert_allclose(gram, whole, rtol=1e-13, atol=1e-13 * np.abs(whole).max())
 
